@@ -15,10 +15,18 @@ pub struct ShardConfig {
     /// 0 is rejected by [`ShardConfig::validate`] — a zero-shard set would
     /// serve every query from no data.
     pub shard_count: usize,
-    /// Run data-proportional per-shard work (index builds, statistics
-    /// merges, scatter scans) on scoped threads, one per shard. Results are
-    /// always merged in shard-index order, so this knob changes wall-clock
-    /// time and nothing else — bit-identity holds either way.
+    /// Run *data-proportional* work on scoped threads: the per-shard index
+    /// builds (one thread per shard), and the full statistics rebuild and
+    /// the full-table `execute` scatter (their slots chunked over
+    /// `available_parallelism()` threads, the calling thread taking the
+    /// first chunk). Results are always merged in index order, so this knob
+    /// changes wall-clock time and nothing else — bit-identity holds either
+    /// way.
+    ///
+    /// It does **not** govern keyword probes: a probe scatter
+    /// ([`ShardedStore::scatter_value_scores`](crate::ShardedStore::scatter_value_scores))
+    /// is a few hash lookups per shard, cheaper than creating one thread,
+    /// so it always runs inline on the calling thread.
     pub parallel: bool,
 }
 
@@ -32,7 +40,7 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// A config with `shard_count` partitions and parallel scatter enabled.
+    /// A config with `shard_count` partitions and parallel builds enabled.
     pub fn new(shard_count: usize) -> ShardConfig {
         ShardConfig {
             shard_count,

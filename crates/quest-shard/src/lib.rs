@@ -27,7 +27,9 @@
 //!   [`SourceWrapper`](quest_core::SourceWrapper) over the store plus a
 //!   cached serving engine. One scatter per keyword precomputes the whole
 //!   per-attribute score table, so the engine's emission pass never fans
-//!   out per `(keyword, attribute)` pair.
+//!   out per `(keyword, attribute)` pair. The scatter runs inline on the
+//!   querying thread: threads are for data-proportional work (builds,
+//!   statistics, full-table scans), never for a read's hash lookups.
 //! * [`ShardedPrimary`] — a shard is the unit of replication: each shard
 //!   commits through its own [`Primary`](quest_replica::Primary) (own WAL,
 //!   own snapshots), a router fans accepted records out by partition key,
@@ -65,9 +67,10 @@ pub mod names {
     /// Fan-out imbalance of the latest scatter: how far the busiest shard
     /// ran over the mean, in whole percent (gauge; 0 = perfectly even).
     pub const FANOUT_IMBALANCE: &str = "quest_shard_fanout_imbalance_pct";
-    /// Per-shard probes a keyword scatter issued — every `(attribute,
-    /// shard)` pair fanned out to, whether or not it matched (counter; the
-    /// numerator of the scatter read-amplification ratio).
+    /// Per-shard index probes a keyword scatter issued — every `(indexed
+    /// attribute, shard)` pair consulted, whether or not it matched;
+    /// attributes no shard indexes are never probed (counter; the numerator
+    /// of the scatter read-amplification ratio).
     pub const SCATTER_PROBES: &str = "quest_shard_scatter_probes_total";
     /// Scatter results the gather actually used: attribute slots whose
     /// merged score came back nonzero (counter; the denominator of the

@@ -24,7 +24,8 @@
 //!   is what keeps per-shard WAL replay deterministic.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use quest_serve::ApplyReport;
 use quest_wal::ChangeRecord;
@@ -45,7 +46,8 @@ fn fmt_key(key: &[Value]) -> String {
 }
 
 /// Run `f(0..n)` either serially or chunked across scoped threads,
-/// returning results in index order regardless.
+/// returning results in index order regardless. Build-time and full-table
+/// fan-out only: the keyword probe path never comes through here.
 fn map_range<T, F>(n: usize, parallel: bool, f: F) -> Vec<T>
 where
     T: Send,
@@ -55,78 +57,141 @@ where
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
-            .min(n)
     } else {
         1
     };
+    map_chunks(n, workers, f)
+}
+
+/// [`map_range`] for an explicit worker count: `0..n` is cut into
+/// `ceil(n / workers)`-sized chunks, the calling thread runs the first one
+/// and each further *non-empty* chunk gets one scoped thread — so
+/// `ceil(n / chunk) - 1` spawns, never one per idle worker slot.
+fn map_chunks<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.min(n);
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
     let chunk = n.div_ceil(workers);
     std::thread::scope(|s| {
         let f = &f;
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (1..n.div_ceil(chunk))
             .map(|w| {
                 let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
+                let hi = (lo + chunk).min(n);
                 s.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard worker panicked"))
-            .collect()
+        let mut out: Vec<T> = (0..chunk).map(f).collect();
+        for h in handles {
+            out.extend(h.join().expect("shard worker panicked"));
+        }
+        out
     })
 }
 
-/// Publish one scatter's per-shard walls: the labeled latency histograms,
-/// the thread-local handoff that feeds the serving layer's query trace, and
-/// the fan-out imbalance gauge (busiest shard's overrun of the mean, whole
-/// percent).
-fn record_scatter(sums: &[u64]) {
-    let registry = quest_obs::global();
-    for (s, &ns) in sums.iter().enumerate() {
-        registry
-            .histogram_with(crate::names::SCATTER, &[("shard", &s.to_string())])
-            .record(ns);
-        quest_obs::scatter::record(s, ns / 1_000);
-    }
-    let total: u64 = sums.iter().sum();
-    let mean = total / sums.len().max(1) as u64;
-    let max = sums.iter().copied().max().unwrap_or(0);
-    // A zero mean means the scatter was too fast to resolve: leave the
-    // gauge alone rather than publish a meaningless 0-vs-0 comparison.
-    if let Some(pct) = ((max - mean) * 100).checked_div(mean) {
-        registry
-            .gauge(crate::names::FANOUT_IMBALANCE)
-            .set(i64::try_from(pct).unwrap_or(i64::MAX));
-    }
+/// The scatter's handles into the global registry, resolved once per store
+/// (on its first instrumented scatter) so a keyword probe records through
+/// handle-local atomics: no label formatting, no registry lock.
+#[derive(Debug)]
+struct ScatterMetrics {
+    /// `quest_shard_scatter_ns{shard="<i>"}`, indexed by shard.
+    per_shard: Vec<quest_obs::Histogram>,
+    imbalance: quest_obs::Gauge,
+    probes: quest_obs::Counter,
+    used: quest_obs::Counter,
 }
 
-/// Count one scatter's read amplification: probes issued (every
-/// `(attribute, shard)` pair the fan-out touched) versus results the
-/// gather used (attribute slots whose merged score came back nonzero —
-/// a zero slot contributes nothing to emission downstream).
-fn record_scatter_amplification(probes: usize, scores: &[f64]) {
-    let registry = quest_obs::global();
-    static DESCRIBE: std::sync::Once = std::sync::Once::new();
-    DESCRIBE.call_once(|| {
+impl ScatterMetrics {
+    fn resolve(shard_count: usize) -> ScatterMetrics {
+        let registry = quest_obs::global();
         registry.describe(
             crate::names::SCATTER_PROBES,
-            "Per-shard probes issued by keyword scatters (attributes x shards).",
+            "Per-shard index probes issued by keyword scatters.",
         );
         registry.describe(
             crate::names::SCATTER_USED,
             "Scatter results the gather used (nonzero merged attribute scores).",
         );
-    });
-    registry
-        .counter(crate::names::SCATTER_PROBES)
-        .add(probes as u64);
-    let used = scores.iter().filter(|s| **s != 0.0).count();
-    registry
-        .counter(crate::names::SCATTER_USED)
-        .add(used as u64);
+        ScatterMetrics {
+            per_shard: (0..shard_count)
+                .map(|s| {
+                    registry.histogram_with(crate::names::SCATTER, &[("shard", &s.to_string())])
+                })
+                .collect(),
+            imbalance: registry.gauge(crate::names::FANOUT_IMBALANCE),
+            probes: registry.counter(crate::names::SCATTER_PROBES),
+            used: registry.counter(crate::names::SCATTER_USED),
+        }
+    }
+
+    /// Publish one scatter: the per-shard walls (labeled latency
+    /// histograms, the thread-local handoff that feeds the serving layer's
+    /// query trace, and the fan-out imbalance gauge — busiest shard's
+    /// overrun of the mean, whole percent) and its read amplification —
+    /// per-shard index probes issued versus results the gather used
+    /// (attribute slots whose merged score came back nonzero; a zero slot
+    /// contributes nothing to emission downstream).
+    fn record(&self, walls: &[u64], probes: u64, scores: &[f64]) {
+        for (s, (histogram, &ns)) in self.per_shard.iter().zip(walls).enumerate() {
+            histogram.record(ns);
+            quest_obs::scatter::record(s, ns / 1_000);
+        }
+        let total: u64 = walls.iter().sum();
+        let mean = total / walls.len().max(1) as u64;
+        let max = walls.iter().copied().max().unwrap_or(0);
+        // A zero mean means the scatter was too fast to resolve: leave the
+        // gauge alone rather than publish a meaningless 0-vs-0 comparison.
+        if let Some(pct) = ((max - mean) * 100).checked_div(mean) {
+            self.imbalance.set(i64::try_from(pct).unwrap_or(i64::MAX));
+        }
+        self.probes.add(probes);
+        let used = scores.iter().filter(|s| **s != 0.0).count();
+        self.used.add(used as u64);
+    }
+}
+
+/// What one scatter reuses across attributes: the merge accumulator, the
+/// count of per-shard index probes issued, and — when instrumented — a
+/// running clock whose laps are charged to per-shard wall slots.
+struct ProbeScratch {
+    acc: ScoreAccumulator,
+    probes: u64,
+    /// Lap clock; `None` on an uninstrumented scatter (no clock reads).
+    clock: Option<Instant>,
+    /// Per-shard walls in nanoseconds (empty when uninstrumented).
+    walls: Vec<u64>,
+}
+
+impl ProbeScratch {
+    fn new(probe: &KeywordProbe, timed_shards: Option<usize>) -> ProbeScratch {
+        ProbeScratch {
+            acc: ScoreAccumulator::new(probe.tokens().len()),
+            probes: 0,
+            clock: timed_shards.map(|_| Instant::now()),
+            walls: vec![0; timed_shards.unwrap_or(0)],
+        }
+    }
+
+    /// Restart the clock: the time since the last lap belongs to no shard.
+    fn start_lap(&mut self) {
+        if let Some(last) = &mut self.clock {
+            *last = Instant::now();
+        }
+    }
+
+    /// Charge the time since the last lap (or restart) to `shard`.
+    fn end_lap(&mut self, shard: usize) {
+        if let Some(last) = &mut self.clock {
+            let now = Instant::now();
+            self.walls[shard] += quest_obs::duration_ns(now - *last);
+            *last = now;
+        }
+    }
 }
 
 /// A hash-partitioned database: one full catalog, N FK-less shards, merged
@@ -140,6 +205,13 @@ pub struct ShardedStore {
     parallel: bool,
     /// One database per shard, each over `catalog.without_foreign_keys()`.
     shards: Vec<Database>,
+    /// Attributes with a full-text index on some shard, ascending — the
+    /// only ones a keyword scatter probes (every other score is 0).
+    /// Computed once at build: mutations maintain existing indexes and
+    /// never create one for a new attribute.
+    indexed_attrs: Vec<AttrId>,
+    /// Registry handles of the scatter metrics (see [`ScatterMetrics`]).
+    scatter_metrics: OnceLock<ScatterMetrics>,
     /// Merged attribute statistics (bit-identical to the unsharded store).
     attr_stats: HashMap<AttrId, AttributeStats>,
     /// Merged join statistics (bit-identical NMI).
@@ -220,6 +292,8 @@ impl ShardedStore {
             partitioner: Partitioner::new(config)?,
             parallel: config.parallel,
             shards,
+            indexed_attrs: Vec::new(),
+            scatter_metrics: OnceLock::new(),
             attr_stats: HashMap::new(),
             join_stats: HashMap::new(),
             stats_dirty: None,
@@ -243,6 +317,8 @@ impl ShardedStore {
             partitioner,
             parallel: config.parallel,
             shards,
+            indexed_attrs: Vec::new(),
+            scatter_metrics: OnceLock::new(),
             attr_stats: HashMap::new(),
             join_stats: HashMap::new(),
             stats_dirty: None,
@@ -251,7 +327,8 @@ impl ShardedStore {
     }
 
     /// Build (or rebuild) every shard's indexes and local statistics —
-    /// one `finalize` per shard, in parallel when configured.
+    /// one `finalize` per shard, in parallel when configured — and list
+    /// the attributes a keyword scatter has to probe.
     fn finalize_shards(&mut self) {
         if self.parallel && self.shards.len() > 1 {
             std::thread::scope(|s| {
@@ -268,6 +345,10 @@ impl ShardedStore {
                 }
             }
         }
+        self.indexed_attrs = (0..self.catalog.attribute_count())
+            .map(|a| AttrId(a as u32))
+            .filter(|a| self.shards.iter().any(|s| s.index(*a).is_some()))
+            .collect();
     }
 
     // ------------------------------------------------------------------
@@ -687,47 +768,43 @@ impl ShardedStore {
     /// merged state, and — for phrases — rerun the conjunctive scan per
     /// shard under the merged idfs, gathering by max.
     pub fn search_score_probe(&self, attr: AttrId, probe: &KeywordProbe) -> f64 {
-        self.score_probe_timed(attr, probe, None)
+        self.score_probe(attr, probe, &mut ProbeScratch::new(probe, None))
     }
 
-    /// [`ShardedStore::search_score_probe`] with optional per-shard wall
-    /// accounting: when `timings` is `Some`, each shard's share of this
-    /// probe's work (partial absorb + conjunctive rescan) is added to its
-    /// slot, in nanoseconds. The scoring arithmetic is identical either way
-    /// — the clocks wrap the per-shard sections without reordering any
-    /// float operation, so instrumented scores stay bit-identical (the
-    /// shard identity suite runs with the global registry enabled).
-    fn score_probe_timed(
-        &self,
-        attr: AttrId,
-        probe: &KeywordProbe,
-        mut timings: Option<&mut [u64]>,
-    ) -> f64 {
-        let mut acc = ScoreAccumulator::new(probe.tokens().len());
+    /// One attribute's merged score, on the calling thread, visiting the
+    /// shards in index order. `scratch` is the scatter's reused state: its
+    /// accumulator is reset here, its probe count grows by one per shard
+    /// index consulted, and — when it carries a clock — each shard's share
+    /// of the work (partial absorb + conjunctive rescan) is added to that
+    /// shard's wall slot. The scoring arithmetic is identical either way:
+    /// the laps wrap the per-shard sections without reordering any float
+    /// operation, so instrumented scores stay bit-identical (the shard
+    /// identity suite runs with the global registry enabled).
+    fn score_probe(&self, attr: AttrId, probe: &KeywordProbe, scratch: &mut ProbeScratch) -> f64 {
+        scratch.acc.reset();
         let mut any_index = false;
+        scratch.start_lap();
         for (s, shard) in self.shards.iter().enumerate() {
-            let start = timings.is_some().then(std::time::Instant::now);
             if let Some(ix) = shard.index(attr) {
                 any_index = true;
-                acc.absorb(ix, probe);
+                scratch.probes += 1;
+                scratch.acc.absorb(ix, probe);
             }
-            if let (Some(start), Some(t)) = (start, timings.as_deref_mut()) {
-                t[s] += quest_obs::duration_ns(start.elapsed());
-            }
+            scratch.end_lap(s);
         }
         if !any_index {
             // Not a full-text attribute: the unsharded store returns 0 too.
             return 0.0;
         }
         let raw = if probe.tokens().len() == 1 {
-            acc.single_token_raw()
-        } else if acc.any_token_absent() {
+            scratch.acc.single_token_raw()
+        } else if scratch.acc.any_token_absent() {
             0.0
         } else {
-            let idfs = acc.idfs();
+            let idfs = scratch.acc.idfs();
             let mut best: Option<f64> = None;
+            scratch.start_lap();
             for (s, shard) in self.shards.iter().enumerate() {
-                let start = timings.is_some().then(std::time::Instant::now);
                 if let Some(ix) = shard.index(attr) {
                     if let Some(score) = ix.best_conjunctive_score(probe.tokens(), &idfs) {
                         best = match best {
@@ -736,48 +813,44 @@ impl ShardedStore {
                         };
                     }
                 }
-                if let (Some(start), Some(t)) = (start, timings.as_deref_mut()) {
-                    t[s] += quest_obs::duration_ns(start.elapsed());
-                }
+                scratch.end_lap(s);
             }
             best.unwrap_or(0.0)
         };
-        relstore::index::normalize_score(raw, acc.normalization_coefficient())
+        relstore::index::normalize_score(raw, scratch.acc.normalization_coefficient())
     }
 
     /// One scatter for a whole keyword: the per-attribute score table,
     /// indexed by `AttrId`. Computing all attributes at once lets the
     /// emission pass above run from a lookup table instead of fanning out
-    /// to every shard once per `(keyword, attribute)` pair, and the
-    /// per-attribute work parallelizes freely (each slot is independent).
+    /// to every shard once per `(keyword, attribute)` pair.
+    ///
+    /// The scatter runs **inline on the calling thread**, attribute by
+    /// attribute over the shards in index order, whatever
+    /// [`ShardConfig::parallel`] says: a probe is a few hash lookups per
+    /// shard, far less than creating one OS thread costs, so reads never
+    /// spawn. Only attributes with an index on some shard are probed (the
+    /// rest score 0, as on the unsharded store), and the whole scatter
+    /// shares one accumulator and one per-shard timing array.
     ///
     /// While the global registry is enabled, each shard's share of the
-    /// scatter wall is summed across attributes (on the calling thread,
-    /// after the fan-out joins) into `quest_shard_scatter_ns{shard=<i>}`,
-    /// the fan-out imbalance gauge, and the thread-local trace handoff
-    /// ([`quest_obs::scatter`]).
+    /// scatter wall is summed across attributes into
+    /// `quest_shard_scatter_ns{shard=<i>}`, the fan-out imbalance gauge, and
+    /// the thread-local trace handoff ([`quest_obs::scatter`]), and the
+    /// per-shard index probes issued are counted against the results used.
     pub fn scatter_value_scores(&self, probe: &KeywordProbe) -> Vec<f64> {
-        if !quest_obs::global().is_enabled() {
-            return map_range(self.catalog.attribute_count(), self.parallel, |a| {
-                self.search_score_probe(AttrId(a as u32), probe)
-            });
-        }
-        let shard_count = self.shards.len();
-        let timed = map_range(self.catalog.attribute_count(), self.parallel, |a| {
-            let mut per_shard = vec![0u64; shard_count];
-            let score = self.score_probe_timed(AttrId(a as u32), probe, Some(&mut per_shard));
-            (score, per_shard)
+        let metrics = quest_obs::global().is_enabled().then(|| {
+            self.scatter_metrics
+                .get_or_init(|| ScatterMetrics::resolve(self.shards.len()))
         });
-        let mut sums = vec![0u64; shard_count];
-        let mut scores = Vec::with_capacity(timed.len());
-        for (score, per_shard) in timed {
-            scores.push(score);
-            for (s, ns) in per_shard.into_iter().enumerate() {
-                sums[s] += ns;
-            }
+        let mut scratch = ProbeScratch::new(probe, metrics.map(|_| self.shards.len()));
+        let mut scores = vec![0.0; self.catalog.attribute_count()];
+        for &attr in &self.indexed_attrs {
+            scores[attr.0 as usize] = self.score_probe(attr, probe, &mut scratch);
         }
-        record_scatter(&sums);
-        record_scatter_amplification(scores.len() * shard_count, &scores);
+        if let Some(metrics) = metrics {
+            metrics.record(&scratch.walls, scratch.probes, &scores);
+        }
         scores
     }
 
@@ -915,5 +988,82 @@ impl ShardedStore {
         store.finalize_shards();
         store.rebuild_all_stats();
         Ok(store)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+
+    /// Which thread ran each index of `map_chunks(n, workers, ..)`.
+    fn threads_of(n: usize, workers: usize) -> Vec<ThreadId> {
+        let ran = map_chunks(n, workers, |i| (i, std::thread::current().id()));
+        assert_eq!(
+            ran.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+            (0..n).collect::<Vec<_>>(),
+            "results come back in index order"
+        );
+        ran.into_iter().map(|(_, t)| t).collect()
+    }
+
+    #[test]
+    fn map_chunks_runs_the_first_chunk_inline_and_spawns_no_idle_worker() {
+        let me = std::thread::current().id();
+        // n = 5 over 4 workers: chunk = 2, so three non-empty chunks — the
+        // caller's and two spawned; the fourth slot (6..5) gets no thread.
+        let threads = threads_of(5, 4);
+        assert_eq!(&threads[..2], &[me, me]);
+        assert_eq!(threads[2], threads[3]);
+        assert_eq!(threads.iter().collect::<HashSet<_>>().len(), 3);
+        // Even split: one thread per chunk, the caller's included.
+        let threads = threads_of(8, 4);
+        assert_eq!(&threads[..2], &[me, me]);
+        assert_eq!(threads.iter().collect::<HashSet<_>>().len(), 4);
+        // One worker, one item, or nothing to do: never spawns.
+        for (n, workers) in [(7, 1), (1, 8), (0, 8)] {
+            assert!(threads_of(n, workers).iter().all(|t| *t == me));
+        }
+    }
+
+    #[test]
+    fn scatter_probes_only_indexed_attributes_and_counts_what_it_issued() {
+        let db = quest_data::imdb::generate(&quest_data::imdb::ImdbScale {
+            movies: 40,
+            seed: 5,
+        })
+        .expect("imdb generates");
+        let indexed: Vec<AttrId> = db
+            .catalog()
+            .attributes()
+            .iter()
+            .map(|a| a.id)
+            .filter(|a| db.index(*a).is_some())
+            .collect();
+        assert!(indexed.len() < db.catalog().attribute_count());
+        for shards in [1, 3] {
+            let store = ShardedStore::from_database(&db, &ShardConfig::new(shards)).unwrap();
+            assert_eq!(store.indexed_attrs, indexed);
+            let probe = KeywordProbe::new("drama").unwrap();
+            let mut scratch = ProbeScratch::new(&probe, Some(shards));
+            for &attr in &store.indexed_attrs {
+                store.score_probe(attr, &probe, &mut scratch);
+            }
+            // One probe per (indexed attribute, shard) pair — not per
+            // (attribute, shard) pair — and every shard got a wall slot.
+            assert_eq!(scratch.probes, (indexed.len() * shards) as u64);
+            assert_eq!(scratch.walls.len(), shards);
+            // A non-indexed attribute scores 0 without issuing a probe.
+            let unindexed = db
+                .catalog()
+                .attributes()
+                .iter()
+                .find(|a| db.index(a.id).is_none())
+                .unwrap();
+            let before = scratch.probes;
+            assert_eq!(store.score_probe(unindexed.id, &probe, &mut scratch), 0.0);
+            assert_eq!(scratch.probes, before);
+        }
     }
 }

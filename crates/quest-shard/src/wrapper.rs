@@ -24,7 +24,10 @@ use crate::store::ShardedStore;
 /// fills the whole per-attribute score table
 /// ([`ShardedStore::scatter_value_scores`]). The emission pass then reads a
 /// table slot per `(keyword, attribute)` pair — the per-shard fan-out cost
-/// is paid once per keyword, not once per attribute.
+/// is paid once per keyword, not once per attribute. The scatter runs
+/// inline on the thread that prepares the keyword (a read never spawns,
+/// whatever [`ShardConfig::parallel`] says) and probes only the attributes
+/// some shard indexes.
 #[derive(Debug)]
 pub struct ShardedWrapper {
     store: ShardedStore,

@@ -561,7 +561,7 @@ impl TokenPartial {
 /// and the accumulator evaluates the **same `f64` expressions** the
 /// unsharded [`AttributeIndex`] would have, once, from the merged integers
 /// — floating point is never itself summed across partitions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScoreAccumulator {
     doc: DocPartial,
     tokens: Vec<TokenPartial>,
@@ -574,6 +574,16 @@ impl ScoreAccumulator {
             doc: DocPartial::default(),
             tokens: vec![TokenPartial::default(); token_count],
         }
+    }
+
+    /// Zero every partial, keeping the token count and the allocation, so
+    /// one accumulator can serve every attribute of a scatter (one probe,
+    /// many attributes) instead of being reallocated per attribute. A reset
+    /// accumulator is indistinguishable from a fresh one of the same token
+    /// count.
+    pub fn reset(&mut self) {
+        self.doc = DocPartial::default();
+        self.tokens.fill(TokenPartial::default());
     }
 
     /// Fold one partition's index state for `probe` into the accumulator.
@@ -1010,6 +1020,27 @@ mod tests {
                 doc.merge(p.doc_partial());
             }
             assert_eq!(doc, whole.doc_partial());
+        }
+    }
+
+    #[test]
+    fn reset_accumulator_equals_a_fresh_one_after_a_dirty_probe() {
+        let dirty_ix = index(&["wind wind wind", "gone with the wind", "storm"]);
+        let clean_ix = index(&["The Wind Rises", "Casablanca"]);
+        for kw in ["wind", "gone wind", "zzz"] {
+            let probe = KeywordProbe::new(kw).unwrap();
+            let mut reused = ScoreAccumulator::new(probe.tokens().len());
+            reused.absorb(&dirty_ix, &probe);
+            reused.reset();
+            assert_eq!(reused, ScoreAccumulator::new(probe.tokens().len()));
+            reused.absorb(&clean_ix, &probe);
+            let mut fresh = ScoreAccumulator::new(probe.tokens().len());
+            fresh.absorb(&clean_ix, &probe);
+            assert_eq!(reused, fresh, "kw={kw}");
+            assert_eq!(
+                reused.normalization_coefficient().to_bits(),
+                fresh.normalization_coefficient().to_bits()
+            );
         }
     }
 

@@ -1,10 +1,12 @@
 //! Criterion bench — experiment E6: per-module cost of the Figure 1
-//! pipeline pieces (list Viterbi, EM epoch, emission computation).
+//! pipeline pieces (list Viterbi, EM epoch, emission computation, the
+//! first-sight metadata row).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quest_core::forward::ForwardModule;
+use quest_core::matcher::name_similarity;
 use quest_core::semantics::SemanticRules;
-use quest_core::{FullAccessWrapper, KeywordQuery};
+use quest_core::{DbTerm, FullAccessWrapper, KeywordQuery, SearchScratch, SourceWrapper};
 use quest_data::imdb::{self, ImdbScale};
 use quest_hmm::{baum_welch_step, list_viterbi, Hmm};
 
@@ -42,6 +44,46 @@ fn bench_emissions(c: &mut Criterion) {
     c.bench_function("emissions_3kw", |b| {
         b.iter(|| fwd.emissions(std::hint::black_box(&w), std::hint::black_box(&q)))
     });
+}
+
+/// A keyword the engine has never seen: "director" with a typo and a
+/// counter spelled in letters, so every iteration misses the metadata memo.
+fn fresh_keyword(n: &mut u64) -> KeywordQuery {
+    *n += 1;
+    let suffix: String = (0..4)
+        .map(|i| (b'a' + (*n / 26u64.pow(i) % 26) as u8) as char)
+        .collect();
+    KeywordQuery::parse(&format!("directr{suffix}")).expect("parse")
+}
+
+/// First sight of a keyword: the hot path's emission row (compiled matcher
+/// plus index probes) against the reference `name_similarity` loop over the
+/// same metadata states.
+fn bench_metadata_row_first_sight(c: &mut Criterion) {
+    let w = wrapper();
+    let fwd = ForwardModule::new(&w, &SemanticRules::default()).expect("forward");
+    let mut g = c.benchmark_group("metadata_row_first_sight");
+    let mut scratch = SearchScratch::new();
+    let mut n = 0;
+    g.bench_function("compiled", |b| {
+        b.iter(|| {
+            let q = fresh_keyword(&mut n);
+            fwd.emissions_into(std::hint::black_box(&w), &q, &mut scratch);
+            scratch.emissions()[0][0]
+        })
+    });
+    let vocab = fwd.vocabulary();
+    g.bench_function("name_similarity_loop", |b| {
+        b.iter(|| {
+            let q = fresh_keyword(&mut n);
+            let kw = &q.keywords[0].normalized;
+            (0..vocab.len())
+                .filter(|&s| !matches!(vocab.term(s), DbTerm::Domain(_)))
+                .map(|s| name_similarity(kw, vocab.name(s), w.ontology()))
+                .sum::<f64>()
+        })
+    });
+    g.finish();
 }
 
 fn bench_em_epoch(c: &mut Criterion) {
@@ -87,6 +129,7 @@ criterion_group!(
     benches,
     bench_list_viterbi,
     bench_emissions,
+    bench_metadata_row_first_sight,
     bench_em_epoch,
     bench_raw_list_viterbi
 );

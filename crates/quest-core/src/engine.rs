@@ -356,15 +356,11 @@ impl<W: SourceWrapper> Quest<W> {
 
         // Emissions (computed once, shared by both operating modes).
         let t0 = Instant::now();
-        let SearchScratch {
-            decoder,
-            emissions,
-            prepared,
-            ..
-        } = scratch;
-        self.forward
-            .emissions_into(&self.wrapper, query, prepared, emissions);
+        self.forward.emissions_into(&self.wrapper, query, scratch);
         timings.emissions = t0.elapsed();
+        let SearchScratch {
+            decoder, emissions, ..
+        } = scratch;
 
         // Forward, both modes, on the shared scratch decoder.
         let t0 = Instant::now();

@@ -22,8 +22,7 @@ pub const EMISSION_FLOOR: f64 = 1e-6;
 /// How one keyword's domain-state emissions are scored: the two paths are
 /// bit-identical on the same wrapper (pinned by tests) but the reference
 /// one deliberately keeps the pre-optimization cost profile. (The hot path
-/// lives in `ForwardModule::emissions_into`, which shares this module's
-/// scoring helpers.)
+/// lives in `ForwardModule::emissions_into`.)
 enum ValueScorer {
     /// Plain `value_score`: normalization per `(keyword, attribute)` probe.
     Plain,
@@ -96,7 +95,7 @@ fn fill_emission_row<W: SourceWrapper + ?Sized>(
             .clamp(0.0, 1.0),
             DbTerm::Table(_) | DbTerm::Attribute(_) => {
                 // Normalize any annotation aliases on the fly; the hot path
-                // precomputes them once at setup and calls the same scorer.
+                // compiles them once at setup.
                 let aliases: Vec<String> = match (vocab.term(s), wrapper.annotations()) {
                     (DbTerm::Attribute(a), Some(anns)) => anns
                         .get(a)
@@ -119,9 +118,10 @@ fn fill_emission_row<W: SourceWrapper + ?Sized>(
 
 /// Emission score of one keyword against one *metadata* (table/attribute)
 /// state: name similarity, lifted by annotation-alias matches at a 0.95
-/// discount, clamped to [0, 1]. The single implementation shared by the
-/// live paths here and the memoized hot path in `ForwardModule`, so the
-/// scoring rule cannot drift between them.
+/// discount, clamped to [0, 1]. The reference form of the rule: the plain
+/// and reference row builders here call it, and the hot path's
+/// `CompiledMatcher` (`forward/compiled.rs`) is its bit-identical twin on
+/// names encoded at setup.
 pub(crate) fn metadata_state_score(
     keyword: &str,
     name: &str,

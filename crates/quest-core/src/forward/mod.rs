@@ -9,6 +9,7 @@
 //!   combining count-based supervised updates (list Viterbi training) with
 //!   optional Baum-Welch EM refinement over past query emissions.
 
+mod compiled;
 pub mod configuration;
 pub mod emission;
 
@@ -20,9 +21,13 @@ use relstore::Catalog;
 
 use crate::error::QuestError;
 use crate::keyword::KeywordQuery;
+use crate::scratch::SearchScratch;
 use crate::semantics::{apriori_weights, SemanticRules};
-use crate::term::{normalize_identifier, DbTerm, Vocabulary};
-use crate::wrapper::{ontology::MiniOntology, PreparedKeyword, SourceWrapper};
+use crate::term::{DbTerm, Vocabulary};
+use crate::wrapper::SourceWrapper;
+
+use compiled::CompiledMatcher;
+pub(crate) use compiled::MatchScratch;
 
 pub use configuration::{dedup_configurations, Configuration};
 pub use emission::{
@@ -36,16 +41,6 @@ const FEEDBACK_SMOOTHING: f64 = 0.05;
 /// memo is reset (keeps a pathological keyword stream from growing it
 /// without bound).
 const META_MEMO_CAP: usize = 1024;
-
-/// Precomputed name-matching inputs of one *metadata* (table or attribute)
-/// state: the normalized identifier plus any normalized annotation aliases.
-/// `None` for domain states, which are scored by the wrapper's search
-/// function instead.
-#[derive(Debug, Clone)]
-struct MetaState {
-    name: String,
-    aliases: Vec<String>,
-}
 
 /// The mutable half of the forward module: everything user feedback touches.
 ///
@@ -75,19 +70,18 @@ pub struct ForwardModule {
     vocab: Vocabulary,
     apriori: Hmm,
     feedback: RwLock<FeedbackState>,
-    /// Ontology captured at setup for memoized metadata matching. The
+    /// The name side of metadata matching (state names, their tokens,
+    /// annotation aliases, ontology synonyms), compiled at setup. The
     /// wrapper's ontology and annotations are construction-time inputs
     /// everywhere in this crate (there is no post-construction mutation
     /// path), so the capture cannot drift from live reads.
-    ontology: MiniOntology,
-    /// Per-state matching inputs; `None` for domain states.
-    meta: Vec<Option<MetaState>>,
+    matcher: CompiledMatcher,
     /// Keyword → metadata-state emission scores. Metadata similarity is a
     /// pure function of `(normalized keyword, state name/aliases,
     /// ontology)` — all fixed at setup — so the memo is semantically
-    /// transparent; it exists because string similarity dominates the cost
-    /// of an uncached emission row and real query streams repeat keywords
-    /// heavily.
+    /// transparent. A miss runs the compiled matcher (a few µs per
+    /// keyword); the memo turns that into one lookup because real query
+    /// streams repeat keywords heavily.
     meta_memo: RwLock<HashMap<String, Arc<Vec<f64>>>>,
 }
 
@@ -97,8 +91,7 @@ impl Clone for ForwardModule {
             vocab: self.vocab.clone(),
             apriori: self.apriori.clone(),
             feedback: RwLock::new(self.state().clone()),
-            ontology: self.ontology.clone(),
-            meta: self.meta.clone(),
+            matcher: self.matcher.clone(),
             meta_memo: RwLock::new(
                 self.meta_memo
                     .read()
@@ -124,32 +117,7 @@ impl ForwardModule {
         let (init, trans) = apriori_weights(catalog, wrapper.ontology(), &vocab, rules);
         let apriori = Hmm::from_weights(init, trans)?;
         let trainer = SupervisedTrainer::new(vocab.len(), FEEDBACK_SMOOTHING)?;
-        // Capture the metadata-matching inputs (names, normalized aliases,
-        // ontology) so memoized emission rows never have to consult the
-        // wrapper for them again.
-        let meta = (0..vocab.len())
-            .map(|s| match vocab.term(s) {
-                DbTerm::Domain(_) => None,
-                term => {
-                    let aliases = match (term, wrapper.annotations()) {
-                        (DbTerm::Attribute(a), Some(anns)) => anns
-                            .get(a)
-                            .map(|ann| {
-                                ann.aliases
-                                    .iter()
-                                    .map(|alias| normalize_identifier(alias))
-                                    .collect()
-                            })
-                            .unwrap_or_default(),
-                        _ => Vec::new(),
-                    };
-                    Some(MetaState {
-                        name: vocab.name(s).to_string(),
-                        aliases,
-                    })
-                }
-            })
-            .collect();
+        let matcher = CompiledMatcher::compile(&vocab, wrapper.annotations(), wrapper.ontology());
         Ok(ForwardModule {
             vocab,
             apriori,
@@ -160,8 +128,7 @@ impl ForwardModule {
                 epoch: 0,
                 history: Vec::new(),
             }),
-            ontology: wrapper.ontology().clone(),
-            meta,
+            matcher,
             meta_memo: RwLock::new(HashMap::new()),
         })
     }
@@ -216,24 +183,31 @@ impl ForwardModule {
         emissions_for_query(wrapper, &self.vocab, query)
     }
 
-    /// Emission matrix into reusable buffers — the hot-path form of
-    /// [`ForwardModule::emissions`], bit-identical to it. Three layers of
-    /// reuse: keywords are prepared once per query (index probes become one
-    /// hash lookup per attribute), metadata-similarity rows are served from
-    /// the per-engine keyword memo, and the matrix rows are written in
-    /// place.
+    /// Emission matrix into the scratch's reusable buffers
+    /// (`scratch.emissions`) — the hot-path form of
+    /// [`ForwardModule::emissions`], bit-identical to it. Keywords are
+    /// prepared once per query (index probes become one hash lookup per
+    /// attribute); a keyword's metadata-similarity row comes from the
+    /// per-engine memo, or on first sight from the compiled matcher, which
+    /// scores it against each distinct name string once with no allocation
+    /// per pair; and the matrix rows are written in place.
     pub fn emissions_into<W: SourceWrapper + ?Sized>(
         &self,
         wrapper: &W,
         query: &KeywordQuery,
-        prepared: &mut Vec<PreparedKeyword>,
-        out: &mut Emissions,
+        scratch: &mut SearchScratch,
     ) {
+        let SearchScratch {
+            prepared,
+            emissions,
+            matcher,
+            ..
+        } = scratch;
         prepared.clear();
         prepared.extend(query.keywords.iter().map(|kw| wrapper.prepare_keyword(kw)));
-        out.resize_with(query.keywords.len(), Vec::new);
-        for (pk, row) in prepared.iter().zip(out.iter_mut()) {
-            let meta_scores = self.metadata_scores(&pk.keyword().normalized);
+        emissions.resize_with(query.keywords.len(), Vec::new);
+        for (pk, row) in prepared.iter().zip(emissions.iter_mut()) {
+            let meta_scores = self.metadata_scores(&pk.keyword().normalized, matcher);
             row.clear();
             row.reserve(self.vocab.len());
             for s in 0..self.vocab.len() {
@@ -249,11 +223,11 @@ impl ForwardModule {
 
     /// Metadata-state emission scores of one normalized keyword, memoized.
     /// Domain-state slots hold 0 and are overwritten by the caller's value
-    /// probes. Scores are computed by the same `name_similarity` expression
-    /// as the unmemoized path, on inputs captured at setup, so the memo is
-    /// bit-transparent (pinned by the emission tests and
-    /// `tests/perf_identity.rs`).
-    fn metadata_scores(&self, keyword: &str) -> Arc<Vec<f64>> {
+    /// probes. A miss is scored by the compiled matcher, the bit-identical
+    /// twin of the reference path's `metadata_state_score` (pinned by
+    /// `tests/matcher_properties.rs` and `tests/perf_identity.rs`), so the
+    /// memo is transparent.
+    fn metadata_scores(&self, keyword: &str, scratch: &mut MatchScratch) -> Arc<Vec<f64>> {
         if let Some(hit) = self
             .meta_memo
             .read()
@@ -262,17 +236,7 @@ impl ForwardModule {
         {
             return Arc::clone(hit);
         }
-        let scores: Vec<f64> = self
-            .meta
-            .iter()
-            .map(|state| match state {
-                None => 0.0,
-                Some(m) => {
-                    emission::metadata_state_score(keyword, &m.name, &m.aliases, &self.ontology)
-                }
-            })
-            .collect();
-        let scores = Arc::new(scores);
+        let scores = Arc::new(self.matcher.state_scores(keyword, scratch));
         let mut memo = self
             .meta_memo
             .write()

@@ -7,6 +7,15 @@
 //! against a normalized identifier using, in priority order: exact match,
 //! ontology synonymy, token containment, and string similarity (max of
 //! trigram-Jaccard and edit similarity) with a noise threshold.
+//!
+//! This is the **reference scorer**: it states the rule, allocates freely,
+//! and is what `emissions_for_query`, `emissions_for_query_reference` and
+//! `Quest::search_query_reference` run. The hot path is
+//! `CompiledMatcher::state_scores` in `forward/compiled.rs`, reached from
+//! `ForwardModule::emissions_into` when a keyword misses the metadata memo;
+//! it mirrors [`name_similarity`] branch for branch on names encoded once at
+//! setup and is pinned to it bit for bit by `tests/matcher_properties.rs`
+//! and `tests/perf_identity.rs`. Change the rule here and there together.
 
 use relstore::index::{edit_similarity, trigram_similarity};
 
@@ -69,7 +78,7 @@ fn string_similarity(a: &str, b: &str) -> f64 {
     s
 }
 
-fn threshold(s: f64) -> f64 {
+pub(crate) fn threshold(s: f64) -> f64 {
     if s < SIMILARITY_FLOOR {
         0.0
     } else {

@@ -7,7 +7,9 @@
 //! is threaded through the pipeline —
 //!
 //! * **forward emission scoring** — prepared keywords
-//!   ([`crate::wrapper::PreparedKeyword`]) and the reused emission matrix;
+//!   ([`crate::wrapper::PreparedKeyword`]), the reused emission matrix, and
+//!   the compiled metadata matcher's per-keyword buffers (characters,
+//!   packed trigrams, similarity rows) for first-sight keywords;
 //! * **decoding** — one [`quest_hmm::ListDecoder`] whose flat lattice
 //!   buffers serve both HMM operating modes over the *same* emission
 //!   matrix, with the admissible top-k prune;
@@ -31,6 +33,7 @@ use quest_graph::{NodeId, SteinerScratch};
 use quest_hmm::{Emissions, ListDecoder};
 
 use crate::backward::Interpretation;
+use crate::forward::MatchScratch;
 use crate::wrapper::PreparedKeyword;
 
 /// Reusable buffers for one in-flight search. See the module docs.
@@ -42,6 +45,9 @@ pub struct SearchScratch {
     pub(crate) emissions: Emissions,
     /// One prepared keyword per query keyword.
     pub(crate) prepared: Vec<PreparedKeyword>,
+    /// Keyword-side buffers of the compiled metadata matcher, used when a
+    /// keyword misses the engine's metadata memo.
+    pub(crate) matcher: MatchScratch,
     /// Per-query memo: Steiner terminal set → interpretations. Valid only
     /// within one search (cleared by `Quest::search_query_with`); the
     /// engine state is locked for that duration by every caller.
@@ -62,6 +68,13 @@ impl SearchScratch {
     /// use and are retained afterwards.
     pub fn new() -> SearchScratch {
         SearchScratch::default()
+    }
+
+    /// The emission matrix of the last forward pass run through this
+    /// scratch (one row per keyword, one column per vocabulary state) —
+    /// read by the identity suites that compare it to the reference rows.
+    pub fn emissions(&self) -> &Emissions {
+        &self.emissions
     }
 
     /// Drop the per-query memo state. [`crate::Quest::search_query_with`]

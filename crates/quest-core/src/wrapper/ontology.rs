@@ -116,6 +116,13 @@ impl MiniOntology {
         }
     }
 
+    /// Ring id of an already [`normalize_keyword`]ed word — the half of
+    /// [`MiniOntology::are_synonyms`] the compiled metadata matcher
+    /// precomputes per name and derives once per keyword.
+    pub(crate) fn ring_id(&self, normalized: &str) -> Option<usize> {
+        self.ring_of.get(normalized).copied()
+    }
+
     /// Number of distinct words known.
     pub fn word_count(&self) -> usize {
         self.ring_of.len()

@@ -11,6 +11,7 @@ pub use inverted::{
     ScoreAccumulator, TokenPartial,
 };
 pub use tokenizer::{
-    edit_distance, edit_similarity, is_stopword, normalize_keyword, stem, stem_in_place, tokenize,
-    tokenize_with, trigram_similarity, trigrams,
+    edit_distance, edit_distance_chars, edit_similarity, is_stopword, normalize_keyword,
+    packed_trigram_similarity, packed_trigrams_into, stem, stem_in_place, tokenize, tokenize_with,
+    trigram_similarity, trigrams,
 };

@@ -167,9 +167,160 @@ pub fn edit_similarity(a: &str, b: &str) -> f64 {
     1.0 - edit_distance(a, b) as f64 / max as f64
 }
 
+/// Pack one character trigram into a `u64`, 21 bits per `char` (every
+/// Unicode scalar value fits), so distinct trigrams get distinct keys and a
+/// trigram set becomes a flat integer array.
+fn pack_trigram(a: char, b: char, c: char) -> u64 {
+    (a as u64) << 42 | (b as u64) << 21 | c as u64
+}
+
+/// The trigram *set* of a token as a sorted, de-duplicated array of packed
+/// trigrams, written into `out` (cleared first): the same set
+/// [`trigram_similarity`] builds from [`trigrams`] (two leading pad spaces,
+/// one trailing), without one heap `String` per trigram. The allocation-free
+/// form used by compiled name matching; compare two of them with
+/// [`packed_trigram_similarity`].
+pub fn packed_trigrams_into(token: &[char], out: &mut Vec<u64>) {
+    out.clear();
+    let (mut a, mut b) = (' ', ' ');
+    for &c in token.iter().chain(std::iter::once(&' ')) {
+        out.push(pack_trigram(a, b, c));
+        (a, b) = (b, c);
+    }
+    out.sort_unstable();
+    out.dedup();
+}
+
+/// Jaccard similarity of two packed trigram sets (see
+/// [`packed_trigrams_into`]) by one sorted merge. Bit-identical to
+/// [`trigram_similarity`] on the strings the sets came from: the
+/// intersection and union are the same integer counts feeding the same
+/// division, and identical strings have identical sets, so `n / n` gives
+/// the `1.0` of that function's early return.
+pub fn packed_trigram_similarity(a: &[u64], b: &[u64]) -> f64 {
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    let union = a.len() + b.len() - inter;
+    inter as f64 / union as f64
+}
+
+/// [`edit_distance`] over pre-split characters with a caller-owned DP row:
+/// the same Levenshtein recurrence, updated in place in one row that is
+/// reused across calls instead of four fresh vectors per pair.
+pub fn edit_distance_chars(a: &[char], b: &[char], row: &mut Vec<usize>) -> usize {
+    if a.is_empty() {
+        return b.len();
+    }
+    if b.is_empty() {
+        return a.len();
+    }
+    row.clear();
+    row.extend(0..=b.len());
+    for (i, ca) in a.iter().enumerate() {
+        // `diag` is the previous row's cell to the left of the one being
+        // written, `left` the current row's.
+        let mut diag = row[0];
+        let mut left = i + 1;
+        row[0] = left;
+        for (cb, cell) in b.iter().zip(row[1..].iter_mut()) {
+            let up = *cell;
+            left = (diag + usize::from(ca != cb)).min(up + 1).min(left + 1);
+            diag = up;
+            *cell = left;
+        }
+    }
+    row[b.len()]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`packed_trigram_similarity`] and [`edit_distance_chars`] of two
+    /// strings, the way compiled name matching calls them.
+    fn packed(a: &str, b: &str, row: &mut Vec<usize>) -> (f64, usize) {
+        let (ca, cb): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+        let (mut ta, mut tb) = (Vec::new(), Vec::new());
+        packed_trigrams_into(&ca, &mut ta);
+        packed_trigrams_into(&cb, &mut tb);
+        (
+            packed_trigram_similarity(&ta, &tb),
+            edit_distance_chars(&ca, &cb, row),
+        )
+    }
+
+    #[test]
+    fn packed_primitives_equal_the_string_functions() {
+        // One row across all pairs: stale cells from a longer pair must not
+        // leak into a shorter one.
+        let mut row = Vec::new();
+        let words = [
+            "café",
+            "cafe",
+            "aaaa",
+            "aaaaa",
+            "a",
+            "b",
+            "",
+            "director",
+            "directr",
+            "wind",
+            "kind",
+            "new york",
+            "日本語",
+            "日本",
+        ];
+        for a in words {
+            for b in words {
+                let (tri, dist) = packed(a, b, &mut row);
+                assert_eq!(
+                    tri.to_bits(),
+                    trigram_similarity(a, b).to_bits(),
+                    "trigram {a:?} {b:?}"
+                );
+                assert_eq!(dist, edit_distance(a, b), "edit {a:?} {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_trigram_sets_are_sorted_and_deduplicated() {
+        let mut set = Vec::new();
+        packed_trigrams_into(&['a'; 4], &mut set);
+        // "  a", " aa", "aaa" (twice), "aa ".
+        assert_eq!(set.len(), 4);
+        assert!(set.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(trigrams("aaaa").len(), 5);
+        // Repeated trigrams count once on both sides, so "aaaa" and "aaaaa"
+        // are different strings with the same set.
+        let mut row = Vec::new();
+        assert_eq!(packed("aaaa", "aaaaa", &mut row), (1.0, 1));
+        // One-char strings: two trigrams each, none shared unless equal.
+        packed_trigrams_into(&['a'], &mut set);
+        assert_eq!(set.len(), 2);
+        assert_eq!(packed("a", "b", &mut row), (0.0, 1));
+        // The `a == b` early return of `trigram_similarity` is the n / n case.
+        assert_eq!(packed("a", "a", &mut row), (1.0, 0));
+        assert_eq!(packed("café", "café", &mut row), (1.0, 0));
+        assert_eq!(packed("café", "cafe", &mut row).1, 1);
+        // The empty token still has its one all-padding trigram.
+        packed_trigrams_into(&[], &mut set);
+        assert_eq!(set.len(), 1);
+        assert_eq!(packed("", "abc", &mut row), (0.0, 3));
+    }
 
     #[test]
     fn tokenizes_and_stems() {

@@ -1,12 +1,13 @@
 //! The hot path's non-negotiable contract: the optimized pipeline
-//! (interned O(1) index probes, prepared keywords, memoized metadata
-//! matching, scratch-reused pruned decoding, per-query Steiner memo,
+//! (interned O(1) index probes, prepared keywords, compiled and memoized
+//! metadata matching, scratch-reused pruned decoding, per-query Steiner memo,
 //! per-engine join-path templates, scratch-buffer assembly) is
 //! **bit-identical** to the retained reference implementation — same SQL,
 //! same score bits, same ranking — across datasets, random seeds, feedback
-//! epochs, live-mutation interleavings, and the cached/pooled serving
-//! layer, at the whole-search level and stage by stage (forward, backward,
-//! assemble twins). Every optimization in this repo rides behind this
+//! epochs, live-mutation interleavings, first-sight keyword streams that
+//! overflow the metadata memo (full access and annotated Deep Web), and the
+//! cached/pooled serving layer, at the whole-search level and stage by
+//! stage (emission rows, forward, backward, assemble twins). Every optimization in this repo rides behind this
 //! suite, including the template-memo invalidation on engine resync.
 
 use quest::prelude::*;
@@ -63,10 +64,33 @@ fn assert_outcomes_identical(a: &SearchOutcome, b: &SearchOutcome, context: &str
     );
 }
 
+/// The emission matrix the last forward pass left in `scratch` against the
+/// reference rows of the same query, bit for bit.
+fn assert_rows_identical<W: SourceWrapper>(
+    engine: &Quest<W>,
+    query: &KeywordQuery,
+    scratch: &SearchScratch,
+    context: &str,
+) {
+    let rows = engine
+        .forward()
+        .emissions_reference(engine.wrapper(), query);
+    assert_eq!(scratch.emissions().len(), rows.len(), "{context}");
+    for (t, (fast_row, row)) in scratch.emissions().iter().zip(&rows).enumerate() {
+        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(fast_row),
+            bits(row),
+            "emission row {t} ({context}): {fast_row:?} vs {row:?}"
+        );
+    }
+}
+
 /// Run every workload query through the optimized scratch path and the
-/// reference path on the same engine and demand bitwise equality.
-fn assert_engine_paths_identical(
-    engine: &Quest<FullAccessWrapper>,
+/// reference path on the same engine and demand bitwise equality of the
+/// emission matrix and of the outcome.
+fn assert_engine_paths_identical<W: SourceWrapper>(
+    engine: &Quest<W>,
     queries: &[String],
     scratch: &mut SearchScratch,
     context: &str,
@@ -77,6 +101,7 @@ fn assert_engine_paths_identical(
             Err(_) => continue,
         };
         let fast = engine.search_query_with(&query, scratch);
+        assert_rows_identical(engine, &query, scratch, &format!("{context}: {raw}"));
         let reference = engine.search_query_reference(&query);
         match (fast, reference) {
             (Ok(a), Ok(b)) => assert_outcomes_identical(&a, &b, &format!("{context}: {raw}")),
@@ -125,6 +150,152 @@ fn optimized_path_is_bit_identical_across_datasets_and_seeds() {
         &mut scratch,
         "mondial",
     );
+}
+
+/// `n` queries of one to three keywords, each a corpus or schema word with
+/// two characters replaced by random letters: almost none occurs in the data
+/// or has been seen by the engine's metadata memo, so every keyword takes the
+/// first-sight path through the compiled matcher.
+fn first_sight_stream(words: &[String], n: usize, mut seed: u64) -> Vec<String> {
+    let mut next = |bound: usize| {
+        // splitmix64
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    (0..n)
+        .map(|i| {
+            let keywords: Vec<String> = (0..1 + i % 3)
+                .map(|_| {
+                    let mut chars: Vec<char> = words[next(words.len())].chars().collect();
+                    for _ in 0..2 {
+                        let at = next(chars.len());
+                        chars[at] = (b'a' + next(26) as u8) as char;
+                    }
+                    chars.into_iter().collect()
+                })
+                .collect();
+            keywords.join(" ")
+        })
+        .collect()
+}
+
+/// Lowercased single words of the given corpus lists, plus the catalog's
+/// table and attribute names (so mutations land near metadata states too).
+fn stream_words(catalog: &Catalog, corpus: &[&[&str]]) -> Vec<String> {
+    let mut words: Vec<String> = corpus
+        .iter()
+        .flat_map(|list| list.iter())
+        .flat_map(|entry| entry.split_whitespace())
+        .map(str::to_lowercase)
+        .collect();
+    words.extend(catalog.tables().iter().map(|t| t.name.clone()));
+    words.extend(catalog.attributes().iter().map(|a| a.name.clone()));
+    words.retain(|w| w.chars().count() >= 2);
+    words
+}
+
+/// Distinct normalized keywords of a stream, to show it outgrows the
+/// engine's metadata memo (`META_MEMO_CAP` = 1024 keywords).
+fn distinct_keywords(queries: &[String]) -> usize {
+    queries
+        .iter()
+        .filter_map(|raw| KeywordQuery::parse(raw).ok())
+        .flat_map(|q| q.keywords.into_iter().map(|k| k.normalized))
+        .collect::<std::collections::HashSet<_>>()
+        .len()
+}
+
+#[test]
+fn first_sight_keywords_are_bit_identical_on_imdb() {
+    use quest_data::corpus::{FIRST_NAMES, GENRES, LAST_NAMES, TITLE_WORDS};
+    let engine = imdb_engine(300, 42);
+    let words = stream_words(
+        engine.wrapper().catalog(),
+        &[LAST_NAMES, FIRST_NAMES, TITLE_WORDS, GENRES],
+    );
+    let queries = first_sight_stream(&words, 2_000, 7);
+    assert!(distinct_keywords(&queries) > 2 * 1024);
+    let mut scratch = SearchScratch::new();
+    assert_engine_paths_identical(&engine, &queries, &mut scratch, "imdb first sight");
+    // The stream overflowed the metadata memo at least twice, so its head
+    // was dropped by a clear: replaying it compares rows recomputed after
+    // clear-and-refill, then served from the refilled memo.
+    for pass in 0..2 {
+        assert_engine_paths_identical(
+            &engine,
+            &queries[..200],
+            &mut scratch,
+            &format!("imdb first sight, refill pass {pass}"),
+        );
+    }
+}
+
+#[test]
+fn first_sight_keywords_are_bit_identical_on_annotated_deep_web() {
+    use quest_data::corpus::{CITIES, COUNTRIES, LANGUAGES, MOUNTAINS, RELIGIONS, RIVERS};
+    let db = mondial::generate(&mondial::MondialScale::default()).expect("mondial generates");
+    // Annotations a source owner would publish, aliases included: metadata
+    // states of annotated attributes are scored on name *and* aliases.
+    let catalog = db.catalog();
+    let attr = |t: &str, a: &str| catalog.attr_id(t, a).expect("attribute exists");
+    let mut ann = AnnotationSet::new();
+    ann.set_pattern(attr("country", "code"), r"[A-Z]{1,3}")
+        .expect("pattern compiles");
+    ann.set_pattern(attr("city", "population"), r"\d+")
+        .expect("pattern compiles");
+    ann.add_examples(attr("language", "name"), ["English", "Italian", "Arabic"]);
+    ann.add_aliases(attr("country", "name"), ["nation", "countryName", "state"]);
+    ann.add_aliases(attr("country", "population"), ["inhabitants", "head_count"]);
+    ann.add_aliases(attr("city", "name"), ["town", "municipality", ""]);
+    ann.add_aliases(attr("river", "length"), ["river_length", "km"]);
+    ann.add_aliases(attr("mountain", "height"), ["elevation", "peak height"]);
+    ann.add_aliases(
+        attr("organization", "abbreviation"),
+        ["acronym", "shortName"],
+    );
+    let words = stream_words(
+        catalog,
+        &[COUNTRIES, CITIES, RIVERS, MOUNTAINS, LANGUAGES, RELIGIONS],
+    );
+    let mut queries = first_sight_stream(&words, 2_000, 11);
+    // The aliases themselves, exact and one edit away.
+    queries.extend(
+        [
+            "nation inhabitants",
+            "elevation",
+            "acronm town",
+            "peak height",
+            "head count",
+        ]
+        .map(String::from),
+    );
+    let engine = Quest::new(DeepWebWrapper::new(db, ann, 50), QuestConfig::default())
+        .expect("engine builds");
+    let mut scratch = SearchScratch::new();
+    for (i, raw) in queries.iter().enumerate() {
+        // Emission rows on every query. The reference search over this
+        // 100-state vocabulary costs ~20 ms in a debug build, so outcomes
+        // are compared on every eighth query and on the alias queries.
+        if i % 8 == 0 || i >= 2_000 {
+            let one = std::slice::from_ref(raw);
+            assert_engine_paths_identical(&engine, one, &mut scratch, "mondial deep web");
+        } else {
+            // A word can mutate into a stopword and empty the query.
+            let Ok(query) = KeywordQuery::parse(raw) else {
+                continue;
+            };
+            let _ = engine.forward_pass_with(&query, &mut scratch);
+            assert_rows_identical(
+                &engine,
+                &query,
+                &scratch,
+                &format!("mondial deep web: {raw}"),
+            );
+        }
+    }
 }
 
 #[test]

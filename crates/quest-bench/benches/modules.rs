@@ -1,6 +1,6 @@
 //! Criterion bench — experiment E6: per-module cost of the Figure 1
-//! pipeline pieces (list Viterbi, EM epoch, emission computation, the
-//! first-sight metadata row).
+//! pipeline pieces (list Viterbi, the hot-path `ListDecoder` per lattice
+//! shape, EM epoch, emission computation, the first-sight metadata row).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quest_core::forward::ForwardModule;
@@ -8,7 +8,7 @@ use quest_core::matcher::name_similarity;
 use quest_core::semantics::SemanticRules;
 use quest_core::{DbTerm, FullAccessWrapper, KeywordQuery, SearchScratch, SourceWrapper};
 use quest_data::imdb::{self, ImdbScale};
-use quest_hmm::{baum_welch_step, list_viterbi, Hmm};
+use quest_hmm::{baum_welch_step, list_viterbi, Hmm, ListDecoder};
 
 fn wrapper() -> FullAccessWrapper {
     FullAccessWrapper::new(
@@ -32,6 +32,65 @@ fn bench_list_viterbi(c: &mut Criterion) {
                 fwd.top_k_apriori(std::hint::black_box(&em), k)
                     .expect("decodes")
             })
+        });
+    }
+    g.finish();
+}
+
+/// `ListDecoder::decode` beside `list_viterbi` at `k = 5` on the IMDB
+/// vocabulary, one case per lattice shape a tail stream produces: keywords ×
+/// floor rows. A keyword that matches nothing gets the uniform
+/// `EMISSION_FLOOR` row (every state live); one that matches leaves a few
+/// states live. Plus the synthetic sparse lattice on a 1,024-state model
+/// that the prune's engagement rule must leave to the plain pass.
+fn bench_list_decoder(c: &mut Criterion) {
+    type Decode = fn(&mut ListDecoder, &Hmm, &[Vec<f64>], usize) -> DecodeResult;
+    type DecodeResult = Result<Vec<quest_hmm::DecodedPath>, quest_hmm::HmmError>;
+    // `decode` picks its pass by the engagement rule; `decode_pruned`
+    // forces the prune, which is how the rule's constant is re-measured.
+    let passes: [(&str, Decode); 2] = [
+        ("decode", ListDecoder::decode),
+        ("decode_pruned", ListDecoder::decode_pruned),
+    ];
+    let w = wrapper();
+    let fwd = ForwardModule::new(&w, &SemanticRules::default()).expect("forward");
+    let hmm = fwd.apriori_hmm();
+    let mut g = c.benchmark_group("list_decoder");
+    let mut decoder = ListDecoder::new();
+    // Floor rows first, as a mutated leading keyword gives; the order only
+    // moves which step is dense, not how many dense × dense steps there are.
+    let words = ["qzxvk", "wjqxz", "zzkqj", "leigh", "wind", "drama"];
+    for keywords in 1..=3usize {
+        for floor in 0..=keywords {
+            let text = words[3 - floor..3 - floor + keywords].join(" ");
+            let em = fwd.emissions(&w, &KeywordQuery::parse(&text).expect("parse"));
+            let dense = em.iter().filter(|row| row.iter().all(|&e| e > 0.0));
+            assert_eq!(dense.count(), floor, "{text:?}: floor rows");
+            let shape = format!("{keywords}kw_{floor}floor");
+            for (name, pass) in passes {
+                g.bench_with_input(BenchmarkId::new(name, &shape), &em, |b, em| {
+                    b.iter(|| {
+                        pass(&mut decoder, hmm, std::hint::black_box(em), 5).expect("decodes")
+                    })
+                });
+            }
+            g.bench_with_input(BenchmarkId::new("list_viterbi", &shape), &em, |b, em| {
+                b.iter(|| list_viterbi(hmm, std::hint::black_box(em), 5).expect("decodes"))
+            });
+        }
+    }
+    // Three rows of 5 live states each among 1,024.
+    let big = Hmm::uniform(1024).expect("model");
+    let sparse: Vec<Vec<f64>> = (0..3)
+        .map(|t| {
+            let mut row = vec![0.0; 1024];
+            (0..5).for_each(|i| row[(t * 331 + i * 197) % 1024] = 0.1 * (i + 1) as f64);
+            row
+        })
+        .collect();
+    for (name, pass) in passes {
+        g.bench_with_input(BenchmarkId::new(name, "1024st_sparse"), &sparse, |b, em| {
+            b.iter(|| pass(&mut decoder, &big, std::hint::black_box(em), 5).expect("decodes"))
         });
     }
     g.finish();
@@ -128,6 +187,7 @@ fn bench_raw_list_viterbi(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_list_viterbi,
+    bench_list_decoder,
     bench_emissions,
     bench_metadata_row_first_sight,
     bench_em_epoch,

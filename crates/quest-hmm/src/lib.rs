@@ -4,14 +4,19 @@
 //! Hidden Markov Model whose states are database elements and whose
 //! observations are the user's keywords (paper §2–3). This crate provides:
 //!
-//! * [`Hmm`] — the model (initial + transition distributions; emissions are
-//!   supplied per query by the wrapper's search function);
+//! * [`Hmm`] — the model (initial + transition distributions, with their
+//!   logarithms compiled beside them whenever the model is built or
+//!   retrained; emissions are supplied per query by the wrapper's search
+//!   function);
 //! * [`viterbi()`](viterbi::viterbi) — maximum-probability decoding;
 //! * [`list_viterbi()`](list_viterbi::list_viterbi) — the top-k *list Viterbi algorithm*
 //!   (Seshadri–Sundberg), producing the top-k configurations;
 //! * [`ListDecoder`] — the hot-path form of the same algorithm: reusable
-//!   scratch buffers (no per-query lattice allocation) plus an admissible
-//!   top-k prune, bit-identical to `list_viterbi` by construction;
+//!   scratch buffers (no per-query lattice allocation), loops over each
+//!   step's live states only, k-best cells filled by bounded stable
+//!   selection instead of collect-sort-truncate, and — on lattices with
+//!   enough live work — an admissible top-k prune; bit-identical to
+//!   `list_viterbi` by construction;
 //! * [`forward_backward()`](forward_backward::forward_backward) / [`baum_welch_step`] / [`train`] — scaled
 //!   Expectation-Maximization for the feedback-based operating mode;
 //! * [`SupervisedTrainer`] — count-based online training from user-validated

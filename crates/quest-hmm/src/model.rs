@@ -6,9 +6,12 @@
 //! probabilities are *not* a fixed symbol table: they are computed per
 //! keyword by the wrapper's search function. The model therefore stores only
 //! the initial distribution and the transition matrix; every inference
-//! routine takes the per-step emission likelihoods as input.
+//! routine takes the per-step emission likelihoods as input. The model only
+//! changes on feedback, so it also carries the logarithms of both tables,
+//! compiled once per (re)build, for the log-space decoder to read.
 
 use crate::error::HmmError;
+use crate::viterbi::ln;
 
 /// Dense emission likelihoods for one observation sequence: for each time
 /// step `t`, `emissions[t][s]` is `P(observation_t | state = s)`. Values must
@@ -17,27 +20,49 @@ use crate::error::HmmError;
 pub type Emissions = Vec<Vec<f64>>;
 
 /// A discrete-state HMM with externally supplied emissions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Hmm {
     n: usize,
     /// Initial state distribution, linear space, sums to 1.
     initial: Vec<f64>,
     /// Row-major transition matrix `trans[from * n + to]`, rows sum to 1.
     trans: Vec<f64>,
+    /// `ln(initial)` and `ln(trans)`, element for element, through the same
+    /// [`ln`] the decoders apply to a linear probability (a zero maps to
+    /// `-inf`). Derived state: [`Hmm::assemble`] is the only place either
+    /// pair of tables is written, so the two can never disagree.
+    ln_initial: Vec<f64>,
+    ln_trans: Vec<f64>,
+}
+
+/// Two models are equal when their distributions are; the log tables are a
+/// function of those and take no part.
+impl PartialEq for Hmm {
+    fn eq(&self, other: &Hmm) -> bool {
+        self.n == other.n && self.initial == other.initial && self.trans == other.trans
+    }
 }
 
 impl Hmm {
+    /// The one place a model is put together: validated distributions in,
+    /// log tables compiled beside them.
+    fn assemble(initial: Vec<f64>, trans: Vec<f64>) -> Hmm {
+        Hmm {
+            n: initial.len(),
+            ln_initial: initial.iter().map(|&p| ln(p)).collect(),
+            ln_trans: trans.iter().map(|&p| ln(p)).collect(),
+            initial,
+            trans,
+        }
+    }
+
     /// Uniform model over `n` states.
     pub fn uniform(n: usize) -> Result<Hmm, HmmError> {
         if n == 0 {
             return Err(HmmError::Empty);
         }
         let p = 1.0 / n as f64;
-        Ok(Hmm {
-            n,
-            initial: vec![p; n],
-            trans: vec![p; n * n],
-        })
+        Ok(Hmm::assemble(vec![p; n], vec![p; n * n]))
     }
 
     /// Build from explicit distributions. `initial` must have length `n` and
@@ -58,7 +83,7 @@ impl Hmm {
         for r in 0..n {
             check_distribution(&trans[r * n..(r + 1) * n], "transition row")?;
         }
-        Ok(Hmm { n, initial, trans })
+        Ok(Hmm::assemble(initial, trans))
     }
 
     /// Build from non-negative *weights*, normalizing each distribution.
@@ -80,7 +105,7 @@ impl Hmm {
         for r in 0..n {
             normalize_or_uniform(&mut trans[r * n..(r + 1) * n])?;
         }
-        Ok(Hmm { n, initial, trans })
+        Ok(Hmm::assemble(initial, trans))
     }
 
     /// Number of states.
@@ -106,6 +131,17 @@ impl Hmm {
     /// One row of the transition matrix.
     pub fn transition_row(&self, from: usize) -> &[f64] {
         &self.trans[from * self.n..(from + 1) * self.n]
+    }
+
+    /// `ln` of the initial distribution, compiled when the model was built.
+    pub(crate) fn ln_initial_dist(&self) -> &[f64] {
+        &self.ln_initial
+    }
+
+    /// `ln` of the transition matrix, row-major `[from * n + to]`, compiled
+    /// when the model was built.
+    pub(crate) fn ln_transitions(&self) -> &[f64] {
+        &self.ln_trans
     }
 
     /// Replace the distributions (used by training). Same validation as
@@ -218,6 +254,99 @@ mod tests {
         assert!((m.transition(0, 0) - 0.75).abs() < 1e-12);
         // zero row becomes uniform
         assert!((m.transition(1, 0) - 0.5).abs() < 1e-12);
+    }
+
+    /// Every log entry is `ln` of the linear entry it sits beside, bit for
+    /// bit, and a zero probability is `-inf`, never NaN.
+    fn assert_log_tables_current(m: &Hmm, context: &str) {
+        let n = m.n_states();
+        let same = |got: f64, linear: f64, what: &str| {
+            assert!(!got.is_nan(), "{context}: {what}");
+            assert_eq!(got.to_bits(), ln(linear).to_bits(), "{context}: {what}");
+            assert_eq!(got == f64::NEG_INFINITY, linear == 0.0, "{context}: {what}");
+        };
+        for s in 0..n {
+            same(
+                m.ln_initial_dist()[s],
+                m.initial(s),
+                &format!("initial {s}"),
+            );
+            for to in 0..n {
+                let got = m.ln_transitions()[s * n + to];
+                same(got, m.transition(s, to), &format!("{s} -> {to}"));
+            }
+        }
+    }
+
+    #[test]
+    fn log_tables_follow_every_way_a_model_changes() {
+        use crate::baum_welch::{baum_welch_step, train};
+        use crate::supervised::SupervisedTrainer;
+
+        assert_log_tables_current(&Hmm::uniform(5).unwrap(), "uniform");
+        let mut m = Hmm::from_distributions(
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0, 0.5, 0.0, 0.5, 0.2, 0.3, 0.5],
+        )
+        .unwrap();
+        assert_log_tables_current(&m, "from_distributions with zeros");
+        assert_eq!(m.ln_initial_dist()[1], f64::NEG_INFINITY);
+        assert_eq!(m.ln_transitions()[0], f64::NEG_INFINITY);
+        // A zero weight row becomes uniform: its logs are ln(1/n), not -inf.
+        let w = Hmm::from_weights(
+            vec![2.0, 0.0, 6.0],
+            vec![3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0],
+        )
+        .unwrap();
+        assert_log_tables_current(&w, "from_weights");
+        assert!(w.ln_transitions()[3..6].iter().all(|v| v.is_finite()));
+
+        m.set_distributions(
+            vec![0.2, 0.3, 0.5],
+            vec![0.1, 0.9, 0.0, 0.0, 0.4, 0.6, 1.0, 0.0, 0.0],
+        )
+        .unwrap();
+        assert_log_tables_current(&m, "set_distributions");
+        // A rejected update leaves both pairs of tables as they were.
+        let before = m.clone();
+        assert!(m.set_distributions(vec![0.5, 0.5], vec![0.5; 4]).is_err());
+        assert!(m
+            .set_distributions(vec![0.2, 0.3, 0.4], vec![1.0 / 3.0; 9])
+            .is_err());
+        assert_eq!(m, before);
+        assert_log_tables_current(&m, "rejected set_distributions");
+
+        let batch = vec![
+            vec![
+                vec![0.9, 0.1, 0.3],
+                vec![0.2, 0.7, 0.1],
+                vec![0.0, 0.4, 0.6],
+            ],
+            vec![vec![0.1, 0.5, 0.5], vec![0.6, 0.0, 0.2]],
+        ];
+        baum_welch_step(&mut m, &batch).unwrap().expect("feasible");
+        assert_log_tables_current(&m, "baum_welch_step");
+        train(&mut m, &batch, 3, 0.0).unwrap();
+        assert_log_tables_current(&m, "train");
+
+        let mut trainer = SupervisedTrainer::new(4, 0.0).unwrap();
+        trainer.observe(&[0, 1, 2]).unwrap();
+        trainer.observe(&[0, 2]).unwrap();
+        let learned = trainer.build().unwrap();
+        assert_log_tables_current(&learned, "SupervisedTrainer, no smoothing");
+        assert!(
+            learned.ln_transitions().contains(&f64::NEG_INFINITY),
+            "unsmoothed counts leave learned zeros"
+        );
+    }
+
+    #[test]
+    fn equality_is_about_distributions() {
+        let a = Hmm::from_weights(vec![1.0, 3.0], vec![1.0, 1.0, 1.0, 3.0]).unwrap();
+        let b = Hmm::from_distributions(vec![0.25, 0.75], vec![0.5, 0.5, 0.25, 0.75]).unwrap();
+        assert_eq!(a, b);
+        assert_ne!(a, Hmm::uniform(2).unwrap());
+        assert_ne!(Hmm::uniform(2).unwrap(), Hmm::uniform(3).unwrap());
     }
 
     #[test]

@@ -20,6 +20,70 @@ fn arb_emissions(n: usize, t: std::ops::Range<usize>) -> impl Strategy<Value = V
     })
 }
 
+/// A model with learned zeros: about a third of the initial and transition
+/// weights are 0, so some `(p, s)` moves are blocked outright (a row that
+/// comes out all-zero is made uniform by `from_weights`).
+fn arb_hmm_with_zeros(n: usize) -> impl Strategy<Value = Hmm> {
+    let weights = |len: usize| {
+        proptest::collection::vec((0.05f64..1.0, 0u8..3), len).prop_map(|ws| {
+            ws.into_iter()
+                .map(|(w, keep)| if keep == 0 { 0.0 } else { w })
+                .collect::<Vec<f64>>()
+        })
+    };
+    (weights(n), weights(n * n))
+        .prop_map(|(init, trans)| Hmm::from_weights(init, trans).expect("weights normalize"))
+}
+
+/// One emission row of any shape the pipeline produces, and the degenerate
+/// ones around them: the uniform emission floor (every state live, every
+/// score tied), a dense random row, exactly one live state, and a random
+/// mask (which may leave the row all-zero, i.e. the lattice infeasible).
+fn arb_row(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop_oneof![
+        Just(vec![1e-6; n]),
+        proptest::collection::vec(0.01f64..1.0, n),
+        (0..n, 0.01f64..1.0).prop_map(move |(at, e)| {
+            let mut row = vec![0.0; n];
+            row[at] = e;
+            row
+        }),
+        proptest::collection::vec((0.01f64..1.0, any::<bool>()), n).prop_map(|cells| {
+            cells
+                .into_iter()
+                .map(|(e, live)| if live { e } else { 0.0 })
+                .collect()
+        }),
+    ]
+}
+
+/// Both decoder entry points against the reference LVA: same sequences, in
+/// the same order, with bitwise-equal scores.
+fn assert_matches_reference(
+    decoder: &mut ListDecoder,
+    hmm: &Hmm,
+    em: &[Vec<f64>],
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let reference = list_viterbi(hmm, em, k).expect("valid");
+    let adaptive = decoder.decode(hmm, em, k).expect("valid");
+    let pruned = decoder.decode_pruned(hmm, em, k).expect("valid");
+    for (got, which) in [(adaptive, "decode"), (pruned, "decode_pruned")] {
+        prop_assert_eq!(got.len(), reference.len(), "{} path count, k={}", which, k);
+        for (a, b) in got.iter().zip(&reference) {
+            prop_assert_eq!(&a.states, &b.states, "{} sequence, k={}", which, k);
+            prop_assert_eq!(
+                a.log_prob.to_bits(),
+                b.log_prob.to_bits(),
+                "{} score bits, k={}",
+                which,
+                k
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -85,23 +149,9 @@ proptest! {
         em in arb_emissions(5, 1..7),
         k in 1usize..12,
     ) {
-        // The hot-path decoder (scratch reuse + admissible top-k prune)
-        // must reproduce the reference LVA bit for bit: same sequences, in
-        // the same order, with bitwise-equal scores.
-        let reference = list_viterbi(&hmm, &em, k).expect("valid");
-        let mut decoder = ListDecoder::new();
-        let pruned = decoder.decode_pruned(&hmm, &em, k).expect("valid");
-        let adaptive = decoder.decode(&hmm, &em, k).expect("valid");
-        prop_assert_eq!(pruned.len(), reference.len());
-        prop_assert_eq!(adaptive.len(), reference.len());
-        for (a, b) in pruned.iter().zip(&reference) {
-            prop_assert_eq!(&a.states, &b.states);
-            prop_assert_eq!(a.log_prob.to_bits(), b.log_prob.to_bits());
-        }
-        for (a, b) in adaptive.iter().zip(&reference) {
-            prop_assert_eq!(&a.states, &b.states);
-            prop_assert_eq!(a.log_prob.to_bits(), b.log_prob.to_bits());
-        }
+        // The hot-path decoder (scratch reuse, bounded selection, admissible
+        // top-k prune) must reproduce the reference LVA bit for bit.
+        assert_matches_reference(&mut ListDecoder::new(), &hmm, &em, k)?;
     }
 
     #[test]
@@ -124,13 +174,102 @@ proptest! {
                 em[step][state] = 0.0;
             }
         }
-        let reference = list_viterbi(&hmm, &em, k).expect("valid");
+        assert_matches_reference(&mut ListDecoder::new(), &hmm, &em, k)?;
+    }
+
+    #[test]
+    fn selection_keeps_arrival_order_when_every_score_ties(
+        n in 2usize..6,
+        t in 1usize..5,
+    ) {
+        // All-floor rows on a uniform model: every path has the same score,
+        // so the output is decided by tie order alone. k = 1, one cell's
+        // worth, and more than any step can offer.
+        let hmm = Hmm::uniform(n).expect("uniform");
+        let em = vec![vec![1e-6; n]; t];
         let mut decoder = ListDecoder::new();
-        let pruned = decoder.decode_pruned(&hmm, &em, k).expect("valid");
-        prop_assert_eq!(pruned.len(), reference.len());
-        for (a, b) in pruned.iter().zip(&reference) {
-            prop_assert_eq!(&a.states, &b.states);
-            prop_assert_eq!(a.log_prob.to_bits(), b.log_prob.to_bits());
+        for k in [1, n, n * n + 1] {
+            assert_matches_reference(&mut decoder, &hmm, &em, k)?;
+        }
+    }
+
+    #[test]
+    fn alternating_dense_and_sparse_rows_match_reference(
+        hmm in arb_hmm_with_zeros(6),
+        dense in proptest::collection::vec(prop_oneof![
+            Just(vec![1e-6; 6]),
+            proptest::collection::vec(0.01f64..1.0, 6),
+        ], 3),
+        sparse in proptest::collection::vec((0usize..6, 0usize..6, 0.01f64..1.0), 3),
+        t in 2usize..7,
+        dense_first in any::<bool>(),
+        k in 1usize..9,
+    ) {
+        let em: Vec<Vec<f64>> = (0..t)
+            .map(|i| {
+                if (i % 2 == 0) == dense_first {
+                    dense[i / 2].clone()
+                } else {
+                    let (a, b, e) = sparse[i / 2];
+                    let mut row = vec![0.0; 6];
+                    row[a] = e;
+                    row[b] = 1.0 - e;
+                    row
+                }
+            })
+            .collect();
+        assert_matches_reference(&mut ListDecoder::new(), &hmm, &em, k)?;
+    }
+
+    #[test]
+    fn single_live_state_rows_match_reference(
+        hmm in arb_hmm_with_zeros(5),
+        cells in proptest::collection::vec((0usize..5, 0.01f64..1.0), 1..6),
+        k in 1usize..5,
+    ) {
+        // One path at most, and it may be blocked by a zero transition.
+        let em: Vec<Vec<f64>> = cells
+            .iter()
+            .map(|&(at, e)| {
+                let mut row = vec![0.0; 5];
+                row[at] = e;
+                row
+            })
+            .collect();
+        assert_matches_reference(&mut ListDecoder::new(), &hmm, &em, k)?;
+    }
+
+    #[test]
+    fn blocked_transitions_and_k_beyond_the_path_count_match_reference(
+        hmm in arb_hmm_with_zeros(3),
+        em in (1usize..5).prop_flat_map(|t| proptest::collection::vec(arb_row(3), t)),
+        extra in 0usize..4,
+    ) {
+        // 3^t sequences exist; zeros in the model and the rows leave fewer
+        // with positive probability. Ask for all of them and then some.
+        let k = 3usize.pow(em.len() as u32) + extra;
+        let mut decoder = ListDecoder::new();
+        assert_matches_reference(&mut decoder, &hmm, &em, k)?;
+        assert_matches_reference(&mut decoder, &hmm, &em, 1 + extra)?;
+    }
+
+    #[test]
+    fn one_decoder_reused_across_shapes_matches_reference(
+        cases in proptest::collection::vec(
+            (2usize..9).prop_flat_map(|n| (
+                arb_hmm_with_zeros(n),
+                (1usize..5).prop_flat_map(move |t| proptest::collection::vec(arb_row(n), t)),
+                1usize..8,
+            )),
+            2..7,
+        ),
+    ) {
+        // Dense after sparse, small n after large, short after long: a live
+        // list, a cell length or a slot left over from the previous decode
+        // must not leak into the next. Run the sequence forth and back.
+        let mut decoder = ListDecoder::new();
+        for (hmm, em, k) in cases.iter().chain(cases.iter().rev()) {
+            assert_matches_reference(&mut decoder, hmm, em, *k)?;
         }
     }
 

@@ -1,13 +1,15 @@
 //! The hot path's non-negotiable contract: the optimized pipeline
 //! (interned O(1) index probes, prepared keywords, compiled and memoized
-//! metadata matching, scratch-reused pruned decoding, per-query Steiner memo,
-//! per-engine join-path templates, scratch-buffer assembly) is
+//! metadata matching, scratch-reused sort-free pruned decoding, per-query
+//! Steiner memo, per-engine join-path templates, scratch-buffer assembly) is
 //! **bit-identical** to the retained reference implementation — same SQL,
 //! same score bits, same ranking — across datasets, random seeds, feedback
 //! epochs, live-mutation interleavings, first-sight keyword streams that
 //! overflow the metadata memo (full access and annotated Deep Web), and the
 //! cached/pooled serving layer, at the whole-search level and stage by
-//! stage (emission rows, forward, backward, assemble twins). Every optimization in this repo rides behind this
+//! stage (emission rows and both decodes on every query of every stream —
+//! a-priori model and learned feedback model — then forward, backward,
+//! assemble twins). Every optimization in this repo rides behind this
 //! suite, including the template-memo invalidation on engine resync.
 
 use quest::prelude::*;
@@ -86,6 +88,46 @@ fn assert_rows_identical<W: SourceWrapper>(
     }
 }
 
+/// One forward pass on the hot path, checked twin by twin: the emission
+/// matrix against the reference rows, and the scratch `ListDecoder`'s
+/// configurations in both operating modes against the reference decoder
+/// (`list_viterbi`) on that same matrix — terms and score bits. Cheap enough
+/// (no backward stage, no reference search) to run on every query of a
+/// stream.
+fn assert_forward_identical<W: SourceWrapper>(
+    engine: &Quest<W>,
+    query: &KeywordQuery,
+    scratch: &mut SearchScratch,
+    context: &str,
+) {
+    let fast = engine.forward_pass_with(query, scratch);
+    assert_rows_identical(engine, query, scratch, context);
+    let (forward, k) = (engine.forward(), engine.config().k);
+    let reference = [
+        forward.top_k_apriori(scratch.emissions(), k),
+        forward.top_k_feedback(scratch.emissions(), k),
+    ]
+    .map(|configs| configs.expect("reference decodes"));
+    let Ok(fast) = fast else {
+        assert!(reference.iter().all(Vec::is_empty), "{context}: {fast:?}");
+        return;
+    };
+    for (got, want, mode) in [
+        (&fast.apriori, &reference[0], "apriori"),
+        (&fast.feedback, &reference[1], "feedback"),
+    ] {
+        assert_eq!(got.len(), want.len(), "{mode} decode length ({context})");
+        for (x, y) in got.iter().zip(want) {
+            assert_eq!(x.terms, y.terms, "{mode} decode terms ({context})");
+            assert_eq!(
+                x.score.to_bits(),
+                y.score.to_bits(),
+                "{mode} decode score bits ({context})"
+            );
+        }
+    }
+}
+
 /// Run every workload query through the optimized scratch path and the
 /// reference path on the same engine and demand bitwise equality of the
 /// emission matrix and of the outcome.
@@ -100,8 +142,8 @@ fn assert_engine_paths_identical<W: SourceWrapper>(
             Ok(q) => q,
             Err(_) => continue,
         };
+        assert_forward_identical(engine, &query, scratch, &format!("{context}: {raw}"));
         let fast = engine.search_query_with(&query, scratch);
-        assert_rows_identical(engine, &query, scratch, &format!("{context}: {raw}"));
         let reference = engine.search_query_reference(&query);
         match (fast, reference) {
             (Ok(a), Ok(b)) => assert_outcomes_identical(&a, &b, &format!("{context}: {raw}")),
@@ -231,6 +273,23 @@ fn first_sight_keywords_are_bit_identical_on_imdb() {
             &format!("imdb first sight, refill pass {pass}"),
         );
     }
+    // The same slice once more with a feedback model in place: the second
+    // decode of every query now runs over learned, sharply peaked
+    // transitions instead of returning nothing.
+    let mut oracle = FeedbackOracle::new(0.2, 21);
+    for wq in &imdb::workload() {
+        let (cfg, positive) = oracle.feedback_for(engine.wrapper().catalog(), wq);
+        engine
+            .feedback_configuration(&cfg, positive)
+            .expect("feedback records");
+    }
+    assert!(engine.feedback_epoch() > 0);
+    assert_engine_paths_identical(
+        &engine,
+        &queries[..200],
+        &mut scratch,
+        "imdb first sight, feedback model",
+    );
 }
 
 #[test]
@@ -275,27 +334,45 @@ fn first_sight_keywords_are_bit_identical_on_annotated_deep_web() {
     let engine = Quest::new(DeepWebWrapper::new(db, ann, 50), QuestConfig::default())
         .expect("engine builds");
     let mut scratch = SearchScratch::new();
-    for (i, raw) in queries.iter().enumerate() {
-        // Emission rows on every query. The reference search over this
-        // 100-state vocabulary costs ~20 ms in a debug build, so outcomes
-        // are compared on every eighth query and on the alias queries.
-        if i % 8 == 0 || i >= 2_000 {
-            let one = std::slice::from_ref(raw);
-            assert_engine_paths_identical(&engine, one, &mut scratch, "mondial deep web");
-        } else {
-            // A word can mutate into a stopword and empty the query.
-            let Ok(query) = KeywordQuery::parse(raw) else {
-                continue;
-            };
-            let _ = engine.forward_pass_with(&query, &mut scratch);
-            assert_rows_identical(
-                &engine,
-                &query,
-                &scratch,
-                &format!("mondial deep web: {raw}"),
-            );
+    let sweep = |queries: &[String], scratch: &mut SearchScratch, context: &str| {
+        for (i, raw) in queries.iter().enumerate() {
+            // Emission rows and both decodes on every query. The reference
+            // *search* over this 119-state vocabulary costs ~20 ms in a
+            // debug build, so whole outcomes are compared on every eighth
+            // query and on the alias queries.
+            if i % 8 == 0 || i >= 2_000 {
+                let one = std::slice::from_ref(raw);
+                assert_engine_paths_identical(&engine, one, scratch, context);
+            } else if let Ok(query) = KeywordQuery::parse(raw) {
+                // (A word can mutate into a stopword and empty the query.)
+                assert_forward_identical(&engine, &query, scratch, &format!("{context}: {raw}"));
+            }
         }
+    };
+    sweep(&queries, &mut scratch, "mondial deep web");
+    // A 200-query slice again with a feedback model in place, taught from
+    // the engine's own answers: best configuration validated, last rejected.
+    for raw in queries.iter().take(24) {
+        let Ok(query) = KeywordQuery::parse(raw) else {
+            continue;
+        };
+        let Ok(pass) = engine.forward_pass_with(&query, &mut scratch) else {
+            continue;
+        };
+        let (best, last) = (&pass.configurations[0], pass.configurations.last());
+        engine
+            .feedback_configuration(best, true)
+            .expect("feedback records");
+        engine
+            .feedback_configuration(last.expect("non-empty"), false)
+            .expect("feedback records");
     }
+    assert!(engine.feedback_epoch() > 0);
+    sweep(
+        &queries[..200],
+        &mut scratch,
+        "mondial deep web, feedback model",
+    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Criterion bench — experiment E6: per-module cost of the Figure 1
 //! pipeline pieces (list Viterbi, the hot-path `ListDecoder` per lattice
-//! shape, EM epoch, emission computation, the first-sight metadata row).
+//! shape, EM epoch, emission computation, the first-sight metadata row) —
+//! plus `commit_refresh`, the storage-layer cost of one commit batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quest_core::forward::ForwardModule;
@@ -9,6 +10,7 @@ use quest_core::semantics::SemanticRules;
 use quest_core::{DbTerm, FullAccessWrapper, KeywordQuery, SearchScratch, SourceWrapper};
 use quest_data::imdb::{self, ImdbScale};
 use quest_hmm::{baum_welch_step, list_viterbi, Hmm, ListDecoder};
+use relstore::{Row, Value};
 
 fn wrapper() -> FullAccessWrapper {
     FullAccessWrapper::new(
@@ -184,6 +186,42 @@ fn bench_raw_list_viterbi(c: &mut Criterion) {
     });
 }
 
+/// One batch of the repo benchmark's commit shape — insert a person, insert
+/// a movie they direct, delete the movie of the round before — under
+/// `with_stats_deferred` (index upkeep plus the batch-end statistics
+/// refresh) at two table sizes. Every round uses fresh keys, so nothing is
+/// cloned or reset inside the timed section and the movie count stays put.
+fn bench_commit_refresh(c: &mut Criterion) {
+    let person = |id: i64| Row::new(vec![id.into(), "Round Person".into(), 1950.into()]);
+    let movie = |id: i64| {
+        Row::new(vec![
+            id.into(),
+            "zq".into(),
+            1999.into(),
+            Value::Null,
+            id.into(),
+        ])
+    };
+    let mut g = c.benchmark_group("commit_refresh");
+    for movies in [5_000usize, 25_000] {
+        let mut db = imdb::generate(&ImdbScale { movies, seed: 42 }).expect("generate");
+        let mut id = 9_000_000i64;
+        db.insert("person", person(id)).expect("person");
+        db.insert("movie", movie(id)).expect("movie");
+        g.bench_with_input(BenchmarkId::new("movies", movies), &movies, |b, _| {
+            b.iter(|| {
+                id += 1;
+                db.with_stats_deferred(|db| {
+                    db.insert("person", person(id)).expect("person");
+                    db.insert("movie", movie(id)).expect("movie");
+                    db.delete("movie", &[(id - 1).into()]).expect("delete");
+                })
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_list_viterbi,
@@ -191,6 +229,7 @@ criterion_group!(
     bench_emissions,
     bench_metadata_row_first_sight,
     bench_em_epoch,
-    bench_raw_list_viterbi
+    bench_raw_list_viterbi,
+    bench_commit_refresh
 );
 criterion_main!(benches);

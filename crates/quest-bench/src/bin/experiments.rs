@@ -1,4 +1,4 @@
-//! Regenerates every experiment table in EXPERIMENTS.md.
+//! Prints every experiment table (markdown, to stdout).
 //!
 //! Usage: `cargo run --release -p quest-bench --bin experiments
 //! [e1|e2|e3|e4|e5|e7|e8|e9|e10|e11|e12|e13|e14|all]`

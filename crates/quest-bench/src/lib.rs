@@ -1,6 +1,6 @@
 //! Shared harness code for the QUEST experiments (E1–E8) and the criterion
-//! microbenches. Each experiment in EXPERIMENTS.md is regenerated by the
-//! `experiments` binary, which builds on these helpers.
+//! microbenches. Each experiment table is printed by the `experiments`
+//! binary, which builds on these helpers.
 
 use std::time::{Duration, Instant};
 

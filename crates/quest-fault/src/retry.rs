@@ -86,10 +86,12 @@ impl Clock for ManualClock {
 /// Attempt `a` (0-based) waits `min(cap, base * 2^a)` scaled by a jitter
 /// factor in `[0.75, 1.25]` drawn from `splitmix64(jitter_seed, a)`, then
 /// clamped to `cap` again. The whole schedule is a pure function of the
-/// policy, so two runs with the same seed back off identically.
+/// policy, so two runs with the same seed back off identically. Every site
+/// spends the budget — the first try plus `retries` retries — through
+/// [`RetryPolicy::backoff`] (in place) or [`RetryPolicy::next_probe`] (ticks).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Maximum retry attempts before giving up (0 disables retries).
+    /// Maximum retries after the first try (0 disables retries).
     pub retries: u32,
     /// Delay before the first retry.
     pub base: Duration,
@@ -157,6 +159,36 @@ impl RetryPolicy {
     pub fn schedule(&self) -> Vec<Duration> {
         (0..self.retries).map(|a| self.delay(a)).collect()
     }
+
+    /// The scheduling step of a supervisor: a probe failed at `now` after
+    /// `attempts` earlier failed probes. While the budget lasts this counts
+    /// one retry, bumps `attempts` and returns when the next probe is due;
+    /// `None` means the budget is spent and the caller escalates.
+    pub fn next_probe(&self, attempts: &mut u32, now: Duration) -> Option<Duration> {
+        if *attempts >= self.retries {
+            return None;
+        }
+        crate::count_retry();
+        let due = now + self.delay(*attempts);
+        *attempts += 1;
+        Some(due)
+    }
+
+    /// The sleeping step of an in-place retry loop: try number `attempt`
+    /// (0-based) failed and `transient` is the error's own verdict. `true`
+    /// once the retry is counted and its backoff slept out on `clock`;
+    /// `false` when the caller must give up and return the error.
+    pub fn backoff(&self, clock: &dyn Clock, transient: bool, attempt: &mut u32) -> bool {
+        if !transient {
+            return false;
+        }
+        // Scheduled from time zero, the next probe's due time is its delay.
+        let delay = self.next_probe(attempt, Duration::ZERO);
+        if let Some(delay) = delay {
+            clock.sleep(delay);
+        }
+        delay.is_some()
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +218,28 @@ mod tests {
         assert_eq!(schedule[1], Duration::from_millis(2));
         assert_eq!(schedule[5], Duration::from_millis(20)); // capped at 32 → 20
         assert!(schedule.iter().all(|d| *d <= policy.cap));
+    }
+
+    #[test]
+    fn both_retry_steps_spend_the_first_try_plus_retries() {
+        let policy = RetryPolicy {
+            retries: 2,
+            ..RetryPolicy::default()
+        };
+        let (clock, now) = (ManualClock::new(), Duration::from_secs(9));
+        let (mut probes, mut tries) = (0u32, 0u32);
+        for a in 0..2 {
+            let due = policy.next_probe(&mut probes, now);
+            assert_eq!(due, Some(now + policy.delay(a)));
+            assert!(policy.backoff(&clock, true, &mut tries));
+        }
+        // The third failure — first try plus two retries — spends the
+        // budget; a permanent error is never retried, budget or not.
+        assert_eq!(policy.next_probe(&mut probes, now), None);
+        assert!(!policy.backoff(&clock, true, &mut tries));
+        assert!(!policy.backoff(&clock, false, &mut 0));
+        assert_eq!((probes, tries), (2, 2));
+        assert_eq!(clock.now(), policy.delay(0) + policy.delay(1));
     }
 
     #[test]

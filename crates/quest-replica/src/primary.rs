@@ -232,10 +232,10 @@ impl Primary {
         let mut landed_report: Option<ApplyReport> = None;
         let mut attempt: u32 = 0;
         let backoff = |e: ReplicaError, attempt: &mut u32| -> Result<(), ReplicaError> {
-            if e.is_transient() && *attempt < self.retry.retries {
-                quest_fault::count_retry();
-                self.clock.sleep(self.retry.delay(*attempt));
-                *attempt += 1;
+            if self
+                .retry
+                .backoff(self.clock.as_ref(), e.is_transient(), attempt)
+            {
                 Ok(())
             } else {
                 Err(e)
@@ -329,14 +329,12 @@ impl Primary {
             } else {
                 wal.sync()
             };
-            match result {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < self.retry.retries => {
-                    quest_fault::count_retry();
-                    self.clock.sleep(self.retry.delay(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e.into()),
+            let Err(e) = result else { return Ok(()) };
+            if !self
+                .retry
+                .backoff(self.clock.as_ref(), e.is_transient(), &mut attempt)
+            {
+                return Err(e.into());
             }
         }
     }
@@ -357,17 +355,14 @@ impl Primary {
         let lsn = self.last_lsn();
         let engine = self.engine.engine();
         let mut attempt: u32 = 0;
-        loop {
-            match write_snapshot(engine.wrapper().database(), &self.snapshot_path(), lsn) {
-                Ok(()) => break,
-                Err(e) if e.is_transient() && attempt < self.retry.retries => {
-                    quest_fault::count_retry();
-                    self.clock.sleep(self.retry.delay(attempt));
-                    attempt += 1;
-                }
-                // A failed publish never harms bootstrap: the write-to-temp
-                // then rename protocol leaves the previous snapshot intact.
-                Err(e) => return Err(e.into()),
+        while let Err(e) = write_snapshot(engine.wrapper().database(), &self.snapshot_path(), lsn) {
+            // A failed publish never harms bootstrap: the write-to-temp
+            // then rename protocol leaves the previous snapshot intact.
+            if !self
+                .retry
+                .backoff(self.clock.as_ref(), e.is_transient(), &mut attempt)
+            {
+                return Err(e.into());
             }
         }
         drop(engine);

@@ -282,17 +282,15 @@ impl ReplicaSet {
                     quest_fault::count_heal("replica");
                     healed += 1;
                 }
-                Err(_) if *attempts >= self.retry.retries => {
-                    // Still counted in the quarantine gauge: the slot is
-                    // out of service either way.
-                    *state = Quarantine::Permanent;
-                    quest_fault::count_escalation("replica");
-                }
-                Err(_) => {
-                    quest_fault::count_retry();
-                    *next_probe = now + self.retry.delay(*attempts);
-                    *attempts += 1;
-                }
+                Err(_) => match self.retry.next_probe(attempts, now) {
+                    Some(due) => *next_probe = due,
+                    None => {
+                        // Still counted in the quarantine gauge: the slot
+                        // is out of service either way.
+                        *state = Quarantine::Permanent;
+                        quest_fault::count_escalation("replica");
+                    }
+                },
             }
         }
         healed

@@ -15,9 +15,10 @@
 //!   unsharded database's check order and error strings; referential
 //!   integrity is enforced *globally* by the store (shard catalogs carry no
 //!   foreign keys, so a shard never rejects a cross-shard reference).
-//!   Scores and statistics merge through the mergeable-accumulator APIs of
-//!   `relstore` ([`ScoreAccumulator`](relstore::index::ScoreAccumulator),
-//!   [`AttributeStatsAccumulator`](relstore::stats::AttributeStatsAccumulator),
+//!   Scores and the per-FK join statistics — the one statistic maintained,
+//!   read by `join_informativeness`; shards keep none of their own — merge
+//!   through the mergeable-accumulator APIs of `relstore`
+//!   ([`ScoreAccumulator`](relstore::index::ScoreAccumulator),
 //!   [`JoinStatsAccumulator`](relstore::stats::JoinStatsAccumulator)):
 //!   integer state (df, doc counts, lengths) sums across shards, and every
 //!   floating-point expression is evaluated **once** from the merged

@@ -4,9 +4,9 @@
 //!
 //! * **Integer domain first.** Everything that crosses a shard boundary is
 //!   an integer: document counts, total token lengths, per-token document
-//!   frequencies, max term frequencies, row/null/distinct counts, join
-//!   pair counts. Integer sums and maxes are exactly associative, so the
-//!   merge order cannot perturb them.
+//!   frequencies, max term frequencies, join pair and row counts. Integer
+//!   sums and maxes are exactly associative, so the merge order cannot
+//!   perturb them.
 //! * **One float evaluation.** Every floating-point expression (idf, tf
 //!   saturation, normalization, NMI entropy) is evaluated **once**, from
 //!   the merged integers, through the *same* code path the unsharded
@@ -31,7 +31,7 @@ use quest_serve::ApplyReport;
 use quest_wal::ChangeRecord;
 use relstore::index::{KeywordProbe, ScoreAccumulator};
 use relstore::sql::{ResultSet, SelectStatement};
-use relstore::stats::{AttributeStats, AttributeStatsAccumulator, JoinStats, JoinStatsAccumulator};
+use relstore::stats::{JoinStats, JoinStatsAccumulator};
 use relstore::{
     AttrId, Catalog, Database, ForeignKey, Row, RowId, StoreError, TableData, TableId, Value,
 };
@@ -194,8 +194,11 @@ impl ProbeScratch {
     }
 }
 
-/// A hash-partitioned database: one full catalog, N FK-less shards, merged
-/// statistics that are bit-identical to the unsharded computation.
+/// A hash-partitioned database: one full catalog, N FK-less shards, and
+/// merged per-FK join statistics that are bit-identical to the unsharded
+/// computation. Shards keep no statistics of their own: the join statistic
+/// is the only one maintained (its reader is the wrapper's
+/// `join_informativeness`), and an FK-less shard has no join.
 #[derive(Debug)]
 pub struct ShardedStore {
     /// The *full* catalog, foreign keys included — the schema queries and
@@ -212,8 +215,6 @@ pub struct ShardedStore {
     indexed_attrs: Vec<AttrId>,
     /// Registry handles of the scatter metrics (see [`ScatterMetrics`]).
     scatter_metrics: OnceLock<ScatterMetrics>,
-    /// Merged attribute statistics (bit-identical to the unsharded store).
-    attr_stats: HashMap<AttrId, AttributeStats>,
     /// Merged join statistics (bit-identical NMI).
     join_stats: HashMap<ForeignKey, JoinStats>,
     /// When `Some`, statistics refresh is deferred: mutations record their
@@ -294,7 +295,6 @@ impl ShardedStore {
             shards,
             indexed_attrs: Vec::new(),
             scatter_metrics: OnceLock::new(),
-            attr_stats: HashMap::new(),
             join_stats: HashMap::new(),
             stats_dirty: None,
             scratch: Mutex::new(HashMap::new()),
@@ -319,16 +319,15 @@ impl ShardedStore {
             shards,
             indexed_attrs: Vec::new(),
             scatter_metrics: OnceLock::new(),
-            attr_stats: HashMap::new(),
             join_stats: HashMap::new(),
             stats_dirty: None,
             scratch: Mutex::new(HashMap::new()),
         })
     }
 
-    /// Build (or rebuild) every shard's indexes and local statistics —
-    /// one `finalize` per shard, in parallel when configured — and list
-    /// the attributes a keyword scatter has to probe.
+    /// Build (or rebuild) every shard's indexes — one `finalize` per
+    /// shard, in parallel when configured — and list the attributes a
+    /// keyword scatter has to probe.
     fn finalize_shards(&mut self) {
         if self.parallel && self.shards.len() > 1 {
             std::thread::scope(|s| {
@@ -388,11 +387,6 @@ impl ShardedStore {
     /// Live rows over all tables and shards.
     pub fn total_rows(&self) -> usize {
         self.shards.iter().map(|s| s.total_rows()).sum()
-    }
-
-    /// Merged statistics of one attribute.
-    pub fn attr_stats(&self, attr: AttrId) -> Option<&AttributeStats> {
-        self.attr_stats.get(&attr)
     }
 
     /// Merged statistics of one foreign key.
@@ -493,21 +487,31 @@ impl ShardedStore {
     /// Apply a mutation batch with per-record accept/reject semantics and
     /// statistics refresh deferred to the end of the batch — the sharded
     /// twin of the unsharded `MutableSource` path: indexes stay exact per
-    /// record, every shard's local statistics and the merged statistics are
-    /// recomputed once per dirty table when the batch ends.
+    /// record, the merged join statistics are recomputed once per dirty
+    /// table when the batch ends.
     pub fn apply_changes(&mut self, changes: &[ChangeRecord], report: &mut ApplyReport) {
-        /// Ends the deferral scopes on exit — including an unwind — so a
-        /// panicking record cannot leave refresh permanently disabled.
+        self.with_stats_deferred(|store| {
+            for (i, change) in changes.iter().enumerate() {
+                match store.apply_record(change) {
+                    Ok(_) => report.applied += 1,
+                    Err(e) => report.rejected.push((i, e)),
+                }
+            }
+        })
+    }
+
+    /// Run `f` with the merged-statistics refresh deferred to its end (the
+    /// sharded twin of `Database::with_stats_deferred`; nested calls
+    /// coalesce into the outermost).
+    fn with_stats_deferred<R>(&mut self, f: impl FnOnce(&mut ShardedStore) -> R) -> R {
+        /// Ends the deferral scope on exit — including an unwind — so a
+        /// panic inside the batch cannot leave refresh permanently disabled.
         struct Scope<'a> {
             store: &'a mut ShardedStore,
-            flags: Vec<bool>,
             outermost: bool,
         }
         impl Drop for Scope<'_> {
             fn drop(&mut self) {
-                for (shard, flag) in self.store.shards.iter_mut().zip(&self.flags) {
-                    shard.end_stats_deferred(*flag);
-                }
                 if self.outermost {
                     if let Some(dirty) = self.store.stats_dirty.take() {
                         for tid in dirty {
@@ -517,26 +521,15 @@ impl ShardedStore {
                 }
             }
         }
-        let flags: Vec<bool> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.begin_stats_deferred())
-            .collect();
         let outermost = self.stats_dirty.is_none();
         if outermost {
             self.stats_dirty = Some(BTreeSet::new());
         }
         let scope = Scope {
             store: self,
-            flags,
             outermost,
         };
-        for (i, change) in changes.iter().enumerate() {
-            match scope.store.apply_record(change) {
-                Ok(_) => report.applied += 1,
-                Err(e) => report.rejected.push((i, e)),
-            }
-        }
+        f(&mut *scope.store)
     }
 
     /// Post-mutation bookkeeping: drop gathered scratch databases (their
@@ -675,17 +668,6 @@ impl ShardedStore {
     // Merged statistics
     // ------------------------------------------------------------------
 
-    /// Merged attribute statistics: integer partials absorbed per shard,
-    /// finished once.
-    fn merged_attribute_stats(&self, attr: AttrId) -> AttributeStats {
-        let table = self.catalog.attribute(attr).table;
-        let mut acc = AttributeStatsAccumulator::new();
-        for shard in &self.shards {
-            acc.absorb(&self.catalog, shard.table_data(table), attr);
-        }
-        acc.finish()
-    }
-
     /// Merged join statistics: unfiltered per-shard counts plus the live
     /// referenced-PK set, filtered and entropy-evaluated once at the end.
     fn merged_join_stats(&self, fk: ForeignKey) -> JoinStats {
@@ -708,39 +690,20 @@ impl ShardedStore {
             dirty.insert(tid);
             return;
         }
-        let attrs = self.catalog.table(tid).attributes.clone();
-        let astats: Vec<(AttrId, AttributeStats)> = attrs
-            .iter()
-            .map(|a| (*a, self.merged_attribute_stats(*a)))
-            .collect();
-        for (a, s) in astats {
-            self.attr_stats.insert(a, s);
-        }
-        let jstats: Vec<(ForeignKey, JoinStats)> = self
-            .catalog
-            .fks_of_table(tid)
-            .into_iter()
-            .map(|fk| (fk, self.merged_join_stats(fk)))
-            .collect();
-        for (fk, s) in jstats {
-            self.join_stats.insert(fk, s);
+        for fk in self.catalog.fks_of_table(tid) {
+            let stats = self.merged_join_stats(fk);
+            self.join_stats.insert(fk, stats);
         }
     }
 
     /// Recompute every merged statistic from scratch, in parallel across
-    /// attributes when configured (each slot is independent; results land
+    /// foreign keys when configured (each slot is independent; results land
     /// in a fixed order, so parallelism cannot perturb anything).
     fn rebuild_all_stats(&mut self) {
-        let n = self.catalog.attribute_count();
-        let astats = map_range(n, self.parallel, |a| {
-            let attr = AttrId(a as u32);
-            (attr, self.merged_attribute_stats(attr))
-        });
         let fks: Vec<ForeignKey> = self.catalog.foreign_keys().to_vec();
         let jstats = map_range(fks.len(), self.parallel, |i| {
             (fks[i], self.merged_join_stats(fks[i]))
         });
-        self.attr_stats = astats.into_iter().collect();
         self.join_stats = jstats.into_iter().collect();
     }
 
@@ -1027,13 +990,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scatter_probes_only_indexed_attributes_and_counts_what_it_issued() {
-        let db = quest_data::imdb::generate(&quest_data::imdb::ImdbScale {
+    fn small_imdb() -> Database {
+        let scale = quest_data::imdb::ImdbScale {
             movies: 40,
             seed: 5,
-        })
-        .expect("imdb generates");
+        };
+        quest_data::imdb::generate(&scale).expect("imdb generates")
+    }
+
+    #[test]
+    fn scatter_probes_only_indexed_attributes_and_counts_what_it_issued() {
+        let db = small_imdb();
         let indexed: Vec<AttrId> = db
             .catalog()
             .attributes()
@@ -1065,5 +1032,37 @@ mod tests {
             assert_eq!(store.score_probe(unindexed.id, &probe, &mut scratch), 0.0);
             assert_eq!(scratch.probes, before);
         }
+    }
+
+    #[test]
+    fn panic_inside_deferred_batch_still_refreshes_and_closes_the_scope() {
+        let db = small_imdb();
+        let mut store = ShardedStore::from_database(&db, &ShardConfig::new(3)).unwrap();
+        let person = |id: i64| Row::new(vec![id.into(), "Unwound".into(), Value::Null]);
+        // Every merged join statistic is bit-identical to a cold build, and
+        // `movie.director_id → person` has seen `added` more persons.
+        let assert_fresh = |store: &ShardedStore, added: u64| {
+            let cold = store.gather().unwrap();
+            for fk in store.catalog.foreign_keys() {
+                let (merged, whole) = (store.fk_stats(*fk).unwrap(), cold.fk_stats(*fk).unwrap());
+                assert_eq!(merged, whole);
+                assert_eq!(merged.nmi.to_bits(), whole.nmi.to_bits());
+            }
+            let fk = store.catalog.foreign_keys()[0];
+            let before = db.fk_stats(fk).unwrap().referenced_rows;
+            assert_eq!(store.fk_stats(fk).unwrap().referenced_rows, before + added);
+        };
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.with_stats_deferred(|store| {
+                store.insert("person", person(900_001)).unwrap();
+                panic!("batch aborted after an applied insert");
+            })
+        }));
+        assert!(unwound.is_err());
+        // The unwind drained the dirty set, so the applied insert shows; and
+        // no scope was left open, so a single mutation refreshes at once.
+        assert_fresh(&store, 1);
+        store.insert("person", person(900_002)).unwrap();
+        assert_fresh(&store, 2);
     }
 }

@@ -59,10 +59,11 @@ struct FenceState {
     lsn_before: u64,
     /// Records the gateway accepted for this shard that its log may miss.
     pending: Vec<ChangeRecord>,
-    /// Failed recovery attempts so far.
+    /// Failed recovery probes that were rescheduled so far.
     attempts: u32,
-    /// Escalated: recovery failed [`RetryPolicy::retries`] times; only an
-    /// operator restart clears this.
+    /// Escalated: the first recovery probe and all
+    /// [`RetryPolicy::retries`] retries failed; only an operator restart
+    /// clears this.
     permanent: bool,
     /// Earliest clock reading at which the next recovery probe is due.
     next_probe: Duration,
@@ -320,10 +321,10 @@ impl ShardedPrimary {
                 } else {
                     let err: ShardError =
                         ReplicaError::Wal(quest_wal::WalError::Io(fault.io_error())).into();
-                    if err.is_transient() && attempt < self.retry.retries {
-                        quest_fault::count_retry();
-                        self.clock.sleep(self.retry.delay(attempt));
-                        attempt += 1;
+                    if self
+                        .retry
+                        .backoff(self.clock.as_ref(), err.is_transient(), &mut attempt)
+                    {
                         continue;
                     }
                     return Err(err);
@@ -397,9 +398,9 @@ impl ShardedPrimary {
     /// One supervision tick: attempt [`ShardedPrimary::recover`] on every
     /// fenced, non-permanent shard whose backoff has elapsed. A failed
     /// attempt reschedules the probe under the retry policy's backoff; a
-    /// shard that exhausts [`RetryPolicy::retries`] attempts escalates to
-    /// permanent and is left for the operator. Returns how many shards
-    /// healed this tick.
+    /// shard whose first probe and all [`RetryPolicy::retries`] retries
+    /// fail escalates to permanent and is left for the operator. Returns
+    /// how many shards healed this tick.
     pub fn supervise(&mut self) -> usize {
         let now = self.clock.now();
         let mut healed = 0;
@@ -414,19 +415,14 @@ impl ShardedPrimary {
             match self.recover(shard) {
                 Ok(()) => healed += 1,
                 Err(e) => {
-                    let retries = self.retry.retries;
-                    let delay = self
-                        .retry
-                        .delay(self.fences[shard].as_ref().map(|f| f.attempts).unwrap_or(0));
                     if let Some(f) = self.fences[shard].as_mut() {
-                        f.attempts += 1;
                         f.reason = e.to_string();
-                        if f.attempts >= retries {
-                            f.permanent = true;
-                            quest_fault::count_escalation("shard");
-                        } else {
-                            quest_fault::count_retry();
-                            f.next_probe = now + delay;
+                        match self.retry.next_probe(&mut f.attempts, now) {
+                            Some(due) => f.next_probe = due,
+                            None => {
+                                f.permanent = true;
+                                quest_fault::count_escalation("shard");
+                            }
                         }
                     }
                 }

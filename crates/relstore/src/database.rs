@@ -1,4 +1,4 @@
-//! The `Database`: catalog + table data + full-text indexes + statistics.
+//! The `Database`: catalog + table data + full-text indexes + join statistics.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -6,7 +6,7 @@ use crate::error::StoreError;
 use crate::index::inverted::{AttributeIndex, KeywordProbe};
 use crate::row::{Row, RowId};
 use crate::schema::{AttrId, Catalog, ForeignKey, TableId};
-use crate::stats::{attribute_stats, join_stats, AttributeStats, JoinStats};
+use crate::stats::{join_stats, JoinStats};
 use crate::table::TableData;
 use crate::value::Value;
 
@@ -15,25 +15,26 @@ use crate::value::Value;
 /// Construction: build a [`Catalog`], call [`Database::new`], insert rows in
 /// FK dependency order (or use [`Database::insert_unchecked`] followed by
 /// [`Database::validate_foreign_keys`]), then call [`Database::finalize`] to
-/// build full-text indexes and statistics — the paper's "setup phase".
+/// build full-text indexes and join statistics — the paper's "setup phase".
+/// The per-foreign-key [`JoinStats`] is the only statistic kept (its one
+/// reader is the wrapper's `join_informativeness`), so an FK-less database —
+/// a shard — keeps none.
 ///
 /// After `finalize`, the database is *live*: [`Database::insert`],
 /// [`Database::delete`] and [`Database::update`] maintain the inverted
-/// indexes incrementally and recompute statistics for the mutated table
-/// only, so mutations never force a full rebuild and the database stays
-/// finalized. The maintained state is bit-identical to what a fresh
-/// [`Database::finalize`] over the same rows would build (asserted by the
-/// relstore property suite). Batch writers wrap their loop in
-/// [`Database::with_stats_deferred`] to pay the per-table stats refresh
-/// once per batch instead of once per record.
+/// indexes incrementally and recompute the join statistics of the foreign
+/// keys touching the mutated table only, so mutations never force a full
+/// rebuild and the database stays finalized. The maintained state is
+/// bit-identical to what a fresh [`Database::finalize`] over the same rows
+/// would build (asserted by the relstore property suite). Batch writers
+/// wrap their loop in [`Database::with_stats_deferred`] to pay the
+/// per-table refresh once per batch instead of once per record.
 #[derive(Debug, Clone)]
 pub struct Database {
     catalog: Catalog,
     tables: Vec<TableData>,
     /// Full-text indexes, one per attribute with `full_text = true`.
     indexes: HashMap<AttrId, AttributeIndex>,
-    /// Per-attribute statistics (built in `finalize`).
-    attr_stats: HashMap<AttrId, AttributeStats>,
     /// Per-foreign-key join statistics (built in `finalize`).
     join_stats: HashMap<ForeignKey, JoinStats>,
     finalized: bool,
@@ -55,7 +56,6 @@ impl Database {
             catalog,
             tables,
             indexes: HashMap::new(),
-            attr_stats: HashMap::new(),
             join_stats: HashMap::new(),
             finalized: false,
             stats_dirty: None,
@@ -314,30 +314,23 @@ impl Database {
     }
 
     /// The setup phase: build full-text indexes over all `full_text`
-    /// attributes and compute attribute and join statistics.
+    /// attributes and compute the join statistics of every foreign key.
     pub fn finalize(&mut self) {
         self.indexes.clear();
-        self.attr_stats.clear();
         self.join_stats.clear();
-        for attr in self.catalog.attributes() {
-            let data = &self.tables[attr.table.0 as usize];
-            if attr.full_text {
-                // Bulk-build path: append postings, sort each list once at
-                // the end — bit-identical to per-row sorted inserts (pinned
-                // by the relstore property suite) without the mid-list
-                // shifting.
-                let mut ix = AttributeIndex::new();
-                for (rid, row) in data.iter() {
-                    let v = row.get(attr.position);
-                    if !v.is_null() {
-                        ix.add_bulk(rid, &v.render());
-                    }
+        for attr in self.catalog.attributes().iter().filter(|a| a.full_text) {
+            // Bulk-build path: append postings, sort each list once at the
+            // end — bit-identical to per-row sorted inserts (pinned by the
+            // relstore property suite) without the mid-list shifting.
+            let mut ix = AttributeIndex::new();
+            for (rid, row) in self.tables[attr.table.0 as usize].iter() {
+                let v = row.get(attr.position);
+                if !v.is_null() {
+                    ix.add_bulk(rid, &v.render());
                 }
-                ix.finish_build();
-                self.indexes.insert(attr.id, ix);
             }
-            self.attr_stats
-                .insert(attr.id, attribute_stats(&self.catalog, data, attr.id));
+            ix.finish_build();
+            self.indexes.insert(attr.id, ix);
         }
         for fk in self.catalog.foreign_keys() {
             let referencing = &self.tables[self.catalog.attribute(fk.from).table.0 as usize];
@@ -381,18 +374,14 @@ impl Database {
         }
     }
 
-    /// Recompute the statistics a mutation of `tid` can change: the table's
-    /// attribute stats and the join stats of every FK touching it. Uses the
-    /// same pure functions as [`Database::finalize`], so maintained stats
-    /// are bit-identical to a full rebuild.
+    /// Recompute the statistics a mutation of `tid` can change: the join
+    /// stats of every FK touching it. Uses the same pure function as
+    /// [`Database::finalize`], so maintained stats are bit-identical to a
+    /// full rebuild.
     fn refresh_stats_for(&mut self, tid: TableId) {
         if let Some(dirty) = &mut self.stats_dirty {
             dirty.insert(tid);
             return;
-        }
-        for attr in self.catalog.table(tid).attributes.clone() {
-            let stats = attribute_stats(&self.catalog, &self.tables[tid.0 as usize], attr);
-            self.attr_stats.insert(attr, stats);
         }
         for fk in self.catalog.fks_of_table(tid) {
             let stats = join_stats(
@@ -405,17 +394,17 @@ impl Database {
         }
     }
 
-    /// Run a batch of mutations with statistics refresh deferred to the
-    /// end of the batch.
+    /// Run a batch of mutations with the join-statistics refresh deferred
+    /// to the end of the batch.
     ///
-    /// Per-mutation stats refresh rescans the mutated table (and both
-    /// sides of its FK joins), so a k-record batch would pay k rescans for
-    /// a result only the final state needs. Inside `f`, mutations maintain
+    /// Per-mutation refresh rescans both sides of every FK join touching
+    /// the mutated table, so a k-record batch would pay k rescans for a
+    /// result only the final state needs. Inside `f`, mutations maintain
     /// the inverted indexes as usual but only *mark* their tables dirty;
     /// when `f` returns, each dirty table is refreshed exactly once. The
     /// final state is bit-identical to per-mutation refresh — only reads
-    /// of `attr_stats`/`fk_stats` *inside* `f` may observe pre-batch
-    /// values. Nested calls coalesce into the outermost batch.
+    /// of [`Database::fk_stats`] *inside* `f` may observe pre-batch values.
+    /// Nested calls coalesce into the outermost batch.
     pub fn with_stats_deferred<R>(&mut self, f: impl FnOnce(&mut Database) -> R) -> R {
         /// Drains the dirty set on scope exit — *including* an unwind out
         /// of `f` — so a panicking closure cannot leave the database with
@@ -435,43 +424,15 @@ impl Database {
                 }
             }
         }
-        let outermost = self.begin_stats_deferred();
+        let outermost = self.stats_dirty.is_none();
+        if outermost {
+            self.stats_dirty = Some(BTreeSet::new());
+        }
         let scope = Scope {
             db: self,
             outermost,
         };
         f(&mut *scope.db)
-    }
-
-    /// Open a statistics-deferral scope without a closure. Returns `true`
-    /// when this call opened the outermost scope; that flag must be handed
-    /// back to [`Database::end_stats_deferred`]. Prefer
-    /// [`Database::with_stats_deferred`] — this explicit pair exists for
-    /// coordinators that batch mutations across *several* databases at once
-    /// (e.g. a sharded store deferring every shard's refresh until the end
-    /// of a batch), where a single closure cannot scope all of them.
-    pub fn begin_stats_deferred(&mut self) -> bool {
-        if self.stats_dirty.is_none() {
-            self.stats_dirty = Some(BTreeSet::new());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Close a scope opened by [`Database::begin_stats_deferred`], passing
-    /// the flag it returned. When `outermost` the dirty set is drained and
-    /// each dirty table's statistics are refreshed exactly once; otherwise
-    /// this is a no-op (the enclosing scope will refresh).
-    pub fn end_stats_deferred(&mut self, outermost: bool) {
-        if !outermost {
-            return;
-        }
-        if let Some(dirty) = self.stats_dirty.take() {
-            for tid in dirty {
-                self.refresh_stats_for(tid);
-            }
-        }
     }
 
     /// Whether `finalize` has been run (mutations on a finalized database
@@ -541,11 +502,6 @@ impl Database {
             }
             None => Vec::new(),
         }
-    }
-
-    /// Statistics of one attribute (requires `finalize`).
-    pub fn attr_stats(&self, attr: AttrId) -> Option<&AttributeStats> {
-        self.attr_stats.get(&attr)
     }
 
     /// Join statistics of one foreign key (requires `finalize`).
@@ -620,7 +576,10 @@ mod tests {
                 "index of {} diverged from rebuild",
                 db.catalog().qualified_name(attr.id)
             );
-            assert_eq!(db.attr_stats(attr.id), rebuilt.attr_stats(attr.id));
+        }
+        for t in db.catalog().tables() {
+            let (kept, fresh) = (db.table_data(t.id), rebuilt.table_data(t.id));
+            assert!(kept.slots().eq(fresh.slots()), "rows of {}", t.name);
         }
         for fk in db.catalog().foreign_keys() {
             assert_eq!(db.fk_stats(*fk), rebuilt.fk_stats(*fk));
@@ -702,12 +661,11 @@ mod tests {
         let db = movie_db();
         assert!(db.is_finalized());
         let title = db.catalog().attr_id("movie", "title").unwrap();
-        let st = db.attr_stats(title).unwrap();
-        assert_eq!(st.rows, 2);
-        assert_eq!(st.distinct, 2);
+        assert_eq!(db.index(title).unwrap().doc_count(), 2);
         let fk = db.catalog().foreign_keys()[0];
         let js = db.fk_stats(fk).unwrap();
-        assert_eq!(js.pairs, 2);
+        assert_eq!((js.pairs, js.referenced_distinct), (2, 2));
+        assert_eq!((js.referencing_rows, js.referenced_rows), (2, 2));
         assert!(js.nmi > 0.9);
     }
 
@@ -729,7 +687,10 @@ mod tests {
         assert!(db.is_finalized(), "mutations keep the database finalized");
         let title = db.catalog().attr_id("movie", "title").unwrap();
         assert!(db.search_score(title, "oz") > 0.0);
-        assert_eq!(db.attr_stats(title).unwrap().rows, 3);
+        assert_eq!(db.index(title).unwrap().doc_count(), 3);
+        let js = db.fk_stats(db.catalog().foreign_keys()[0]).unwrap();
+        assert_eq!((js.referencing_rows, js.referenced_rows), (3, 3));
+        assert_eq!((js.pairs, js.referenced_distinct), (3, 2));
         assert_matches_rebuild(&db);
     }
 
@@ -804,7 +765,8 @@ mod tests {
     fn deferred_stats_batch_matches_per_record_refresh() {
         let mut db = movie_db();
         let title = db.catalog().attr_id("movie", "title").unwrap();
-        let rows_before = db.attr_stats(title).unwrap().rows;
+        let fk = db.catalog().foreign_keys()[0];
+        let rows_before = db.fk_stats(fk).unwrap().referencing_rows;
         db.with_stats_deferred(|db| {
             db.insert("person", Row::new(vec![3.into(), "Noel Langley".into()]))
                 .unwrap();
@@ -816,7 +778,7 @@ mod tests {
             // Indexes are exact mid-batch; stats are stale until the scope
             // closes.
             assert!(db.search_score(title, "wizard") > 0.0);
-            assert_eq!(db.attr_stats(title).unwrap().rows, rows_before);
+            assert_eq!(db.fk_stats(fk).unwrap().referencing_rows, rows_before);
             // Nested scopes coalesce into the outermost batch.
             db.with_stats_deferred(|db| {
                 db.insert(
@@ -825,11 +787,36 @@ mod tests {
                 )
                 .unwrap();
             });
-            assert_eq!(db.attr_stats(title).unwrap().rows, rows_before);
+            assert_eq!(db.fk_stats(fk).unwrap().referencing_rows, rows_before);
         });
-        assert_eq!(db.attr_stats(title).unwrap().rows, rows_before + 2);
+        assert_eq!(db.fk_stats(fk).unwrap().referencing_rows, rows_before + 2);
         assert_matches_rebuild(&db);
         assert!(db.validate().is_ok());
+    }
+
+    #[test]
+    fn panic_inside_deferred_batch_still_refreshes_and_closes_the_scope() {
+        let mut db = movie_db();
+        let fk = db.catalog().foreign_keys()[0];
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            db.with_stats_deferred(|db| {
+                db.insert(
+                    "movie",
+                    Row::new(vec![12.into(), "The Wizard of Oz".into(), 1.into()]),
+                )
+                .unwrap();
+                panic!("batch aborted after an applied insert");
+            })
+        }));
+        assert!(unwound.is_err());
+        // The unwind drained the dirty set: the applied insert is visible
+        // in the join statistics, bit-identical to a cold finalize.
+        assert_eq!(db.fk_stats(fk).unwrap().referencing_rows, 3);
+        assert_matches_rebuild(&db);
+        // No scope was left open: a single mutation refreshes immediately.
+        db.delete("movie", &[Value::Int(12)]).unwrap();
+        assert_eq!(db.fk_stats(fk).unwrap().referencing_rows, 2);
+        assert_matches_rebuild(&db);
     }
 
     #[test]

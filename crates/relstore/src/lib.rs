@@ -11,8 +11,9 @@
 //!   `search(keyword, attribute) → score` function whose scores are
 //!   normalized per attribute at setup time, ready to be used as HMM emission
 //!   probabilities;
-//! * **instance statistics**, including the mutual-information measure over
-//!   PK–FK joins that weights the backward module's schema-graph edges;
+//! * one **instance statistic**: the per-foreign-key join statistics, whose
+//!   mutual-information measure weights the backward module's schema-graph
+//!   edges (the one reader is the wrapper's `join_informativeness`);
 //! * a **SQL fragment** (SELECT-PROJECT-JOIN ASTs, a renderer producing the
 //!   SQL text shown to users, and a hash-join executor computing results).
 //!

@@ -1,6 +1,7 @@
-//! Instance statistics: per-attribute summaries and per-foreign-key join
-//! statistics, including the mutual-information measure the backward module
-//! uses to weight schema-graph edges.
+//! Instance statistics: the per-foreign-key join statistics, whose
+//! mutual-information measure the backward module uses to weight
+//! schema-graph edges. Nothing else about the instance is summarized —
+//! the forward module reads the full-text indexes directly.
 //!
 //! Following the paper (§3, backward module) and its citation of Yang et
 //! al.'s summary graphs, each PK–FK edge is scored by the mutual information
@@ -15,40 +16,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::schema::{AttrId, Catalog, ForeignKey};
+use crate::schema::{Catalog, ForeignKey};
 use crate::table::TableData;
 use crate::value::Value;
-
-/// Summary statistics for one attribute.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AttributeStats {
-    /// Total rows in the table.
-    pub rows: u64,
-    /// NULLs in this column.
-    pub nulls: u64,
-    /// Distinct non-null values.
-    pub distinct: u64,
-}
-
-impl AttributeStats {
-    /// Fraction of rows that are non-null; 0 for an empty table.
-    pub fn fill_factor(&self) -> f64 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            (self.rows - self.nulls) as f64 / self.rows as f64
-        }
-    }
-
-    /// Average number of rows sharing one value (selectivity proxy).
-    pub fn avg_fanout(&self) -> f64 {
-        if self.distinct == 0 {
-            0.0
-        } else {
-            (self.rows - self.nulls) as f64 / self.distinct as f64
-        }
-    }
-}
 
 /// Statistics of one foreign-key join.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -72,28 +42,6 @@ impl JoinStats {
     }
 }
 
-/// Compute stats for one attribute column.
-pub fn attribute_stats(catalog: &Catalog, data: &TableData, attr: AttrId) -> AttributeStats {
-    let a = catalog.attribute(attr);
-    let mut distinct: HashMap<&Value, ()> = HashMap::new();
-    let mut nulls = 0u64;
-    let mut rows = 0u64;
-    for (_, row) in data.iter() {
-        rows += 1;
-        let v = row.get(a.position);
-        if v.is_null() {
-            nulls += 1;
-        } else {
-            distinct.insert(v, ());
-        }
-    }
-    AttributeStats {
-        rows,
-        nulls,
-        distinct: distinct.len() as u64,
-    }
-}
-
 /// Compute join statistics for a foreign key given both tables' data.
 pub fn join_stats(
     catalog: &Catalog,
@@ -102,7 +50,6 @@ pub fn join_stats(
     referenced: &TableData,
 ) -> JoinStats {
     let from_attr = catalog.attribute(fk.from);
-    let to_attr = catalog.attribute(fk.to);
 
     // Count how many referencing rows point at each referenced key.
     let mut ref_counts: HashMap<Value, u64> = HashMap::new();
@@ -118,10 +65,10 @@ pub fn join_stats(
             *ref_counts.entry(v.clone()).or_insert(0) += 1;
         }
     }
-    let _ = to_attr; // position of the PK column is implied by the PK index
 
     let referenced_rows = referenced.len() as u64;
-    let nmi = normalized_join_entropy(&ref_counts, pairs, referenced_rows);
+    let counts: Vec<u64> = ref_counts.values().copied().collect();
+    let nmi = normalized_entropy_of_counts(counts, pairs, referenced_rows);
     JoinStats {
         pairs,
         referenced_distinct: ref_counts.len() as u64,
@@ -132,20 +79,11 @@ pub fn join_stats(
 }
 
 /// Entropy of the referenced-key distribution normalized by `ln(referenced
-/// table size)`. See module docs for why this equals the join's mutual
-/// information under a uniform distribution over join tuples.
-fn normalized_join_entropy(
-    ref_counts: &HashMap<Value, u64>,
-    pairs: u64,
-    referenced_rows: u64,
-) -> f64 {
-    let counts: Vec<u64> = ref_counts.values().copied().collect();
-    normalized_entropy_of_counts(counts, pairs, referenced_rows)
-}
-
-/// The NMI core shared by [`join_stats`] and [`JoinStatsAccumulator`]: both
-/// hand it the same multiset of per-key counts, so partitioned builds are
-/// bit-identical to whole-table ones.
+/// table size)` — see the module docs for why this equals the join's mutual
+/// information under a uniform distribution over join tuples. The NMI core
+/// shared by [`join_stats`] and [`JoinStatsAccumulator`]: both hand it the
+/// same multiset of per-key counts, so partitioned builds are bit-identical
+/// to whole-table ones.
 fn normalized_entropy_of_counts(mut counts: Vec<u64>, pairs: u64, referenced_rows: u64) -> f64 {
     if pairs == 0 || referenced_rows <= 1 {
         return 0.0;
@@ -166,57 +104,6 @@ fn normalized_entropy_of_counts(mut counts: Vec<u64>, pairs: u64, referenced_row
         0.0
     } else {
         (h / hmax).clamp(0.0, 1.0)
-    }
-}
-
-/// Mergeable partial of [`attribute_stats`] over disjoint row partitions.
-///
-/// Row and null counts sum; distinct values are carried as a set so the
-/// cross-partition union counts each value once, exactly as the
-/// whole-table `HashMap` probe would (`Value` equality is total, and its
-/// `Ord` agrees with `Eq`, so set membership and hash membership coincide).
-#[derive(Debug, Clone, Default)]
-pub struct AttributeStatsAccumulator {
-    rows: u64,
-    nulls: u64,
-    distinct: BTreeSet<Value>,
-}
-
-impl AttributeStatsAccumulator {
-    /// Empty accumulator.
-    pub fn new() -> AttributeStatsAccumulator {
-        AttributeStatsAccumulator::default()
-    }
-
-    /// Fold one partition's rows for `attr` into the accumulator.
-    pub fn absorb(&mut self, catalog: &Catalog, data: &TableData, attr: AttrId) {
-        let a = catalog.attribute(attr);
-        for (_, row) in data.iter() {
-            self.rows += 1;
-            let v = row.get(a.position);
-            if v.is_null() {
-                self.nulls += 1;
-            } else if !self.distinct.contains(v) {
-                self.distinct.insert(v.clone());
-            }
-        }
-    }
-
-    /// Fold another accumulator (over further disjoint partitions).
-    pub fn merge(&mut self, other: AttributeStatsAccumulator) {
-        self.rows += other.rows;
-        self.nulls += other.nulls;
-        self.distinct.extend(other.distinct);
-    }
-
-    /// The merged statistics — bit-identical to [`attribute_stats`] over
-    /// the union of the absorbed partitions.
-    pub fn finish(self) -> AttributeStats {
-        AttributeStats {
-            rows: self.rows,
-            nulls: self.nulls,
-            distinct: self.distinct.len() as u64,
-        }
     }
 }
 
@@ -267,16 +154,6 @@ impl JoinStatsAccumulator {
         }
     }
 
-    /// Fold another accumulator (over further disjoint partitions).
-    pub fn merge(&mut self, other: JoinStatsAccumulator) {
-        for (v, c) in other.ref_counts {
-            *self.ref_counts.entry(v).or_insert(0) += c;
-        }
-        self.pk_values.extend(other.pk_values);
-        self.referencing_rows += other.referencing_rows;
-        self.referenced_rows += other.referenced_rows;
-    }
-
     /// The merged statistics — bit-identical to [`join_stats`] over the
     /// union of the absorbed partitions.
     pub fn finish(self) -> JoinStats {
@@ -299,23 +176,6 @@ impl JoinStatsAccumulator {
             nmi,
         }
     }
-}
-
-/// Shannon entropy (nats) of an empirical count distribution.
-pub fn entropy(counts: &[u64]) -> f64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let n = total as f64;
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / n;
-            -p * p.ln()
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -359,18 +219,6 @@ mod tests {
                 .unwrap();
         }
         (c, a, b, fk)
-    }
-
-    #[test]
-    fn attribute_stats_counts() {
-        let (c, a, _, _) = fixture();
-        let attr = c.attr_id("a", "b_id").unwrap();
-        let s = attribute_stats(&c, &a, attr);
-        assert_eq!(s.rows, 5);
-        assert_eq!(s.nulls, 1);
-        assert_eq!(s.distinct, 4);
-        assert!((s.fill_factor() - 0.8).abs() < 1e-12);
-        assert!((s.avg_fanout() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -446,32 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn attribute_accumulator_matches_whole_bitwise() {
-        let (c, a, _, _) = fixture();
-        let schema = c.table(c.table_id("a").unwrap()).clone();
-        for attr_name in ["id", "b_id"] {
-            let attr = c.attr_id("a", attr_name).unwrap();
-            let whole = attribute_stats(&c, &a, attr);
-            for n in [1usize, 2, 3] {
-                let mut acc = AttributeStatsAccumulator::new();
-                for part in &split(&c, &schema, &a, n) {
-                    acc.absorb(&c, part, attr);
-                }
-                assert_eq!(acc.finish(), whole, "attr {attr_name}, {n} partitions");
-                // Merging sub-accumulators is the same as one big absorb.
-                let parts = split(&c, &schema, &a, n);
-                let mut merged = AttributeStatsAccumulator::new();
-                for part in &parts {
-                    let mut sub = AttributeStatsAccumulator::new();
-                    sub.absorb(&c, part, attr);
-                    merged.merge(sub);
-                }
-                assert_eq!(merged.finish(), whole);
-            }
-        }
-    }
-
-    #[test]
     fn join_accumulator_matches_whole_bitwise() {
         let (c, a, b, fk) = fixture();
         let as_ = c.table(c.table_id("a").unwrap()).clone();
@@ -518,13 +340,5 @@ mod tests {
         assert_eq!(js.referenced_distinct, 1);
         let whole = join_stats(&c, fk, &a, &b);
         assert_eq!(js.nmi.to_bits(), whole.nmi.to_bits());
-    }
-
-    #[test]
-    fn entropy_helper() {
-        assert_eq!(entropy(&[]), 0.0);
-        assert_eq!(entropy(&[5]), 0.0);
-        let h = entropy(&[1, 1, 1, 1]);
-        assert!((h - (4f64).ln()).abs() < 1e-12);
     }
 }

@@ -454,7 +454,10 @@ proptest! {
                 db.catalog().qualified_name(attr.id),
                 ops.len()
             );
-            prop_assert_eq!(db.attr_stats(attr.id), rebuilt.attr_stats(attr.id));
+        }
+        for t in db.catalog().tables() {
+            let (kept, fresh) = (db.table_data(t.id), rebuilt.table_data(t.id));
+            prop_assert!(kept.slots().eq(fresh.slots()), "rows of {}", &t.name);
         }
         for fk in db.catalog().foreign_keys() {
             prop_assert_eq!(db.fk_stats(*fk), rebuilt.fk_stats(*fk));

@@ -41,6 +41,16 @@ fn insert_batch(round: i64) -> Vec<ChangeRecord> {
     ]
 }
 
+/// The retry budget of every failpoint test: four retries, short backoff.
+fn short_retry() -> RetryPolicy {
+    RetryPolicy {
+        retries: 4,
+        base: Duration::from_millis(1),
+        cap: Duration::from_millis(4),
+        jitter_seed: 1,
+    }
+}
+
 /// A primary wired to a manual clock so retry backoff takes no wall time.
 fn manual_primary(dir: &std::path::Path, db: Database, sync_policy: SyncPolicy) -> Primary {
     Primary::open_with(
@@ -49,12 +59,7 @@ fn manual_primary(dir: &std::path::Path, db: Database, sync_policy: SyncPolicy) 
         QuestConfig::default(),
         PrimaryOptions {
             sync_policy,
-            retry: RetryPolicy {
-                retries: 4,
-                base: Duration::from_millis(1),
-                cap: Duration::from_millis(4),
-                jitter_seed: 1,
-            },
+            retry: short_retry(),
             clock: Arc::new(ManualClock::new()),
             ..Default::default()
         },
@@ -208,34 +213,31 @@ fn feedback_with_foreign_terms_rejected() {
     assert!(e.feedback_configuration(&bogus, true).is_err());
 }
 
-fn sharded_primary_dir(name: &str) -> std::path::PathBuf {
+/// A fresh sharded primary over a 40-movie IMDB instance, and its directory.
+fn sharded_primary(name: &str, shard_count: usize) -> (std::path::PathBuf, ShardedPrimary) {
     let dir = std::env::temp_dir()
         .join("quest-shard-failures")
         .join(format!("{name}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-#[test]
-fn broken_shard_refuses_queries_with_a_typed_error() {
-    use quest::shard::{ShardConfig, ShardError};
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = sharded_primary_dir("fenced-read");
     let db = imdb::generate(&ImdbScale {
         movies: 40,
         seed: 3,
     })
     .expect("generate");
-    let mut primary = ShardedPrimary::open(
-        &dir,
-        db,
-        &ShardConfig {
-            shard_count: 3,
-            parallel: true,
-        },
-        QuestConfig::default(),
-    )
-    .expect("sharded primary opens");
+    let shards = quest::shard::ShardConfig {
+        shard_count,
+        parallel: true,
+    };
+    let primary = ShardedPrimary::open(&dir, db, &shards, QuestConfig::default())
+        .expect("sharded primary opens");
+    (dir, primary)
+}
+
+#[test]
+fn broken_shard_refuses_queries_with_a_typed_error() {
+    use quest::shard::ShardError;
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, mut primary) = sharded_primary("fenced-read", 3);
     assert!(primary.search("casablanca").is_ok());
 
     // One shard goes down (operator fence, e.g. after a failing disk is
@@ -264,24 +266,8 @@ fn broken_shard_refuses_queries_with_a_typed_error() {
 
 #[test]
 fn poisoned_shard_primary_is_reported_in_the_topology() {
-    use quest::shard::ShardConfig;
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = sharded_primary_dir("fenced-topology");
-    let db = imdb::generate(&ImdbScale {
-        movies: 40,
-        seed: 3,
-    })
-    .expect("generate");
-    let mut primary = ShardedPrimary::open(
-        &dir,
-        db,
-        &ShardConfig {
-            shard_count: 4,
-            parallel: true,
-        },
-        QuestConfig::default(),
-    )
-    .expect("sharded primary opens");
+    let (dir, mut primary) = sharded_primary("fenced-topology", 4);
     let healthy = primary.topology();
     assert!(healthy.is_healthy());
     assert_eq!(healthy.broken, vec![None; 4]);
@@ -401,43 +387,32 @@ fn failed_snapshot_publish_leaves_prior_snapshot_bootstrappable() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A primary under `dir` and a one-replica set supervised on `clock`, whose
+/// replica `victim` an injected apply fault has just broken mid-tail.
+fn set_with_broken_replica(
+    dir: &std::path::Path,
+    clock: &Arc<ManualClock>,
+) -> (Arc<Primary>, ReplicaSet) {
+    let primary = Arc::new(manual_primary(dir, small_db(), SyncPolicy::Never));
+    let mut set = ReplicaSet::new(Arc::clone(&primary), RoutingPolicy::RoundRobin);
+    set.set_recovery(short_retry(), clock.clone());
+    let victim = set.spawn_replica("victim").expect("spawn");
+    primary.commit(&insert_batch(0)).expect("commit");
+    victim.sync().expect("baseline sync");
+    fault::install("replica.apply@1=apply_error".parse().expect("plan parses"));
+    primary.commit(&insert_batch(1)).expect("commit");
+    assert!(victim.sync().is_err(), "the injected apply fault surfaces");
+    assert!(!victim.is_healthy());
+    (primary, set)
+}
+
 #[test]
 fn healed_replica_resumes_serving_bounded_reads() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::clear();
     let dir = failpoint_dir("quarantine-heal");
-    let db = small_db();
     let clock = Arc::new(ManualClock::new());
-    let retry = RetryPolicy {
-        retries: 4,
-        base: Duration::from_millis(1),
-        cap: Duration::from_millis(4),
-        jitter_seed: 1,
-    };
-    let primary = Arc::new(
-        Primary::open_with(
-            &dir,
-            db,
-            QuestConfig::default(),
-            PrimaryOptions {
-                retry: retry.clone(),
-                clock: clock.clone(),
-                ..Default::default()
-            },
-        )
-        .expect("primary opens"),
-    );
-    let mut set = ReplicaSet::new(Arc::clone(&primary), RoutingPolicy::RoundRobin);
-    set.set_recovery(retry, clock.clone());
-    let victim = set.spawn_replica("victim").expect("spawn");
-    primary.commit(&insert_batch(0)).expect("commit");
-    victim.sync().expect("baseline sync");
-
-    // An injected apply fault breaks the replica mid-tail.
-    fault::install("replica.apply@1=apply_error".parse().expect("plan parses"));
-    primary.commit(&insert_batch(1)).expect("commit");
-    assert!(victim.sync().is_err(), "the injected apply fault surfaces");
-    assert!(!victim.is_healthy());
+    let (primary, set) = set_with_broken_replica(&dir, &clock);
 
     // Supervision quarantines it, probes after backoff, re-bootstraps from
     // the latest snapshot, and swaps the healed instance back in.
@@ -461,5 +436,73 @@ fn healed_replica_resumes_serving_bounded_reads() {
         .expect("bounded read routes");
     assert_eq!(routed.served_by, "victim");
     assert!(routed.lsn >= last, "{routed:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Supervise under a fault that fails every probe — `site` armed for more
+/// arrivals than the budget — then once more with the fault gone. The slot
+/// must have been probed exactly `1 + retries` times (each probe consumes
+/// one injection), escalated once with the quarantine gauge still charged
+/// (one above `uncharged`), and not be probed again even though a probe
+/// would now heal it.
+fn assert_escalates_on_budget(
+    component: &str,
+    site: &str,
+    uncharged: i64,
+    clock: &ManualClock,
+    mut supervise: impl FnMut() -> usize,
+) {
+    const ARMED: usize = 16;
+    let escalations = || {
+        quest::obs::global()
+            .counter_with(fault::names::ESCALATIONS, &[("component", component)])
+            .value()
+    };
+    let before = escalations();
+    let plan: Vec<String> = (1..=ARMED)
+        .map(|hit| format!("{site}@{hit}=append_error!"))
+        .collect();
+    fault::install(plan.join(",").parse().expect("plan parses"));
+    for _ in 0..ARMED {
+        clock.advance(Duration::from_millis(20));
+        assert_eq!(supervise(), 0, "no probe can succeed");
+    }
+    assert_eq!(ARMED - fault::pending(), 1 + short_retry().retries as usize);
+    fault::clear();
+    clock.advance(Duration::from_millis(20));
+    assert_eq!(supervise(), 0, "an escalated slot is left to the operator");
+    assert_eq!(escalations(), before + 1);
+    assert_eq!(fault::quarantined(component).value(), uncharged + 1);
+}
+
+#[test]
+fn replica_supervisor_escalates_after_the_first_probe_plus_retries() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let dir = failpoint_dir("replica-escalation");
+    let clock = Arc::new(ManualClock::new());
+    let (_primary, set) = set_with_broken_replica(&dir, &clock);
+    // The first tick quarantines the slot (charging the gauge) and probes.
+    let uncharged = fault::quarantined("replica").value();
+    let site = fault::sites::REPLICA_BOOTSTRAP;
+    assert_escalates_on_budget("replica", site, uncharged, &clock, || set.supervise());
+    assert!(!set.replicas()[0].is_healthy());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shard_supervisor_escalates_after_the_first_probe_plus_retries() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let (dir, mut primary) = sharded_primary("shard-escalation", 2);
+    let clock = Arc::new(ManualClock::new());
+    primary.set_recovery(short_retry(), clock.clone());
+    let uncharged = fault::quarantined("shard").value();
+    primary.fence(1, "operator fence");
+    // Recovery reopens the shard's primary, which replays its log through
+    // `LogReader::poll` — the `wal.read` seam.
+    let site = fault::sites::WAL_READ;
+    assert_escalates_on_budget("shard", site, uncharged, &clock, || primary.supervise());
+    assert!(!primary.is_healthy());
     std::fs::remove_dir_all(&dir).ok();
 }

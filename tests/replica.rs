@@ -128,7 +128,7 @@ fn fingerprints(
         .collect()
 }
 
-/// Index/statistics/slot-layout identity — stronger than query equality.
+/// Index/join-statistics/slot-by-slot row identity — stronger than query equality.
 fn assert_structurally_identical(a: &Database, b: &Database) {
     for attr in a.catalog().attributes() {
         assert_eq!(
@@ -137,18 +137,13 @@ fn assert_structurally_identical(a: &Database, b: &Database) {
             "inverted index of {} diverged",
             a.catalog().qualified_name(attr.id)
         );
-        assert_eq!(a.attr_stats(attr.id), b.attr_stats(attr.id));
     }
     for fk in a.catalog().foreign_keys() {
         assert_eq!(a.fk_stats(*fk), b.fk_stats(*fk));
     }
     for table in a.catalog().tables() {
-        assert_eq!(
-            a.table_data(table.id).slot_count(),
-            b.table_data(table.id).slot_count(),
-            "slot layout of {} diverged",
-            table.name
-        );
+        let (a, b) = (a.table_data(table.id), b.table_data(table.id));
+        assert!(a.slots().eq(b.slots()), "slots of {} diverged", table.name);
     }
 }
 

@@ -1,15 +1,18 @@
 //! Criterion bench — experiment E6: per-module cost of the Figure 1
 //! pipeline pieces (list Viterbi, the hot-path `ListDecoder` per lattice
 //! shape, EM epoch, emission computation, the first-sight metadata row) —
-//! plus `commit_refresh`, the storage-layer cost of one commit batch.
+//! plus `commit_refresh`, the storage-layer cost of one commit batch, and
+//! `shard_open`, a sharded primary's cold open and reopen.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use quest_core::forward::ForwardModule;
 use quest_core::matcher::name_similarity;
 use quest_core::semantics::SemanticRules;
+use quest_core::QuestConfig;
 use quest_core::{DbTerm, FullAccessWrapper, KeywordQuery, SearchScratch, SourceWrapper};
 use quest_data::imdb::{self, ImdbScale};
 use quest_hmm::{baum_welch_step, list_viterbi, Hmm, ListDecoder};
+use quest_shard::{ShardConfig, ShardedPrimary};
 use relstore::{Row, Value};
 
 fn wrapper() -> FullAccessWrapper {
@@ -222,6 +225,48 @@ fn bench_commit_refresh(c: &mut Criterion) {
     g.finish();
 }
 
+/// `ShardedPrimary::open` (partition, one log + LSN-0 snapshot per shard,
+/// gateway engine) and `::reopen` (per-shard recovery, store reassembly,
+/// gateway engine) at 4 shards. The database is generated once and cloned
+/// per iteration outside the timed section; every open gets a fresh
+/// directory, and reopen reads the last one opened.
+fn bench_shard_open(c: &mut Criterion) {
+    let shards = ShardConfig::new(4);
+    let root = std::env::temp_dir().join(format!("quest-bench-shard-open-{}", std::process::id()));
+    let mut g = c.benchmark_group("shard_open");
+    g.sample_size(5);
+    for movies in [5_000usize, 25_000] {
+        let db = imdb::generate(&ImdbScale { movies, seed: 42 }).expect("generate");
+        let mut opened = 0usize;
+        let dir = |n: usize| root.join(format!("{movies}-{n}"));
+        g.bench_with_input(BenchmarkId::new("open", movies), &movies, |b, _| {
+            b.iter_batched(
+                || {
+                    opened += 1;
+                    (dir(opened), db.clone())
+                },
+                |(dir, db)| {
+                    ShardedPrimary::open(&dir, db, &shards, QuestConfig::default()).expect("open")
+                },
+                BatchSize::PerIteration,
+            )
+        });
+        let (last, catalog) = (dir(opened), db.catalog().clone());
+        g.bench_with_input(BenchmarkId::new("reopen", movies), &movies, |b, _| {
+            b.iter_batched(
+                || catalog.clone(),
+                |catalog| {
+                    ShardedPrimary::reopen(&last, catalog, &shards, QuestConfig::default())
+                        .expect("reopen")
+                },
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    g.finish();
+    std::fs::remove_dir_all(&root).ok();
+}
+
 criterion_group!(
     benches,
     bench_list_viterbi,
@@ -230,6 +275,7 @@ criterion_group!(
     bench_metadata_row_first_sight,
     bench_em_epoch,
     bench_raw_list_viterbi,
-    bench_commit_refresh
+    bench_commit_refresh,
+    bench_shard_open
 );
 criterion_main!(benches);

@@ -224,19 +224,6 @@ impl<W: SourceWrapper> Quest<W> {
         &self.wrapper
     }
 
-    /// Build a fresh engine over another wrapped source with **this**
-    /// engine's configuration.
-    ///
-    /// This is how a replica constructs its engine from a shipped snapshot
-    /// (see the `quest-replica` crate): deriving the configuration from the
-    /// primary instead of passing one separately means the two engines'
-    /// parameters — and therefore their results over identical data —
-    /// cannot drift apart. The new engine starts with no feedback state, so
-    /// it matches a cold engine over the same data bit for bit.
-    pub fn sibling<V: SourceWrapper>(&self, wrapper: V) -> Result<Quest<V>, QuestError> {
-        Quest::new(wrapper, self.config.clone())
-    }
-
     /// The forward module.
     pub fn forward(&self) -> &ForwardModule {
         &self.forward

@@ -29,18 +29,6 @@ pub enum ReplicaError {
     State(String),
 }
 
-impl ReplicaError {
-    /// Whether a retry can be expected to succeed. Only interrupted-style
-    /// WAL I/O qualifies ([`WalError::is_transient`]); engine rejections,
-    /// consistency misses, and state errors are deterministic.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            ReplicaError::Wal(e) => e.is_transient(),
-            _ => false,
-        }
-    }
-}
-
 impl fmt::Display for ReplicaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -68,7 +56,12 @@ impl std::error::Error for ReplicaError {
 
 impl From<WalError> for ReplicaError {
     fn from(e: WalError) -> Self {
-        ReplicaError::Wal(e)
+        match e {
+            // The durable log's refusals (history on create, a log below
+            // its snapshot on reopen) are this layer's state errors.
+            WalError::State(msg) => ReplicaError::State(msg),
+            e => ReplicaError::Wal(e),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! [`Primary`]: the single write point of a replicated QUEST topology.
 //!
-//! The primary owns the only [`WalWriter`] and the only mutable engine. A
+//! The primary owns the only [`DurableLog`] and the only mutable engine. A
 //! [`Primary::commit`] appends the batch to the log — assigning each record
 //! its **LSN**, the log sequence number that is the topology's global clock
 //! — and then applies it through the primary's own [`CachedEngine`], all
@@ -18,21 +18,16 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use quest_core::{FullAccessWrapper, Quest, QuestConfig, QuestError, SearchOutcome};
 use quest_fault::{Clock, RetryPolicy, SystemClock};
 use quest_obs::{TraceCtx, TraceKind};
 use quest_serve::{ApplyReport, CacheConfig, CachedEngine};
-use quest_wal::{recover, write_snapshot, ChangeRecord, SyncPolicy, WalWriter};
+use quest_wal::{ChangeRecord, DurableLog, SyncPolicy};
 use relstore::Database;
 
 use crate::error::ReplicaError;
-
-/// File name of the primary's write-ahead log inside its directory.
-const WAL_FILE: &str = "primary.wal";
-/// File name of the latest published snapshot inside the directory.
-const SNAPSHOT_FILE: &str = "latest.snap";
 
 /// Tuning knobs of a [`Primary`].
 #[derive(Debug, Clone)]
@@ -81,11 +76,11 @@ pub struct CommitReceipt {
 /// The write point: one log, one mutable engine, monotonic LSNs.
 #[derive(Debug)]
 pub struct Primary {
-    dir: PathBuf,
     engine: Arc<CachedEngine<FullAccessWrapper>>,
-    /// The single WAL writer. Held across append **and** apply in
-    /// [`Primary::commit`], so log order equals apply order.
-    wal: Mutex<WalWriter>,
+    /// The single durable log (WAL + snapshot + fault retries). Held across
+    /// append **and** apply in [`Primary::commit`], so log order equals
+    /// apply order.
+    log: Mutex<DurableLog>,
     /// Highest LSN whose effect is applied and visible to searches.
     /// Published with `Release` after the apply, so a reader that observes
     /// LSN `L` here can rely on the primary serving data at or past `L`.
@@ -93,20 +88,6 @@ pub struct Primary {
     /// Acknowledged records, in the global registry — the logical write
     /// volume the replication amplification ratio divides by.
     records_committed: quest_obs::Counter,
-    /// Backoff policy for transient WAL faults (see [`PrimaryOptions`]).
-    retry: RetryPolicy,
-    /// Time source the retry loops sleep against.
-    clock: Arc<dyn Clock>,
-}
-
-/// The committed-records counter, registered with its `# HELP` line.
-fn committed_counter() -> quest_obs::Counter {
-    let registry = quest_obs::global();
-    registry.describe(
-        crate::names::RECORDS_COMMITTED,
-        "Records committed through Primary::commit.",
-    );
-    registry.counter(crate::names::RECORDS_COMMITTED)
 }
 
 impl Primary {
@@ -127,27 +108,8 @@ impl Primary {
         config: QuestConfig,
         options: PrimaryOptions,
     ) -> Result<Primary, ReplicaError> {
-        std::fs::create_dir_all(dir).map_err(quest_wal::WalError::Io)?;
-        let wal = WalWriter::open_with(&dir.join(WAL_FILE), db.catalog(), options.sync_policy)?;
-        if wal.next_seq() != 1 {
-            return Err(ReplicaError::State(format!(
-                "{} already holds {} records; use Primary::reopen to resume it",
-                dir.join(WAL_FILE).display(),
-                wal.next_seq() - 1
-            )));
-        }
-        let engine = Quest::new(FullAccessWrapper::new(db), config)?;
-        let primary = Primary {
-            dir: dir.to_path_buf(),
-            engine: Arc::new(CachedEngine::with_caches(engine, options.caches)),
-            wal: Mutex::new(wal),
-            last_lsn: AtomicU64::new(0),
-            records_committed: committed_counter(),
-            retry: options.retry,
-            clock: options.clock,
-        };
-        primary.publish_snapshot()?;
-        Ok(primary)
+        let log = DurableLog::create(dir, &db, options.sync_policy, options.retry, options.clock)?;
+        Primary::assemble(log, db, config, options.caches)
     }
 
     /// Resume a primary from its directory: recover the database from the
@@ -158,42 +120,48 @@ impl Primary {
         config: QuestConfig,
         options: PrimaryOptions,
     ) -> Result<Primary, ReplicaError> {
-        let recovery = recover(&dir.join(SNAPSHOT_FILE), &dir.join(WAL_FILE))?;
-        let db = recovery.db;
-        let wal = WalWriter::open_with(&dir.join(WAL_FILE), db.catalog(), options.sync_policy)?;
-        let last_lsn = wal.next_seq() - 1;
-        // A log whose last sequence sits below the snapshot watermark has
-        // lost acknowledged history (publish_snapshot syncs the log before
-        // the snapshot, so this is rot or tampering, not a crash).
-        // Resuming would re-issue LSNs the snapshot — and every replica
-        // bootstrapped from it — already covers. Refuse.
-        if last_lsn < recovery.snapshot_lsn {
-            return Err(ReplicaError::State(format!(
-                "log ends at lsn {last_lsn} but the snapshot covers lsn {}; \
-                 resuming would re-issue covered LSNs",
-                recovery.snapshot_lsn
-            )));
-        }
+        let (log, db) = DurableLog::reopen(dir, options.sync_policy, options.retry, options.clock)?;
+        Primary::assemble(log, db, config, options.caches)
+    }
+
+    /// A primary serving `db`, the state after exactly the records in `log`.
+    fn assemble(
+        log: DurableLog,
+        db: Database,
+        config: QuestConfig,
+        caches: CacheConfig,
+    ) -> Result<Primary, ReplicaError> {
         let engine = Quest::new(FullAccessWrapper::new(db), config)?;
+        let registry = quest_obs::global();
+        registry.describe(
+            crate::names::RECORDS_COMMITTED,
+            "Records committed through Primary::commit.",
+        );
         Ok(Primary {
-            dir: dir.to_path_buf(),
-            engine: Arc::new(CachedEngine::with_caches(engine, options.caches)),
-            wal: Mutex::new(wal),
-            last_lsn: AtomicU64::new(last_lsn),
-            records_committed: committed_counter(),
-            retry: options.retry,
-            clock: options.clock,
+            engine: Arc::new(CachedEngine::with_caches(engine, caches)),
+            last_lsn: AtomicU64::new(log.last_lsn()),
+            log: Mutex::new(log),
+            records_committed: registry.counter(crate::names::RECORDS_COMMITTED),
         })
+    }
+
+    /// Every update leaves the log valid at every step (a failed append
+    /// rolls back or poisons the writer, which the next call heals), so a
+    /// panic under the lock does not invalidate it.
+    fn log(&self) -> MutexGuard<'_, DurableLog> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Commit a mutation batch: write-ahead to the log (assigning LSNs),
     /// then apply through the serving engine — both under the writer lock,
     /// so concurrent commits serialize and log order equals apply order.
     ///
-    /// The batch is appended **all-or-nothing**
-    /// ([`WalWriter::append_batch`]): a failed append rolls the log back
-    /// and applies nothing, so the live primary can never diverge from a
-    /// log that holds only a prefix of a batch it reported failed.
+    /// The batch is appended **all-or-nothing** ([`DurableLog::append`],
+    /// which also retries transient faults in place): a failed append rolls
+    /// the log back and applies nothing, so the live primary can never
+    /// diverge from a log that holds only a prefix of a batch it reported
+    /// failed. The one failure that cannot roll back (a *post-write* fsync
+    /// failure) applies the batch here too and still returns the error.
     ///
     /// Rejected records are part of the committed history (they are logged,
     /// and every replica re-rejects them identically); the receipt's
@@ -205,7 +173,7 @@ impl Primary {
     /// a replica tailing the shared log may legitimately apply (and serve)
     /// a batch in the window between the append and the publish.
     pub fn commit(&self, batch: &[ChangeRecord]) -> Result<CommitReceipt, ReplicaError> {
-        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut log = self.log();
         if batch.is_empty() {
             return Ok(CommitReceipt {
                 first_lsn: self.last_lsn() + 1,
@@ -223,77 +191,20 @@ impl Primary {
             TraceCtx::detached(TraceKind::Commit)
         };
         let commit_started = collector.start();
-        let first_lsn = wal.next_seq();
-        // Transient faults are retried in place under the backoff policy:
-        // each turn first reconciles a poisoned writer (heal — see below),
-        // then (re-)appends. `landed_report` is set once the batch is known
-        // to be permanently in the log, and from then on the loop only ever
-        // heals — re-appending would duplicate the records.
-        let mut landed_report: Option<ApplyReport> = None;
-        let mut attempt: u32 = 0;
-        let backoff = |e: ReplicaError, attempt: &mut u32| -> Result<(), ReplicaError> {
-            if self
-                .retry
-                .backoff(self.clock.as_ref(), e.is_transient(), attempt)
-            {
-                Ok(())
-            } else {
-                Err(e)
-            }
-        };
-        let (first_lsn, last_lsn) = loop {
-            if wal.poisoned() {
-                match wal.heal() {
-                    Ok(()) => {
-                        if landed_report.is_some() {
-                            // The batch landed before a post-write fsync
-                            // poison; the heal's successful fsync IS the
-                            // durability barrier the append was missing, so
-                            // the commit completes without re-appending.
-                            break (first_lsn, first_lsn + batch.len() as u64 - 1);
-                        }
-                        // Healed a rollback-failure poison: the log is back
-                        // at its pre-batch state. Fall through and append.
-                    }
-                    Err(e) => {
-                        backoff(e.into(), &mut attempt)?;
-                        continue;
-                    }
-                }
-            }
-            match wal.append_batch_in(batch, ctx) {
-                Ok(range) => break range,
-                Err(e) => {
-                    // A *post-write* fsync failure (writer poisoned,
-                    // next_seq advanced past the batch) leaves the records
-                    // permanently in the log, where replicas may already be
-                    // tailing them. Apply them here too so this primary
-                    // stays consistent with its own log — whether or not
-                    // the fault turns out to be retryable. Any other
-                    // failure rolled the log back (or wrote nothing), so
-                    // there is nothing to reconcile and the re-append
-                    // reuses the same LSNs.
-                    if wal.poisoned() && wal.next_seq() == first_lsn + batch.len() as u64 {
-                        let report = self.engine.apply_in(batch, ctx)?;
-                        self.last_lsn.store(wal.next_seq() - 1, Ordering::Release);
-                        landed_report = Some(report);
-                    }
-                    // Non-retryable: the commit is NOT acknowledged — for a
-                    // landed batch its durability is unknown — but commit
-                    // failure is not rollback under write-ahead logging.
-                    backoff(e.into(), &mut attempt)?;
-                }
-            }
-        };
-        let report = match landed_report {
-            Some(report) => report,
-            None => self.engine.apply_in(batch, ctx)?,
-        };
+        let lsn_before = log.last_lsn();
+        let appended = log.append(batch, ctx);
+        if log.last_lsn() == lsn_before {
+            // Rolled back: nothing is in the log, so nothing is applied.
+            return Err(appended.expect_err("an append advances the log").into());
+        }
+        // The whole batch is in the log — also when the append reports a
+        // post-write failure — so mirror it. Publish only after the apply:
+        // a client that reads LSN L off a receipt (or off `last_lsn`) may
+        // immediately demand data at L from this very primary.
+        let report = self.engine.apply_in(batch, ctx)?;
+        self.last_lsn.store(log.last_lsn(), Ordering::Release);
+        let (first_lsn, last_lsn) = appended?;
         self.records_committed.add(batch.len() as u64);
-        // Publish only after the apply: a client that reads LSN L off a
-        // receipt (or off `last_lsn`) may immediately demand data at L
-        // from this very primary.
-        self.last_lsn.store(last_lsn, Ordering::Release);
         collector.record_with(
             ctx,
             "primary_commit",
@@ -314,29 +225,7 @@ impl Primary {
     /// Transient faults (and a heal-able poisoned writer) are retried under
     /// the backoff policy.
     pub fn sync(&self) -> Result<(), ReplicaError> {
-        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
-        self.sync_wal(&mut wal)
-    }
-
-    /// Heal-then-fsync with retries, for use under the writer lock.
-    fn sync_wal(&self, wal: &mut WalWriter) -> Result<(), ReplicaError> {
-        let mut attempt: u32 = 0;
-        loop {
-            // heal() truncates any torn tail and fsyncs; on a healthy
-            // writer it is a no-op, so the explicit sync below still runs.
-            let result = if wal.poisoned() {
-                wal.heal()
-            } else {
-                wal.sync()
-            };
-            let Err(e) = result else { return Ok(()) };
-            if !self
-                .retry
-                .backoff(self.clock.as_ref(), e.is_transient(), &mut attempt)
-            {
-                return Err(e.into());
-            }
-        }
+        Ok(self.log().sync()?)
     }
 
     /// Write a fresh snapshot of the current state at the current LSN
@@ -346,28 +235,9 @@ impl Primary {
     /// Holds the writer lock, so the snapshot is slot-exact for its LSN: no
     /// commit can interleave between reading the LSN and the data.
     pub fn publish_snapshot(&self) -> Result<u64, ReplicaError> {
-        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
-        // The snapshot must never become durable ahead of the log it
-        // watermarks: a crash in between would leave a snapshot covering
-        // LSNs the log does not hold, and a resumed primary would re-issue
-        // them. fsync the log first, whatever the SyncPolicy says.
-        self.sync_wal(&mut wal)?;
-        let lsn = self.last_lsn();
+        let mut log = self.log();
         let engine = self.engine.engine();
-        let mut attempt: u32 = 0;
-        while let Err(e) = write_snapshot(engine.wrapper().database(), &self.snapshot_path(), lsn) {
-            // A failed publish never harms bootstrap: the write-to-temp
-            // then rename protocol leaves the previous snapshot intact.
-            if !self
-                .retry
-                .backoff(self.clock.as_ref(), e.is_transient(), &mut attempt)
-            {
-                return Err(e.into());
-            }
-        }
-        drop(engine);
-        drop(wal);
-        Ok(lsn)
+        Ok(log.publish_snapshot(engine.wrapper().database())?)
     }
 
     /// Highest LSN whose effect is applied and visible to searches.
@@ -386,19 +256,14 @@ impl Primary {
         &self.engine
     }
 
-    /// Directory holding the log and the published snapshot.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the write-ahead log replicas tail.
     pub fn wal_path(&self) -> PathBuf {
-        self.dir.join(WAL_FILE)
+        self.log().wal_path()
     }
 
     /// Path of the latest published snapshot replicas bootstrap from.
     pub fn snapshot_path(&self) -> PathBuf {
-        self.dir.join(SNAPSHOT_FILE)
+        self.log().snapshot_path()
     }
 }
 

@@ -128,25 +128,14 @@ impl Replica {
     /// Bootstrap from a primary's published snapshot and log, deriving the
     /// engine configuration from the primary itself.
     pub fn from_primary(name: &str, primary: &Primary) -> Result<Replica, ReplicaError> {
-        if let Some(fault) = quest_fault::fire(quest_fault::sites::REPLICA_BOOTSTRAP) {
-            match fault.kind {
-                quest_fault::FaultKind::SlowIo => fault.stall(),
-                _ => return Err(quest_wal::WalError::Io(fault.io_error()).into()),
-            }
-        }
-        let snapshot = read_snapshot(&primary.snapshot_path())?;
-        let reader = attach_reader(&primary.wal_path(), &snapshot)?;
-        let engine = primary
-            .engine()
-            .engine()
-            .sibling(FullAccessWrapper::new(snapshot.db))?;
-        Ok(Replica::assemble(
+        let config = primary.engine().engine().config().clone();
+        Replica::bootstrap(
             name,
-            engine,
-            reader,
-            snapshot.last_seq,
+            &primary.snapshot_path(),
+            &primary.wal_path(),
+            config,
             CacheConfig::default(),
-        ))
+        )
     }
 
     fn assemble(

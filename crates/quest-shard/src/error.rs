@@ -3,8 +3,8 @@
 use std::fmt;
 
 use quest_core::QuestError;
-use quest_replica::ReplicaError;
 use quest_serve::ServeError;
+use quest_wal::WalError;
 use relstore::StoreError;
 
 /// Anything that can go wrong inside the sharding layer.
@@ -18,14 +18,14 @@ pub enum ShardError {
     Engine(QuestError),
     /// The serving layer failed to apply a batch or re-sync.
     Serve(ServeError),
-    /// A per-shard replication primitive (WAL, snapshot, recovery) failed.
-    Replica(ReplicaError),
+    /// A shard's durable log failed: WAL or snapshot I/O, corruption, a
+    /// schema mismatch, or a log/snapshot pair that must not be resumed.
+    Wal(WalError),
     /// A row was found on a shard its primary key does not hash to.
     Placement(String),
-    /// Shard recovery could not verify the healed shard (replayed LSN
-    /// outside the fence window, pending records re-rejected, watermark
-    /// mismatch) — or the shard's copy diverged from the gateway's global
-    /// decision. The shard stays fenced.
+    /// Shard recovery could not verify the healed log (replayed LSN outside
+    /// the fence window, or a final watermark other than the fence
+    /// expected). The shard stays fenced.
     Recovery(String),
     /// A shard is fenced: it failed a commit (or an operator fenced it) and
     /// the set refuses to serve queries or writes until it is repaired —
@@ -38,19 +38,6 @@ pub enum ShardError {
     },
 }
 
-impl ShardError {
-    /// Whether a retry can be expected to succeed. Only interrupted-style
-    /// I/O surfaced through the replica layer qualifies
-    /// ([`ReplicaError::is_transient`]); config, placement, and fence
-    /// refusals are deterministic.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            ShardError::Replica(e) => e.is_transient(),
-            _ => false,
-        }
-    }
-}
-
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -58,7 +45,7 @@ impl fmt::Display for ShardError {
             ShardError::Store(e) => write!(f, "store: {e}"),
             ShardError::Engine(e) => write!(f, "engine: {e}"),
             ShardError::Serve(e) => write!(f, "serve: {e}"),
-            ShardError::Replica(e) => write!(f, "replica: {e}"),
+            ShardError::Wal(e) => write!(f, "wal: {e}"),
             ShardError::Placement(m) => write!(f, "placement: {m}"),
             ShardError::Recovery(m) => write!(f, "recovery: {m}"),
             ShardError::ShardDown { shard, reason } => {
@@ -88,8 +75,8 @@ impl From<ServeError> for ShardError {
     }
 }
 
-impl From<ReplicaError> for ShardError {
-    fn from(e: ReplicaError) -> ShardError {
-        ShardError::Replica(e)
+impl From<WalError> for ShardError {
+    fn from(e: WalError) -> ShardError {
+        ShardError::Wal(e)
     }
 }

@@ -31,12 +31,13 @@
 //!   out per `(keyword, attribute)` pair. The scatter runs inline on the
 //!   querying thread: threads are for data-proportional work (builds,
 //!   statistics, full-table scans), never for a read's hash lookups.
-//! * [`ShardedPrimary`] — a shard is the unit of replication: each shard
-//!   commits through its own [`Primary`](quest_replica::Primary) (own WAL,
-//!   own snapshots), a router fans accepted records out by partition key,
-//!   and a shard that fails a commit is fenced in the topology — queries
-//!   against a set with a broken shard return a typed
-//!   [`ShardError::ShardDown`], never silently partial results.
+//! * [`ShardedPrimary`] — a shard is the unit of replication. The gateway's
+//!   store holds the only copy of the rows; each shard adds a
+//!   [`DurableLog`](quest_wal::DurableLog) (own WAL, own snapshots, no
+//!   rows), a router appends accepted records to the log of the shard
+//!   their partition key owns, and a shard whose append fails is fenced in
+//!   the topology — queries against a set with a broken shard return a
+//!   typed [`ShardError::ShardDown`], never silently partial results.
 //!
 //! The identity discipline is pinned end to end by `tests/shard.rs` (the
 //! repo-level shard identity suite) and by this crate's partitioner
@@ -79,7 +80,6 @@ pub mod names {
     pub const SCATTER_USED: &str = "quest_shard_scatter_results_used_total";
     /// Searches or commits refused because a shard was fenced (counter).
     pub const DOWN: &str = "quest_shard_down_total";
-    /// Shards fenced — by a failed commit, a divergent copy, or an
-    /// operator (counter).
+    /// Shards fenced — by a failed commit or an operator (counter).
     pub const FENCE: &str = "quest_shard_fence_total";
 }

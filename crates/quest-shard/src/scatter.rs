@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use quest_core::{Quest, QuestConfig, QuestError, SearchOutcome, SourceWrapper};
-use quest_serve::{ApplyReport, CacheConfig, CachedEngine, ServeError, ServeStats};
+use quest_serve::{ApplyReport, CachedEngine, ServeError, ServeStats};
 use quest_wal::ChangeRecord;
 use relstore::Database;
 
@@ -40,23 +40,14 @@ impl ScatterGather {
     /// Serve an existing sharded store with default cache sizing.
     pub fn from_store(
         store: ShardedStore,
-        config: QuestConfig,
-    ) -> Result<ScatterGather, ShardError> {
-        Self::from_store_with(store, config, CacheConfig::default())
-    }
-
-    /// Serve an existing sharded store with explicit cache sizing.
-    pub fn from_store_with(
-        store: ShardedStore,
         mut config: QuestConfig,
-        caches: CacheConfig,
     ) -> Result<ScatterGather, ShardError> {
         // Keep the engine config's shard knob in sync with the actual
         // partitioning, so config introspection and ServeStats agree.
         config.shard_count = store.shard_count();
         let engine = Quest::new(ShardedWrapper::new(store), config)?;
         Ok(ScatterGather {
-            engine: Arc::new(CachedEngine::with_caches(engine, caches)),
+            engine: Arc::new(CachedEngine::new(engine)),
         })
     }
 

@@ -1,15 +1,18 @@
 //! [`ShardedPrimary`]: a shard as the unit of replication.
 //!
-//! Each shard owns a full [`Primary`] — its own write-ahead log, its own
-//! snapshots, its own recovery — over the shard's FK-less database. A
-//! gateway [`ScatterGather`] engine (over a store that mirrors the shards)
-//! performs the *global* accept/reject decisions and serves searches; the
-//! router then fans each **accepted** record out to the shard its partition
-//! key owns. Because acceptance was decided globally, a shard never rejects
-//! a record it is handed — its WAL replays deterministically — and a shard
-//! whose commit fails anyway (I/O, poisoned log) is **fenced**: the
-//! topology reports it broken and every subsequent search or commit returns
-//! a typed [`ShardError::ShardDown`] instead of silently partial results.
+//! There is **one copy** of every row, and the gateway owns it: a
+//! [`ScatterGather`] engine over the [`ShardedStore`] performs the *global*
+//! accept/reject decisions and serves searches. Each shard adds only a
+//! [`DurableLog`] — its own write-ahead log and snapshots in
+//! `dir/shard-NNN/`, holding no rows — and the router appends each
+//! **accepted** record to the log of the shard its partition key owns.
+//! Because acceptance was decided globally, a shard's log replays
+//! deterministically over that shard's FK-less database, which is how a
+//! cold [`ShardedPrimary::reopen`] rebuilds the store and how a stock
+//! per-shard `Replica` follows it. A shard whose append fails (I/O,
+//! poisoned log) is **fenced**: the topology reports it broken and every
+//! subsequent search or commit returns a typed [`ShardError::ShardDown`]
+//! instead of silently partial results.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -18,9 +21,9 @@ use std::time::Duration;
 
 use quest_core::{QuestConfig, SearchOutcome};
 use quest_fault::{Clock, FaultKind, RetryPolicy, SystemClock};
-use quest_replica::{Primary, PrimaryOptions, ReplicaError};
+use quest_obs::{TraceCtx, TraceKind};
 use quest_serve::ApplyReport;
-use quest_wal::ChangeRecord;
+use quest_wal::{ChangeRecord, DurableLog, SyncPolicy, WalError};
 use relstore::{Catalog, Database, Row, TableData};
 
 use crate::config::ShardConfig;
@@ -29,7 +32,7 @@ use crate::partition::Partitioner;
 use crate::scatter::ScatterGather;
 use crate::store::ShardedStore;
 
-/// Subdirectory of one shard's primary inside the set's directory.
+/// Subdirectory of one shard's log inside the set's directory.
 fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:03}"))
 }
@@ -136,37 +139,35 @@ pub struct ShardReceipt {
     pub lsns: Vec<u64>,
 }
 
-/// The sharded write point: a gateway engine for global decisions and
-/// searches, plus one [`Primary`] per shard for durability.
+/// The sharded write point: a gateway engine that owns the rows, decides
+/// globally and serves searches, plus one [`DurableLog`] per shard for
+/// durability.
 ///
-/// The gateway's store and the shard primaries hold separate copies of the
-/// shard databases; they stay in lockstep because both apply exactly the
-/// accepted records in batch order. That duplication buys clean layering —
-/// each shard primary is a stock, independently recoverable `Primary` that
-/// existing [`Replica`](quest_replica::Replica)s can bootstrap from and
-/// tail, unchanged.
+/// The logs hold no data of their own. They stay in lockstep with the
+/// gateway's store because every commit appends to them exactly the records
+/// the store accepted, in batch order; while a shard is fenced the store is
+/// ahead of that shard's log by the fence's pending records, which is why a
+/// fenced set refuses snapshots as well as reads and writes.
 #[derive(Debug)]
 pub struct ShardedPrimary {
     catalog: Catalog,
     partitioner: Partitioner,
-    shards: Vec<Primary>,
+    logs: Vec<DurableLog>,
     fences: Vec<Option<FenceState>>,
     gateway: ScatterGather,
-    /// Root directory of the set — each shard's primary lives in
+    /// Root directory of the set — each shard's log lives in
     /// `dir/shard-NNN/`, which is where [`ShardedPrimary::recover`] reopens
     /// it from.
     dir: PathBuf,
-    /// The single-partition engine config every shard primary runs under.
-    shard_engine_config: QuestConfig,
     retry: RetryPolicy,
     clock: Arc<dyn Clock>,
 }
 
 impl ShardedPrimary {
     /// Start a fresh sharded primary in `dir` over `db`: the database is
-    /// hash-partitioned, each shard's primary opens in `dir/shard-NNN/`
-    /// (publishing a bootstrap snapshot at LSN 0), and the gateway engine
-    /// is built over the same partitioning.
+    /// hash-partitioned, each shard's log is created in `dir/shard-NNN/`
+    /// (publishing a bootstrap snapshot of that shard at LSN 0), and the
+    /// gateway engine takes the partitioned store.
     pub fn open(
         dir: &Path,
         db: Database,
@@ -174,39 +175,27 @@ impl ShardedPrimary {
         config: QuestConfig,
     ) -> Result<ShardedPrimary, ShardError> {
         let store = ShardedStore::from_database(&db, shard_config)?;
-        let mut shard_engine_config = config.clone();
-        shard_engine_config.shard_count = 1; // each shard primary is a single partition
-        let mut shards = Vec::with_capacity(store.shard_count());
-        for i in 0..store.shard_count() {
-            shards.push(Primary::open(
-                &shard_dir(dir, i),
-                store.shard(i).clone(),
-                shard_engine_config.clone(),
-            )?);
-        }
-        let partitioner = *store.partitioner();
-        let catalog = store.catalog().clone();
-        let fences = vec![None; store.shard_count()];
-        let gateway = ScatterGather::from_store(store, config)?;
-        Ok(ShardedPrimary {
-            catalog,
-            partitioner,
-            shards,
-            fences,
-            gateway,
-            dir: dir.to_path_buf(),
-            shard_engine_config,
-            retry: RetryPolicy::from_env(),
-            clock: Arc::new(SystemClock::new()),
-        })
+        let retry = RetryPolicy::from_env();
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+        let logs = (0..store.shard_count())
+            .map(|i| {
+                DurableLog::create(
+                    &shard_dir(dir, i),
+                    store.shard(i),
+                    SyncPolicy::default(),
+                    retry.clone(),
+                    clock.clone(),
+                )
+            })
+            .collect::<Result<Vec<_>, WalError>>()?;
+        ShardedPrimary::assemble(dir, store, logs, config, retry, clock)
     }
 
-    /// Resume a sharded primary: recover every shard's primary from its
-    /// snapshot + log suffix, reassemble the gateway store from the
-    /// recovered shard databases (verifying placement and global
-    /// referential integrity), and continue each shard's LSN sequence.
-    /// `catalog` is the full catalog — foreign keys included — which the
-    /// FK-less shard logs cannot carry.
+    /// Resume a sharded primary: recover every shard's database from its
+    /// snapshot + log suffix, move the recovered databases into the gateway
+    /// store (verifying placement and global referential integrity), and
+    /// continue each shard's LSN sequence. `catalog` is the full catalog —
+    /// foreign keys included — which the FK-less shard logs cannot carry.
     pub fn reopen(
         dir: &Path,
         catalog: Catalog,
@@ -214,45 +203,54 @@ impl ShardedPrimary {
         config: QuestConfig,
     ) -> Result<ShardedPrimary, ShardError> {
         shard_config.validate()?;
-        let mut shard_engine_config = config.clone();
-        shard_engine_config.shard_count = 1;
-        let mut shards = Vec::with_capacity(shard_config.shard_count);
+        let retry = RetryPolicy::from_env();
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+        let mut logs = Vec::with_capacity(shard_config.shard_count);
         let mut dbs = Vec::with_capacity(shard_config.shard_count);
         for i in 0..shard_config.shard_count {
-            let primary = Primary::reopen(
+            let (log, db) = DurableLog::reopen(
                 &shard_dir(dir, i),
-                shard_engine_config.clone(),
-                PrimaryOptions::default(),
+                SyncPolicy::default(),
+                retry.clone(),
+                clock.clone(),
             )?;
-            let db = {
-                let engine = primary.engine().engine();
-                engine.wrapper().database().clone()
-            };
+            logs.push(log);
             dbs.push(db);
-            shards.push(primary);
         }
-        let store = ShardedStore::from_shards(catalog.clone(), dbs, shard_config)?;
-        let partitioner = *store.partitioner();
-        let fences = vec![None; shard_config.shard_count];
-        let gateway = ScatterGather::from_store(store, config)?;
+        let store = ShardedStore::from_shards(catalog, dbs, shard_config)?;
+        ShardedPrimary::assemble(dir, store, logs, config, retry, clock)
+    }
+
+    /// A healthy set serving `store`, shard `i` of which is the state after
+    /// exactly the records in `logs[i]`.
+    fn assemble(
+        dir: &Path,
+        store: ShardedStore,
+        logs: Vec<DurableLog>,
+        config: QuestConfig,
+        retry: RetryPolicy,
+        clock: Arc<dyn Clock>,
+    ) -> Result<ShardedPrimary, ShardError> {
         Ok(ShardedPrimary {
-            catalog,
-            partitioner,
-            shards,
-            fences,
-            gateway,
+            catalog: store.catalog().clone(),
+            partitioner: *store.partitioner(),
+            fences: vec![None; logs.len()],
+            logs,
+            gateway: ScatterGather::from_store(store, config)?,
             dir: dir.to_path_buf(),
-            shard_engine_config,
-            retry: RetryPolicy::from_env(),
-            clock: Arc::new(SystemClock::new()),
+            retry,
+            clock,
         })
     }
 
-    /// Override the retry policy and clock used by commit-level retries and
-    /// by [`ShardedPrimary::supervise`]'s probe-after-backoff scheduling.
-    /// Tests inject a [`ManualClock`](quest_fault::ManualClock) so no
-    /// wall-clock time passes.
+    /// Override the retry policy and clock at every level of the set: WAL
+    /// retries inside each shard's log, commit-level retries, and
+    /// [`ShardedPrimary::supervise`]'s probe-after-backoff scheduling. Tests
+    /// inject a [`ManualClock`](quest_fault::ManualClock): no wall time passes.
     pub fn set_recovery(&mut self, retry: RetryPolicy, clock: Arc<dyn Clock>) {
+        for log in &mut self.logs {
+            log.set_recovery(retry.clone(), clock.clone());
+        }
         self.retry = retry;
         self.clock = clock;
     }
@@ -263,104 +261,87 @@ impl ShardedPrimary {
     /// per-record accept/reject, epoch bump — producing a report identical
     /// to the unsharded serving layer's. Accepted records are then grouped
     /// by owning shard (order preserved; a PK-moving update becomes a
-    /// delete on the old shard and an insert on the new one) and committed
-    /// through each shard's [`Primary`]. A commit-level fault classified
-    /// transient ([`ShardError::is_transient`]) is retried under the set's
-    /// [`RetryPolicy`] before giving up. A shard whose commit still fails —
-    /// or that, impossibly, rejects a globally accepted record — is fenced
-    /// **with its pending records captured**, the remaining shards are
-    /// committed anyway (their logs must not fall behind the gateway copy),
-    /// and the commit returns the first [`ShardError::ShardDown`]. The
-    /// fence holds everything [`ShardedPrimary::recover`] needs to re-drive
-    /// the missed slice and rejoin the set.
+    /// delete on the old shard and an insert on the new one) and appended
+    /// to each shard's [`DurableLog`]. A commit-level fault classified
+    /// transient ([`WalError::is_transient`]) is retried under the set's
+    /// [`RetryPolicy`] before giving up. A shard whose append still fails
+    /// is fenced **with its pending records captured**, the remaining
+    /// shards are appended anyway (their logs must not fall behind the
+    /// store), and the commit returns the first [`ShardError::ShardDown`].
+    /// The fence holds everything [`ShardedPrimary::recover`] needs to
+    /// re-drive the missed slice and rejoin the set.
     pub fn commit(&mut self, batch: &[ChangeRecord]) -> Result<ShardReceipt, ShardError> {
         self.ensure_healthy()?;
         let report = self.gateway.apply(batch)?;
         let rejected: HashSet<usize> = report.rejected.iter().map(|(i, _)| *i).collect();
-        let mut per_shard: Vec<Vec<ChangeRecord>> = vec![Vec::new(); self.shards.len()];
+        let mut per_shard: Vec<Vec<ChangeRecord>> = vec![Vec::new(); self.logs.len()];
         for (i, record) in batch.iter().enumerate() {
             if rejected.contains(&i) {
                 continue;
             }
             self.route_record(record, &mut per_shard)?;
         }
-        let mut lsns = vec![0u64; self.shards.len()];
         let mut first_down: Option<ShardError> = None;
-        for (s, records) in per_shard.iter().enumerate() {
+        for (s, records) in per_shard.into_iter().enumerate() {
             if records.is_empty() {
-                lsns[s] = self.shards[s].last_lsn();
                 continue;
             }
-            let lsn_before = self.shards[s].last_lsn();
-            match self.commit_shard(s, records) {
-                Ok(last_lsn) => lsns[s] = last_lsn,
-                Err(e) => {
-                    let reason = e.to_string();
-                    self.install_fence(s, reason.clone(), lsn_before, records.clone());
-                    lsns[s] = self.shards[s].last_lsn();
-                    if first_down.is_none() {
-                        first_down = Some(ShardError::ShardDown { shard: s, reason });
-                    }
-                }
+            let lsn_before = self.logs[s].last_lsn();
+            if let Err(e) = self.append_to_shard(s, &records) {
+                let reason = e.to_string();
+                self.install_fence(s, reason.clone(), lsn_before, records);
+                first_down.get_or_insert(ShardError::ShardDown { shard: s, reason });
             }
         }
         match first_down {
             Some(e) => Err(e),
-            None => Ok(ShardReceipt { report, lsns }),
+            None => Ok(ShardReceipt {
+                report,
+                lsns: self.logs.iter().map(DurableLog::last_lsn).collect(),
+            }),
         }
     }
 
-    /// Drive `records` into shard `s`'s primary, retrying transient faults
-    /// under the set's [`RetryPolicy`].
-    fn commit_shard(&mut self, s: usize, records: &[ChangeRecord]) -> Result<u64, ShardError> {
+    /// Append `records` to shard `s`'s log, retrying transient commit-level
+    /// faults under the set's [`RetryPolicy`] (WAL-level faults are retried
+    /// inside [`DurableLog::append`], under the same policy).
+    fn append_to_shard(&mut self, s: usize, records: &[ChangeRecord]) -> Result<(), ShardError> {
         let mut attempt = 0u32;
-        loop {
-            if let Some(fault) = quest_fault::fire(quest_fault::sites::SHARD_COMMIT) {
-                if matches!(fault.kind, FaultKind::SlowIo) {
-                    fault.stall();
-                } else {
-                    let err: ShardError =
-                        ReplicaError::Wal(quest_wal::WalError::Io(fault.io_error())).into();
-                    if self
-                        .retry
-                        .backoff(self.clock.as_ref(), err.is_transient(), &mut attempt)
-                    {
-                        continue;
-                    }
-                    return Err(err);
-                }
+        while let Some(fault) = quest_fault::fire(quest_fault::sites::SHARD_COMMIT) {
+            if matches!(fault.kind, FaultKind::SlowIo) {
+                fault.stall();
+                break;
             }
-            let receipt = self.shards[s].commit(records)?;
-            if !receipt.report.all_applied() {
-                // The shard's copy disagreed with the gateway's global
-                // decision: the copies have diverged. Not retryable.
-                return Err(ShardError::Recovery(format!(
-                    "shard rejected {} globally accepted record(s)",
-                    receipt.report.rejected.len()
-                )));
+            let err = WalError::Io(fault.io_error());
+            if !self
+                .retry
+                .backoff(self.clock.as_ref(), err.is_transient(), &mut attempt)
+            {
+                return Err(err.into());
             }
-            return Ok(receipt.last_lsn);
         }
+        self.logs[s].append(records, TraceCtx::detached(TraceKind::Commit))?;
+        Ok(())
     }
 
-    /// Heal fenced shard `shard` in place: reopen its primary from
-    /// snapshot + log suffix, verify the replayed watermark lies inside the
-    /// fence window, re-commit whatever suffix of the fence's pending
-    /// records the log misses, verify the final watermark matches the
-    /// fence's expectation exactly, then swap the fresh primary in and lift
-    /// the fence. On any verification failure the shard stays fenced and
-    /// the error becomes the fence's new reason.
+    /// Heal fenced shard `shard` in place: reopen its log exactly as a cold
+    /// start would (snapshot + log suffix replayed and validated), verify
+    /// the replayed watermark lies inside the fence window, append whatever
+    /// suffix of the fence's pending records the log misses, verify the
+    /// final watermark matches the fence's expectation exactly, then swap
+    /// the fresh log in and lift the fence. On any verification failure the
+    /// shard stays fenced and the error becomes the fence's new reason.
     pub fn recover(&mut self, shard: usize) -> Result<(), ShardError> {
-        let fence = match &self.fences[shard] {
-            Some(f) => f.clone(),
-            None => return Ok(()),
+        let Some(fence) = &self.fences[shard] else {
+            return Ok(());
         };
-        let primary = Primary::reopen(
+        let (mut log, replayed_db) = DurableLog::reopen(
             &shard_dir(&self.dir, shard),
-            self.shard_engine_config.clone(),
-            PrimaryOptions::default(),
+            SyncPolicy::default(),
+            self.retry.clone(),
+            self.clock.clone(),
         )?;
-        let replayed = primary.last_lsn();
+        let replayed = log.last_lsn();
         let expect = fence.lsn_before + fence.pending.len() as u64;
         if replayed < fence.lsn_before || replayed > expect {
             return Err(ShardError::Recovery(format!(
@@ -370,25 +351,21 @@ impl ShardedPrimary {
             )));
         }
         // The log already holds `replayed - lsn_before` of the pending
-        // records (a torn commit can land a prefix); re-drive only the
+        // records (a torn commit can land a prefix); append only the
         // missing suffix so nothing is logged twice.
         let missing = &fence.pending[(replayed - fence.lsn_before) as usize..];
-        if !missing.is_empty() {
-            let receipt = primary.commit(missing)?;
-            if !receipt.report.all_applied() {
-                return Err(ShardError::Recovery(format!(
-                    "shard {shard} re-rejected {} pending record(s) during recovery",
-                    receipt.report.rejected.len()
-                )));
-            }
-        }
-        if primary.last_lsn() != expect {
+        log.append(missing, TraceCtx::detached(TraceKind::Commit))?;
+        if log.last_lsn() != expect {
             return Err(ShardError::Recovery(format!(
                 "shard {shard} recovered to lsn {} but the fence expected {expect}",
-                primary.last_lsn()
+                log.last_lsn()
             )));
         }
-        self.shards[shard] = primary;
+        // The replay proved the snapshot + log pair still loads; the rows
+        // themselves are served from the gateway's store, which never
+        // stopped holding them.
+        drop(replayed_db);
+        self.logs[shard] = log;
         self.fences[shard] = None;
         quest_fault::quarantined("shard").sub(1);
         quest_fault::count_heal("shard");
@@ -485,8 +462,8 @@ impl ShardedPrimary {
     /// The current replication state of the set.
     pub fn topology(&self) -> ShardTopology {
         ShardTopology {
-            shard_count: self.shards.len(),
-            lsns: self.shards.iter().map(Primary::last_lsn).collect(),
+            shard_count: self.logs.len(),
+            lsns: self.logs.iter().map(DurableLog::last_lsn).collect(),
             broken: self
                 .fences
                 .iter()
@@ -501,7 +478,7 @@ impl ShardedPrimary {
     /// [`ShardedPrimary::supervise`] attempts automatically (an operator
     /// fence carries no pending records, so recovery is reopen + verify).
     pub fn fence(&mut self, shard: usize, reason: impl Into<String>) {
-        let lsn_before = self.shards[shard].last_lsn();
+        let lsn_before = self.logs[shard].last_lsn();
         self.install_fence(shard, reason.into(), lsn_before, Vec::new());
     }
 
@@ -547,26 +524,36 @@ impl ShardedPrimary {
     }
 
     /// Fsync every shard's log (group durability point).
-    pub fn sync(&self) -> Result<(), ShardError> {
-        for primary in &self.shards {
-            primary.sync()?;
+    pub fn sync(&mut self) -> Result<(), ShardError> {
+        for log in &mut self.logs {
+            log.sync()?;
         }
         Ok(())
     }
 
-    /// Publish a snapshot on every shard, returning each shard's snapshot
-    /// LSN. New replicas bootstrap per shard from these.
-    pub fn publish_snapshots(&self) -> Result<Vec<u64>, ShardError> {
-        self.shards
-            .iter()
-            .map(|p| p.publish_snapshot().map_err(ShardError::Replica))
+    /// Publish a snapshot of every shard, serialized in place from the
+    /// gateway's store, returning each shard's snapshot LSN; new replicas
+    /// bootstrap per shard from these. Refuses a fenced set
+    /// ([`ShardError::ShardDown`]): its store is ahead of the fenced log by
+    /// the pending records, and a snapshot that covers records its log does
+    /// not hold is the pair `reopen` refuses.
+    pub fn publish_snapshots(&mut self) -> Result<Vec<u64>, ShardError> {
+        self.ensure_healthy()?;
+        // Commits need `&mut self`, so the store under this read guard is
+        // exactly the state after each log's last record.
+        let engine = self.gateway.engine().engine();
+        let store = engine.wrapper().store();
+        self.logs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, log)| Ok(log.publish_snapshot(store.shard(i))?))
             .collect()
     }
 
-    /// One shard's primary — the WAL/snapshot endpoints a per-shard
-    /// [`Replica`](quest_replica::Replica) bootstraps from and tails.
-    pub fn shard(&self, i: usize) -> &Primary {
-        &self.shards[i]
+    /// One shard's durable log — the WAL/snapshot endpoints a per-shard
+    /// `Replica` bootstraps from and tails.
+    pub fn shard(&self, i: usize) -> &DurableLog {
+        &self.logs[i]
     }
 
     /// The gateway serving engine (searches, stats).

@@ -26,6 +26,10 @@ pub enum WalError {
     },
     /// Applying a change record violated a storage-level constraint.
     Store(StoreError),
+    /// A [`DurableLog`](crate::DurableLog) directory whose log and snapshot
+    /// forbid the request: creating over existing history, or resuming a
+    /// log that ends below its snapshot's watermark.
+    State(String),
 }
 
 impl WalError {
@@ -59,6 +63,7 @@ impl fmt::Display for WalError {
                 "schema fingerprint mismatch: catalog is {expected:016x}, file says {found:016x}"
             ),
             WalError::Store(e) => write!(f, "replay rejected by store: {e}"),
+            WalError::State(msg) => write!(f, "invalid log state: {msg}"),
         }
     }
 }

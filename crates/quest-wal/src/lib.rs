@@ -20,11 +20,43 @@
 //!   restored instance is structurally identical, not merely equivalent;
 //! * [`recover`] — snapshot + log suffix ⇒ the database the uninterrupted
 //!   process would have held, bit-identical down to index postings and
-//!   statistics (asserted by `tests/wal.rs`).
+//!   statistics (asserted by `tests/wal.rs`);
+//! * [`DurableLog`] — the three above composed into one directory a write
+//!   point owns (see below).
 //!
 //! Logs and snapshots both carry a [`schema_fingerprint`]; replay against a
 //! database with a different schema fails fast with
 //! [`WalError::SchemaMismatch`] instead of corrupting data.
+//!
+//! ## Durable log
+//!
+//! A [`DurableLog`] is a directory holding `primary.wal` and `latest.snap`
+//! plus the rules that keep the two a consistent pair. It stores no rows —
+//! the owner of the live [`Database`] passes a reference in when a snapshot
+//! is due — so `quest-replica`'s `Primary` (one log behind its commit mutex)
+//! and `quest-shard`'s `ShardedPrimary` (one log per shard over the
+//! gateway's store) share one implementation of the five rules it owns,
+//! each pinned by a test (`P::` = `quest-replica`'s `primary::tests`, `F::`
+//! = `tests/failure_injection.rs`):
+//!
+//! 1. **History is never overwritten**: [`DurableLog::create`] refuses a log
+//!    that already holds records
+//!    (`P::open_refuses_a_directory_with_history_but_reopen_resumes_it`).
+//! 2. **Covered LSNs are never re-issued**: [`DurableLog::reopen`] refuses a
+//!    log that ends below its snapshot's watermark
+//!    (`P::a_log_that_lost_acknowledged_history_is_refused_everywhere`).
+//! 3. **The log is durable before the snapshot that watermarks it**, and a
+//!    failed publish leaves the previous snapshot in place
+//!    (`F::failed_snapshot_publish_leaves_prior_snapshot_bootstrappable`).
+//! 4. **Transient faults heal in place, at the same LSNs**, under the log's
+//!    own `RetryPolicy` and `Clock` (`F::torn_append_mid_batch_heals_on_retry`,
+//!    `F::transient_fsync_failure_no_longer_poisons_the_writer`,
+//!    `F::set_recovery_reaches_the_shard_logs`).
+//! 5. **A landed batch stays landed**: after a *post-write* fsync failure
+//!    the append reports the error, [`DurableLog::last_lsn`] has advanced,
+//!    retries only heal, and the caller applies the batch to stay
+//!    consistent with its own log (the 100-seed `tests/chaos.rs` compares
+//!    log-fed replicas and reopened shard sets to never-faulted twins).
 //!
 //! ```
 //! use quest_wal::{recover, ChangeRecord, WalWriter};
@@ -74,6 +106,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod durable;
 pub mod error;
 pub mod log;
 pub mod reader;
@@ -85,6 +118,7 @@ use std::path::Path;
 use relstore::Database;
 
 pub use codec::schema_fingerprint;
+pub use durable::DurableLog;
 pub use error::WalError;
 pub use log::{names, read_log, replay, LogRecovery, ReplayReport, SyncPolicy, WalWriter};
 pub use reader::{LogReader, TailPoll};
@@ -100,7 +134,7 @@ pub struct Recovery {
     /// number is already reflected in it. A caller that resumes *writing*
     /// must refuse when the log's own last sequence is below this (the
     /// pair is inconsistent; appending would re-issue covered sequence
-    /// numbers) — `quest-replica`'s `Primary::reopen` does.
+    /// numbers) — [`DurableLog::reopen`] does.
     pub snapshot_lsn: u64,
     /// Log records applied on top of the snapshot.
     pub applied: usize,

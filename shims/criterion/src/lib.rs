@@ -2,7 +2,8 @@
 //!
 //! The build environment has no access to crates.io, so this crate provides
 //! the subset of criterion's API the QUEST benches use — benchmark groups,
-//! [`BenchmarkId`], [`Bencher::iter`], and the [`criterion_group!`] /
+//! [`BenchmarkId`], [`Bencher::iter`], [`Bencher::iter_batched`], and the
+//! [`criterion_group!`] /
 //! [`criterion_main!`] macros — backed by a simple fixed-budget timer
 //! instead of criterion's statistical machinery. Numbers printed here are
 //! indicative means, not confidence intervals; swap the workspace `path`
@@ -157,6 +158,44 @@ impl Bencher {
         }
         self.mean = Some(total / iters.max(1));
     }
+
+    /// Measure `routine` over inputs built by `setup`: neither the setup
+    /// nor dropping the routine's output is timed. One input is alive at a
+    /// time, so a bench may consume something large.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let samples = if self.test_mode {
+            0
+        } else {
+            self.samples.max(1)
+        };
+        black_box(routine(setup())); // warm-up (the whole run in test mode)
+        let mut total = Duration::ZERO;
+        let mut iters = 0u32;
+        for _ in 0..samples {
+            let input = setup();
+            let t0 = Instant::now();
+            let output = black_box(routine(input));
+            total += t0.elapsed();
+            drop(output);
+            iters += 1;
+            if total > SAMPLE_BUDGET * samples as u32 {
+                break;
+            }
+        }
+        self.mean = Some(total / iters.max(1));
+    }
+}
+
+/// How many inputs real criterion builds per batch. The shim only ever
+/// holds one (see [`Bencher::iter_batched`]), so that is the one it names.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// One input per iteration.
+    PerIteration,
 }
 
 fn run_bench<F>(label: &str, test_mode: bool, samples: usize, mut f: F)

@@ -269,16 +269,12 @@ fn run_sharded(tag: &str, plan: Option<FaultPlan>) -> (Fingerprints, Vec<u64>) {
     let db = dataset();
     let catalog = db.catalog().clone();
     let clock = Arc::new(ManualClock::new());
-    let mut sp = ShardedPrimary::open(
-        &dir,
-        db,
-        &ShardConfig {
-            shard_count: 2,
-            parallel: false,
-        },
-        QuestConfig::default(),
-    )
-    .expect("sharded primary opens");
+    let shards = ShardConfig {
+        shard_count: 2,
+        parallel: false,
+    };
+    let mut sp = ShardedPrimary::open(&dir, db, &shards, QuestConfig::default())
+        .expect("sharded primary opens");
     sp.set_recovery(
         RetryPolicy {
             retries: 2,
@@ -337,6 +333,20 @@ fn run_sharded(tag: &str, plan: Option<FaultPlan>) -> (Fingerprints, Vec<u64>) {
     let prints = fingerprints(|raw| sp.search(raw), &catalog);
     let lsns = sp.topology().lsns;
     fault::clear();
+
+    // The healed logs are the only durable witness of what the set serves:
+    // a cold reopen of the directory must answer, and number, identically.
+    sp.sync().expect("group fsync");
+    drop(sp);
+    let reopened = ShardedPrimary::reopen(&dir, catalog.clone(), &shards, QuestConfig::default())
+        .expect("healed directory reopens");
+    assert_eq!(
+        fingerprints(|raw| reopened.search(raw), &catalog),
+        prints,
+        "reopened set of {tag} answers differently from the live one"
+    );
+    assert_eq!(reopened.topology().lsns, lsns, "reopen LSN drift in {tag}");
+    drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
     (prints, lsns)
 }

@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use quest::fault::{self, ManualClock, RetryPolicy};
+use quest::fault::{self, Clock, ManualClock, RetryPolicy};
 use quest::prelude::*;
 use quest::replica::PrimaryOptions;
 use quest_data::imdb::{self, ImdbScale};
@@ -504,5 +504,119 @@ fn shard_supervisor_escalates_after_the_first_probe_plus_retries() {
     let site = fault::sites::WAL_READ;
     assert_escalates_on_budget("shard", site, uncharged, &clock, || primary.supervise());
     assert!(!primary.is_healthy());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn set_recovery_reaches_the_shard_logs() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let retries = || {
+        quest::obs::global()
+            .snapshot()
+            .counter(fault::names::RETRIES)
+            .unwrap_or(0)
+    };
+
+    // One transient fault inside a shard's WAL append: the retry one layer
+    // below the set must run under the policy and clock the set was given —
+    // exactly one retry, slept out on the manual clock, no wall time.
+    let (dir, mut primary) = sharded_primary("shard-log-retry", 2);
+    let clock = Arc::new(ManualClock::new());
+    primary.set_recovery(short_retry(), clock.clone());
+    let (retries_before, now_before) = (retries(), clock.now());
+    fault::install("wal.append@1=append_error".parse().expect("plan parses"));
+    let receipt = primary
+        .commit(&insert_batch(0))
+        .expect("a transient append fault heals inside the shard's log");
+    assert_eq!(fault::pending(), 0, "the fault fired");
+    fault::clear();
+    assert!(receipt.report.all_applied());
+    assert_eq!(retries() - retries_before, 1);
+    assert_eq!(clock.now() - now_before, short_retry().delay(0));
+    std::fs::remove_dir_all(&dir).ok();
+
+    // With no retry budget the same fault is not retried anywhere: the
+    // shard is fenced instead, and heals once the fault is gone.
+    let (dir, mut primary) = sharded_primary("shard-log-no-retry", 2);
+    let no_retry = RetryPolicy {
+        retries: 0,
+        ..short_retry()
+    };
+    primary.set_recovery(no_retry, clock.clone());
+    fault::install("wal.append@1=append_error".parse().expect("plan parses"));
+    assert!(matches!(
+        primary.commit(&insert_batch(0)),
+        Err(quest::shard::ShardError::ShardDown { .. })
+    ));
+    fault::clear();
+    assert!(!primary.is_healthy());
+    assert_eq!(primary.supervise(), 1);
+    assert!(primary.is_healthy());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn publish_snapshots_refuses_a_fenced_set_and_the_healed_disk_reopens() {
+    use quest::shard::ShardError;
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let (dir, mut primary) = sharded_primary("fenced-snapshot", 2);
+    let catalog = primary
+        .gateway()
+        .engine()
+        .engine()
+        .wrapper()
+        .catalog()
+        .clone();
+    primary.set_recovery(short_retry(), Arc::new(ManualClock::new()));
+
+    // A permanent commit-level fault fences the first shard that is handed
+    // records, with those records pending: the store now holds rows that
+    // shard's log does not.
+    fault::install("shard.commit@1=append_error!".parse().expect("plan parses"));
+    assert!(matches!(
+        primary.commit(&insert_batch(0)),
+        Err(ShardError::ShardDown { .. })
+    ));
+    fault::clear();
+    // A snapshot of the store at the log's LSN would cover records the log
+    // does not hold — the pair `reopen` refuses — so it is refused here.
+    assert!(matches!(
+        primary.publish_snapshots(),
+        Err(ShardError::ShardDown { .. })
+    ));
+
+    assert_eq!(primary.supervise(), 1, "the pending slice is re-driven");
+    let lsns = primary
+        .publish_snapshots()
+        .expect("a healthy set publishes");
+    assert_eq!(lsns, primary.topology().lsns);
+    primary.commit(&insert_batch(1)).expect("commit");
+    primary.sync().expect("group fsync");
+
+    let queries = ["injected feature", "injected person", "casablanca"];
+    let answers = |p: &ShardedPrimary| -> Vec<Vec<(String, u64)>> {
+        queries
+            .iter()
+            .map(|q| {
+                let out = p.search(q).expect("search");
+                out.explanations
+                    .iter()
+                    .map(|e| (e.sql(&catalog), e.score.to_bits()))
+                    .collect()
+            })
+            .collect()
+    };
+    let live = answers(&primary);
+    assert!(live.iter().all(|a| !a.is_empty()));
+    drop(primary);
+    let shards = quest::shard::ShardConfig {
+        shard_count: 2,
+        parallel: true,
+    };
+    let reopened = ShardedPrimary::reopen(&dir, catalog.clone(), &shards, QuestConfig::default())
+        .expect("healed directory reopens");
+    assert_eq!(answers(&reopened), live);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -459,10 +459,42 @@ fn sharded_primary_commits_recover_and_feed_replicas() {
     // advanced, and at least one did.
     assert!(topo.lsns.iter().any(|&l| l > 0), "lsns: {:?}", topo.lsns);
 
-    // A stock per-shard replica bootstraps from one shard's primary and
+    // The logs are the only durable witness of the store's rows: each
+    // shard's LSN-0 snapshot plus its whole log must replay to that shard
+    // of the gateway's store slot by slot, tombstones included.
+    {
+        let gateway_guard = primary.gateway().engine().engine();
+        let store = gateway_guard.wrapper().store();
+        for i in 0..3 {
+            let log = primary.shard(i);
+            let replayed = quest::wal::recover(&log.snapshot_path(), &log.wal_path())
+                .expect("shard log recovers")
+                .db;
+            for table in store.shard(i).catalog().tables() {
+                assert!(
+                    replayed
+                        .table_data(table.id)
+                        .slots()
+                        .eq(store.shard(i).table_data(table.id).slots()),
+                    "shard {i} table {} replays to different slots",
+                    table.name
+                );
+            }
+        }
+    }
+
+    // A stock per-shard replica bootstraps from one shard's log and
     // converges to the gateway's copy of that shard, bit for bit.
     let snapshot_lsns = primary.publish_snapshots().expect("snapshots publish");
-    let replica = Replica::from_primary("r0", primary.shard(0)).expect("replica bootstraps");
+    let log = primary.shard(0);
+    let replica = Replica::bootstrap(
+        "r0",
+        &log.snapshot_path(),
+        &log.wal_path(),
+        QuestConfig::default(),
+        CacheConfig::default(),
+    )
+    .expect("replica bootstraps");
     assert_eq!(replica.applied_lsn(), snapshot_lsns[0]);
     replica.sync().expect("replica drains");
     assert_eq!(replica.applied_lsn(), topo.lsns[0]);

@@ -1,8 +1,9 @@
 //! Criterion bench — experiment E6: per-module cost of the Figure 1
 //! pipeline pieces (list Viterbi, the hot-path `ListDecoder` per lattice
 //! shape, EM epoch, emission computation, the first-sight metadata row) —
-//! plus `commit_refresh`, the storage-layer cost of one commit batch, and
-//! `shard_open`, a sharded primary's cold open and reopen.
+//! plus `commit_refresh`, the storage-layer cost of one commit batch
+//! (unsharded and on a 4-shard store), and `shard_open`, a sharded
+//! primary's cold open and reopen.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use quest_core::forward::ForwardModule;
@@ -12,7 +13,9 @@ use quest_core::QuestConfig;
 use quest_core::{DbTerm, FullAccessWrapper, KeywordQuery, SearchScratch, SourceWrapper};
 use quest_data::imdb::{self, ImdbScale};
 use quest_hmm::{baum_welch_step, list_viterbi, Hmm, ListDecoder};
-use quest_shard::{ShardConfig, ShardedPrimary};
+use quest_serve::ApplyReport;
+use quest_shard::{ShardConfig, ShardedPrimary, ShardedStore};
+use quest_wal::ChangeRecord;
 use relstore::{Row, Value};
 
 fn wrapper() -> FullAccessWrapper {
@@ -192,8 +195,11 @@ fn bench_raw_list_viterbi(c: &mut Criterion) {
 /// One batch of the repo benchmark's commit shape — insert a person, insert
 /// a movie they direct, delete the movie of the round before — under
 /// `with_stats_deferred` (index upkeep plus the batch-end statistics
-/// refresh) at two table sizes. Every round uses fresh keys, so nothing is
-/// cloned or reset inside the timed section and the movie count stays put.
+/// refresh) at two table sizes, and the same batch through
+/// `ShardedStore::apply_changes` on a 4-shard store (index upkeep, live
+/// reference counts, one statistics derivation per dirty foreign key).
+/// Every round uses fresh keys, so nothing is cloned or reset inside the
+/// timed section and the movie count stays put.
 fn bench_commit_refresh(c: &mut Criterion) {
     let person = |id: i64| Row::new(vec![id.into(), "Round Person".into(), 1950.into()]);
     let movie = |id: i64| {
@@ -219,6 +225,29 @@ fn bench_commit_refresh(c: &mut Criterion) {
                     db.insert("movie", movie(id)).expect("movie");
                     db.delete("movie", &[(id - 1).into()]).expect("delete");
                 })
+            })
+        });
+        let mut store = ShardedStore::from_database(&db, &ShardConfig::new(4)).expect("shard");
+        g.bench_with_input(BenchmarkId::new("sharded", movies), &movies, |b, _| {
+            b.iter(|| {
+                id += 1;
+                let batch = [
+                    ChangeRecord::Insert {
+                        table: "person".into(),
+                        row: person(id).into_values(),
+                    },
+                    ChangeRecord::Insert {
+                        table: "movie".into(),
+                        row: movie(id).into_values(),
+                    },
+                    ChangeRecord::Delete {
+                        table: "movie".into(),
+                        key: vec![(id - 1).into()],
+                    },
+                ];
+                let mut report = ApplyReport::default();
+                store.apply_changes(&batch, &mut report);
+                assert!(report.all_applied(), "{:?}", report.rejected);
             })
         });
     }

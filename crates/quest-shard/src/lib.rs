@@ -15,12 +15,14 @@
 //!   unsharded database's check order and error strings; referential
 //!   integrity is enforced *globally* by the store (shard catalogs carry no
 //!   foreign keys, so a shard never rejects a cross-shard reference).
-//!   Scores and the per-FK join statistics — the one statistic maintained,
-//!   read by `join_informativeness`; shards keep none of their own — merge
-//!   through the mergeable-accumulator APIs of `relstore`
-//!   ([`ScoreAccumulator`](relstore::index::ScoreAccumulator),
-//!   [`JoinStatsAccumulator`](relstore::stats::JoinStatsAccumulator)):
-//!   integer state (df, doc counts, lengths) sums across shards, and every
+//!   Scores merge through `relstore`'s
+//!   [`ScoreAccumulator`](relstore::index::ScoreAccumulator): integer state
+//!   (df, doc counts, lengths) sums across shards. The per-FK join
+//!   statistics — the one statistic maintained, read by
+//!   `join_informativeness`; shards keep none of their own — come from one
+//!   live [`JoinCounts`](relstore::stats::JoinCounts) per foreign key: a
+//!   reference count per referenced row slot per shard, moved by ±1 per
+//!   record, which also answers the restrictive delete rule. Every
 //!   floating-point expression is evaluated **once** from the merged
 //!   integers — which is what makes the merge exact rather than
 //!   approximately associative.

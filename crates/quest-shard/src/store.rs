@@ -7,10 +7,16 @@
 //!   frequencies, max term frequencies, join pair and row counts. Integer
 //!   sums and maxes are exactly associative, so the merge order cannot
 //!   perturb them.
+//! * **Reference counts are live integer state.** Each foreign key keeps a
+//!   [`JoinCounts`]: one count per referenced row slot per shard, moved by
+//!   ±1 as each record is applied, so a commit never rescans a table to
+//!   learn how often a key is referenced.
 //! * **One float evaluation.** Every floating-point expression (idf, tf
 //!   saturation, normalization, NMI entropy) is evaluated **once**, from
 //!   the merged integers, through the *same* code path the unsharded
-//!   database uses — never "merged" in the float domain.
+//!   database uses — never "merged" in the float domain. The join entropy
+//!   is evaluated once per dirty foreign key, from the counts' histogram,
+//!   through the `join_stats` core.
 //! * **Phrase scatter under injected idfs.** Multi-token scoring needs
 //!   per-row conjunctive sums. A row's postings live wholly on its shard,
 //!   so each shard reruns the conjunctive accumulation under the *merged*
@@ -18,7 +24,8 @@
 //!   operation, and max is exact.
 //! * **Global checks, local storage.** Shard catalogs carry no foreign
 //!   keys; the store performs every referential-integrity check globally
-//!   (routing each probe by PK hash) *before* any shard mutates, and
+//!   (routing each probe by PK hash, and answering the restrictive rule
+//!   from the victim's reference count) *before* any shard mutates, and
 //!   reproduces the unsharded database's check order and error strings.
 //!   Records a shard is asked to apply therefore never fail locally, which
 //!   is what keeps per-shard WAL replay deterministic.
@@ -31,7 +38,7 @@ use quest_serve::ApplyReport;
 use quest_wal::ChangeRecord;
 use relstore::index::{KeywordProbe, ScoreAccumulator};
 use relstore::sql::{ResultSet, SelectStatement};
-use relstore::stats::{JoinStats, JoinStatsAccumulator};
+use relstore::stats::{JoinCounts, JoinStats, Target};
 use relstore::{
     AttrId, Catalog, Database, ForeignKey, Row, RowId, StoreError, TableData, TableId, Value,
 };
@@ -43,6 +50,22 @@ use crate::partition::Partitioner;
 /// Render a PK tuple for error messages, exactly like the unsharded store.
 fn fmt_key(key: &[Value]) -> String {
     Row::new(key.to_vec()).to_string()
+}
+
+/// Where the live row of `table` keyed `key` lives — the shard its key
+/// hashes to, and its slot there — if any row holds that key.
+fn locate(
+    partitioner: &Partitioner,
+    shards: &[Database],
+    table: TableId,
+    key: &Value,
+) -> Option<Target> {
+    let key = std::slice::from_ref(key);
+    let owner = partitioner.shard_of_key(key);
+    shards[owner]
+        .table_data(table)
+        .lookup_pk(key)
+        .map(|rid| (owner, rid))
 }
 
 /// Run `f(0..n)` either serially or chunked across scoped threads,
@@ -199,6 +222,13 @@ impl ProbeScratch {
 /// computation. Shards keep no statistics of their own: the join statistic
 /// is the only one maintained (its reader is the wrapper's
 /// `join_informativeness`), and an FK-less shard has no join.
+///
+/// The store keeps one live [`JoinCounts`] per foreign key — a `u32` per
+/// referenced row slot per shard — built when the store is assembled and
+/// moved by ±1 per applied record. A commit's statistics cost is therefore
+/// one count update per touched reference plus one entropy evaluation per
+/// dirty foreign key, and a restrictive delete reads one count per foreign
+/// key that references the victim's table.
 #[derive(Debug)]
 pub struct ShardedStore {
     /// The *full* catalog, foreign keys included — the schema queries and
@@ -215,11 +245,14 @@ pub struct ShardedStore {
     indexed_attrs: Vec<AttrId>,
     /// Registry handles of the scatter metrics (see [`ScatterMetrics`]).
     scatter_metrics: OnceLock<ScatterMetrics>,
-    /// Merged join statistics (bit-identical NMI).
+    /// Live reference counts, one per foreign key, in catalog FK order.
+    join_counts: Vec<JoinCounts>,
+    /// Merged join statistics derived from the counts (bit-identical NMI).
     join_stats: HashMap<ForeignKey, JoinStats>,
-    /// When `Some`, statistics refresh is deferred: mutations record their
-    /// table here and the batch end recomputes each dirty table once.
-    stats_dirty: Option<BTreeSet<TableId>>,
+    /// When `Some`, statistics derivation is deferred: mutations record the
+    /// positions of the foreign keys they touch here, and the batch end
+    /// derives each dirty foreign key once.
+    stats_dirty: Option<BTreeSet<usize>>,
     /// Gathered scratch databases for join execution, keyed by the sorted
     /// FROM-table set; invalidated by every mutation. Interior-mutable so
     /// read paths (`execute`, `has_results`) can fill it.
@@ -295,6 +328,7 @@ impl ShardedStore {
             shards,
             indexed_attrs: Vec::new(),
             scatter_metrics: OnceLock::new(),
+            join_counts: Vec::new(),
             join_stats: HashMap::new(),
             stats_dirty: None,
             scratch: Mutex::new(HashMap::new()),
@@ -319,6 +353,7 @@ impl ShardedStore {
             shards,
             indexed_attrs: Vec::new(),
             scatter_metrics: OnceLock::new(),
+            join_counts: Vec::new(),
             join_stats: HashMap::new(),
             stats_dirty: None,
             scratch: Mutex::new(HashMap::new()),
@@ -412,6 +447,7 @@ impl ShardedStore {
         // global uniqueness, and the error string matches the unsharded one
         // (same schema name, same key rendering).
         let rid = self.shards[shard].insert(table, row)?;
+        self.move_counts(tid, None, Some((shard, rid)));
         self.finish_mutation(tid);
         Ok(rid)
     }
@@ -426,8 +462,10 @@ impl ShardedStore {
             .table_data(tid)
             .lookup_pk(key)
             .ok_or_else(|| StoreError::RowNotFound(format!("{}{}", schema.name, fmt_key(key))))?;
-        self.check_pk_unreferenced_global(tid, shard, rid, None)?;
+        self.check_pk_unreferenced_global(tid, (shard, rid), None)?;
+        let old = self.shards[shard].table_data(tid).row(rid).clone();
         let rid = self.shards[shard].delete(table, key)?;
+        self.move_counts(tid, Some(((shard, rid), &old)), None);
         self.finish_mutation(tid);
         Ok(rid)
     }
@@ -447,10 +485,11 @@ impl ShardedStore {
         self.check_foreign_keys_global(tid, &row)?;
         let new_key = TableData::pk_of(&self.catalog, &schema, &row);
         if new_key.as_slice() != key {
-            self.check_pk_unreferenced_global(tid, shard, rid, Some(&row))?;
+            self.check_pk_unreferenced_global(tid, (shard, rid), Some(&row))?;
         }
+        let old = self.shards[shard].table_data(tid).row(rid).clone();
         let new_shard = self.partitioner.shard_of_key(&new_key);
-        let rid = if new_shard == shard {
+        let new_rid = if new_shard == shard {
             self.shards[shard].update(table, key, row)?
         } else {
             // Duplicate check on the destination first — same message the
@@ -469,8 +508,9 @@ impl ShardedStore {
             self.shards[shard].delete(table, key)?;
             self.shards[new_shard].insert(table, row)?
         };
+        self.move_counts(tid, Some(((shard, rid), &old)), Some((new_shard, new_rid)));
         self.finish_mutation(tid);
-        Ok(rid)
+        Ok(new_rid)
     }
 
     /// Apply one WAL change record through the checked mutation API.
@@ -486,9 +526,9 @@ impl ShardedStore {
 
     /// Apply a mutation batch with per-record accept/reject semantics and
     /// statistics refresh deferred to the end of the batch — the sharded
-    /// twin of the unsharded `MutableSource` path: indexes stay exact per
-    /// record, the merged join statistics are recomputed once per dirty
-    /// table when the batch ends.
+    /// twin of the unsharded `MutableSource` path: indexes and reference
+    /// counts stay exact per record, the merged join statistics are derived
+    /// once per dirty foreign key when the batch ends.
     pub fn apply_changes(&mut self, changes: &[ChangeRecord], report: &mut ApplyReport) {
         self.with_stats_deferred(|store| {
             for (i, change) in changes.iter().enumerate() {
@@ -500,8 +540,8 @@ impl ShardedStore {
         })
     }
 
-    /// Run `f` with the merged-statistics refresh deferred to its end (the
-    /// sharded twin of `Database::with_stats_deferred`; nested calls
+    /// Run `f` with the merged-statistics derivation deferred to its end
+    /// (the sharded twin of `Database::with_stats_deferred`; nested calls
     /// coalesce into the outermost).
     fn with_stats_deferred<R>(&mut self, f: impl FnOnce(&mut ShardedStore) -> R) -> R {
         /// Ends the deferral scope on exit — including an unwind — so a
@@ -514,8 +554,8 @@ impl ShardedStore {
             fn drop(&mut self) {
                 if self.outermost {
                     if let Some(dirty) = self.store.stats_dirty.take() {
-                        for tid in dirty {
-                            self.store.recompute_stats_for(tid);
+                        for fk in dirty {
+                            self.store.derive_join_stats(fk);
                         }
                     }
                 }
@@ -539,6 +579,53 @@ impl ShardedStore {
         self.recompute_stats_for(tid);
     }
 
+    /// Move the reference counts from `old` — the row that left its place
+    /// in `tid`, if any — to the row now at `new`, if any, once the shards
+    /// hold the new state. Per foreign key, the referenced side changes
+    /// first (a key that left hands its count to the side map, a key that
+    /// arrived adopts its dangling count), then the referencing side (the
+    /// old value withdrawn, the new one counted), both resolved against the
+    /// new state — the order [`JoinCounts`] documents, which keeps a row
+    /// referencing itself right through a delete or a key change.
+    fn move_counts(&mut self, tid: TableId, old: Option<(Target, &Row)>, new: Option<Target>) {
+        let new_row = new.map(|(s, rid)| self.shards[s].table_data(tid).row(rid));
+        for (i, fk) in self.catalog.foreign_keys().iter().enumerate() {
+            let (from, to) = (
+                self.catalog.attribute(fk.from),
+                self.catalog.attribute(fk.to),
+            );
+            let counts = &mut self.join_counts[i];
+            if to.table == tid {
+                let left = old.map(|(at, row)| (at, row.get(to.position)));
+                let arrived = new.zip(new_row).map(|(at, row)| (at, row.get(to.position)));
+                // An update that keeps its key keeps its slot: nothing moves.
+                if left != arrived {
+                    if let Some((at, key)) = left {
+                        counts.remove_target(at, key);
+                    }
+                    if let Some((at, key)) = arrived {
+                        counts.add_target(at, key);
+                    }
+                }
+            }
+            if from.table == tid {
+                let target = |v: &Value| locate(&self.partitioner, &self.shards, to.table, v);
+                if let Some((_, row)) = old {
+                    let v = row.get(from.position);
+                    if !v.is_null() {
+                        counts.remove_reference(v, target(v));
+                    }
+                }
+                if let Some(row) = new_row {
+                    let v = row.get(from.position);
+                    if !v.is_null() {
+                        counts.add_reference(v, target(v));
+                    }
+                }
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Global integrity checks
     // ------------------------------------------------------------------
@@ -557,12 +644,7 @@ impl ShardedStore {
                 continue;
             }
             let target_table = self.catalog.attribute(fk.to).table;
-            let owner = self.partitioner.shard_of_key(std::slice::from_ref(v));
-            if self.shards[owner]
-                .table_data(target_table)
-                .lookup_pk(std::slice::from_ref(v))
-                .is_none()
-            {
+            if locate(&self.partitioner, &self.shards, target_table, v).is_none() {
                 return Err(StoreError::ForeignKeyViolation(format!(
                     "{} = {v} has no target in {}",
                     self.catalog.qualified_name(fk.from),
@@ -574,44 +656,47 @@ impl ShardedStore {
     }
 
     /// Restrictive referential check before a delete or PK-changing update
-    /// of the row at `(tid, victim_shard, victim_rid)`: no live row on any
-    /// shard may reference the victim's current primary key. The victim is
-    /// skipped on delete and judged by `replacement` on update, exactly
-    /// like the unsharded check.
+    /// of the row of `tid` at `victim`: no live row on any shard may
+    /// reference the victim's current primary key. The victim is skipped on
+    /// delete and judged by `replacement` on update, exactly like the
+    /// unsharded check — answered from the victim's reference count, in the
+    /// same foreign-key order and with the same error string (every counted
+    /// reference equals the key, so the message renders the key).
     fn check_pk_unreferenced_global(
         &self,
         tid: TableId,
-        victim_shard: usize,
-        victim_rid: RowId,
+        victim: Target,
         replacement: Option<&Row>,
     ) -> Result<(), StoreError> {
-        let victim = self.shards[victim_shard].table_data(tid).row(victim_rid);
-        for fk in self.catalog.foreign_keys() {
+        let victim_row = self.shards[victim.0].table_data(tid).row(victim.1);
+        for (fk, counts) in self.catalog.foreign_keys().iter().zip(&self.join_counts) {
             let to = self.catalog.attribute(fk.to);
             if to.table != tid {
                 continue;
             }
-            let pk_val = victim.get(to.position);
+            let pk_val = victim_row.get(to.position);
             let from = self.catalog.attribute(fk.from);
-            for (s, shard) in self.shards.iter().enumerate() {
-                for (r_rid, r_row) in shard.table_data(from.table).iter() {
-                    let row = if s == victim_shard && from.table == tid && r_rid == victim_rid {
-                        match replacement {
-                            Some(new_row) => new_row,
-                            None => continue, // delete: self-reference dies too
-                        }
-                    } else {
-                        r_row
-                    };
+            let refers = |row: &Row| {
+                from.table == tid && {
                     let v = row.get(from.position);
-                    if !v.is_null() && v == pk_val {
-                        return Err(StoreError::ForeignKeyViolation(format!(
-                            "{} = {v} still references {}",
-                            self.catalog.qualified_name(fk.from),
-                            self.catalog.qualified_name(fk.to)
-                        )));
-                    }
+                    !v.is_null() && v == pk_val
                 }
+            };
+            let mut references = u64::from(counts.count(victim));
+            // Delete: a self-reference dies with the victim. Update: the
+            // victim's reference is replaced by the replacement's.
+            if refers(victim_row) {
+                references = references.saturating_sub(1);
+            }
+            if replacement.is_some_and(refers) {
+                references += 1;
+            }
+            if references > 0 {
+                return Err(StoreError::ForeignKeyViolation(format!(
+                    "{} = {pk_val} still references {}",
+                    self.catalog.qualified_name(fk.from),
+                    self.catalog.qualified_name(fk.to)
+                )));
             }
         }
         Ok(())
@@ -644,14 +729,8 @@ impl ShardedStore {
             for shard in &self.shards {
                 for (_, row) in shard.table_data(from.table).iter() {
                     let v = row.get(from.position);
-                    if v.is_null() {
-                        continue;
-                    }
-                    let owner = self.partitioner.shard_of_key(std::slice::from_ref(v));
-                    if self.shards[owner]
-                        .table_data(target_table)
-                        .lookup_pk(std::slice::from_ref(v))
-                        .is_none()
+                    if !v.is_null()
+                        && locate(&self.partitioner, &self.shards, target_table, v).is_none()
                     {
                         return Err(ShardError::Store(StoreError::ForeignKeyViolation(format!(
                             "{} = {v}",
@@ -668,43 +747,70 @@ impl ShardedStore {
     // Merged statistics
     // ------------------------------------------------------------------
 
-    /// Merged join statistics: unfiltered per-shard counts plus the live
-    /// referenced-PK set, filtered and entropy-evaluated once at the end.
-    fn merged_join_stats(&self, fk: ForeignKey) -> JoinStats {
+    /// Count every live reference of `fk` across all shards, each resolved
+    /// to the shard and slot holding its target (or to the dangling side
+    /// map when none does).
+    fn build_counts(&self, fk: ForeignKey) -> JoinCounts {
+        let from = self.catalog.attribute(fk.from);
+        let to_table = self.catalog.attribute(fk.to).table;
+        JoinCounts::build(
+            self.shards
+                .iter()
+                .flat_map(|shard| shard.table_data(from.table).iter())
+                .map(|(_, row)| row.get(from.position))
+                .filter(|v| !v.is_null())
+                .map(|v| (v, locate(&self.partitioner, &self.shards, to_table, v))),
+        )
+    }
+
+    /// Derive the merged statistics of the foreign key at catalog position
+    /// `i` from its counts and the two tables' live row totals.
+    fn derive_join_stats(&mut self, i: usize) {
+        let fk = self.catalog.foreign_keys()[i];
         let from_table = self.catalog.attribute(fk.from).table;
         let to_table = self.catalog.attribute(fk.to).table;
-        let mut acc = JoinStatsAccumulator::new();
-        for shard in &self.shards {
-            acc.absorb_referencing(&self.catalog, fk, shard.table_data(from_table));
-        }
-        for shard in &self.shards {
-            acc.absorb_referenced(&self.catalog, fk, shard.table_data(to_table));
-        }
-        acc.finish()
+        let stats = self.join_counts[i].stats(
+            self.row_count(from_table) as u64,
+            self.row_count(to_table) as u64,
+        );
+        self.join_stats.insert(fk, stats);
     }
 
-    /// Refresh the merged statistics a mutation of `tid` can change (or
-    /// mark the table dirty inside a deferral scope).
+    /// Refresh the merged statistics a mutation of `tid` can change — each
+    /// foreign key touching the table, derived from its counts — or, inside
+    /// a deferral scope, add those foreign keys to the dirty set, so a key
+    /// whose two tables both changed is derived once per batch.
     fn recompute_stats_for(&mut self, tid: TableId) {
-        if let Some(dirty) = &mut self.stats_dirty {
-            dirty.insert(tid);
-            return;
-        }
-        for fk in self.catalog.fks_of_table(tid) {
-            let stats = self.merged_join_stats(fk);
-            self.join_stats.insert(fk, stats);
+        let catalog = &self.catalog;
+        let touching: Vec<usize> = (0..catalog.foreign_keys().len())
+            .filter(|&i| {
+                let fk = catalog.foreign_keys()[i];
+                [fk.from, fk.to]
+                    .iter()
+                    .any(|a| catalog.attribute(*a).table == tid)
+            })
+            .collect();
+        match &mut self.stats_dirty {
+            Some(dirty) => dirty.extend(touching),
+            None => {
+                for i in touching {
+                    self.derive_join_stats(i);
+                }
+            }
         }
     }
 
-    /// Recompute every merged statistic from scratch, in parallel across
-    /// foreign keys when configured (each slot is independent; results land
-    /// in a fixed order, so parallelism cannot perturb anything).
+    /// Build every foreign key's counts from scratch — in parallel across
+    /// foreign keys when configured (each is independent and lands in a
+    /// fixed slot, so parallelism cannot perturb anything) — and derive the
+    /// merged statistics from them.
     fn rebuild_all_stats(&mut self) {
-        let fks: Vec<ForeignKey> = self.catalog.foreign_keys().to_vec();
-        let jstats = map_range(fks.len(), self.parallel, |i| {
-            (fks[i], self.merged_join_stats(fks[i]))
-        });
-        self.join_stats = jstats.into_iter().collect();
+        let fks = self.catalog.foreign_keys();
+        let counts = map_range(fks.len(), self.parallel, |i| self.build_counts(fks[i]));
+        self.join_counts = counts;
+        for i in 0..self.join_counts.len() {
+            self.derive_join_stats(i);
+        }
     }
 
     // ------------------------------------------------------------------

@@ -199,10 +199,11 @@ impl Database {
     /// survive with the new values).
     ///
     /// Cost: a linear scan of each referencing table — O(total referencing
-    /// rows) per delete. Fine at this engine's scale and for insert-heavy
-    /// live workloads; a delete-heavy workload at millions of rows would
-    /// want a per-FK reverse count index maintained alongside the inverted
-    /// indexes.
+    /// rows) per delete. The sharded store answers the same rule from a
+    /// per-FK reverse count index ([`crate::stats::JoinCounts`], maintained
+    /// per record); adopting it here, together with incremental join
+    /// statistics, is the unsharded half of ROADMAP.md item 2. This scan
+    /// stays the reference the sharded suites compare against.
     fn check_pk_unreferenced(
         &self,
         tid: TableId,

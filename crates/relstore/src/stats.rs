@@ -13,9 +13,32 @@
 //! join is empty. Edges of uninformative (likely-empty) joins receive larger
 //! distances, steering Steiner trees toward join paths that actually contain
 //! tuples.
+//!
+//! ## Two ways to the same bits
+//!
+//! [`join_stats`] rescans both tables: O(referencing rows) per call. A
+//! [`JoinCounts`] is the same statistic kept *live* — updated by ±1 per
+//! mutated record and read in O(distinct counts + referenced keys) — for
+//! stores whose commits must cost what they touch. Its invariants, after
+//! every completed mutation:
+//!
+//! * each referenced row slot (`(partition, slot)`; an unpartitioned table
+//!   is partition 0) holds the number of live referencing rows whose
+//!   non-null value is that row's key;
+//! * a referencing value with no live target is counted in a side map
+//!   keyed by the value — empty for any store whose foreign keys validate —
+//!   and moves onto a slot when a row with that key appears (and back when
+//!   it leaves);
+//! * `pairs` is the sum of the slot counts, and a count → multiplicity
+//!   histogram tallies the nonzero slots.
+//!
+//! The histogram's ascending counts, each repeated by its multiplicity, are
+//! exactly the sorted per-key counts [`join_stats`] feeds the entropy, and
+//! both go through one entropy function — so the NMI is bit-identical.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
+use crate::row::RowId;
 use crate::schema::{Catalog, ForeignKey};
 use crate::table::TableData;
 use crate::value::Value;
@@ -67,8 +90,13 @@ pub fn join_stats(
     }
 
     let referenced_rows = referenced.len() as u64;
-    let counts: Vec<u64> = ref_counts.values().copied().collect();
-    let nmi = normalized_entropy_of_counts(counts, pairs, referenced_rows);
+    let mut counts: Vec<u64> = ref_counts.values().copied().collect();
+    // Canonical (sorted) summation order: entropy depends only on the
+    // multiset of counts, and hash-order summation would make the NMI — and
+    // everything downstream of the edge weights — vary between builds by
+    // floating-point ulps.
+    counts.sort_unstable();
+    let nmi = normalized_entropy_of_counts(counts.iter().map(|&c| (c, 1)), pairs, referenced_rows);
     JoinStats {
         pairs,
         referenced_distinct: ref_counts.len() as u64,
@@ -80,24 +108,30 @@ pub fn join_stats(
 
 /// Entropy of the referenced-key distribution normalized by `ln(referenced
 /// table size)` — see the module docs for why this equals the join's mutual
-/// information under a uniform distribution over join tuples. The NMI core
-/// shared by [`join_stats`] and [`JoinStatsAccumulator`]: both hand it the
-/// same multiset of per-key counts, so partitioned builds are bit-identical
-/// to whole-table ones.
-fn normalized_entropy_of_counts(mut counts: Vec<u64>, pairs: u64, referenced_rows: u64) -> f64 {
+/// information under a uniform distribution over join tuples.
+///
+/// `ascending` is the multiset of per-key counts in ascending order,
+/// run-length encoded as `(count, multiplicity)`. The NMI core shared by
+/// [`join_stats`] (its sorted counts, each a run of one) and
+/// [`JoinCounts::stats`] (its histogram): a run subtracts the same term once
+/// per key, in the same order the expanded sequence would, so both paths
+/// produce the same bits.
+fn normalized_entropy_of_counts(
+    ascending: impl IntoIterator<Item = (u64, u64)>,
+    pairs: u64,
+    referenced_rows: u64,
+) -> f64 {
     if pairs == 0 || referenced_rows <= 1 {
         return 0.0;
     }
     let n = pairs as f64;
-    // Canonical (sorted) summation order: entropy depends only on the
-    // multiset of counts, and hash-order summation would make the NMI — and
-    // everything downstream of the edge weights — vary between builds by
-    // floating-point ulps.
-    counts.sort_unstable();
     let mut h = 0.0;
-    for &c in &counts {
+    for (c, multiplicity) in ascending {
         let p = c as f64 / n;
-        h -= p * p.ln();
+        let term = p * p.ln();
+        for _ in 0..multiplicity {
+            h -= term;
+        }
     }
     let hmax = (referenced_rows as f64).ln();
     if hmax <= 0.0 {
@@ -107,74 +141,165 @@ fn normalized_entropy_of_counts(mut counts: Vec<u64>, pairs: u64, referenced_row
     }
 }
 
-/// Mergeable partial of [`join_stats`] over disjoint row partitions of
-/// *both* sides of a foreign key.
+/// A referenced row's place: `(partition, slot)`. An unpartitioned table is
+/// partition 0; a sharded one uses the shard index.
+pub type Target = (usize, RowId);
+
+/// Live reference counts of one foreign key, from which [`join_stats`]'s
+/// result is derived without a rescan (invariants in the module docs).
 ///
-/// The whole-table computation filters referencing values through the
-/// referenced table's PK index, but a partition cannot: the matching PK may
-/// live elsewhere. So the accumulator keeps the *unfiltered* non-null value
-/// counts plus the set of live referenced PK values, and performs the
-/// filter once at [`JoinStatsAccumulator::finish`] — integer state merges
-/// exactly, and the NMI is evaluated once from the merged counts through
-/// the same canonical-order entropy the whole-table path uses.
-#[derive(Debug, Clone, Default)]
-pub struct JoinStatsAccumulator {
-    /// Non-null referencing value → count, unfiltered.
-    ref_counts: BTreeMap<Value, u64>,
-    /// Live PK values of the referenced table.
-    pk_values: BTreeSet<Value>,
-    referencing_rows: u64,
-    referenced_rows: u64,
+/// The owner resolves each referencing value to the [`Target`] holding that
+/// key (`None` when no live row does) and reports every change: a
+/// referencing row's value arriving or leaving
+/// ([`JoinCounts::add_reference`] / [`JoinCounts::remove_reference`]) and a
+/// referenced row arriving or leaving ([`JoinCounts::add_target`] /
+/// [`JoinCounts::remove_target`]). After a mutation is stored, report the
+/// target changes first and then the reference changes, resolving both
+/// against the *new* state; that order is correct for self-referencing keys
+/// too, because a reference to a row that just left resolves to `None` and
+/// finds its count in the side map the departing row handed it to.
+#[derive(Debug, Default)]
+pub struct JoinCounts {
+    /// `slots[partition][slot]`: live referencing rows carrying that
+    /// referenced row's key. Grown on demand; absent slots count 0.
+    slots: Vec<Vec<u32>>,
+    /// Referencing value → live rows carrying it, for values no live
+    /// referenced row holds.
+    dangling: HashMap<Value, u64>,
+    /// Nonzero slot count → number of slots holding it.
+    histogram: BTreeMap<u32, u64>,
+    /// Sum of the slot counts: the join's matching pairs.
+    pairs: u64,
 }
 
-impl JoinStatsAccumulator {
-    /// Empty accumulator.
-    pub fn new() -> JoinStatsAccumulator {
-        JoinStatsAccumulator::default()
+impl JoinCounts {
+    /// Counts built from every live reference at once: each non-null
+    /// referencing value with the target it resolves to.
+    pub fn build<'a>(references: impl IntoIterator<Item = (&'a Value, Option<Target>)>) -> Self {
+        let mut counts = JoinCounts::default();
+        for (value, target) in references {
+            match target {
+                Some(at) => *counts.slot_mut(at) += 1,
+                None => counts.dangle(value, 1),
+            }
+        }
+        for &c in counts.slots.iter().flatten().filter(|c| **c > 0) {
+            *counts.histogram.entry(c).or_insert(0) += 1;
+            counts.pairs += u64::from(c);
+        }
+        counts
     }
 
-    /// Fold one partition of the *referencing* table.
-    pub fn absorb_referencing(&mut self, catalog: &Catalog, fk: ForeignKey, data: &TableData) {
-        let from_attr = catalog.attribute(fk.from);
-        self.referencing_rows += data.len() as u64;
-        for (_, row) in data.iter() {
-            let v = row.get(from_attr.position);
-            if !v.is_null() {
-                *self.ref_counts.entry(v.clone()).or_insert(0) += 1;
+    /// Live referencing rows carrying the key of the row at `at`.
+    pub fn count(&self, at: Target) -> u32 {
+        self.slots
+            .get(at.0)
+            .and_then(|p| p.get(at.1 .0 as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// One more live referencing row carries `value`, which resolves to
+    /// `target`.
+    pub fn add_reference(&mut self, value: &Value, target: Option<Target>) {
+        match target {
+            Some(at) => {
+                let c = self.count(at);
+                self.set(at, c + 1);
+            }
+            None => self.dangle(value, 1),
+        }
+    }
+
+    /// One live referencing row carrying `value`, which resolves to
+    /// `target`, is gone.
+    pub fn remove_reference(&mut self, value: &Value, target: Option<Target>) {
+        match target {
+            Some(at) => {
+                let c = self.count(at);
+                self.set(at, c.checked_sub(1).expect("reference counted"));
+            }
+            None => {
+                let c = self
+                    .dangling
+                    .get_mut(value)
+                    .expect("dangling value counted");
+                *c -= 1;
+                if *c == 0 {
+                    self.dangling.remove(value);
+                }
             }
         }
     }
 
-    /// Fold one partition of the *referenced* table.
-    pub fn absorb_referenced(&mut self, catalog: &Catalog, fk: ForeignKey, data: &TableData) {
-        let to_attr = catalog.attribute(fk.to);
-        self.referenced_rows += data.len() as u64;
-        for (_, row) in data.iter() {
-            self.pk_values.insert(row.get(to_attr.position).clone());
+    /// A referenced row keyed `key` now lives at `at` (a fresh slot): it
+    /// adopts the references that were dangling on its key.
+    pub fn add_target(&mut self, at: Target, key: &Value) {
+        if let Some(adopted) = self.dangling.remove(key) {
+            let c = u64::from(self.count(at)) + adopted;
+            self.set(at, u32::try_from(c).expect("count fits a slot"));
         }
     }
 
-    /// The merged statistics — bit-identical to [`join_stats`] over the
-    /// union of the absorbed partitions.
-    pub fn finish(self) -> JoinStats {
-        let mut pairs = 0u64;
-        let mut referenced_distinct = 0u64;
-        let mut counts = Vec::new();
-        for (v, c) in &self.ref_counts {
-            if self.pk_values.contains(v) {
-                pairs += c;
-                referenced_distinct += 1;
-                counts.push(*c);
-            }
+    /// The referenced row keyed `key` left `at`: its references dangle on
+    /// the key until a row holding it appears again.
+    pub fn remove_target(&mut self, at: Target, key: &Value) {
+        let c = self.count(at);
+        if c > 0 {
+            self.set(at, 0);
+            self.dangle(key, u64::from(c));
         }
-        let nmi = normalized_entropy_of_counts(counts, pairs, self.referenced_rows);
+    }
+
+    /// The join statistics of the counted state, given both tables' live
+    /// row counts — bit-identical to [`join_stats`] over the same rows.
+    pub fn stats(&self, referencing_rows: u64, referenced_rows: u64) -> JoinStats {
+        let runs = self.histogram.iter().map(|(&c, &m)| (u64::from(c), m));
         JoinStats {
-            pairs,
-            referenced_distinct,
-            referencing_rows: self.referencing_rows,
-            referenced_rows: self.referenced_rows,
-            nmi,
+            pairs: self.pairs,
+            referenced_distinct: self.histogram.values().sum(),
+            referencing_rows,
+            referenced_rows,
+            nmi: normalized_entropy_of_counts(runs, self.pairs, referenced_rows),
         }
+    }
+
+    /// Count `n` more live references to `value`, which no live row holds.
+    fn dangle(&mut self, value: &Value, n: u64) {
+        *self.dangling.entry(value.clone()).or_insert(0) += n;
+    }
+
+    fn slot_mut(&mut self, (partition, slot): Target) -> &mut u32 {
+        if self.slots.len() <= partition {
+            self.slots.resize_with(partition + 1, Vec::new);
+        }
+        let counts = &mut self.slots[partition];
+        let slot = slot.0 as usize;
+        if counts.len() <= slot {
+            counts.resize(slot + 1, 0);
+        }
+        &mut counts[slot]
+    }
+
+    /// Move the slot at `at` to count `to`, keeping the histogram and the
+    /// pair total in step.
+    fn set(&mut self, at: Target, to: u32) {
+        let slot = self.slot_mut(at);
+        let from = std::mem::replace(slot, to);
+        if from > 0 {
+            let m = self
+                .histogram
+                .get_mut(&from)
+                .expect("histogram tallies every slot");
+            *m -= 1;
+            if *m == 0 {
+                self.histogram.remove(&from);
+            }
+        }
+        if to > 0 {
+            *self.histogram.entry(to).or_insert(0) += 1;
+        }
+        self.pairs = self.pairs - u64::from(from) + u64::from(to);
     }
 }
 
@@ -293,52 +418,99 @@ mod tests {
         parts
     }
 
+    /// The partition and slot holding key `v`, if any.
+    fn resolve(parts: &[TableData], v: &Value) -> Option<Target> {
+        parts
+            .iter()
+            .enumerate()
+            .find_map(|(p, part)| part.lookup_pk(std::slice::from_ref(v)).map(|rid| (p, rid)))
+    }
+
+    /// Every field equal, the NMI bit for bit.
+    fn assert_bitwise(got: &JoinStats, want: &JoinStats, what: &str) {
+        assert_eq!(got, want, "{what}");
+        assert_eq!(got.nmi.to_bits(), want.nmi.to_bits(), "nmi bits, {what}");
+    }
+
     #[test]
-    fn join_accumulator_matches_whole_bitwise() {
-        let (c, a, b, fk) = fixture();
+    fn join_counts_match_whole_bitwise() {
+        let (c, _, mut b, fk) = fixture();
         let as_ = c.table(c.table_id("a").unwrap()).clone();
         let bs = c.table(c.table_id("b").unwrap()).clone();
+        for key in 4..60i64 {
+            b.insert(&c, &bs, Row::new(vec![key.into()])).unwrap();
+        }
+        // Skewed on purpose: key `j` is referenced `1 + j % 4` times, so
+        // every histogram run is long — where subtracting a run's term once
+        // per key (not once scaled by the run length) is what keeps the bits.
+        let mut a = TableData::new();
+        let targets = (0..60i64).flat_map(|j| std::iter::repeat_n(j, 1 + j as usize % 4));
+        for (i, target) in targets.enumerate() {
+            a.insert(&c, &as_, Row::new(vec![(i as i64).into(), target.into()]))
+                .unwrap();
+        }
+        a.insert(&c, &as_, Row::new(vec![(-1).into(), Value::Null]))
+            .unwrap();
         let whole = join_stats(&c, fk, &a, &b);
         for n in [1usize, 2, 3] {
-            let mut acc = JoinStatsAccumulator::new();
-            for part in &split(&c, &as_, &a, n) {
-                acc.absorb_referencing(&c, fk, part);
-            }
-            for part in &split(&c, &bs, &b, n) {
-                acc.absorb_referenced(&c, fk, part);
-            }
-            let merged = acc.finish();
-            assert_eq!(merged.pairs, whole.pairs);
-            assert_eq!(merged.referenced_distinct, whole.referenced_distinct);
-            assert_eq!(merged.referencing_rows, whole.referencing_rows);
-            assert_eq!(merged.referenced_rows, whole.referenced_rows);
-            assert_eq!(
-                merged.nmi.to_bits(),
-                whole.nmi.to_bits(),
-                "nmi bits, {n} partitions"
+            let parts = split(&c, &bs, &b, n);
+            let refs: Vec<&Value> = a.iter().map(|(_, r)| r.get(1)).collect();
+            let built = JoinCounts::build(
+                refs.iter()
+                    .filter(|v| !v.is_null())
+                    .map(|v| (*v, resolve(&parts, v))),
             );
+            let rows = (a.len() as u64, b.len() as u64);
+            assert_bitwise(&built.stats(rows.0, rows.1), &whole, "built");
+            // The same state reached one reference at a time, in reverse.
+            let mut live = JoinCounts::default();
+            for v in refs.iter().rev().filter(|v| !v.is_null()) {
+                live.add_reference(v, resolve(&parts, v));
+            }
+            assert_bitwise(&live.stats(rows.0, rows.1), &whole, "live");
+            // And a removal is undone by the matching add.
+            let v = &Value::Int(3);
+            live.remove_reference(v, resolve(&parts, v));
+            assert_eq!(live.count(resolve(&parts, v).unwrap()), 3);
+            live.add_reference(v, resolve(&parts, v));
+            assert_bitwise(&live.stats(rows.0, rows.1), &whole, "round trip");
         }
     }
 
     #[test]
-    fn join_accumulator_filters_dangling_references_at_finish() {
-        // A referencing value whose PK lives in no absorbed partition must
-        // not count as a pair — the filter the whole-table path applies
-        // per-row happens at finish() here.
-        let (c, _, b, fk) = fixture();
+    fn join_counts_adopt_and_hand_back_dangling_references() {
+        // A referencing value whose key no live row holds is no pair; when a
+        // row with that key appears it adopts the count, and when it leaves
+        // the count dangles again — each state equal to the rescan.
+        let (c, _, mut b, fk) = fixture();
         let as_ = c.table(c.table_id("a").unwrap()).clone();
+        let bs = c.table(c.table_id("b").unwrap()).clone();
         let mut a = TableData::new();
-        a.insert(&c, &as_, Row::new(vec![0.into(), Value::Int(99)]))
-            .unwrap();
-        a.insert(&c, &as_, Row::new(vec![1.into(), Value::Int(0)]))
-            .unwrap();
-        let mut acc = JoinStatsAccumulator::new();
-        acc.absorb_referencing(&c, fk, &a);
-        acc.absorb_referenced(&c, fk, &b);
-        let js = acc.finish();
-        assert_eq!(js.pairs, 1, "dangling 99 filtered");
-        assert_eq!(js.referenced_distinct, 1);
-        let whole = join_stats(&c, fk, &a, &b);
-        assert_eq!(js.nmi.to_bits(), whole.nmi.to_bits());
+        for (i, target) in [(0i64, 99i64), (1, 0), (2, 99)] {
+            a.insert(&c, &as_, Row::new(vec![i.into(), target.into()]))
+                .unwrap();
+        }
+        let resolve_in = |b: &TableData, v: &Value| resolve(std::slice::from_ref(b), v);
+        let mut counts =
+            JoinCounts::build(a.iter().map(|(_, r)| (r.get(1), resolve_in(&b, r.get(1)))));
+        let check = |counts: &JoinCounts, b: &TableData, what: &str| {
+            let got = counts.stats(a.len() as u64, b.len() as u64);
+            assert_bitwise(&got, &join_stats(&c, fk, &a, b), what);
+            got
+        };
+        assert_eq!(check(&counts, &b, "dangling 99").pairs, 1);
+        let key = Value::Int(99);
+        let rid = b.insert(&c, &bs, Row::new(vec![key.clone()])).unwrap();
+        counts.add_target((0, rid), &key);
+        assert_eq!(counts.count((0, rid)), 2);
+        assert_eq!(check(&counts, &b, "99 adopted").pairs, 3);
+        b.delete(&c, &bs, rid).unwrap();
+        counts.remove_target((0, rid), &key);
+        assert_eq!(counts.count((0, rid)), 0);
+        assert_eq!(check(&counts, &b, "99 handed back").pairs, 1);
+        // A dangling reference leaves through the side map.
+        counts.remove_reference(&key, None);
+        counts.remove_reference(&key, None);
+        assert!(counts.dangling.is_empty());
     }
 }

@@ -6,10 +6,18 @@
 //! layout decision; it must never be observable in an answer.
 
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use quest::prelude::*;
 use quest::shard::ShardedStore;
 use quest::store::index::TokenPartial;
+use quest::store::stats::JoinStats;
+
+/// The failpoint registry is process-global: every test here that commits
+/// through a `ShardedPrimary` (whose commit path can consume an armed
+/// `shard.commit` hit) serializes on this lock.
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -169,6 +177,21 @@ fn assert_postings_and_stats_identical(store: &ShardedStore, whole: &Database) {
             "join NMI bits diverged"
         );
     }
+}
+
+/// Every foreign key's merged join statistics, in catalog order.
+fn all_fk_stats(store: &ShardedStore) -> Vec<JoinStats> {
+    let fks = store.catalog().foreign_keys();
+    fks.iter()
+        .map(|fk| store.fk_stats(*fk).expect("merged join stats").clone())
+        .collect()
+}
+
+/// Bit equality of two statistics lists: all five fields, NMI bits too.
+fn assert_fk_stats_bitwise(got: &[JoinStats], want: &[JoinStats], what: &str) {
+    assert_eq!(got, want, "{what}");
+    let bits = |s: &[JoinStats]| s.iter().map(|j| j.nmi.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want), "{what}: NMI bits");
 }
 
 /// Per-record accept/reject parity: applied counts, rejected indices, and
@@ -421,6 +444,7 @@ fn rebalance_preserves_search_identity() {
 
 #[test]
 fn sharded_primary_commits_recover_and_feed_replicas() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("primary");
     let db = imdb_db(42);
     let queries = {
@@ -451,6 +475,63 @@ fn sharded_primary_commits_recover_and_feed_replicas() {
             "sharded primary diverged from unsharded engine mid-commit"
         );
     }
+
+    // One fenced-then-healed commit: the gateway's store applies the batch,
+    // the first shard handed records fails its append permanently and is
+    // fenced with them pending, and supervision re-drives them into its log.
+    primary.set_recovery(
+        RetryPolicy {
+            retries: 1,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(1),
+            jitter_seed: 1,
+        },
+        Arc::new(ManualClock::new()),
+    );
+    quest::fault::install("shard.commit@1=append_error!".parse().expect("plan parses"));
+    let fenced = primary.commit(&[
+        ChangeRecord::Insert {
+            table: "person".into(),
+            row: vec![900_101.into(), "Fenced Mentor".into(), 1901.into()],
+        },
+        ChangeRecord::Insert {
+            table: "movie".into(),
+            row: vec![
+                900_102.into(),
+                "Fenced Feature".into(),
+                1931.into(),
+                7.0.into(),
+                900_101.into(),
+            ],
+        },
+        ChangeRecord::Delete {
+            table: "movie".into(),
+            key: vec![900_004.into()],
+        },
+    ]);
+    quest::fault::clear();
+    assert!(
+        matches!(fenced, Err(quest::shard::ShardError::ShardDown { .. })),
+        "{fenced:?}"
+    );
+    assert_eq!(primary.supervise(), 1, "the fenced shard heals");
+    // The live counts followed the store through the stream and the fence:
+    // the statistics they derive equal a cold `join_stats` over the same
+    // rows, bit for bit (and a cold reopen, checked below).
+    let live = {
+        let guard = primary.gateway().engine().engine();
+        let store = guard.wrapper().store();
+        let cold = store.gather().expect("shards gather");
+        let live = all_fk_stats(store);
+        let rescanned: Vec<JoinStats> = cold
+            .catalog()
+            .foreign_keys()
+            .iter()
+            .map(|fk| cold.fk_stats(*fk).expect("cold join stats").clone())
+            .collect();
+        assert_fk_stats_bitwise(&live, &rescanned, "live counts vs cold rescan");
+        live
+    };
     primary.sync().expect("group fsync");
     let topo = primary.topology();
     assert!(topo.is_healthy());
@@ -528,11 +609,17 @@ fn sharded_primary_commits_recover_and_feed_replicas() {
         before,
         "recovery changed an answer"
     );
+    assert_fk_stats_bitwise(
+        &all_fk_stats(reopened.gateway().engine().engine().wrapper().store()),
+        &live,
+        "reopen rebuilt different counts than the live ones",
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn topology_health_is_purely_observational() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("health");
     let db = imdb_db(42);
     let queries = imdb_queries();

@@ -1,10 +1,47 @@
 //! Property tests for the retry/backoff schedule: deterministic per seed,
-//! monotone in the exponential regime, and always bounded by the cap.
+//! monotone in the exponential regime, and always bounded by the cap. Also
+//! the fault-plan syntax (`QUEST_FAULT_PLAN`): hostile text is refused with
+//! an error, never a panic, and every accepted plan round-trips through
+//! its `Display` form.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
-use quest_fault::RetryPolicy;
+use quest_fault::{sites, FaultPlan, RetryPolicy};
+
+/// Fault kinds the plan syntax knows, plus one it must refuse.
+const KINDS: &[&str] = &[
+    "fsync_error",
+    "torn_write",
+    "append_error",
+    "apply_error",
+    "slow_io",
+    "explode",
+];
+
+/// One `site@hit=kind[!]` entry, mostly well-formed: the index past the
+/// last site names an unknown site, and a hit count may carry a `+` sign.
+fn plan_entry() -> impl Strategy<Value = String> {
+    (
+        0..sites::ALL.len() + 1,
+        "[+]?[1-9][0-9]{0,2}",
+        0..KINDS.len(),
+        "!?",
+    )
+        .prop_map(|(site, hit, kind, bang)| {
+            let site = sites::ALL.get(site).copied().unwrap_or("nope");
+            format!("{site}@{hit}={}{bang}", KINDS[kind])
+        })
+}
+
+/// Arbitrary bytes, the plan syntax's alphabet, or lists of entries.
+fn plan_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..128),
+        "[a-z_.@=!, 0-9+]{0,48}".prop_map(String::into_bytes),
+        proptest::collection::vec(plan_entry(), 1..4).prop_map(|e| e.join(", ").into_bytes()),
+    ]
+}
 
 fn policy(retries: u32, base_ms: u64, cap_ms: u64, seed: u64) -> RetryPolicy {
     RetryPolicy {
@@ -72,5 +109,13 @@ proptest! {
         // With a huge cap and six attempts, identical schedules from
         // different seeds would mean the jitter stream ignores the seed.
         prop_assert_ne!(a.schedule(), b.schedule());
+    }
+
+    #[test]
+    fn fault_plan_parse_never_panics_and_round_trips(bytes in plan_bytes()) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(plan) = text.parse::<FaultPlan>() {
+            prop_assert_eq!(plan.to_string().parse::<FaultPlan>(), Ok(plan));
+        }
     }
 }

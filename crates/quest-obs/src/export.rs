@@ -13,7 +13,6 @@ use std::fmt::Write as _;
 use crate::histogram::HistogramSnapshot;
 use crate::metrics::{MetricSnapshot, MetricValue, MetricsSnapshot};
 use crate::span::SpanRecord;
-use crate::trace::QueryTrace;
 
 /// Escape a label value per the exposition format: backslash, double
 /// quote, and newline (the three characters that would break the
@@ -327,55 +326,15 @@ pub fn parse_prometheus_text(text: &str) -> Result<Vec<ParsedSample>, String> {
     Ok(samples)
 }
 
-/// Placement of one complete (`ph: "X"`) event: when, for how long, and
-/// on which process/thread lane the viewer draws it.
-struct ChromeSlot {
-    ts: u64,
-    dur: u64,
-    pid: u64,
-    tid: u64,
-}
-
-fn chrome_event(
-    out: &mut String,
-    name: &str,
-    cat: &str,
-    slot: ChromeSlot,
-    args: &[(&str, String)],
-) {
-    if !out.is_empty() {
-        out.push(',');
-    }
-    let rendered: Vec<String> = args
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v))
-        .collect();
-    let _ = write!(
-        out,
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-         \"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
-        json_escape(name),
-        json_escape(cat),
-        slot.ts,
-        slot.dur,
-        slot.pid,
-        slot.tid,
-        rendered.join(",")
-    );
-}
-
-/// Render write-path spans and per-query traces as one Chrome trace-event
-/// JSON document, loadable in `chrome://tracing` or Perfetto.
+/// Render spans as one Chrome trace-event JSON document, loadable in
+/// `chrome://tracing` or Perfetto.
 ///
 /// Spans keep their real timeline (microsecond offsets from the
 /// collector's epoch) on the `pid` lane of their [`crate::span::TraceKind`]
 /// family, each carrying its `trace_id` so one commit's WAL append, fsync,
-/// engine apply, and cache epoch bump line up as a tree. Query traces —
-/// which record stage *durations*, not absolute starts — are synthesized
-/// onto the query lane one `tid` per query (its ring `seq`), stages laid
-/// out back-to-back from ts 0 and per-shard scatter sections alongside, so
-/// both kinds of evidence land in a single viewer-compatible file.
-pub fn to_chrome_trace_json(spans: &[SpanRecord], traces: &[QueryTrace]) -> String {
+/// engine apply, and cache epoch bump — or one query's forward, backward,
+/// and assemble stages under its `query` root — line up as a tree.
+pub fn to_chrome_trace_json(spans: &[SpanRecord]) -> String {
     let mut events = String::new();
     // Process-name metadata rows, one per lane.
     for kind in [
@@ -394,80 +353,25 @@ pub fn to_chrome_trace_json(spans: &[SpanRecord], traces: &[QueryTrace]) -> Stri
             kind.lane()
         );
     }
+    // One complete (`ph: "X"`) event per span; its args are the trace id
+    // plus the span's numeric arguments.
     for s in spans {
-        let mut args: Vec<(&str, String)> = vec![("trace_id", s.trace_id.to_string())];
-        for (k, v) in s.args.iter().flatten() {
-            args.push((k, v.to_string()));
-        }
-        chrome_event(
-            &mut events,
-            s.name,
+        let _ = write!(
+            events,
+            ",{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+             \"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":{}",
+            json_escape(s.name),
             s.kind.lane(),
-            ChromeSlot {
-                ts: s.start_us,
-                dur: s.dur_us,
-                pid: s.kind.pid(),
-                tid: s.tid,
-            },
-            &args,
+            s.start_us,
+            s.dur_us,
+            s.kind.pid(),
+            s.tid,
+            s.trace_id
         );
-    }
-    let query_pid = crate::span::TraceKind::Query.pid();
-    for t in traces {
-        let tid = t.seq;
-        let root_args: Vec<(&str, String)> = vec![
-            ("seq", t.seq.to_string()),
-            ("ok", t.ok.to_string()),
-            ("forward_cache_hit", t.forward_cache_hit.to_string()),
-        ];
-        chrome_event(
-            &mut events,
-            &format!("query: {}", t.query),
-            "query",
-            ChromeSlot {
-                ts: 0,
-                dur: t.total_us,
-                pid: query_pid,
-                tid,
-            },
-            &root_args,
-        );
-        let mut ts = 0u64;
-        for (name, dur) in [
-            ("forward", t.forward_us),
-            ("backward", t.backward_us),
-            ("assemble", t.assemble_us),
-        ] {
-            chrome_event(
-                &mut events,
-                name,
-                "stage",
-                ChromeSlot {
-                    ts,
-                    dur,
-                    pid: query_pid,
-                    tid,
-                },
-                &[],
-            );
-            ts = ts.saturating_add(dur);
+        for (k, v) in s.args.iter().flatten() {
+            let _ = write!(events, ",\"{}\":{v}", json_escape(k));
         }
-        let mut scatter_ts = 0u64;
-        for &(shard, us) in &t.shard_scatter_us {
-            chrome_event(
-                &mut events,
-                &format!("scatter shard {shard}"),
-                "scatter",
-                ChromeSlot {
-                    ts: scatter_ts,
-                    dur: us,
-                    pid: query_pid,
-                    tid,
-                },
-                &[("shard", shard.to_string())],
-            );
-            scatter_ts = scatter_ts.saturating_add(us);
-        }
+        events.push_str("}}");
     }
     format!("{{\"traceEvents\":[{events}],\"displayTimeUnit\":\"ms\"}}")
 }
@@ -575,29 +479,28 @@ mod tests {
     #[test]
     fn chrome_trace_renders_spans_and_traces() {
         use crate::span::{SpanCollector, TraceKind};
-        use crate::trace::QueryTrace;
         let c = SpanCollector::new(8);
-        let ctx = c.ctx(TraceKind::Commit);
-        c.record_with(ctx, "wal_append", c.start(), [Some(("records", 2)), None]);
-        let trace = QueryTrace {
-            seq: 5,
-            query: "movies with \"quotes\"".into(),
-            ok: true,
-            total_us: 100,
-            forward_us: 60,
-            backward_us: 30,
-            assemble_us: 10,
-            shard_scatter_us: vec![(0, 40), (1, 20)],
-            ..QueryTrace::default()
-        };
-        let json = to_chrome_trace_json(&c.recent(), &[trace]);
+        let commit = c.ctx(TraceKind::Commit);
+        c.record_with(
+            commit,
+            "wal_append",
+            c.start(),
+            [Some(("records", 2)), None],
+        );
+        let query = c.ctx(TraceKind::Query);
+        c.record_with(
+            query,
+            "query \"quoted\"",
+            c.start(),
+            [Some(("ok", 1)), None],
+        );
+        let json = to_chrome_trace_json(&c.recent());
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("\"displayTimeUnit\":\"ms\"}"));
         assert!(json.contains("\"name\":\"wal_append\""));
-        assert!(json.contains(&format!("\"trace_id\":{}", ctx.id)));
-        assert!(json.contains("\"records\":2"));
-        assert!(json.contains("movies with \\\"quotes\\\""));
-        assert!(json.contains("\"name\":\"scatter shard 1\""));
+        assert!(json.contains(&format!("\"trace_id\":{},\"records\":2", commit.id)));
+        assert!(json.contains("\"name\":\"query \\\"quoted\\\"\""));
+        assert!(json.contains(&format!("\"trace_id\":{},\"ok\":1", query.id)));
         assert!(json.contains("\"name\":\"process_name\""));
         // Structurally valid: every brace/bracket balances outside strings.
         let (mut depth, mut in_str, mut esc) = (0i64, false, false);

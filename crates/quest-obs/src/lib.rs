@@ -1,8 +1,7 @@
 //! Zero-dependency observability core for the QUEST stack: an atomic
 //! [`MetricsRegistry`] of counters, gauges, and log-bucketed latency
-//! histograms; per-query [`QueryTrace`] spans in a bounded ring with a
-//! threshold-gated slow-query log; and two exporters (Prometheus text
-//! exposition, JSON snapshot).
+//! histograms; explicit-context spans in one bounded ring; and two
+//! exporters (Prometheus text exposition, JSON snapshot).
 //!
 //! Design constraints, in order:
 //!
@@ -27,7 +26,8 @@
 //! - **Span tracing** ([`span`]): explicit-[`TraceCtx`] spans through the
 //!   write path and query path, collected in the bounded [`spans()`] ring
 //!   and exported as Chrome trace-event JSON
-//!   ([`to_chrome_trace_json`]).
+//!   ([`to_chrome_trace_json`]). A served query is one `query` root span
+//!   plus one span per stage, all under one trace id.
 //! - **Windowed aggregation** ([`window`]): rolling-window rates, deltas,
 //!   sliding percentiles, and gauge extremes over [`MetricsSnapshot`]
 //!   samples, counter-reset tolerant.
@@ -37,12 +37,9 @@
 //!   logical-vs-physical byte and probe counters here; `bench-json`
 //!   reports the ratios.
 //!
-//! Env knobs: `QUEST_OBS_SLOW_QUERY_US` (slow-query threshold,
-//! microseconds), `QUEST_OBS_TRACE_CAPACITY` (trace ring size; 0 disables
-//! tracing) — see [`TraceConfig::from_env`]; `QUEST_OBS_SPAN_CAPACITY`
-//! (span ring size; 0 disables span tracing) — see
-//! [`SpanCollector::from_env`]; `QUEST_OBS_WINDOW_SECS` (rolling window
-//! width) — see [`WindowConfig::from_env`].
+//! Env knobs: `QUEST_OBS_SPAN_CAPACITY` (span ring size; 0 disables span
+//! tracing) — see [`SpanCollector::from_env`]; `QUEST_OBS_WINDOW_SECS`
+//! (rolling window width) — see [`WindowConfig::from_env`].
 
 #![warn(missing_docs)]
 
@@ -51,7 +48,6 @@ pub mod health;
 pub mod histogram;
 pub mod metrics;
 pub mod span;
-pub mod trace;
 pub mod window;
 
 pub use export::{
@@ -66,7 +62,6 @@ pub use metrics::{
     MetricsSnapshot, WindowedGauge,
 };
 pub use span::{spans, SpanCollector, SpanRecord, TraceCtx, TraceKind};
-pub use trace::{scatter, QueryTrace, TemplateOutcome, TraceConfig, TraceRing, TraceSink};
 pub use window::{WindowAggregator, WindowConfig, WindowRates};
 
 use std::sync::OnceLock;
@@ -80,7 +75,7 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
-/// Saturating `Duration` → whole microseconds (the unit traces use).
+/// Saturating `Duration` → whole microseconds (the unit spans use).
 pub fn duration_us(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }

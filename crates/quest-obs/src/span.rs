@@ -30,8 +30,7 @@ pub enum TraceKind {
     /// The write path: `Primary::commit`, WAL append/fsync, engine apply,
     /// cache epoch bump.
     Commit,
-    /// The read path: one served query (forward/backward/assemble stages,
-    /// per-shard scatter).
+    /// The read path: one served query (forward/backward/assemble stages).
     Query,
     /// A replica sync round: log tail plus apply.
     Replica,
@@ -112,9 +111,9 @@ pub fn thread_id() -> u64 {
     ID.with(|id| *id)
 }
 
-/// A bounded, lock-light ring of completed spans (the write-path sibling of
-/// [`TraceRing`](crate::TraceRing)): writers claim slots with one atomic
-/// `fetch_add` and records are `Copy`, so recording never allocates.
+/// A bounded, lock-light ring of completed spans: writers claim slots with
+/// one atomic `fetch_add` and records are `Copy`, so recording never
+/// allocates.
 #[derive(Debug)]
 pub struct SpanCollector {
     enabled: AtomicBool,

@@ -1,10 +1,11 @@
-//! Round-trip property suite for the Prometheus exporter/parser pair
-//! (ISSUE 9 satellite): adversarial label values — quotes, backslashes,
-//! newlines, commas, braces — escape on the way out and decode losslessly
-//! on the way back in, with `# HELP` lines accepted throughout.
+//! Round-trip property suite for the Prometheus exporter/parser pair:
+//! adversarial label values — quotes, backslashes, newlines, commas,
+//! braces — escape on the way out and decode losslessly on the way back
+//! in, with `# HELP` lines accepted throughout. Hostile input of any shape
+//! is refused with an error, never a panic.
 
 use proptest::prelude::*;
-use quest_obs::{parse_prometheus_text, to_prometheus_text, MetricsRegistry};
+use quest_obs::{parse_prometheus_text, to_prometheus_text, MetricsRegistry, ParsedSample};
 
 /// Label values over the characters that attack the exposition framing:
 /// the escape triple (`"`, `\`, newline) plus the label-block punctuation
@@ -13,8 +14,37 @@ fn hostile_value() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9\"\\\\\n,={} ]{0,16}"
 }
 
+/// Arbitrary bytes, half of them drawn from the exposition's own framing
+/// alphabet so generated lines get past the first character checks.
+fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..256),
+        "[a-z_#{}=\"\\\\\n,. 0-9+-]{0,96}".prop_map(String::into_bytes),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn hostile_bytes_never_panic_the_parsers(bytes in hostile_bytes()) {
+        let text = String::from_utf8_lossy(&bytes);
+        // As a whole document, and as the label block and trailing lines of
+        // a declared family, so the bytes also reach the sample path.
+        for doc in [text.to_string(), format!("# TYPE x counter\nx{{{text}}} 1\n{text}")] {
+            if let Ok(samples) = parse_prometheus_text(&doc) {
+                for sample in &samples {
+                    let _ = sample.label_pairs();
+                }
+            }
+        }
+        let sample = ParsedSample {
+            name: "x".into(),
+            labels: text.into_owned(),
+            value: 0.0,
+        };
+        let _ = sample.label_pairs();
+    }
 
     #[test]
     fn counter_labels_round_trip(

@@ -44,10 +44,7 @@ use quest_core::{
     Configuration, Explanation, ForwardResult, FullAccessWrapper, KeywordQuery, Quest, QuestError,
     SearchOutcome, SearchScratch, SourceWrapper,
 };
-use quest_obs::{
-    duration_us, HealthInputs, MetricsRegistry, QueryTrace, SloSpec, TemplateOutcome, TraceConfig,
-    TraceCtx, TraceKind, WindowAggregator,
-};
+use quest_obs::{HealthInputs, MetricsRegistry, SloSpec, TraceCtx, TraceKind, WindowAggregator};
 use quest_wal::ChangeRecord;
 
 use crate::cache::LruCache;
@@ -126,20 +123,6 @@ struct SloMonitor {
     window: WindowAggregator,
 }
 
-/// Per-search span accounting filled by `search_inner` and turned into a
-/// [`QueryTrace`] (lazily — only when a ring wants it) by the caller.
-#[derive(Debug, Default)]
-struct SearchSpans {
-    forward: std::time::Duration,
-    backward: std::time::Duration,
-    assemble: std::time::Duration,
-    forward_cache_hit: bool,
-    backward_hits: u32,
-    backward_misses: u32,
-    template_hits: u64,
-    template_misses: u64,
-}
-
 /// See [`CachedEngine::purge_stale`].
 #[derive(Debug, Default)]
 struct PurgeMark {
@@ -153,27 +136,19 @@ impl<W: SourceWrapper> CachedEngine<W> {
         CachedEngine::with_caches(engine, CacheConfig::default())
     }
 
-    /// Front `engine` with explicitly sized caches, a fresh per-engine
-    /// metrics registry, and tracing knobs from the environment
-    /// (`QUEST_OBS_TRACE_CAPACITY`, `QUEST_OBS_SLOW_QUERY_US`).
+    /// Front `engine` with explicitly sized caches and a fresh per-engine
+    /// metrics registry.
     pub fn with_caches(engine: Quest<W>, caches: CacheConfig) -> CachedEngine<W> {
-        CachedEngine::with_obs(
-            engine,
-            caches,
-            Arc::new(MetricsRegistry::new()),
-            TraceConfig::from_env(),
-        )
+        CachedEngine::with_obs(engine, caches, Arc::new(MetricsRegistry::new()))
     }
 
-    /// Front `engine` with explicit caches, metrics registry, and tracing
-    /// knobs. Pass [`MetricsRegistry::disabled`] for a near-no-op recording
-    /// stack, or a shared registry to aggregate several engines into one
-    /// scrape.
+    /// Front `engine` with explicit caches and metrics registry. Pass
+    /// [`MetricsRegistry::disabled`] for a near-no-op recording stack, or a
+    /// shared registry to aggregate several engines into one scrape.
     pub fn with_obs(
         engine: Quest<W>,
         caches: CacheConfig,
         registry: Arc<MetricsRegistry>,
-        trace: TraceConfig,
     ) -> CachedEngine<W> {
         CachedEngine {
             engine: RwLock::new(engine),
@@ -182,7 +157,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
             purge_mark: Mutex::new(PurgeMark::default()),
             forward: Mutex::new(LruCache::new(caches.forward_capacity)),
             backward: Mutex::new(LruCache::new(caches.backward_capacity)),
-            obs: ServeObs::new(registry, trace),
+            obs: ServeObs::new(registry),
             slo: Mutex::new(None),
         }
     }
@@ -192,18 +167,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
     /// or [`quest_obs::to_json`]).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         self.obs.registry()
-    }
-
-    /// The retained per-query traces, oldest first (bounded ring; capacity
-    /// via [`TraceConfig::ring_capacity`]).
-    pub fn traces(&self) -> Vec<QueryTrace> {
-        self.obs.traces.recent()
-    }
-
-    /// The retained slow queries — total wall at or above
-    /// [`TraceConfig::slow_query_us`] — oldest first.
-    pub fn slow_queries(&self) -> Vec<QueryTrace> {
-        self.obs.traces.slow_queries()
     }
 
     /// Read access to the wrapped engine. The guard shares the lock with
@@ -313,35 +276,15 @@ impl<W: SourceWrapper> CachedEngine<W> {
         scratch: &mut SearchScratch,
     ) -> Result<SearchOutcome, QuestError> {
         let t0 = Instant::now();
-        // Drop any scatter deposits a panicking predecessor left on this
-        // thread, so they cannot be attributed to this query.
-        quest_obs::scatter::reset();
         let collector = quest_obs::spans();
         let ctx = if collector.is_enabled() {
             collector.ctx(TraceKind::Query)
         } else {
             TraceCtx::detached(TraceKind::Query)
         };
-        let mut spans = SearchSpans::default();
-        let result = self.search_inner(query, scratch, &mut spans, ctx);
-        let elapsed = t0.elapsed();
-        self.obs.record(elapsed, result.is_ok());
-        let shard_scatter_us = quest_obs::scatter::take();
+        let result = self.search_inner(query, scratch, ctx);
         let ok = result.is_ok();
-        self.obs.trace_with(elapsed, || QueryTrace {
-            seq: 0, // assigned by the ring
-            query: query.raw.clone(),
-            ok,
-            total_us: duration_us(elapsed),
-            forward_us: duration_us(spans.forward),
-            backward_us: duration_us(spans.backward),
-            assemble_us: duration_us(spans.assemble),
-            forward_cache_hit: spans.forward_cache_hit,
-            backward_cache_hits: spans.backward_hits,
-            backward_cache_misses: spans.backward_misses,
-            template_memo: TemplateOutcome::from_delta(spans.template_hits, spans.template_misses),
-            shard_scatter_us,
-        });
+        self.obs.record(t0.elapsed(), ok);
         collector.record_with(ctx, "query", Some(t0), [Some(("ok", ok as u64)), None]);
         result
     }
@@ -350,7 +293,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
         &self,
         query: &KeywordQuery,
         scratch: &mut SearchScratch,
-        spans: &mut SearchSpans,
         ctx: TraceCtx,
     ) -> Result<SearchOutcome, QuestError> {
         // Memoized Steiner interpretations are valid for one engine state
@@ -378,7 +320,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
         // insert below.
         let t0 = Instant::now();
         let cached_forward = self.forward_cache().get(&key);
-        spans.forward_cache_hit = cached_forward.is_some();
+        let forward_cache_hit = cached_forward.is_some();
         let forward = match cached_forward {
             Some(hit) => (*hit).clone(), // payload copy happens off-lock
             None => {
@@ -398,25 +340,22 @@ impl<W: SourceWrapper> CachedEngine<W> {
             ctx,
             "query_forward",
             Some(t0),
-            [Some(("cache_hit", spans.forward_cache_hit as u64)), None],
+            [Some(("cache_hit", forward_cache_hit as u64)), None],
         );
 
-        // The template memo's counters before/after bracket this query's
-        // Steiner work; shared counters make the delta best-effort under
-        // concurrency (documented on `QueryTrace::template_memo`).
-        let templates_before = engine.backward().template_stats();
         let t0 = Instant::now();
+        let (mut backward_hits, mut backward_misses) = (0u64, 0u64);
         let mut interpretations = Vec::with_capacity(forward.configurations.len());
         for cfg in &forward.configurations {
             let bkey: BackwardKey = (data_epoch, cfg.terms.clone());
             let cached_backward = self.backward_cache().get(&bkey);
             let interps = match cached_backward {
                 Some(hit) => {
-                    spans.backward_hits += 1;
+                    backward_hits += 1;
                     (*hit).clone()
                 }
                 None => {
-                    spans.backward_misses += 1;
+                    backward_misses += 1;
                     let computed = engine.backward_pass_with(cfg, scratch)?;
                     self.backward_cache()
                         .insert(bkey, Arc::new(computed.clone()));
@@ -431,22 +370,14 @@ impl<W: SourceWrapper> CachedEngine<W> {
             "query_backward",
             Some(t0),
             [
-                Some(("cache_hits", u64::from(spans.backward_hits))),
-                Some(("cache_misses", u64::from(spans.backward_misses))),
+                Some(("cache_hits", backward_hits)),
+                Some(("cache_misses", backward_misses)),
             ],
         );
-        let templates_after = engine.backward().template_stats();
-        spans.template_hits = templates_after.hits.saturating_sub(templates_before.hits);
-        spans.template_misses = templates_after
-            .misses
-            .saturating_sub(templates_before.misses);
         let t0 = Instant::now();
         let outcome = engine.assemble_with(query, forward, interpretations, backward_time, scratch);
         let assemble_wall = t0.elapsed();
         quest_obs::spans().record(ctx, "query_assemble", Some(t0));
-        spans.forward = forward_wall;
-        spans.backward = backward_time;
-        spans.assemble = assemble_wall;
         self.obs
             .record_stage_walls(forward_wall, backward_time, assemble_wall);
         outcome
@@ -1033,7 +964,6 @@ mod tests {
         let expected = [
             names::QUERIES,
             names::ERRORS,
-            names::SLOW_QUERIES,
             names::LATENCY,
             names::STAGE_FORWARD,
             names::STAGE_BACKWARD,
@@ -1074,47 +1004,63 @@ mod tests {
         );
     }
 
-    /// Traces carry real per-stage attribution: a cold search misses the
-    /// forward cache and a warm repeat hits it, stage walls never exceed
-    /// the total, and with a floor-zero threshold every query lands in the
-    /// slow log with its stage breakdown.
+    /// A served query is recorded once, as a span tree: a `query` root
+    /// under a fresh trace id, with exactly one span per stage inside the
+    /// root's interval, carrying the cache outcomes (the cold search
+    /// misses both caches, the warm repeat hits the forward cache).
     #[test]
     fn traces_attribute_stages_and_cache_outcomes() {
-        let cached = CachedEngine::with_obs(
-            engine(),
-            CacheConfig::default(),
-            Arc::new(quest_obs::MetricsRegistry::new()),
-            quest_obs::TraceConfig {
-                ring_capacity: 8,
-                slow_capacity: 8,
-                // 1µs floor: any real search clears it, so everything
-                // classifies as slow (0 would disable the log).
-                slow_query_us: 1,
-            },
-        );
+        let cached = CachedEngine::new(engine());
         let _ = cached.search("wind fleming").unwrap();
         let _ = cached.search("wind fleming").unwrap();
 
-        let traces = cached.traces();
-        assert_eq!(traces.len(), 2);
-        let (cold, warm) = (&traces[0], &traces[1]);
-        assert_eq!(cold.query, "wind fleming");
-        assert!(!cold.forward_cache_hit, "first search computes forward");
-        assert!(warm.forward_cache_hit, "repeat is served from the cache");
+        // The collector is process-wide: keep only this thread's spans.
+        let tid = quest_obs::span::thread_id();
+        let spans: Vec<quest_obs::SpanRecord> = quest_obs::spans()
+            .recent()
+            .into_iter()
+            .filter(|s| s.tid == tid)
+            .collect();
+        let arg = |s: &quest_obs::SpanRecord, key: &str| {
+            s.args
+                .iter()
+                .flatten()
+                .find(|(k, _)| *k == key)
+                .map(|a| a.1)
+        };
+        let roots: Vec<_> = spans.iter().filter(|s| s.name == "query").collect();
+        assert_eq!(roots.len(), 2, "{spans:?}");
+        assert_ne!(roots[0].trace_id, roots[1].trace_id);
+        let mut forward_hits = Vec::new();
+        let mut backward_misses = Vec::new();
+        for root in &roots {
+            assert_ne!(root.trace_id, 0, "a served query mints its own ctx");
+            assert_eq!(root.kind, TraceKind::Query);
+            assert_eq!(arg(root, "ok"), Some(1));
+            let stage = |name: &str| {
+                let found: Vec<_> = spans
+                    .iter()
+                    .filter(|s| s.trace_id == root.trace_id && s.name == name)
+                    .collect();
+                assert_eq!(found.len(), 1, "{name} under {root:?}: {spans:?}");
+                let s = found[0];
+                // Starts and durations are floored to whole microseconds,
+                // so a child can overhang the root's end by 1 µs.
+                assert!(s.start_us >= root.start_us, "{s:?} starts before {root:?}");
+                assert!(
+                    s.start_us + s.dur_us <= root.start_us + root.dur_us + 1,
+                    "{s:?} ends after {root:?}"
+                );
+                s
+            };
+            forward_hits.push(arg(stage("query_forward"), "cache_hit"));
+            backward_misses.push(arg(stage("query_backward"), "cache_misses"));
+            stage("query_assemble");
+        }
+        assert_eq!(forward_hits, [Some(0), Some(1)], "cold misses, warm hits");
         assert!(
-            cold.backward_cache_misses > 0,
+            backward_misses[0] >= Some(1),
             "cold search enumerates at least one configuration"
         );
-        for t in [cold, warm] {
-            assert!(
-                t.forward_us + t.backward_us + t.assemble_us <= t.total_us,
-                "stage attribution exceeds the total wall: {t:?}"
-            );
-            assert!(t.ok);
-        }
-        // Threshold 0 classifies everything slow, in both the log and the
-        // counters.
-        assert_eq!(cached.slow_queries().len(), 2);
-        assert_eq!(cached.stats().slow_queries, 2);
     }
 }

@@ -80,9 +80,9 @@ pub use error::ServeError;
 pub use service::{QueryService, Ticket};
 pub use stats::{names, CacheStats, ServeStats, StageLatencies};
 
-// Re-exported observability vocabulary so service consumers can configure
-// tracing and read snapshots without a direct `quest-obs` dependency.
-pub use quest_obs::{MetricsRegistry, MetricsSnapshot, QueryTrace, TraceConfig};
+// Re-exported observability vocabulary so service consumers can pass a
+// registry and read snapshots without a direct `quest-obs` dependency.
+pub use quest_obs::{MetricsRegistry, MetricsSnapshot};
 
 #[cfg(test)]
 pub(crate) mod testutil {

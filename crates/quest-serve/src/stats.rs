@@ -16,10 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use quest_obs::{
-    duration_us, Counter, HealthReport, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot,
-    QueryTrace, TraceConfig, TraceSink,
-};
+use quest_obs::{Counter, HealthReport, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 
 pub use quest_core::TemplateCacheStats;
 
@@ -93,8 +90,6 @@ pub struct ServeStats {
     /// store, N for a sharded scatter-gather store (the `quest-shard`
     /// crate). 0 only in a default-constructed snapshot.
     pub shards: usize,
-    /// Queries whose total wall cleared the slow-query threshold.
-    pub slow_queries: u64,
     /// Keyword → top-k-configurations cache (forward stage).
     pub forward_cache: CacheStats,
     /// Configuration → interpretations cache (backward stage).
@@ -147,10 +142,9 @@ impl fmt::Display for ServeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "queries: {} ({} errors, {} slow), mean {:?}, max {:?}, {} shard{}",
+            "queries: {} ({} errors), mean {:?}, max {:?}, {} shard{}",
             self.queries,
             self.errors,
-            self.slow_queries,
             self.mean_latency(),
             self.max_latency,
             self.shards,
@@ -233,8 +227,6 @@ pub mod names {
     pub const QUERIES: &str = "quest_serve_queries_total";
     /// Failed searches (counter).
     pub const ERRORS: &str = "quest_serve_errors_total";
-    /// Slow-query classifications (counter).
-    pub const SLOW_QUERIES: &str = "quest_serve_slow_queries_total";
     /// Total per-search wall time (histogram, nanoseconds).
     pub const LATENCY: &str = "quest_serve_latency_ns";
     /// Forward-stage wall (histogram, nanoseconds).
@@ -272,16 +264,14 @@ pub mod names {
     ];
 }
 
-/// Registry-backed recorder: the engine's hot-path handles plus the trace
-/// sink. Recording is handle-local relaxed atomics; nothing here takes the
-/// registry lock after construction.
+/// Registry-backed recorder: the engine's hot-path handles. Recording is
+/// handle-local relaxed atomics; nothing here takes the registry lock after
+/// construction.
 #[derive(Debug)]
 pub(crate) struct ServeObs {
     registry: Arc<MetricsRegistry>,
-    pub(crate) traces: TraceSink,
     queries: Counter,
     errors: Counter,
-    slow_queries: Counter,
     latency: Histogram,
     forward: Histogram,
     backward: Histogram,
@@ -297,10 +287,9 @@ fn nanos(d: Duration) -> u64 {
 }
 
 impl ServeObs {
-    pub fn new(registry: Arc<MetricsRegistry>, trace: TraceConfig) -> ServeObs {
+    pub fn new(registry: Arc<MetricsRegistry>) -> ServeObs {
         registry.describe(names::QUERIES, "Total searches served.");
         registry.describe(names::ERRORS, "Searches that returned an error.");
-        registry.describe(names::SLOW_QUERIES, "Slow-query classifications.");
         registry.describe(names::LATENCY, "Per-search wall time, nanoseconds.");
         registry.describe(
             names::QUEUE_DEPTH,
@@ -309,7 +298,6 @@ impl ServeObs {
         ServeObs {
             queries: registry.counter(names::QUERIES),
             errors: registry.counter(names::ERRORS),
-            slow_queries: registry.counter(names::SLOW_QUERIES),
             latency: registry.histogram(names::LATENCY),
             forward: registry.histogram(names::STAGE_FORWARD),
             backward: registry.histogram(names::STAGE_BACKWARD),
@@ -318,7 +306,6 @@ impl ServeObs {
             decode: registry.histogram(names::STAGE_DECODE),
             combine: registry.histogram(names::STAGE_COMBINE),
             uncached_forward: registry.counter(names::UNCACHED_FORWARD),
-            traces: TraceSink::new(trace),
             registry,
         }
     }
@@ -327,21 +314,13 @@ impl ServeObs {
         &self.registry
     }
 
-    /// Record one completed search; returns whether it was classified slow
-    /// (the caller builds the trace lazily via [`ServeObs::trace_with`]).
+    /// Record one completed search.
     pub fn record(&self, elapsed: Duration, ok: bool) {
         self.queries.inc();
         if !ok {
             self.errors.inc();
         }
         self.latency.record(nanos(elapsed));
-    }
-
-    /// Lazily store a per-query trace (slow-query accounting included).
-    pub fn trace_with(&self, elapsed: Duration, build: impl FnOnce() -> QueryTrace) {
-        if self.traces.record_with(duration_us(elapsed), build) {
-            self.slow_queries.inc();
-        }
     }
 
     /// Record one search's stage wall times (what this search actually
@@ -368,7 +347,6 @@ impl ServeObs {
     pub fn snapshot_into(&self, stats: &mut ServeStats) {
         stats.queries = self.queries.value();
         stats.errors = self.errors.value();
-        stats.slow_queries = self.slow_queries.value();
         let latency = self.latency.snapshot();
         stats.total_latency = Duration::from_nanos(latency.sum);
         stats.max_latency = Duration::from_nanos(latency.max);
@@ -389,7 +367,7 @@ mod tests {
     use super::*;
 
     fn obs() -> ServeObs {
-        ServeObs::new(Arc::new(MetricsRegistry::new()), TraceConfig::default())
+        ServeObs::new(Arc::new(MetricsRegistry::new()))
     }
 
     #[test]
@@ -438,34 +416,6 @@ mod tests {
         assert_eq!(s.stages.assemble, Duration::from_micros(1));
         let snap = r.registry().snapshot();
         assert_eq!(snap.histogram(names::STAGE_FORWARD).unwrap().count, 2);
-    }
-
-    #[test]
-    fn slow_queries_are_counted_and_fast_ones_skip_the_builder() {
-        let r = ServeObs::new(
-            Arc::new(MetricsRegistry::new()),
-            quest_obs::TraceConfig {
-                ring_capacity: 0, // only the slow log wants traces
-                slow_capacity: 4,
-                slow_query_us: 1_000,
-            },
-        );
-        let mut built = false;
-        r.trace_with(Duration::from_micros(10), || {
-            built = true;
-            QueryTrace::default()
-        });
-        assert!(!built, "fast query must not build a trace");
-        r.trace_with(Duration::from_micros(2_000), || QueryTrace {
-            query: "slow".into(),
-            total_us: 2_000,
-            ..QueryTrace::default()
-        });
-        let mut s = ServeStats::default();
-        r.snapshot_into(&mut s);
-        assert_eq!(s.slow_queries, 1);
-        assert_eq!(r.traces.slow_queries().len(), 1);
-        assert_eq!(r.traces.slow_queries()[0].query, "slow");
     }
 
     #[test]

@@ -153,16 +153,14 @@ impl ScatterMetrics {
     }
 
     /// Publish one scatter: the per-shard walls (labeled latency
-    /// histograms, the thread-local handoff that feeds the serving layer's
-    /// query trace, and the fan-out imbalance gauge — busiest shard's
+    /// histograms and the fan-out imbalance gauge — busiest shard's
     /// overrun of the mean, whole percent) and its read amplification —
     /// per-shard index probes issued versus results the gather used
     /// (attribute slots whose merged score came back nonzero; a zero slot
     /// contributes nothing to emission downstream).
     fn record(&self, walls: &[u64], probes: u64, scores: &[f64]) {
-        for (s, (histogram, &ns)) in self.per_shard.iter().zip(walls).enumerate() {
+        for (histogram, &ns) in self.per_shard.iter().zip(walls) {
             histogram.record(ns);
-            quest_obs::scatter::record(s, ns / 1_000);
         }
         let total: u64 = walls.iter().sum();
         let mean = total / walls.len().max(1) as u64;
@@ -904,9 +902,9 @@ impl ShardedStore {
     ///
     /// While the global registry is enabled, each shard's share of the
     /// scatter wall is summed across attributes into
-    /// `quest_shard_scatter_ns{shard=<i>}`, the fan-out imbalance gauge, and
-    /// the thread-local trace handoff ([`quest_obs::scatter`]), and the
-    /// per-shard index probes issued are counted against the results used.
+    /// `quest_shard_scatter_ns{shard=<i>}` and the fan-out imbalance gauge,
+    /// and the per-shard index probes issued are counted against the
+    /// results used.
     pub fn scatter_value_scores(&self, probe: &KeywordProbe) -> Vec<f64> {
         let metrics = quest_obs::global().is_enabled().then(|| {
             self.scatter_metrics

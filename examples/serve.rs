@@ -85,7 +85,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         after.feedback_configs.len()
     );
 
-    let traces = service.engine().traces();
     let stats = service.shutdown();
     println!("\n{stats}");
     if let Some(health) = &stats.health {
@@ -124,17 +123,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.queries
     );
 
-    // Chrome trace export: the write-path/query span ring merged with the
-    // per-query trace ring, loadable in chrome://tracing or Perfetto.
-    // Opt-in via env so the demo stays file-free by default.
+    // Chrome trace export of the span ring, loadable in chrome://tracing
+    // or Perfetto. Opt-in via env so the demo stays file-free by default;
+    // a trace with no `query` span means the read path stopped recording,
+    // so the demo refuses to exit quietly.
     if let Ok(path) = std::env::var("QUEST_OBS_CHROME_TRACE") {
         let spans = quest::obs::spans().recent();
-        let json = quest::obs::to_chrome_trace_json(&spans, &traces);
-        std::fs::write(&path, json.as_bytes())?;
+        let queries = spans.iter().filter(|s| s.name == "query").count();
+        if queries == 0 {
+            return Err("chrome trace holds no query span".into());
+        }
+        std::fs::write(&path, quest::obs::to_chrome_trace_json(&spans).as_bytes())?;
         println!(
-            "chrome trace: {} spans + {} query traces -> {path}",
-            spans.len(),
-            traces.len()
+            "chrome trace: {} spans ({queries} query roots) -> {path}",
+            spans.len()
         );
     }
     Ok(())

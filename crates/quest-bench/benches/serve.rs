@@ -2,8 +2,11 @@
 //! `quest-serve` pool at growing worker counts, on the IMDB workload stream
 //! (cache warm, the steady state of a long-running service).
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quest_bench::{engine_for, shuffled_stream, Dataset};
+use quest_core::SearchScratch;
 use quest_serve::{CachedEngine, QueryService};
 
 fn bench_serial_vs_workers(c: &mut Criterion) {
@@ -44,5 +47,43 @@ fn bench_serial_vs_workers(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_serial_vs_workers);
+/// The repo benchmark's pooled shape (`serve_hot`'s `read_qps`): two
+/// workers, windows of 8 warm queries submitted together and then awaited.
+/// Beside it, one caller thread runs the same windows through
+/// `CachedEngine::search_with`: the floor the pool must beat to pay.
+fn bench_window8_warm(c: &mut Criterion) {
+    let mut g = c.benchmark_group("window8_warm");
+    g.sample_size(50);
+    let queries = shuffled_stream(&Dataset::Imdb.workload(), 8, 42);
+    let windows: Vec<&[String]> = queries.chunks(8).collect();
+    let shared = Arc::new(CachedEngine::new(engine_for(Dataset::Imdb)));
+    let mut scratch = SearchScratch::new();
+    for q in &queries {
+        let _ = shared.search_with(q, &mut scratch);
+    }
+
+    g.bench_function("caller_thread", |b| {
+        b.iter(|| {
+            for window in &windows {
+                for q in *window {
+                    let _ = shared.search_with(std::hint::black_box(q), &mut scratch);
+                }
+            }
+        })
+    });
+    let service = QueryService::over(Arc::clone(&shared), 2);
+    g.bench_function("pool_2_workers", |b| {
+        b.iter(|| {
+            for window in &windows {
+                for t in service.submit_batch(std::hint::black_box(*window)) {
+                    let _ = t.wait();
+                }
+            }
+        })
+    });
+    service.shutdown();
+    g.finish();
+}
+
+criterion_group!(benches, bench_serial_vs_workers, bench_window8_warm);
 criterion_main!(benches);

@@ -19,7 +19,8 @@ pub enum ServeError {
     /// instead of failing; this variant (and the `From<StoreError>` impl)
     /// is for callers that treat any rejection as fatal.
     Mutation(StoreError),
-    /// The service shut down (or a worker died) before answering.
+    /// The search panicked, so no answer was sent. The panic is contained
+    /// to this ticket: the thread that ran the search carries on serving.
     Disconnected,
 }
 

@@ -15,12 +15,13 @@
 //!   [`CachedEngine::apply`] (a slice of
 //!   [`quest_wal::ChangeRecord`]s); entries keyed by dead epochs are purged
 //!   on the next search.
-//! * [`QueryService`] — a thread pool (std threads + channels, no external
-//!   dependencies) draining submitted queries through one shared
-//!   `CachedEngine`, so every worker benefits from every other worker's
-//!   cache fills. `submit`/[`submit_batch`](QueryService::submit_batch)
-//!   return [`Ticket`]s; [`shutdown`](QueryService::shutdown) drains and
-//!   joins.
+//! * [`QueryService`] — a thread pool (std threads, a mutex-and-condvar
+//!   work queue, no external dependencies) draining submitted queries
+//!   through one shared `CachedEngine`, so every worker benefits from every
+//!   other worker's cache fills. `submit`/[`submit_batch`](QueryService::submit_batch)
+//!   return [`Ticket`]s; a caller blocked in [`Ticket::wait`] runs queued
+//!   queries — possibly other callers' — on its own thread until its answer
+//!   is in. [`shutdown`](QueryService::shutdown) drains and joins.
 //! * [`ServeStats`] — a point-in-time snapshot of cache and latency
 //!   counters.
 //!

@@ -293,7 +293,7 @@ impl ServeObs {
         registry.describe(names::LATENCY, "Per-search wall time, nanoseconds.");
         registry.describe(
             names::QUEUE_DEPTH,
-            "Jobs submitted but not yet claimed by a worker.",
+            "Jobs submitted but not yet claimed by a worker or a waiting caller.",
         );
         ServeObs {
             queries: registry.counter(names::QUERIES),

@@ -400,3 +400,59 @@ fn worker_counts_do_not_change_results() {
         }
     }
 }
+
+#[test]
+fn many_submitters_share_one_worker_and_serve_each_other() {
+    // Three submitters, one worker: a caller blocked in `wait` runs the
+    // oldest queued query, often another submitter's, so most of the stream
+    // is served by callers. Every answer must still equal serial execution,
+    // and a helper must count and dequeue exactly as a worker does.
+    let engine = imdb_engine();
+    let stream = shuffled_stream(2);
+    let expected = serial_reference(&engine, &stream);
+    let service = QueryService::new(CachedEngine::new(engine), 1);
+
+    let submitted: usize = std::thread::scope(|s| {
+        let submitters: Vec<_> = (0..3)
+            .map(|t| {
+                let (service, stream, expected) = (&service, &stream, &expected);
+                s.spawn(move || {
+                    // Each submitter walks the stream from its own offset,
+                    // so concurrent windows carry different queries.
+                    let mine: Vec<&String> = stream
+                        .iter()
+                        .cycle()
+                        .skip(t * stream.len() / 3)
+                        .take(stream.len())
+                        .collect();
+                    for window in mine.chunks(8) {
+                        let tickets = service.submit_batch(window);
+                        for (raw, ticket) in window.iter().zip(tickets) {
+                            let out = ticket.wait().expect("served search succeeds");
+                            assert_eq!(&&out.query.raw, raw, "ticket order matches submissions");
+                            let got = fingerprint(&service.engine().engine(), &out);
+                            assert_eq!(
+                                &got, &expected[*raw],
+                                "submitter {t}: result diverged from serial for {raw:?}"
+                            );
+                        }
+                    }
+                    mine.len()
+                })
+            })
+            .collect();
+        submitters
+            .into_iter()
+            .map(|h| h.join().expect("submitter thread"))
+            .sum()
+    });
+
+    let depth = service
+        .stats()
+        .metrics
+        .gauge(quest::serve::names::QUEUE_DEPTH);
+    assert_eq!(depth, Some(0), "every queued job was dequeued exactly once");
+    let stats = service.shutdown();
+    assert_eq!(stats.queries as usize, submitted);
+    assert_eq!(stats.errors, 0);
+}

@@ -1,6 +1,6 @@
-//! Shared harness code for the QUEST experiments (E1–E8) and the criterion
-//! microbenches. Each experiment table is printed by the `experiments`
-//! binary, which builds on these helpers.
+//! Shared harness code for the QUEST experiments (E1–E5, E7–E9, E14) and
+//! the criterion microbenches. Each experiment table is printed by the
+//! `experiments` binary, which builds on these helpers.
 
 use std::time::{Duration, Instant};
 
@@ -72,19 +72,11 @@ pub fn engine_for(ds: Dataset) -> Quest<FullAccessWrapper> {
     .expect("engine builds")
 }
 
-/// Evaluate an engine on a workload: per-query relevance masks against gold
-/// SQL, aggregated.
+/// Evaluate an engine on a workload: per-query relevance masks over the
+/// engine's ranked explanations against gold SQL, aggregated.
 pub fn evaluate(engine: &Quest<FullAccessWrapper>, workload: &[WorkloadQuery]) -> WorkloadMetrics {
-    aggregate(&relevance_masks(engine, workload))
-}
-
-/// Per-query relevance masks over the engine's ranked explanations.
-pub fn relevance_masks(
-    engine: &Quest<FullAccessWrapper>,
-    workload: &[WorkloadQuery],
-) -> Vec<Vec<bool>> {
     let catalog = engine.wrapper().catalog();
-    workload
+    let masks: Vec<Vec<bool>> = workload
         .iter()
         .map(|wq| {
             let gold = wq.gold.to_statement(catalog).expect("gold resolves");
@@ -97,7 +89,8 @@ pub fn relevance_masks(
                 Err(_) => Vec::new(),
             }
         })
-        .collect()
+        .collect();
+    aggregate(&masks)
 }
 
 /// Time a closure.
@@ -109,8 +102,8 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// A workload's raw queries repeated `reps` times in a deterministic
 /// xorshift-Fisher-Yates-shuffled order — the shape of an analytical query
-/// stream with popular repeats, shared by the serving experiments, benches,
-/// and the concurrency determinism suite.
+/// stream with popular repeats, shared by the serving benches, the `serve`
+/// example, and the concurrency determinism suite.
 pub fn shuffled_stream(workload: &[WorkloadQuery], reps: usize, seed: u64) -> Vec<String> {
     let mut stream: Vec<String> = workload
         .iter()
@@ -225,7 +218,7 @@ pub fn percentile_us(samples: &[Duration], p: f64) -> f64 {
 
 /// Minimal JSON object writer for the benchmark artifact — keys are plain
 /// identifiers and values are numbers, strings without escapes, or nested
-/// objects/arrays, so hand-assembly is safe and keeps the repo free of a
+/// objects, so hand-assembly is safe and keeps the repo free of a
 /// serializer dependency.
 #[derive(Debug, Default)]
 pub struct JsonObject {
@@ -262,17 +255,6 @@ impl JsonObject {
         self
     }
 
-    /// Add an array of objects.
-    pub fn arr(mut self, key: &str, values: Vec<JsonObject>) -> JsonObject {
-        let body = values
-            .into_iter()
-            .map(|v| v.render())
-            .collect::<Vec<_>>()
-            .join(",");
-        self.fields.push((key.to_string(), format!("[{body}]")));
-        self
-    }
-
     /// Render as a JSON object string.
     pub fn render(&self) -> String {
         let body = self
@@ -299,13 +281,13 @@ impl JsonObject {
                     in_string = !in_string;
                     out.push(ch);
                 }
-                '{' | '[' if !in_string => {
+                '{' if !in_string => {
                     depth += 1;
                     out.push(ch);
                     out.push('\n');
                     out.push_str(&"  ".repeat(depth));
                 }
-                '}' | ']' if !in_string => {
+                '}' if !in_string => {
                     depth = depth.saturating_sub(1);
                     out.push('\n');
                     out.push_str(&"  ".repeat(depth));

@@ -174,7 +174,7 @@ impl HistogramSnapshot {
     }
 
     /// The non-empty buckets as `(inclusive upper bound, count)` pairs —
-    /// the compact dump the exporters and `BENCH_pipeline.json` emit.
+    /// the compact dump the exporters emit.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()

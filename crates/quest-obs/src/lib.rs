@@ -34,8 +34,8 @@
 //! - **SLO health** ([`health`]): declarative [`SloSpec`] bounds graded
 //!   into a [`HealthReport`] — strictly observational.
 //! - **Amplification accounting**: the WAL/replica/shard layers publish
-//!   logical-vs-physical byte and probe counters here; `bench-json`
-//!   reports the ratios.
+//!   logical-vs-physical byte and probe counters here; their ratios are
+//!   per-layer metrics of the repo benchmark.
 //!
 //! Env knobs: `QUEST_OBS_SPAN_CAPACITY` (span ring size; 0 disables span
 //! tracing) — see [`SpanCollector::from_env`]; `QUEST_OBS_WINDOW_SECS`

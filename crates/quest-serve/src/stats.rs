@@ -220,8 +220,7 @@ impl fmt::Display for ServeStats {
 }
 
 /// The serving layer's metric names, shared by the recorder, the snapshot
-/// mirrors, and the consumers (bench-json reads the stage histograms by
-/// these names).
+/// mirrors, and the consumers that read a registry snapshot by name.
 pub mod names {
     /// Total searches (counter).
     pub const QUERIES: &str = "quest_serve_queries_total";

@@ -170,7 +170,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, WalError> {
     // Collected first because attribute lines belong to the preceding T.
     let mut catalog = Catalog::new();
     let mut current: Option<relstore::TableId> = None;
-    let mut body_start: Option<(usize, String)> = None;
+    let mut body_start: Option<(usize, &str)> = None;
     let mut fks: Vec<(String, String, String)> = Vec::new();
     for (i, line) in lines.by_ref() {
         let lineno = i + 1;
@@ -220,7 +220,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, WalError> {
             }
             "B" => {
                 // First data line: catalog is complete. Register FKs now.
-                body_start = Some((lineno, line.to_string()));
+                body_start = Some((lineno, line));
                 break;
             }
             other => return Err(corrupt(lineno, format!("unexpected tag `{other}`"))),
@@ -249,7 +249,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, WalError> {
         let (lineno, line) = match pending.take() {
             Some(l) => l,
             None => match lines.next() {
-                Some((i, l)) => (i + 1, l.to_string()),
+                Some((i, l)) => (i + 1, l),
                 None => break,
             },
         };
@@ -270,7 +270,12 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, WalError> {
                     .catalog()
                     .table_id(&name)
                     .map_err(|e| corrupt(lineno, e.to_string()))?;
-                let mut layout: Vec<Option<Row>> = Vec::with_capacity(slots);
+                // The count sits on an unchecksummed line: preallocate no
+                // more slots than the rest of the file can hold (each is a
+                // line of at least two bytes), so a corrupted count ends in
+                // `Corrupt` below instead of a process-killing allocation.
+                let remaining = text.len() - (line.as_ptr() as usize - text.as_ptr() as usize);
+                let mut layout: Vec<Option<Row>> = Vec::with_capacity(slots.min(remaining / 2));
                 for _ in 0..slots {
                     let (i, row_line) = lines
                         .next()
@@ -425,6 +430,33 @@ mod tests {
             read_snapshot(&path).unwrap_err(),
             WalError::Corrupt { .. }
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn corrupted_slot_count_rejected() {
+        let db = sample_db();
+        let path = temp_path("slot-count");
+        write_snapshot(&db, &path, 0).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let b_line = text.lines().find(|l| l.starts_with("B\t")).unwrap();
+        let (prefix, count) = b_line.rsplit_once('\t').unwrap();
+        let count: usize = count.parse().unwrap();
+        // Absurd counts must not reach the allocator; off-by-one counts
+        // misalign the body. Every case is an ordinary `Corrupt`.
+        for bad in [
+            u64::MAX.to_string(),
+            "99999999999".to_string(),
+            (count + 1).to_string(),
+            (count - 1).to_string(),
+        ] {
+            let tampered = text.replacen(b_line, &format!("{prefix}\t{bad}"), 1);
+            std::fs::write(&path, tampered).unwrap();
+            assert!(
+                matches!(read_snapshot(&path), Err(WalError::Corrupt { .. })),
+                "slot count {bad} must be rejected as corrupt"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

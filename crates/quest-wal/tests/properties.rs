@@ -3,12 +3,16 @@
 //! prefix — never an error, never a phantom record. This is the crash model
 //! the WAL promises to survive: an un-synced append interrupted at an
 //! arbitrary byte, including mid-way through a multi-byte character.
+//!
+//! A snapshot has no per-line checksum, so its reader faces arbitrary
+//! corruption instead: overwritten bytes and truncations must come back as
+//! `Ok` or `Err`, never as a panic or an abort.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use quest_wal::{read_log, recover, write_snapshot, ChangeRecord, WalWriter};
-use relstore::{Catalog, DataType, Database, Value};
+use quest_wal::{read_log, read_snapshot, recover, write_snapshot, ChangeRecord, WalWriter};
+use relstore::{Catalog, DataType, Database, Row, Value};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -119,5 +123,119 @@ proptest! {
         std::fs::remove_file(&base).ok();
         std::fs::remove_file(&torn).ok();
         std::fs::remove_file(&snap).ok();
+    }
+}
+
+/// Bytes the snapshot format gives meaning to (separators, line tags, value
+/// tags, digits, the escape character) plus one that breaks UTF-8.
+const HOSTILE: &[u8] = b"\t\n0123456789-TAFBRXE_ibftd\\\xff";
+
+/// Whole-field replacements: counts too large to allocate or to fit, off-by
+/// signs, stray tags, and values that are well-formed but out of range.
+const TOKENS: &[&str] = &[
+    "",
+    "0",
+    "1",
+    "-1",
+    "99999999999",
+    "18446744073709551615",
+    "R",
+    "X",
+    "B",
+    "E",
+    "_",
+    "i",
+    "t\\",
+    "fffffffffffffffff",
+    "d2024,2,30",
+];
+
+/// A small two-table snapshot with a foreign key, every value tag, escaped
+/// text, and a tombstone.
+fn valid_snapshot() -> String {
+    let mut c = catalog();
+    c.define_table("u")
+        .unwrap()
+        .pk("id", DataType::Int)
+        .unwrap()
+        .col("title", DataType::Text)
+        .unwrap()
+        .col_opts("t_id", DataType::Int, true, false)
+        .unwrap()
+        .col_opts("score", DataType::Float, true, false)
+        .unwrap()
+        .col_opts("flag", DataType::Bool, true, false)
+        .unwrap()
+        .finish();
+    c.add_foreign_key("u", "t_id", "t").unwrap();
+    let mut db = Database::new(c).expect("db");
+    for i in 1..=3i64 {
+        db.insert("t", Row::new(vec![i.into(), format!("name\t{i}ö").into()]))
+            .unwrap();
+    }
+    for i in 1..=4i64 {
+        db.insert(
+            "u",
+            Row::new(vec![
+                (10 + i).into(),
+                format!("title \\ {i}").into(),
+                if i == 4 { Value::Null } else { i.into() },
+                (i as f64 / 3.0).into(),
+                (i % 2 == 0).into(),
+            ]),
+        )
+        .unwrap();
+    }
+    db.finalize();
+    db.delete("u", &[Value::Int(12)]).unwrap();
+    let path = temp_path("hostile-base", "snap");
+    write_snapshot(&db, &path, 7).expect("snapshot");
+    let text = std::fs::read_to_string(&path).expect("read snapshot");
+    std::fs::remove_file(&path).ok();
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn hostile_snapshot_bytes_never_panic_the_reader(
+        fields in proptest::collection::vec((0usize..64, 0usize..8, 0usize..TOKENS.len()), 1..4),
+        bytes_at in proptest::collection::vec((0usize..4096, 0usize..HOSTILE.len()), 0..4),
+        cut in 0usize..4096,
+        truncate in any::<bool>(),
+    ) {
+        // Field replacements first, on the line structure; then raw byte
+        // overwrites and an optional truncation on the result. Edits spare
+        // the header line: the reader checks it first and whole, so a
+        // damaged header only hides the catalog and body from the case.
+        let mut lines: Vec<String> = valid_snapshot().lines().map(str::to_string).collect();
+        let n = lines.len();
+        for &(line, field, token) in &fields {
+            let line = &mut lines[1 + line % (n - 1)];
+            let mut cells: Vec<&str> = line.split('\t').collect();
+            let at = field % cells.len();
+            cells[at] = TOKENS[token];
+            *line = cells.join("\t");
+        }
+        let mut bytes = lines.join("\n").into_bytes();
+        bytes.push(b'\n');
+        let header = lines[0].len() + 1;
+        for &(at, b) in &bytes_at {
+            let at = header + at % (bytes.len() - header);
+            bytes[at] = HOSTILE[b];
+        }
+        if truncate {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+        let path = temp_path("hostile", "snap");
+        std::fs::write(&path, &bytes).expect("write hostile copy");
+        let outcome = std::panic::catch_unwind(|| read_snapshot(&path).map(|s| s.last_seq));
+        std::fs::remove_file(&path).ok();
+        prop_assert!(
+            outcome.is_ok(),
+            "read_snapshot panicked on fields {:?}, bytes {:?}, truncate {} at {}",
+            fields, bytes_at, truncate, cut
+        );
     }
 }

@@ -301,7 +301,7 @@ fn sharded_search_is_bit_identical_across_shard_counts_datasets_and_seeds() {
     for (name, db, queries) in &cases {
         let whole = unsharded(db);
         let reference = fingerprints(queries, |raw| whole.search(raw), db.catalog());
-        for shards in [1usize, 2, 4, 8] {
+        for shards in [1usize, 2, 4, 8, 16] {
             let gather = sharded(db, shards);
             assert_eq!(gather.shard_count(), shards);
             assert_eq!(
@@ -331,7 +331,7 @@ fn mutation_interleavings_preserve_identity_and_reports() {
         q.push("sharded horizons".into());
         q
     };
-    for shards in [2usize, 4, 8] {
+    for shards in [2usize, 4, 8, 16] {
         let whole = unsharded(&db);
         let gather = sharded(&db, shards);
         let mut total_rejected = 0usize;

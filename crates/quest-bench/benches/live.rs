@@ -1,6 +1,6 @@
 //! Criterion bench — the live-data path: mutation batches applied through
 //! the serving layer (checked mutations + incremental index maintenance +
-//! engine re-sync + cache purge), and warm query latency right after a
+//! engine re-sync + data-epoch bump), and warm query latency right after a
 //! mutation retires the caches.
 
 use std::cell::Cell;
@@ -47,8 +47,8 @@ fn bench_mutation_apply(c: &mut Criterion) {
         })
     });
 
-    // Queries right after a mutation: every iteration pays the epoch purge
-    // and a cold forward/backward recompute for the probed keywords.
+    // Queries right after a mutation: every iteration pays a cold
+    // forward/backward recompute for the probed keywords.
     let queries: Vec<String> = Dataset::Imdb
         .workload()
         .iter()

@@ -2,8 +2,9 @@
 //! pipeline pieces (list Viterbi, the hot-path `ListDecoder` per lattice
 //! shape, EM epoch, emission computation, the first-sight metadata row) —
 //! plus `commit_refresh`, the storage-layer cost of one commit batch
-//! (unsharded and on a 4-shard store), and `shard_open`, a sharded
-//! primary's cold open and reopen.
+//! (unsharded and on a 4-shard store), `shard_open`, a sharded primary's
+//! cold open and reopen, and `sharded_commit_warm`, a sharded primary's
+//! whole commit after reads have filled its caches.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use quest_core::forward::ForwardModule;
@@ -296,6 +297,70 @@ fn bench_shard_open(c: &mut Criterion) {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// `ShardedPrimary::commit` + `sync` at 4 shards over 105k rows (15k
+/// movies), each preceded — outside the timed section — by 200 distinct
+/// reads that fill the gateway's caches for the current data epoch. The
+/// commit retires every one of those entries, so whatever the caches cost
+/// a commit shows here; a cold-cache commit cannot see it. Each batch
+/// inserts a person and a movie with fresh keys and deletes the previous
+/// round's movie.
+fn bench_sharded_commit_warm(c: &mut Criterion) {
+    let db = imdb::generate(&ImdbScale {
+        movies: 15_000,
+        seed: 42,
+    })
+    .expect("generate");
+    let movie = db.catalog().table_id("movie").expect("movie table");
+    let reads: Vec<String> = db
+        .table_data(movie)
+        .iter()
+        .take(200)
+        .map(|(_, row)| row.values()[1].to_string())
+        .collect();
+    let dir =
+        std::env::temp_dir().join(format!("quest-bench-sharded-commit-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let set = std::cell::RefCell::new(
+        ShardedPrimary::open(&dir, db, &ShardConfig::new(4), QuestConfig::default()).expect("open"),
+    );
+    let mut id = 9_000_000i64;
+    let mut g = c.benchmark_group("sharded_commit_warm");
+    g.sample_size(20);
+    g.bench_function("commit_sync", |b| {
+        b.iter_batched(
+            || {
+                for q in &reads {
+                    let _ = set.borrow().search(q);
+                }
+                id += 1;
+                vec![
+                    ChangeRecord::Insert {
+                        table: "person".into(),
+                        row: vec![id.into(), "Warm Person".into(), 1950.into()],
+                    },
+                    ChangeRecord::Insert {
+                        table: "movie".into(),
+                        row: vec![id.into(), "zq".into(), 1999.into(), Value::Null, id.into()],
+                    },
+                    ChangeRecord::Delete {
+                        table: "movie".into(),
+                        key: vec![(id - 1).into()],
+                    },
+                ]
+            },
+            |batch| {
+                let mut set = set.borrow_mut();
+                set.commit(&batch).expect("commit");
+                set.sync().expect("sync");
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    g.finish();
+    drop(set);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 criterion_group!(
     benches,
     bench_list_viterbi,
@@ -305,6 +370,7 @@ criterion_group!(
     bench_em_epoch,
     bench_raw_list_viterbi,
     bench_commit_refresh,
-    bench_shard_open
+    bench_shard_open,
+    bench_sharded_commit_warm
 );
 criterion_main!(benches);

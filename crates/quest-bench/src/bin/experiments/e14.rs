@@ -141,7 +141,7 @@ pub fn run() {
     };
 
     // One sharded schedule under `plan` (None = the twin); a small retry
-    // budget so stacked faults actually fence and exercise `recover()`.
+    // budget so stacked faults actually fence and exercise supervision.
     let sharded = |tag: &str, plan: Option<FaultPlan>| {
         let dir = e14_dir(tag);
         let db = dataset();
@@ -171,17 +171,28 @@ pub fn run() {
         }
         let mut ticks = 0u32;
         for batch in &batches {
-            match sp.commit(batch) {
-                Ok(_) => {}
-                Err(ShardError::ShardDown { .. }) => {
-                    while !sp.is_healthy() {
-                        clock.advance(Duration::from_millis(40));
-                        sp.supervise();
-                        ticks += 1;
-                        assert!(ticks < 256, "sharded schedule {tag} failed to unfence");
+            loop {
+                let lsns_before = sp.topology().lsns;
+                match sp.commit(batch) {
+                    Ok(_) => break,
+                    Err(e @ (ShardError::ShardDown { .. } | ShardError::CommitUnknown { .. })) => {
+                        while !sp.is_healthy() {
+                            clock.advance(Duration::from_millis(40));
+                            sp.supervise();
+                            ticks += 1;
+                            assert!(ticks < 256, "sharded schedule {tag} failed to unfence");
+                        }
+                        // A batch past its commit point (`ShardDown`) is in
+                        // the healed set. One whose commit point failed is
+                        // there only if its frame reached the file; otherwise
+                        // send it again.
+                        let landed = sp.topology().lsns != lsns_before;
+                        if landed || matches!(e, ShardError::ShardDown { .. }) {
+                            break;
+                        }
                     }
+                    Err(other) => panic!("unexpected commit error in {tag}: {other}"),
                 }
-                Err(other) => panic!("unexpected commit error in {tag}: {other}"),
             }
         }
         assert!(sp.is_healthy(), "sharded set must end healthy in {tag}");

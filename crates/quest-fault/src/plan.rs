@@ -31,6 +31,9 @@ pub mod sites {
     pub const REPLICA_BOOTSTRAP: &str = "replica.bootstrap";
     /// `ShardedPrimary::commit` — the per-shard commit fan-out.
     pub const SHARD_COMMIT: &str = "shard.commit";
+    /// `ShardedPrimary::commit` — the batch's frame append to the
+    /// coordinator log (the commit point); its fsync is `wal.fsync`.
+    pub const SHARD_COORDINATOR: &str = "shard.coordinator";
     /// The scatter-gather keyword probe (slow-IO only; never alters results).
     pub const SHARD_PROBE: &str = "shard.probe";
 
@@ -43,6 +46,7 @@ pub mod sites {
         REPLICA_APPLY,
         REPLICA_BOOTSTRAP,
         SHARD_COMMIT,
+        SHARD_COORDINATOR,
         SHARD_PROBE,
     ];
 }

@@ -4,10 +4,12 @@
 //! forward-stage results, one for backward-stage (Steiner) results. The
 //! implementation is a slab of doubly-linked entries plus a `HashMap` from
 //! key to slab slot, so `get` and `insert` are O(1) apart from hashing; no
-//! allocation happens on a hit. Freed slots drop their payloads eagerly
-//! (the slab stores `Option<Slot>`), so an epoch purge via
-//! [`LruCache::retain`] actually releases the dead entries' memory instead
-//! of parking it until the slot is reused.
+//! allocation happens on a hit. An eviction reuses the least recently used
+//! slot in place, dropping its key and payload there.
+//!
+//! Nothing is ever purged. The serving layer keys entries by epoch, so an
+//! entry of a dead epoch simply stops being looked up: it drifts to the
+//! tail and ages out at capacity like any other cold entry.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -32,16 +34,14 @@ struct Slot<K, V> {
 pub struct LruCache<K, V> {
     capacity: usize,
     map: HashMap<K, usize>,
-    /// Slot slab; `None` marks a freed slot (its index is on `free`).
-    slots: Vec<Option<Slot<K, V>>>,
+    /// Slot slab; an evicted slot is reused in place, so it has no holes.
+    slots: Vec<Slot<K, V>>,
     /// Most recently used slot.
     head: usize,
     /// Least recently used slot.
     tail: usize,
-    free: Vec<usize>,
     hits: u64,
     misses: u64,
-    retain_scans: u64,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
@@ -53,10 +53,8 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
-            free: Vec::new(),
             hits: 0,
             misses: 0,
-            retain_scans: 0,
         }
     }
 
@@ -85,14 +83,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.misses
     }
 
-    /// Full-map scans performed by [`LruCache::retain`] (an empty cache is
-    /// never scanned). The serving layer's epoch-purge regression tests pin
-    /// this: a purge scan must happen once per epoch change, not once per
-    /// lookup.
-    pub fn retain_scans(&self) -> u64 {
-        self.retain_scans
-    }
-
     /// Look up `key`, refreshing its recency. Returns a clone of the cached
     /// value so the lock guarding the cache can be released immediately.
     pub fn get(&mut self, key: &K) -> Option<V> {
@@ -101,7 +91,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
                 self.hits += 1;
                 self.detach(i);
                 self.push_front(i);
-                Some(self.slot(i).value.clone())
+                Some(self.slots[i].value.clone())
             }
             None => {
                 self.misses += 1;
@@ -117,17 +107,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             return;
         }
         if let Some(&i) = self.map.get(&key) {
-            self.slot_mut(i).value = value;
+            self.slots[i].value = value;
             self.detach(i);
             self.push_front(i);
             return;
-        }
-        if self.map.len() == self.capacity {
-            let lru = self.tail;
-            self.detach(lru);
-            let old = self.slots[lru].take().expect("lru slot is live");
-            self.map.remove(&old.key);
-            self.free.push(lru);
         }
         let slot = Slot {
             key: key.clone(),
@@ -135,88 +118,53 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             prev: NIL,
             next: NIL,
         };
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(slot);
-                i
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            }
+        let i = if self.map.len() == self.capacity {
+            // Full: the least recently used entry's slot takes the new one,
+            // and the old key and payload drop here.
+            let lru = self.tail;
+            self.detach(lru);
+            let old = std::mem::replace(&mut self.slots[lru], slot);
+            self.map.remove(&old.key);
+            lru
+        } else {
+            self.slots.push(slot);
+            self.slots.len() - 1
         };
         self.map.insert(key, i);
         self.push_front(i);
-    }
-
-    /// Drop every entry whose key fails `pred`, freeing their slots for
-    /// reuse. Recency of survivors is unchanged; counters are preserved.
-    /// The serving layer uses this to purge entries keyed by dead epochs
-    /// instead of letting them squat until capacity-evicted.
-    pub fn retain(&mut self, mut pred: impl FnMut(&K) -> bool) {
-        // Nothing to scan, nothing to drop — and no scan counted, so a
-        // caller that over-purges an empty cache stays visible as zero.
-        if self.map.is_empty() {
-            return;
-        }
-        self.retain_scans += 1;
-        let dead: Vec<usize> = self
-            .map
-            .iter()
-            .filter(|(k, _)| !pred(k))
-            .map(|(_, &i)| i)
-            .collect();
-        for i in dead {
-            self.detach(i);
-            // Take the slot out so key and value drop *now*, not whenever
-            // the freed slot happens to be reused.
-            let slot = self.slots[i].take().expect("dead slot is live");
-            self.map.remove(&slot.key);
-            self.free.push(i);
-        }
     }
 
     /// Drop every entry; hit/miss counters are preserved.
     pub fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
-        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
     }
 
-    /// Live slot at `i`; panics on a freed slot (internal invariant).
-    fn slot(&self, i: usize) -> &Slot<K, V> {
-        self.slots[i].as_ref().expect("slot is live")
-    }
-
-    fn slot_mut(&mut self, i: usize) -> &mut Slot<K, V> {
-        self.slots[i].as_mut().expect("slot is live")
-    }
-
     /// Unlink slot `i` from the recency list.
     fn detach(&mut self, i: usize) {
-        let (prev, next) = (self.slot(i).prev, self.slot(i).next);
+        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
         if prev != NIL {
-            self.slot_mut(prev).next = next;
+            self.slots[prev].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slot_mut(next).prev = prev;
+            self.slots[next].prev = prev;
         } else {
             self.tail = prev;
         }
-        self.slot_mut(i).prev = NIL;
-        self.slot_mut(i).next = NIL;
+        self.slots[i].prev = NIL;
+        self.slots[i].next = NIL;
     }
 
     /// Link slot `i` as the most recently used.
     fn push_front(&mut self, i: usize) {
-        self.slot_mut(i).next = self.head;
-        self.slot_mut(i).prev = NIL;
+        self.slots[i].next = self.head;
+        self.slots[i].prev = NIL;
         if self.head != NIL {
-            self.slot_mut(self.head).prev = i;
+            self.slots[self.head].prev = i;
         }
         self.head = i;
         if self.tail == NIL {
@@ -290,76 +238,13 @@ mod tests {
     }
 
     #[test]
-    fn retain_frees_slots_for_reuse() {
-        let mut c: LruCache<(u64, u32), u32> = LruCache::new(4);
-        for i in 0..4u32 {
-            c.insert((0, i), i);
-        }
-        assert_eq!(c.len(), 4);
-        // Purge epoch 0, keep nothing.
-        c.retain(|k| k.0 == 1);
-        assert!(c.is_empty());
-        // Freed slots are reused without growing the slab.
-        for i in 0..4u32 {
-            c.insert((1, i), i * 10);
-        }
-        assert_eq!(c.len(), 4);
-        for i in 0..4u32 {
-            assert_eq!(c.get(&(1, i)), Some(i * 10));
-        }
-        // Partial purge keeps survivors and their values.
-        c.insert((2, 0), 99);
-        c.retain(|k| k.0 == 2);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&(2, 0)), Some(99));
-        // Eviction still works after a purge (exercise the linked list).
-        for i in 0..10u32 {
-            c.insert((3, i), i);
-        }
-        assert_eq!(c.len(), 4);
-    }
-
-    #[test]
-    fn retain_drops_payloads_eagerly() {
+    fn eviction_drops_the_payload_in_place() {
         use std::sync::Arc;
-        let mut c: LruCache<u32, Arc<String>> = LruCache::new(8);
-        let payloads: Vec<Arc<String>> = (0..4).map(|i| Arc::new(format!("p{i}"))).collect();
-        for (i, p) in payloads.iter().enumerate() {
-            c.insert(i as u32, Arc::clone(p));
-        }
-        for p in &payloads {
-            assert_eq!(Arc::strong_count(p), 2, "cache holds a reference");
-        }
-        // Purging must release the references now, not on slot reuse.
-        c.retain(|_| false);
-        for p in &payloads {
-            assert_eq!(Arc::strong_count(p), 1, "purged payload was dropped");
-        }
-        // Capacity eviction also drops eagerly.
         let mut c: LruCache<u32, Arc<String>> = LruCache::new(1);
         let a = Arc::new("a".to_string());
         c.insert(0, Arc::clone(&a));
         c.insert(1, Arc::new("b".to_string()));
         assert_eq!(Arc::strong_count(&a), 1, "evicted payload was dropped");
-    }
-
-    #[test]
-    fn retain_counts_scans_and_skips_empty_maps() {
-        let mut c: LruCache<(u64, u32), u32> = LruCache::new(4);
-        // Empty cache: retain is free and uncounted, however often called.
-        for _ in 0..5 {
-            c.retain(|_| false);
-        }
-        assert_eq!(c.retain_scans(), 0);
-        c.insert((0, 0), 1);
-        c.retain(|k| k.0 == 1); // scans, purges everything
-        assert_eq!(c.retain_scans(), 1);
-        c.retain(|k| k.0 == 1); // empty again: skipped
-        assert_eq!(c.retain_scans(), 1);
-        c.insert((1, 0), 2);
-        c.retain(|k| k.0 == 1); // scans even when everything survives
-        assert_eq!(c.retain_scans(), 2);
-        assert_eq!(c.len(), 1);
     }
 
     #[test]

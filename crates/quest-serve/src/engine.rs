@@ -22,9 +22,10 @@
 //!   mutation batch applied through [`CachedEngine::apply`] and retires
 //!   *both* caches — backward results embed instance-derived join weights.
 //!
-//! Entries keyed by a dead epoch can never match again, so on the first
-//! search after an epoch bump they are purged outright rather than left to
-//! squat in the LRU until capacity-evicted.
+//! Both epochs are part of every key, so an entry keyed by a dead epoch can
+//! never match again: it is never served, and it ages out of the LRU as
+//! live entries push it to the tail. Nothing is purged on an epoch bump, so
+//! neither a commit nor a search pays a sweep of either cache.
 //!
 //! Mutations serialize against searches through an `RwLock`: searches share
 //! the read side, a mutation batch takes the write side, applies its
@@ -99,12 +100,6 @@ pub struct CachedEngine<W: SourceWrapper> {
     /// Externally assigned progress marker (e.g. the replication LSN a
     /// replica engine has applied through); surfaced in [`ServeStats`].
     watermark: AtomicU64,
-    /// Epochs each cache was last purged for: `(data, feedback)` for the
-    /// forward cache, `data` for the backward cache (whose keys never
-    /// involve the feedback model). Per-cache marks keep a feedback-only
-    /// bump from ever touching the backward cache, and let each cache skip
-    /// its scan independently when its own keying epochs are unchanged.
-    purge_mark: Mutex<PurgeMark>,
     // Values are Arc-wrapped so a hit clones a pointer inside the lock and
     // the (potentially large) payload copy happens outside it.
     forward: Mutex<LruCache<ForwardKey, Arc<ForwardResult>>>,
@@ -121,13 +116,6 @@ pub struct CachedEngine<W: SourceWrapper> {
 struct SloMonitor {
     spec: SloSpec,
     window: WindowAggregator,
-}
-
-/// See [`CachedEngine::purge_stale`].
-#[derive(Debug, Default)]
-struct PurgeMark {
-    forward: (u64, u64),
-    backward: u64,
 }
 
 impl<W: SourceWrapper> CachedEngine<W> {
@@ -154,7 +142,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
             engine: RwLock::new(engine),
             data_epoch: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
-            purge_mark: Mutex::new(PurgeMark::default()),
             forward: Mutex::new(LruCache::new(caches.forward_capacity)),
             backward: Mutex::new(LruCache::new(caches.backward_capacity)),
             obs: ServeObs::new(registry),
@@ -213,34 +200,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
 
     fn backward_cache(&self) -> MutexGuard<'_, LruCache<BackwardKey, Arc<Vec<Interpretation>>>> {
         self.backward.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Purge cache entries keyed by epochs that can never match again.
-    /// Cheap when nothing changed (one mutex, two compares), and each cache
-    /// is scanned only when an epoch *its keys embed* moved: a
-    /// feedback-only bump never touches the backward cache, and a cache
-    /// whose own mark is current skips its scan entirely — scans happen
-    /// once per epoch change, not once per search (pinned by the
-    /// `purge_scans` regression test).
-    fn purge_stale(&self, data: u64, feedback: u64) {
-        let mut mark = self
-            .purge_mark
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Epochs are monotonic, so a pair at or below the mark comes from
-        // a thread that read the epochs before the last purge; letting it
-        // through would evict the *current* epoch's freshly cached entries
-        // and regress the mark into a purge ping-pong. (Purging is cache
-        // hygiene only — keys match exactly regardless.)
-        if (data, feedback) > mark.forward {
-            mark.forward = (data, feedback);
-            self.forward_cache()
-                .retain(|k| k.0 == data && k.1 == feedback);
-        }
-        if data > mark.backward {
-            mark.backward = data;
-            self.backward_cache().retain(|k| k.0 == data);
-        }
     }
 
     /// Run Algorithm 1 on a raw query string, through the caches.
@@ -305,7 +264,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
         // needs the read side); the insert below re-checks it.
         let data_epoch = self.data_epoch();
         let feedback_epoch = engine.feedback_epoch();
-        self.purge_stale(data_epoch, feedback_epoch);
         let key: ForwardKey = (
             data_epoch,
             feedback_epoch,
@@ -385,7 +343,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
 
     /// Record user feedback on an explanation (see [`Quest::feedback`]).
     /// Bumps the feedback epoch, so forward-cache entries built on the old
-    /// model stop matching and are purged on the next search.
+    /// model stop matching. Nothing is purged: they age out of the LRU.
     pub fn feedback(
         &self,
         query: &KeywordQuery,
@@ -430,7 +388,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
                 misses: c.misses(),
                 entries: c.len(),
                 capacity: c.capacity(),
-                purge_scans: c.retain_scans(),
+                purge_scans: 0,
             };
         }
         {
@@ -440,7 +398,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
                 misses: c.misses(),
                 entries: c.len(),
                 capacity: c.capacity(),
-                purge_scans: c.retain_scans(),
+                purge_scans: 0,
             };
         }
         {
@@ -481,9 +439,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
             registry
                 .gauge(&format!("quest_serve_{prefix}_cache_entries"))
                 .set(cache.entries as i64);
-            registry
-                .gauge(&format!("quest_serve_{prefix}_cache_purge_scans"))
-                .set(cache.purge_scans as i64);
         }
         stats.metrics = registry.snapshot();
         if let Some(monitor) = self
@@ -575,10 +530,11 @@ impl<W: SourceWrapper + MutableSource> CachedEngine<W> {
     ///
     /// If anything applied, the engine re-syncs its instance-derived state
     /// and the data epoch advances, retiring every cache entry built on
-    /// the old data; an all-rejected batch leaves engine, epoch, and
-    /// caches untouched. Durability is the caller's concern: append
-    /// records to a [`quest_wal::WalWriter`] and sync *before* handing
-    /// them here.
+    /// the old data (retired entries are never served again and age out of
+    /// the LRU; nothing is swept here); an all-rejected batch leaves
+    /// engine, epoch, and caches untouched. Durability is the caller's
+    /// concern: append records to a [`quest_wal::WalWriter`] and sync
+    /// *before* handing them here.
     ///
     /// **Single mutation writer.** The replay guarantee assumes log order
     /// equals apply order. `apply` serializes batches against each other
@@ -611,17 +567,16 @@ impl<W: SourceWrapper + MutableSource> CachedEngine<W> {
             // Bump the epoch and re-sync instance-derived engine state
             // (MI-weighted schema graph) while still under the write lock:
             // no search can observe the new data with the old epoch or
-            // vice versa. The bump and purge come first so that even a
-            // failed re-sync (unreachable for ChangeRecords, which cannot
-            // alter the catalog) can never leave stale cache entries
-            // serving over mutated data. An all-rejected batch changed
-            // nothing, so it pays for none of this.
+            // vice versa. The bump comes first so that even a failed
+            // re-sync (unreachable for ChangeRecords, which cannot alter
+            // the catalog) can never leave old cache entries serving over
+            // mutated data. An all-rejected batch changed nothing, so it
+            // pays for none of this.
             let bump_started = quest_obs::spans().start();
             self.data_epoch.fetch_add(1, Ordering::AcqRel);
             let resync = engine.resync();
-            let (data, feedback) = (self.data_epoch(), engine.feedback_epoch());
+            let data = self.data_epoch();
             drop(engine);
-            self.purge_stale(data, feedback);
             quest_obs::spans().record_with(
                 ctx,
                 "cache_epoch_bump",
@@ -705,83 +660,43 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bump_reclaims_cache_capacity() {
-        // Entries keyed by dead epochs are purged on the next search, not
-        // left to squat until capacity eviction.
-        let cached = CachedEngine::new(engine());
-        for raw in ["wind", "fleming", "wind fleming", "victor"] {
-            let _ = cached.search(raw).unwrap();
+    fn dead_epoch_entries_age_out_within_capacity() {
+        // Nothing sweeps the caches on an epoch bump. Under three
+        // capacities' worth of data and feedback bumps, dead entries must
+        // stay bounded by the LRU, and no search may be served one.
+        let caches = CacheConfig {
+            forward_capacity: 8,
+            backward_capacity: 16,
+        };
+        let cached = CachedEngine::with_caches(engine(), caches.clone());
+        let queries = ["wind fleming", "fleming", "wind"];
+        let query = KeywordQuery::parse("wind fleming").unwrap();
+        let best = cached.search("wind fleming").unwrap().explanations[0].clone();
+        for step in 0..3 * caches.forward_capacity as i64 {
+            if step % 2 == 0 {
+                cached
+                    .apply(&[ChangeRecord::Insert {
+                        table: "person".into(),
+                        row: vec![(100 + step).into(), format!("Wind Person {step}").into()],
+                    }])
+                    .unwrap();
+            } else {
+                cached.feedback(&query, &best, true).unwrap();
+            }
+            for raw in queries {
+                let served = cached.search(raw).unwrap();
+                same_outcome(&served, &cached.engine().search(raw).unwrap());
+            }
+            let stats = cached.stats();
+            assert!(stats.forward_cache.entries <= caches.forward_capacity);
+            assert!(stats.backward_cache.entries <= caches.backward_capacity);
         }
-        let stats = cached.stats();
-        assert_eq!(stats.forward_cache.entries, 4);
-        let backward_before = stats.backward_cache.entries;
-        assert!(backward_before > 0);
-
-        // Feedback kills forward entries only; backward survives (it never
-        // depends on the feedback model).
-        let best = cached.search("wind").unwrap().explanations[0].clone();
-        let query = KeywordQuery::parse("wind").unwrap();
-        cached.feedback(&query, &best, true).unwrap();
-        let _ = cached.search("wind").unwrap();
         let stats = cached.stats();
         assert_eq!(
-            stats.forward_cache.entries, 1,
-            "only the post-feedback entry remains: {stats}"
+            stats.forward_cache.entries, caches.forward_capacity,
+            "dead entries fill the cache to capacity, and no further: {stats}"
         );
-        assert_eq!(stats.backward_cache.entries, backward_before);
-
-        // A data mutation kills both.
-        cached
-            .apply(&[ChangeRecord::Insert {
-                table: "person".into(),
-                row: vec![50.into(), "Orson Welles".into()],
-            }])
-            .unwrap();
-        let _ = cached.search("welles").unwrap();
-        let stats = cached.stats();
-        assert_eq!(stats.forward_cache.entries, 1);
-        assert!(
-            stats.backward_cache.entries <= backward_before,
-            "dead-data-epoch backward entries were purged: {stats}"
-        );
-    }
-
-    #[test]
-    fn epoch_purges_scan_once_per_change_not_per_search() {
-        let cached = CachedEngine::new(engine());
-        for raw in ["wind", "fleming"] {
-            let _ = cached.search(raw).unwrap();
-        }
-        let stats = cached.stats();
-        assert_eq!(stats.forward_cache.purge_scans, 0, "no epoch changed yet");
-        assert_eq!(stats.backward_cache.purge_scans, 0);
-
-        // Many searches after one feedback bump: exactly one forward scan;
-        // the backward cache (feedback-free keys) is never scanned.
-        let best = cached.search("wind").unwrap().explanations[0].clone();
-        let query = KeywordQuery::parse("wind").unwrap();
-        cached.feedback(&query, &best, true).unwrap();
-        for _ in 0..5 {
-            let _ = cached.search("wind").unwrap();
-        }
-        let stats = cached.stats();
-        assert_eq!(stats.forward_cache.purge_scans, 1, "{stats}");
-        assert_eq!(stats.backward_cache.purge_scans, 0, "{stats}");
-
-        // One mutation batch: one more scan per (non-empty) cache, no
-        // matter how many searches follow.
-        cached
-            .apply(&[ChangeRecord::Insert {
-                table: "person".into(),
-                row: vec![60.into(), "Extra Person".into()],
-            }])
-            .unwrap();
-        for _ in 0..5 {
-            let _ = cached.search("wind").unwrap();
-        }
-        let stats = cached.stats();
-        assert_eq!(stats.forward_cache.purge_scans, 2, "{stats}");
-        assert_eq!(stats.backward_cache.purge_scans, 1, "{stats}");
+        assert_eq!(stats.forward_cache.purge_scans, 0);
     }
 
     #[test]

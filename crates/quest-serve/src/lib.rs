@@ -13,8 +13,9 @@
 //!   feedback, EM refinement) and the serving layer's *data epoch*, bumped
 //!   by every live-data mutation batch applied through
 //!   [`CachedEngine::apply`] (a slice of
-//!   [`quest_wal::ChangeRecord`]s); entries keyed by dead epochs are purged
-//!   on the next search.
+//!   [`quest_wal::ChangeRecord`]s). Both epochs are in every key, so an
+//!   entry of a dead epoch is never served; nothing is purged, and it ages
+//!   out of the LRU.
 //! * [`QueryService`] — a thread pool (std threads, a mutex-and-condvar
 //!   work queue, no external dependencies) draining submitted queries
 //!   through one shared `CachedEngine`, so every worker benefits from every

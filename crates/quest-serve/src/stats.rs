@@ -31,9 +31,8 @@ pub struct CacheStats {
     pub entries: usize,
     /// Maximum entries.
     pub capacity: usize,
-    /// Full-map epoch-purge scans performed so far — one per epoch change
-    /// with live entries, never one per lookup (pinned by regression
-    /// tests).
+    /// Always 0. Dead-epoch entries are no longer swept; they age out of
+    /// the LRU. The field stays for readers of the old counter.
     pub purge_scans: u64,
 }
 
@@ -252,11 +251,9 @@ pub mod names {
         "quest_serve_forward_cache_hits",
         "quest_serve_forward_cache_misses",
         "quest_serve_forward_cache_entries",
-        "quest_serve_forward_cache_purge_scans",
         "quest_serve_backward_cache_hits",
         "quest_serve_backward_cache_misses",
         "quest_serve_backward_cache_entries",
-        "quest_serve_backward_cache_purge_scans",
         "quest_serve_join_template_hits",
         "quest_serve_join_template_misses",
         "quest_serve_join_template_entries",

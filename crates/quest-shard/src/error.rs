@@ -23,13 +23,23 @@ pub enum ShardError {
     Wal(WalError),
     /// A row was found on a shard its primary key does not hash to.
     Placement(String),
-    /// Shard recovery could not verify the healed log (replayed LSN outside
-    /// the fence window, or a final watermark other than the fence
-    /// expected). The shard stays fenced.
+    /// A shard log cannot be rolled forward from the coordinator log: a
+    /// coordinator frame continues it past where it ends. The set does not
+    /// open (or stays fenced).
     Recovery(String),
+    /// A batch's commit point was not reached: its coordinator frame could
+    /// not be made durable, and may or may not be in the file. Every shard
+    /// is fenced. Once the set is healed, the batch was committed exactly
+    /// when the set's LSNs differ from their values before the commit.
+    CommitUnknown {
+        /// Why the frame failed.
+        reason: String,
+    },
     /// A shard is fenced: it failed a commit (or an operator fenced it) and
     /// the set refuses to serve queries or writes until it is repaired —
-    /// a typed refusal instead of silently partial results.
+    /// a typed refusal instead of silently partial results. A commit that
+    /// returns it was committed: the fenced shard's slice is in the
+    /// coordinator log, and healing re-drives it.
     ShardDown {
         /// Index of the broken shard.
         shard: usize,
@@ -48,6 +58,9 @@ impl fmt::Display for ShardError {
             ShardError::Wal(e) => write!(f, "wal: {e}"),
             ShardError::Placement(m) => write!(f, "placement: {m}"),
             ShardError::Recovery(m) => write!(f, "recovery: {m}"),
+            ShardError::CommitUnknown { reason } => {
+                write!(f, "commit outcome unknown: {reason}")
+            }
             ShardError::ShardDown { shard, reason } => {
                 write!(f, "shard {shard} is down: {reason}")
             }

@@ -36,10 +36,14 @@
 //! * [`ShardedPrimary`] — a shard is the unit of replication. The gateway's
 //!   store holds the only copy of the rows; each shard adds a
 //!   [`DurableLog`](quest_wal::DurableLog) (own WAL, own snapshots, no
-//!   rows), a router appends accepted records to the log of the shard
-//!   their partition key owns, and a shard whose append fails is fenced in
-//!   the topology — queries against a set with a broken shard return a
-//!   typed [`ShardError::ShardDown`], never silently partial results.
+//!   rows), and a router appends accepted records to the log of the shard
+//!   their partition key owns — after the whole batch is fsynced as one
+//!   frame to the set's [`CoordinatorLog`](quest_wal::CoordinatorLog), the
+//!   commit point that a crashed set's shard logs roll forward from. A
+//!   shard whose append fails is fenced in the topology — queries against
+//!   a set with a broken shard return a typed [`ShardError::ShardDown`],
+//!   never silently partial results. A frame that cannot be made durable
+//!   fences every shard and returns [`ShardError::CommitUnknown`].
 //!
 //! The identity discipline is pinned end to end by `tests/shard.rs` (the
 //! repo-level shard identity suite) and by this crate's partitioner

@@ -3,16 +3,51 @@
 //! There is **one copy** of every row, and the gateway owns it: a
 //! [`ScatterGather`] engine over the [`ShardedStore`] performs the *global*
 //! accept/reject decisions and serves searches. Each shard adds only a
-//! [`DurableLog`] — its own write-ahead log and snapshots in
-//! `dir/shard-NNN/`, holding no rows — and the router appends each
-//! **accepted** record to the log of the shard its partition key owns.
-//! Because acceptance was decided globally, a shard's log replays
-//! deterministically over that shard's FK-less database, which is how a
-//! cold [`ShardedPrimary::reopen`] rebuilds the store and how a stock
-//! per-shard `Replica` follows it. A shard whose append fails (I/O,
-//! poisoned log) is **fenced**: the topology reports it broken and every
-//! subsequent search or commit returns a typed [`ShardError::ShardDown`]
-//! instead of silently partial results.
+//! [`DurableLog`] — its own write-ahead log and snapshots, holding no rows —
+//! and the set adds one [`CoordinatorLog`], the commit point:
+//!
+//! ```text
+//! dir/coordinator.wal            one fsynced frame per committed batch
+//! dir/shard-NNN/primary.wal      shard NNN's records, appended unsynced
+//! dir/shard-NNN/latest.snap      shard NNN's latest snapshot
+//! ```
+//!
+//! **Commit.** [`ShardedPrimary::commit`] lets the gateway apply the batch,
+//! routes each **accepted** record to the shard its partition key owns, and
+//! appends all the slices as one [`BatchFrame`] to the coordinator log,
+//! with each participant's LSN after the batch. The frame's fsync is the
+//! commit point and the only fsync a commit pays. Only then are the slices
+//! appended to the shard logs, without a sync. Because acceptance was
+//! decided globally, a shard's log replays deterministically over that
+//! shard's FK-less database, which is how a stock per-shard `Replica`
+//! follows it.
+//!
+//! **Recovery only rolls forward.** A shard log never holds a record the
+//! coordinator lacks, so [`ShardedPrimary::reopen`] recovers each shard
+//! from its snapshot and log, then appends whatever suffix of its slices
+//! the coordinator holds beyond the log's end. A frame torn by a crash was
+//! never committed, and no shard log holds any of its records. A shard log
+//! is fsynced only when a snapshot is published, so after a power loss its
+//! part past the snapshot can hold a garbled line with valid lines after
+//! it; the coordinator holds every record of that part, so the log is cut
+//! back to its valid prefix and rolled forward
+//! ([`DurableLog::reopen_salvaging`]). Publishing snapshots empties the
+//! coordinator log, because every frame it held is then in a synced shard
+//! log. A directory written before the coordinator log existed reopens
+//! with its shard logs as they are and starts one.
+//!
+//! **Visibility.** The gateway applies a batch before its frame is written,
+//! but `commit` holds `&mut self`, so no read runs in between: a read sees
+//! a batch only after its frame is durable. A reopen fsyncs the coordinator
+//! log before it serves anything, for the same reason. If the frame cannot
+//! be made durable, `commit` returns [`ShardError::CommitUnknown`] and the
+//! whole set is fenced. A shard whose append fails after the commit point
+//! is fenced and `commit` returns [`ShardError::ShardDown`]; that batch
+//! stays committed. [`ShardedPrimary::supervise`] heals every fence the
+//! same way: it rebuilds the set from its directory, which holds a batch
+//! exactly when its frame reached the file. A fenced set refuses reads and
+//! writes with a typed [`ShardError::ShardDown`] instead of serving
+//! silently partial results.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -23,7 +58,9 @@ use quest_core::{QuestConfig, SearchOutcome};
 use quest_fault::{Clock, FaultKind, RetryPolicy, SystemClock};
 use quest_obs::{TraceCtx, TraceKind};
 use quest_serve::ApplyReport;
-use quest_wal::{ChangeRecord, DurableLog, SyncPolicy, WalError};
+use quest_wal::{
+    BatchFrame, ChangeRecord, CoordinatorLog, DurableLog, ShardSlice, SyncPolicy, WalError,
+};
 use relstore::{Catalog, Database, Row, TableData};
 
 use crate::config::ShardConfig;
@@ -32,12 +69,16 @@ use crate::partition::Partitioner;
 use crate::scatter::ScatterGather;
 use crate::store::ShardedStore;
 
+/// File name of the coordinator log inside the set's directory.
+const COORDINATOR_FILE: &str = "coordinator.wal";
+
 /// Subdirectory of one shard's log inside the set's directory.
 fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:03}"))
 }
 
-/// Count one fence event (a shard marked broken) in the global registry.
+/// Count one fence event (a shard or the set marked broken) in the global
+/// registry.
 fn count_fence() {
     quest_obs::global().counter(crate::names::FENCE).inc();
 }
@@ -47,21 +88,21 @@ fn count_down() {
     quest_obs::global().counter(crate::names::DOWN).inc();
 }
 
-/// Everything a fenced shard needs to be healed in place.
-///
-/// `lsn_before` is the shard's watermark captured **before** the failed
-/// commit attempt and `pending` is the per-shard record slice that never
-/// (or only partially) reached its log; together they bound exactly what
-/// [`ShardedPrimary::recover`] must replay or re-commit, and let it verify
-/// the healed watermark to the record.
+/// A commit context for the log appends of one batch.
+fn commit_ctx() -> TraceCtx {
+    TraceCtx::detached(TraceKind::Commit)
+}
+
+/// Which shards are fenced and why, and when supervision probes the set
+/// next. One probe heals every fenced shard, because it rebuilds the whole
+/// set from its directory. What to repair is not stored here: the
+/// coordinator log on disk holds every committed slice a shard log may
+/// lack.
 #[derive(Debug, Clone)]
-struct FenceState {
-    /// Why the shard was fenced (updated with the latest recovery error).
-    reason: String,
-    /// The shard's last LSN before the failed commit attempt.
-    lsn_before: u64,
-    /// Records the gateway accepted for this shard that its log may miss.
-    pending: Vec<ChangeRecord>,
+struct Fence {
+    /// Why each shard is fenced (`None` = not fenced); a failed probe's
+    /// error replaces every reason.
+    reasons: Vec<Option<String>>,
     /// Failed recovery probes that were rescheduled so far.
     attempts: u32,
     /// Escalated: the first recovery probe and all
@@ -72,6 +113,39 @@ struct FenceState {
     next_probe: Duration,
 }
 
+impl Fence {
+    /// A fence over none of `shard_count` shards yet, due for its first
+    /// probe at `now`.
+    fn new(shard_count: usize, now: Duration) -> Fence {
+        Fence {
+            reasons: vec![None; shard_count],
+            attempts: 0,
+            permanent: false,
+            next_probe: now,
+        }
+    }
+
+    /// Whether supervision should probe it at `now`.
+    fn due(&self, now: Duration) -> bool {
+        !self.permanent && now >= self.next_probe
+    }
+
+    /// Record a failed probe: reschedule it under `retry`'s backoff, or
+    /// escalate once the budget is spent.
+    fn reschedule(&mut self, retry: &RetryPolicy, error: &ShardError, now: Duration) {
+        for reason in self.reasons.iter_mut().flatten() {
+            *reason = error.to_string();
+        }
+        match retry.next_probe(&mut self.attempts, now) {
+            Some(due) => self.next_probe = due,
+            None => {
+                self.permanent = true;
+                quest_fault::count_escalation("shard");
+            }
+        }
+    }
+}
+
 /// Point-in-time view of the shard set's replication state.
 #[derive(Debug, Clone)]
 pub struct ShardTopology {
@@ -80,7 +154,8 @@ pub struct ShardTopology {
     /// Each shard's last applied LSN (shard LSN sequences are independent).
     pub lsns: Vec<u64>,
     /// Fence reasons, by shard; `None` = healthy. Any `Some` means the set
-    /// refuses reads and writes until repaired.
+    /// refuses reads and writes until repaired. A batch whose commit point
+    /// failed fences every shard.
     pub broken: Vec<Option<String>>,
 }
 
@@ -140,25 +215,29 @@ pub struct ShardReceipt {
 }
 
 /// The sharded write point: a gateway engine that owns the rows, decides
-/// globally and serves searches, plus one [`DurableLog`] per shard for
-/// durability.
+/// globally and serves searches, one [`DurableLog`] per shard, and the
+/// [`CoordinatorLog`] that makes a batch atomic across them (see the module
+/// docs for the commit protocol and the visibility rule).
 ///
-/// The logs hold no data of their own. They stay in lockstep with the
+/// The shard logs hold no data of their own. They stay in lockstep with the
 /// gateway's store because every commit appends to them exactly the records
-/// the store accepted, in batch order; while a shard is fenced the store is
-/// ahead of that shard's log by the fence's pending records, which is why a
-/// fenced set refuses snapshots as well as reads and writes.
+/// the store accepted, in batch order; while a shard is fenced its log lags
+/// the store by slices the coordinator holds, which is why a fenced set
+/// refuses snapshots as well as reads and writes.
 #[derive(Debug)]
 pub struct ShardedPrimary {
     catalog: Catalog,
     partitioner: Partitioner,
+    coordinator: CoordinatorLog,
     logs: Vec<DurableLog>,
-    fences: Vec<Option<FenceState>>,
+    /// `Some` while any shard is fenced.
+    fence: Option<Fence>,
     gateway: ScatterGather,
-    /// Root directory of the set — each shard's log lives in
-    /// `dir/shard-NNN/`, which is where [`ShardedPrimary::recover`] reopens
-    /// it from.
+    /// Root directory of the set, which a rebuild reads back.
     dir: PathBuf,
+    /// What a rebuild reopens the directory with.
+    shard_config: ShardConfig,
+    config: QuestConfig,
     retry: RetryPolicy,
     clock: Arc<dyn Clock>,
 }
@@ -166,8 +245,10 @@ pub struct ShardedPrimary {
 impl ShardedPrimary {
     /// Start a fresh sharded primary in `dir` over `db`: the database is
     /// hash-partitioned, each shard's log is created in `dir/shard-NNN/`
-    /// (publishing a bootstrap snapshot of that shard at LSN 0), and the
-    /// gateway engine takes the partitioned store.
+    /// (publishing a bootstrap snapshot of that shard at LSN 0), an empty
+    /// coordinator log is created in `dir/coordinator.wal`, and the gateway
+    /// engine takes the partitioned store. Refuses a directory whose logs
+    /// already hold history; [`ShardedPrimary::reopen`] resumes it.
     pub fn open(
         dir: &Path,
         db: Database,
@@ -177,6 +258,18 @@ impl ShardedPrimary {
         let store = ShardedStore::from_database(&db, shard_config)?;
         let retry = RetryPolicy::from_env();
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+        std::fs::create_dir_all(dir).map_err(WalError::Io)?;
+        let path = dir.join(COORDINATOR_FILE);
+        let (coordinator, frames) =
+            CoordinatorLog::open(&path, store.catalog(), retry.clone(), clock.clone())?;
+        if !frames.is_empty() {
+            return Err(WalError::State(format!(
+                "{} already holds {} batches; reopen the directory to resume it",
+                path.display(),
+                frames.len()
+            ))
+            .into());
+        }
         let logs = (0..store.shard_count())
             .map(|i| {
                 DurableLog::create(
@@ -188,11 +281,21 @@ impl ShardedPrimary {
                 )
             })
             .collect::<Result<Vec<_>, WalError>>()?;
-        ShardedPrimary::assemble(dir, store, logs, config, retry, clock)
+        ShardedPrimary::assemble(
+            dir,
+            store,
+            coordinator,
+            logs,
+            shard_config,
+            config,
+            (retry, clock),
+        )
     }
 
     /// Resume a sharded primary: recover every shard's database from its
-    /// snapshot + log suffix, move the recovered databases into the gateway
+    /// snapshot + log suffix (cutting away damage past the snapshot that
+    /// the coordinator re-supplies), roll each shard log forward over the
+    /// coordinator's frames it lacks, move the databases into the gateway
     /// store (verifying placement and global referential integrity), and
     /// continue each shard's LSN sequence. `catalog` is the full catalog —
     /// foreign keys included — which the FK-less shard logs cannot carry.
@@ -202,23 +305,78 @@ impl ShardedPrimary {
         shard_config: &ShardConfig,
         config: QuestConfig,
     ) -> Result<ShardedPrimary, ShardError> {
-        shard_config.validate()?;
-        let retry = RetryPolicy::from_env();
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-        let mut logs = Vec::with_capacity(shard_config.shard_count);
-        let mut dbs = Vec::with_capacity(shard_config.shard_count);
-        for i in 0..shard_config.shard_count {
-            let (log, db) = DurableLog::reopen(
+        ShardedPrimary::reopen_with(
+            dir,
+            catalog,
+            shard_config,
+            config,
+            RetryPolicy::from_env(),
+            clock,
+        )
+    }
+
+    /// [`ShardedPrimary::reopen`] under an explicit retry policy and clock.
+    fn reopen_with(
+        dir: &Path,
+        catalog: Catalog,
+        shard_config: &ShardConfig,
+        config: QuestConfig,
+        retry: RetryPolicy,
+        clock: Arc<dyn Clock>,
+    ) -> Result<ShardedPrimary, ShardError> {
+        shard_config.validate()?;
+        let (mut coordinator, frames) = CoordinatorLog::open(
+            &dir.join(COORDINATOR_FILE),
+            &catalog,
+            retry.clone(),
+            clock.clone(),
+        )?;
+        // A frame whose fsync failed before the previous owner stopped can
+        // still be in the file; the set is about to serve it, so make it
+        // durable first.
+        coordinator.sync()?;
+        let count = shard_config.shard_count;
+        // The first and last LSN of each shard's records the coordinator
+        // holds.
+        let mut held: Vec<Option<(u64, u64)>> = vec![None; count];
+        for (seq, frame) in &frames {
+            for slice in &frame.slices {
+                let Some(range) = held.get_mut(slice.shard) else {
+                    return Err(ShardError::Config(format!(
+                        "coordinator frame {seq} names shard {} but the set has {count} shards",
+                        slice.shard
+                    )));
+                };
+                let first = range.map_or(slice.lsn_before() + 1, |(first, _)| first);
+                *range = Some((first, slice.last_lsn));
+            }
+        }
+        let mut logs = Vec::with_capacity(count);
+        let mut dbs = Vec::with_capacity(count);
+        for (i, range) in held.into_iter().enumerate() {
+            let (mut log, mut db) = DurableLog::reopen_salvaging(
                 &shard_dir(dir, i),
                 SyncPolicy::default(),
                 retry.clone(),
                 clock.clone(),
+                range.map(|(first, last)| first..=last),
             )?;
+            let missing = roll_forward(i, &mut log, &frames)?;
+            quest_wal::replay(&mut db, &missing, 0)?;
             logs.push(log);
             dbs.push(db);
         }
         let store = ShardedStore::from_shards(catalog, dbs, shard_config)?;
-        ShardedPrimary::assemble(dir, store, logs, config, retry, clock)
+        ShardedPrimary::assemble(
+            dir,
+            store,
+            coordinator,
+            logs,
+            shard_config,
+            config,
+            (retry, clock),
+        )
     }
 
     /// A healthy set serving `store`, shard `i` of which is the state after
@@ -226,28 +384,34 @@ impl ShardedPrimary {
     fn assemble(
         dir: &Path,
         store: ShardedStore,
+        coordinator: CoordinatorLog,
         logs: Vec<DurableLog>,
+        shard_config: &ShardConfig,
         config: QuestConfig,
-        retry: RetryPolicy,
-        clock: Arc<dyn Clock>,
+        (retry, clock): (RetryPolicy, Arc<dyn Clock>),
     ) -> Result<ShardedPrimary, ShardError> {
         Ok(ShardedPrimary {
             catalog: store.catalog().clone(),
             partitioner: *store.partitioner(),
-            fences: vec![None; logs.len()],
+            coordinator,
+            fence: None,
             logs,
-            gateway: ScatterGather::from_store(store, config)?,
+            gateway: ScatterGather::from_store(store, config.clone())?,
             dir: dir.to_path_buf(),
+            shard_config: shard_config.clone(),
+            config,
             retry,
             clock,
         })
     }
 
     /// Override the retry policy and clock at every level of the set: WAL
-    /// retries inside each shard's log, commit-level retries, and
-    /// [`ShardedPrimary::supervise`]'s probe-after-backoff scheduling. Tests
-    /// inject a [`ManualClock`](quest_fault::ManualClock): no wall time passes.
+    /// retries inside the coordinator and each shard's log, commit-level
+    /// retries, and [`ShardedPrimary::supervise`]'s probe-after-backoff
+    /// scheduling. Tests inject a [`ManualClock`](quest_fault::ManualClock):
+    /// no wall time passes.
     pub fn set_recovery(&mut self, retry: RetryPolicy, clock: Arc<dyn Clock>) {
+        self.coordinator.set_recovery(retry.clone(), clock.clone());
         for log in &mut self.logs {
             log.set_recovery(retry.clone(), clock.clone());
         }
@@ -261,15 +425,26 @@ impl ShardedPrimary {
     /// per-record accept/reject, epoch bump — producing a report identical
     /// to the unsharded serving layer's. Accepted records are then grouped
     /// by owning shard (order preserved; a PK-moving update becomes a
-    /// delete on the old shard and an insert on the new one) and appended
-    /// to each shard's [`DurableLog`]. A commit-level fault classified
-    /// transient ([`WalError::is_transient`]) is retried under the set's
-    /// [`RetryPolicy`] before giving up. A shard whose append still fails
-    /// is fenced **with its pending records captured**, the remaining
-    /// shards are appended anyway (their logs must not fall behind the
-    /// store), and the commit returns the first [`ShardError::ShardDown`].
-    /// The fence holds everything [`ShardedPrimary::recover`] needs to
-    /// re-drive the missed slice and rejoin the set.
+    /// delete on the old shard and an insert on the new one), and the
+    /// slices are appended to the coordinator log as one [`BatchFrame`] and
+    /// fsynced: the commit point. A batch with no accepted record writes
+    /// nothing. Faults classified transient ([`WalError::is_transient`])
+    /// are retried under the set's [`RetryPolicy`] before giving up.
+    ///
+    /// * If the frame cannot be made durable, every shard is fenced and the
+    ///   commit returns [`ShardError::CommitUnknown`]: the frame may or may
+    ///   not have reached the file. The set learns which once it is healed
+    ///   ([`ShardedPrimary::supervise`] or [`ShardedPrimary::reopen`]
+    ///   rebuild it from the directory). The batch was committed exactly
+    ///   when [`ShardedPrimary::topology`]'s `lsns` then differ from their
+    ///   values before this commit, so a caller resends it only when they
+    ///   do not.
+    /// * Once the frame is durable, each slice is appended to its shard's
+    ///   log without a sync. A shard whose append fails is fenced, the
+    ///   remaining shards are appended anyway, and the commit returns the
+    ///   first [`ShardError::ShardDown`]. The batch is committed all the
+    ///   same, so a caller must not resend it: healing re-drives the
+    ///   missing slice from the coordinator.
     pub fn commit(&mut self, batch: &[ChangeRecord]) -> Result<ShardReceipt, ShardError> {
         self.ensure_healthy()?;
         let report = self.gateway.apply(batch)?;
@@ -281,16 +456,34 @@ impl ShardedPrimary {
             }
             self.route_record(record, &mut per_shard)?;
         }
-        let mut first_down: Option<ShardError> = None;
-        for (s, records) in per_shard.into_iter().enumerate() {
-            if records.is_empty() {
-                continue;
+        let frame = BatchFrame {
+            slices: per_shard
+                .into_iter()
+                .enumerate()
+                .filter(|(_, records)| !records.is_empty())
+                .map(|(shard, records)| ShardSlice {
+                    shard,
+                    last_lsn: self.logs[shard].last_lsn() + records.len() as u64,
+                    records,
+                })
+                .collect(),
+        };
+        if !frame.slices.is_empty() {
+            if let Err(e) = self.log_frame(&frame) {
+                let reason = format!("coordinator log: {e}");
+                self.install_fence(0..self.logs.len(), reason.clone());
+                return Err(ShardError::CommitUnknown { reason });
             }
-            let lsn_before = self.logs[s].last_lsn();
-            if let Err(e) = self.append_to_shard(s, &records) {
+        }
+        let mut first_down: Option<ShardError> = None;
+        for slice in &frame.slices {
+            if let Err(e) = self.append_to_shard(slice.shard, &slice.records) {
                 let reason = e.to_string();
-                self.install_fence(s, reason.clone(), lsn_before, records);
-                first_down.get_or_insert(ShardError::ShardDown { shard: s, reason });
+                self.install_fence([slice.shard], reason.clone());
+                first_down.get_or_insert(ShardError::ShardDown {
+                    shard: slice.shard,
+                    reason,
+                });
             }
         }
         match first_down {
@@ -302,12 +495,11 @@ impl ShardedPrimary {
         }
     }
 
-    /// Append `records` to shard `s`'s log, retrying transient commit-level
-    /// faults under the set's [`RetryPolicy`] (WAL-level faults are retried
-    /// inside [`DurableLog::append`], under the same policy).
-    fn append_to_shard(&mut self, s: usize, records: &[ChangeRecord]) -> Result<(), ShardError> {
+    /// Fire the commit-level failpoint `site`, retrying transient faults
+    /// under the set's [`RetryPolicy`]; a slow-IO fault stalls and passes.
+    fn commit_failpoint(&self, site: &str) -> Result<(), ShardError> {
         let mut attempt = 0u32;
-        while let Some(fault) = quest_fault::fire(quest_fault::sites::SHARD_COMMIT) {
+        while let Some(fault) = quest_fault::fire(site) {
             if matches!(fault.kind, FaultKind::SlowIo) {
                 fault.stall();
                 break;
@@ -320,92 +512,67 @@ impl ShardedPrimary {
                 return Err(err.into());
             }
         }
-        self.logs[s].append(records, TraceCtx::detached(TraceKind::Commit))?;
         Ok(())
     }
 
-    /// Heal fenced shard `shard` in place: reopen its log exactly as a cold
-    /// start would (snapshot + log suffix replayed and validated), verify
-    /// the replayed watermark lies inside the fence window, append whatever
-    /// suffix of the fence's pending records the log misses, verify the
-    /// final watermark matches the fence's expectation exactly, then swap
-    /// the fresh log in and lift the fence. On any verification failure the
-    /// shard stays fenced and the error becomes the fence's new reason.
-    pub fn recover(&mut self, shard: usize) -> Result<(), ShardError> {
-        let Some(fence) = &self.fences[shard] else {
-            return Ok(());
-        };
-        let (mut log, replayed_db) = DurableLog::reopen(
-            &shard_dir(&self.dir, shard),
-            SyncPolicy::default(),
+    /// Append `frame` to the coordinator log and fsync it (WAL-level
+    /// faults are retried inside [`CoordinatorLog::commit`]).
+    fn log_frame(&mut self, frame: &BatchFrame) -> Result<(), ShardError> {
+        self.coordinator.commit(frame, commit_ctx())?;
+        Ok(())
+    }
+
+    /// Append `records` to shard `s`'s log (WAL-level faults are retried
+    /// inside [`DurableLog::append`], under the same policy).
+    fn append_to_shard(&mut self, s: usize, records: &[ChangeRecord]) -> Result<(), ShardError> {
+        self.commit_failpoint(quest_fault::sites::SHARD_COMMIT)?;
+        self.logs[s].append(records, commit_ctx())?;
+        Ok(())
+    }
+
+    /// Heal the set: reopen the directory exactly as
+    /// [`ShardedPrimary::reopen`] would, which rolls every lagging shard
+    /// log forward from the coordinator, and take its gateway, logs and
+    /// coordinator, keeping this set's retry policy and clock. Returns how
+    /// many shard fences were lifted.
+    fn rebuild(&mut self) -> Result<usize, ShardError> {
+        let fresh = ShardedPrimary::reopen_with(
+            &self.dir,
+            self.catalog.clone(),
+            &self.shard_config,
+            self.config.clone(),
             self.retry.clone(),
             self.clock.clone(),
         )?;
-        let replayed = log.last_lsn();
-        let expect = fence.lsn_before + fence.pending.len() as u64;
-        if replayed < fence.lsn_before || replayed > expect {
-            return Err(ShardError::Recovery(format!(
-                "shard {shard} replayed to lsn {replayed}, outside the fence \
-                 window [{}, {expect}]",
-                fence.lsn_before
-            )));
+        let lifted = self.fenced();
+        // Dropping the old set releases its fence's quarantine charge.
+        *self = fresh;
+        for _ in 0..lifted {
+            quest_fault::count_heal("shard");
         }
-        // The log already holds `replayed - lsn_before` of the pending
-        // records (a torn commit can land a prefix); append only the
-        // missing suffix so nothing is logged twice.
-        let missing = &fence.pending[(replayed - fence.lsn_before) as usize..];
-        log.append(missing, TraceCtx::detached(TraceKind::Commit))?;
-        if log.last_lsn() != expect {
-            return Err(ShardError::Recovery(format!(
-                "shard {shard} recovered to lsn {} but the fence expected {expect}",
-                log.last_lsn()
-            )));
-        }
-        // The replay proved the snapshot + log pair still loads; the rows
-        // themselves are served from the gateway's store, which never
-        // stopped holding them.
-        drop(replayed_db);
-        self.logs[shard] = log;
-        self.fences[shard] = None;
-        quest_fault::quarantined("shard").sub(1);
-        quest_fault::count_heal("shard");
-        Ok(())
+        Ok(lifted)
     }
 
-    /// One supervision tick: attempt [`ShardedPrimary::recover`] on every
-    /// fenced, non-permanent shard whose backoff has elapsed. A failed
-    /// attempt reschedules the probe under the retry policy's backoff; a
-    /// shard whose first probe and all [`RetryPolicy::retries`] retries
+    /// One supervision tick. If the set is fenced and its probe is due,
+    /// it is rebuilt from the directory, which lifts every shard's fence.
+    /// A failed probe is rescheduled under the retry policy's backoff; a
+    /// fence whose first probe and all [`RetryPolicy::retries`] retries
     /// fail escalates to permanent and is left for the operator. Returns
-    /// how many shards healed this tick.
+    /// how many shard fences were lifted this tick.
     pub fn supervise(&mut self) -> usize {
         let now = self.clock.now();
-        let mut healed = 0;
-        for shard in 0..self.fences.len() {
-            let due = matches!(
-                &self.fences[shard],
-                Some(f) if !f.permanent && now >= f.next_probe
-            );
-            if !due {
-                continue;
-            }
-            match self.recover(shard) {
-                Ok(()) => healed += 1,
-                Err(e) => {
-                    if let Some(f) = self.fences[shard].as_mut() {
-                        f.reason = e.to_string();
-                        match self.retry.next_probe(&mut f.attempts, now) {
-                            Some(due) => f.next_probe = due,
-                            None => {
-                                f.permanent = true;
-                                quest_fault::count_escalation("shard");
-                            }
-                        }
-                    }
+        if !self.fence.as_ref().is_some_and(|f| f.due(now)) {
+            return 0;
+        }
+        match self.rebuild() {
+            Ok(lifted) => lifted,
+            Err(e) => {
+                if let Some(fence) = self.fence.as_mut() {
+                    fence.reschedule(&self.retry, &e, now);
                 }
+                0
             }
         }
-        healed
     }
 
     /// Route one accepted record to the shard(s) that must log it.
@@ -451,9 +618,9 @@ impl ShardedPrimary {
     }
 
     /// Run one keyword search through the gateway engine. Refuses with
-    /// [`ShardError::ShardDown`] while any shard is fenced — a broken
-    /// shard means part of the data is unaccounted for, and a partial
-    /// answer would be silently wrong.
+    /// [`ShardError::ShardDown`] while any shard (or the whole set) is
+    /// fenced — a broken shard means part of the data is unaccounted for,
+    /// and a partial answer would be silently wrong.
     pub fn search(&self, raw_query: &str) -> Result<SearchOutcome, ShardError> {
         self.ensure_healthy()?;
         self.gateway.search(raw_query).map_err(ShardError::Engine)
@@ -461,93 +628,103 @@ impl ShardedPrimary {
 
     /// The current replication state of the set.
     pub fn topology(&self) -> ShardTopology {
+        let count = self.logs.len();
         ShardTopology {
-            shard_count: self.logs.len(),
+            shard_count: count,
             lsns: self.logs.iter().map(DurableLog::last_lsn).collect(),
             broken: self
-                .fences
-                .iter()
-                .map(|f| f.as_ref().map(|f| f.reason.clone()))
-                .collect(),
+                .fence
+                .as_ref()
+                .map_or_else(|| vec![None; count], |f| f.reasons.clone()),
         }
     }
 
     /// Operator fence: mark a shard broken (e.g. after out-of-band
     /// detection of a poisoned WAL or failing disk). Subsequent searches
     /// and commits return [`ShardError::ShardDown`] until repair — which
-    /// [`ShardedPrimary::supervise`] attempts automatically (an operator
-    /// fence carries no pending records, so recovery is reopen + verify).
+    /// [`ShardedPrimary::supervise`] attempts automatically (a rebuild of
+    /// the set from its directory).
     pub fn fence(&mut self, shard: usize, reason: impl Into<String>) {
-        let lsn_before = self.logs[shard].last_lsn();
-        self.install_fence(shard, reason.into(), lsn_before, Vec::new());
+        self.install_fence([shard], reason.into());
     }
 
-    /// Record a fence, charging the quarantine gauge only on the
-    /// not-fenced → fenced edge.
-    fn install_fence(
-        &mut self,
-        shard: usize,
-        reason: String,
-        lsn_before: u64,
-        pending: Vec<ChangeRecord>,
-    ) {
-        if self.fences[shard].is_none() {
+    /// Fence `shards` for `reason`, charging the quarantine gauge only on
+    /// the set's not-fenced → fenced edge. A set already fenced keeps its
+    /// probe schedule.
+    fn install_fence(&mut self, shards: impl IntoIterator<Item = usize>, reason: String) {
+        let (count, now) = (self.logs.len(), self.clock.now());
+        let fence = self.fence.get_or_insert_with(|| {
             quest_fault::quarantined("shard").add(1);
-        }
-        self.fences[shard] = Some(FenceState {
-            reason,
-            lsn_before,
-            pending,
-            attempts: 0,
-            permanent: false,
-            next_probe: self.clock.now(),
+            Fence::new(count, now)
         });
-        count_fence();
+        for shard in shards {
+            count_fence();
+            fence.reasons[shard] = Some(reason.clone());
+        }
     }
 
     /// Whether every shard is serving.
     pub fn is_healthy(&self) -> bool {
-        self.fences.iter().all(Option::is_none)
+        self.fence.is_none()
+    }
+
+    /// How many shards are fenced.
+    fn fenced(&self) -> usize {
+        self.fence
+            .as_ref()
+            .map_or(0, |f| f.reasons.iter().flatten().count())
     }
 
     fn ensure_healthy(&self) -> Result<(), ShardError> {
-        for (shard, state) in self.fences.iter().enumerate() {
-            if let Some(fence) = state {
+        let fenced = self.fence.as_ref().and_then(|f| {
+            f.reasons
+                .iter()
+                .enumerate()
+                .find_map(|(shard, reason)| Some((shard, reason.clone()?)))
+        });
+        match fenced {
+            Some((shard, reason)) => {
                 count_down();
-                return Err(ShardError::ShardDown {
-                    shard,
-                    reason: fence.reason.clone(),
-                });
+                Err(ShardError::ShardDown { shard, reason })
             }
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Fsync every shard's log (group durability point).
+    /// A durability point for callers that pair it with
+    /// [`ShardedPrimary::commit`]. It has nothing to do: a commit is
+    /// durable when it returns (its coordinator frame is fsynced), and
+    /// shard logs need no fsync until a snapshot is published, because
+    /// after a crash they roll forward from the coordinator.
     pub fn sync(&mut self) -> Result<(), ShardError> {
-        for log in &mut self.logs {
-            log.sync()?;
-        }
         Ok(())
     }
 
     /// Publish a snapshot of every shard, serialized in place from the
     /// gateway's store, returning each shard's snapshot LSN; new replicas
-    /// bootstrap per shard from these. Refuses a fenced set
-    /// ([`ShardError::ShardDown`]): its store is ahead of the fenced log by
-    /// the pending records, and a snapshot that covers records its log does
-    /// not hold is the pair `reopen` refuses.
+    /// bootstrap per shard from these. The coordinator log is fsynced
+    /// before each shard log, and each shard log before its snapshot. Once
+    /// every snapshot is published, the coordinator log is emptied: each
+    /// frame it held is now in a synced shard log, and this bounds both its
+    /// size and what a reopen reads. Refuses a fenced set
+    /// ([`ShardError::ShardDown`]): its store is ahead of a fenced log, and
+    /// a snapshot that covers records its log does not hold is the pair
+    /// `reopen` refuses.
     pub fn publish_snapshots(&mut self) -> Result<Vec<u64>, ShardError> {
         self.ensure_healthy()?;
+        self.coordinator.sync()?;
         // Commits need `&mut self`, so the store under this read guard is
         // exactly the state after each log's last record.
         let engine = self.gateway.engine().engine();
         let store = engine.wrapper().store();
-        self.logs
+        let lsns = self
+            .logs
             .iter_mut()
             .enumerate()
             .map(|(i, log)| Ok(log.publish_snapshot(store.shard(i))?))
-            .collect()
+            .collect::<Result<Vec<u64>, ShardError>>()?;
+        self.coordinator.clear()?;
+        Ok(lsns)
     }
 
     /// One shard's durable log — the WAL/snapshot endpoints a per-shard
@@ -560,6 +737,55 @@ impl ShardedPrimary {
     pub fn gateway(&self) -> &ScatterGather {
         &self.gateway
     }
+}
+
+impl Drop for ShardedPrimary {
+    /// A dropped set is no longer quarantined: release the charge its
+    /// fence holds on the quarantine gauge.
+    fn drop(&mut self) {
+        if self.fence.is_some() {
+            quest_fault::quarantined("shard").sub(1);
+        }
+    }
+}
+
+/// Append to shard `shard`'s `log` every record the coordinator's `frames`
+/// hold for it beyond the log's end, returning them with their LSNs. A
+/// slice can be partly in the log already (a crash can tear an unsynced
+/// append), so only its missing suffix is appended. A slice that starts
+/// past the log's end means the log lost records no frame holds: an error.
+fn roll_forward(
+    shard: usize,
+    log: &mut DurableLog,
+    frames: &[(u64, BatchFrame)],
+) -> Result<Vec<(u64, ChangeRecord)>, ShardError> {
+    let mut missing: Vec<(u64, ChangeRecord)> = Vec::new();
+    for (seq, frame) in frames {
+        for slice in frame.slices.iter().filter(|s| s.shard == shard) {
+            let end = log.last_lsn() + missing.len() as u64;
+            if slice.last_lsn <= end {
+                continue;
+            }
+            let before = slice.lsn_before();
+            if before > end {
+                return Err(ShardError::Recovery(format!(
+                    "shard {shard} log ends at lsn {end} but coordinator frame {seq} \
+                     continues it at lsn {}",
+                    before + 1
+                )));
+            }
+            let lsns = before + 1..=slice.last_lsn;
+            missing.extend(
+                lsns.zip(slice.records.iter().cloned())
+                    .skip((end - before) as usize),
+            );
+        }
+    }
+    if !missing.is_empty() {
+        let records: Vec<ChangeRecord> = missing.iter().map(|(_, r)| r.clone()).collect();
+        log.append(&records, commit_ctx())?;
+    }
+    Ok(missing)
 }
 
 #[cfg(test)]

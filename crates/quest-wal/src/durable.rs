@@ -2,6 +2,7 @@
 //! database in one directory — everything about a write point that is
 //! *only* durability (the rules are listed in the crate docs), and no rows.
 
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -10,14 +11,32 @@ use quest_obs::TraceCtx;
 use relstore::Database;
 
 use crate::error::WalError;
-use crate::log::{SyncPolicy, WalWriter};
+use crate::log::{cut_damage, SyncPolicy, WalWriter};
 use crate::record::ChangeRecord;
-use crate::snapshot::write_snapshot;
+use crate::snapshot::{read_snapshot, write_snapshot};
 
 /// File name of the write-ahead log inside the directory.
 const WAL_FILE: &str = "primary.wal";
 /// File name of the latest published snapshot inside the directory.
 const SNAPSHOT_FILE: &str = "latest.snap";
+
+/// Run `step` on `wal` until it succeeds, sleeping out `retry`'s backoff on
+/// `clock` between transient failures; a permanent error or a spent budget
+/// is returned.
+pub(crate) fn retrying<T>(
+    wal: &mut WalWriter,
+    retry: &RetryPolicy,
+    clock: &dyn Clock,
+    mut step: impl FnMut(&mut WalWriter) -> Result<T, WalError>,
+) -> Result<T, WalError> {
+    let mut attempt: u32 = 0;
+    loop {
+        match step(wal) {
+            Err(e) if retry.backoff(clock, e.is_transient(), &mut attempt) => {}
+            result => return result,
+        }
+    }
+}
 
 /// A write-ahead log and its latest snapshot in one directory, with
 /// transient-fault retries. Plain `&mut self`: whoever owns the live
@@ -99,26 +118,48 @@ impl DurableLog {
         Ok((log, db))
     }
 
+    /// [`DurableLog::reopen`] for a log whose records in `copy` (a range of
+    /// LSNs, `None` for none) are also held elsewhere, as a shard log's unsynced suffix is by
+    /// its coordinator log. A power loss can leave a garbled line with valid
+    /// lines after it in a region that was never fsynced, which `reopen`
+    /// refuses as corruption. Here the log is cut back to its valid prefix
+    /// instead, when that prefix reaches the snapshot's LSN and `copy`
+    /// re-supplies everything past it. The caller must then re-append the
+    /// records `copy` holds beyond [`DurableLog::last_lsn`]. Damage at or
+    /// below the snapshot's LSN, or beyond what `copy` covers, is refused
+    /// as `reopen` refuses it.
+    pub fn reopen_salvaging(
+        dir: &Path,
+        sync_policy: SyncPolicy,
+        retry: RetryPolicy,
+        clock: Arc<dyn Clock>,
+        copy: Option<RangeInclusive<u64>>,
+    ) -> Result<(DurableLog, Database), WalError> {
+        match DurableLog::reopen(dir, sync_policy, retry.clone(), clock.clone()) {
+            Err(damage @ WalError::Corrupt { .. }) => {
+                let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
+                let wal = dir.join(WAL_FILE);
+                if !cut_damage(&wal, snapshot.db.catalog(), snapshot.last_seq, copy)? {
+                    return Err(damage);
+                }
+                DurableLog::reopen(dir, sync_policy, retry, clock)
+            }
+            reopened => reopened,
+        }
+    }
+
     /// Replace the retry policy and the clock its backoff sleeps against.
     pub fn set_recovery(&mut self, retry: RetryPolicy, clock: Arc<dyn Clock>) {
         self.retry = retry;
         self.clock = clock;
     }
 
-    /// Run `step` until it succeeds, sleeping out the backoff policy between
-    /// transient failures; a permanent error or a spent budget is returned.
+    /// [`retrying`] under this log's policy and clock.
     fn retrying<T>(
         &mut self,
-        mut step: impl FnMut(&mut WalWriter) -> Result<T, WalError>,
+        step: impl FnMut(&mut WalWriter) -> Result<T, WalError>,
     ) -> Result<T, WalError> {
-        let (retry, clock) = (&self.retry, self.clock.as_ref());
-        let mut attempt: u32 = 0;
-        loop {
-            match step(&mut self.wal) {
-                Err(e) if retry.backoff(clock, e.is_transient(), &mut attempt) => {}
-                result => return result,
-            }
-        }
+        retrying(&mut self.wal, &self.retry, self.clock.as_ref(), step)
     }
 
     /// Append `batch` **all-or-nothing** ([`WalWriter::append_batch`]),

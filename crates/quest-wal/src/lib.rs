@@ -22,7 +22,13 @@
 //!   process would have held, bit-identical down to index postings and
 //!   statistics (asserted by `tests/wal.rs`);
 //! * [`DurableLog`] — the three above composed into one directory a write
-//!   point owns (see below).
+//!   point owns (see below);
+//! * [`CoordinatorLog`] / [`BatchFrame`] — the commit point of a set of
+//!   shard logs: one fsynced frame per batch holding every participant's
+//!   slice, in the same framing, so a lagging shard log rolls forward from
+//!   it after a crash, and [`DurableLog::reopen_salvaging`] cuts a shard
+//!   log that a power loss garbled past its snapshot back to a prefix the
+//!   frames extend (see the `quest-shard` crate).
 //!
 //! Logs and snapshots both carry a [`schema_fingerprint`]; replay against a
 //! database with a different schema fails fast with
@@ -106,6 +112,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod coordinator;
 pub mod durable;
 pub mod error;
 pub mod log;
@@ -118,11 +125,12 @@ use std::path::Path;
 use relstore::Database;
 
 pub use codec::schema_fingerprint;
+pub use coordinator::CoordinatorLog;
 pub use durable::DurableLog;
 pub use error::WalError;
 pub use log::{names, read_log, replay, LogRecovery, ReplayReport, SyncPolicy, WalWriter};
 pub use reader::{LogReader, TailPoll};
-pub use record::ChangeRecord;
+pub use record::{BatchFrame, ChangeRecord, ShardSlice};
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 
 /// Outcome of [`recover`].

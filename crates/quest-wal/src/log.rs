@@ -16,6 +16,9 @@
 //! reported ([`LogRecovery::torn_tail`]), so a tail that was in fact
 //! synced-then-rotted is surfaced, not silently swallowed. A bad line
 //! anywhere *else* cannot be a torn append and refuses to load.
+//!
+//! A coordinator log ([`crate::CoordinatorLog`]) uses the same framing,
+//! sequence rule and torn-tail rule with [`crate::BatchFrame`] bodies.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -157,6 +160,19 @@ impl WalWriter {
         catalog: &Catalog,
         policy: SyncPolicy,
     ) -> Result<WalWriter, WalError> {
+        WalWriter::open_as(path, catalog, policy, ChangeRecord::decode).map(|(writer, _)| writer)
+    }
+
+    /// [`WalWriter::open_with`] for a log whose bodies `decode` parses,
+    /// returning the bodies the log already holds beside the writer. The
+    /// framing, the sequence rule and the torn-tail rule are the same for
+    /// every body type.
+    pub(crate) fn open_as<T>(
+        path: &Path,
+        catalog: &Catalog,
+        policy: SyncPolicy,
+        decode: fn(&str) -> Result<T, String>,
+    ) -> Result<(WalWriter, Vec<(u64, T)>), WalError> {
         // Cold constructor path: arm any QUEST_FAULT_PLAN schedule before
         // the first seam can fire.
         quest_fault::init_from_env();
@@ -183,7 +199,7 @@ impl WalWriter {
             file.seek(SeekFrom::Start(0))?;
             let header = format!("{MAGIC}\t{VERSION}\t{fingerprint:016x}\n");
             file.write_all(header.as_bytes())?;
-            return Ok(WalWriter {
+            let writer = WalWriter {
                 file,
                 fingerprint,
                 next_seq: 1,
@@ -192,9 +208,10 @@ impl WalWriter {
                 policy,
                 unsynced: 0,
                 obs: WalObs::new(),
-            });
+            };
+            return Ok((writer, Vec::new()));
         }
-        let scan = scan_log(&bytes, fingerprint)?;
+        let scan = scan_log(&bytes, fingerprint, decode)?;
         if scan.torn_tail {
             count_torn_tail();
         }
@@ -203,7 +220,7 @@ impl WalWriter {
             file.set_len(scan.valid_len as u64)?;
         }
         file.seek(SeekFrom::End(0))?;
-        Ok(WalWriter {
+        let writer = WalWriter {
             file,
             fingerprint,
             next_seq: scan.last_seq + 1,
@@ -212,7 +229,8 @@ impl WalWriter {
             policy,
             unsynced: 0,
             obs: WalObs::new(),
-        })
+        };
+        Ok((writer, scan.records))
     }
 
     /// The schema fingerprint this log is bound to.
@@ -283,26 +301,38 @@ impl WalWriter {
         records: &[ChangeRecord],
         ctx: TraceCtx,
     ) -> Result<(u64, u64), WalError> {
+        let bodies: Vec<String> = records.iter().map(ChangeRecord::encode).collect();
+        self.append_bodies_in(&bodies, ctx, quest_fault::sites::WAL_APPEND)
+    }
+
+    /// [`WalWriter::append_batch_in`] over already-encoded bodies, one line
+    /// each: the single append path every body type shares. The failpoint
+    /// `site` fires before the write.
+    pub(crate) fn append_bodies_in(
+        &mut self,
+        bodies: &[String],
+        ctx: TraceCtx,
+        site: &str,
+    ) -> Result<(u64, u64), WalError> {
         if self.poisoned {
             return Err(WalError::Io(std::io::Error::other(
                 "writer poisoned by an earlier failed append; reopen the log",
             )));
         }
         let first = self.next_seq;
-        if records.is_empty() {
+        if bodies.is_empty() {
             return Ok((first, first - 1));
         }
         let span = quest_obs::spans().start();
         let start = Instant::now();
         let mut buf = String::new();
         let mut logical = 0u64;
-        for (i, record) in records.iter().enumerate() {
+        for (i, body) in bodies.iter().enumerate() {
             let seq = first + i as u64;
-            let body = record.encode();
             logical += body.len() as u64;
             buf.push_str(&format!("{seq}\t{:016x}\t{body}\n", fnv64(body.as_bytes())));
         }
-        if let Some(fault) = quest_fault::fire(quest_fault::sites::WAL_APPEND) {
+        if let Some(fault) = quest_fault::fire(site) {
             match fault.kind {
                 quest_fault::FaultKind::SlowIo => fault.stall(),
                 quest_fault::FaultKind::TornWrite => {
@@ -328,11 +358,11 @@ impl WalWriter {
             return Err(WalError::Io(e));
         }
         self.len += buf.len() as u64;
-        self.next_seq += records.len() as u64;
+        self.next_seq += bodies.len() as u64;
         match self.policy {
             SyncPolicy::Always => self.sync_or_poison(ctx)?,
             SyncPolicy::EveryN(n) => {
-                self.unsynced += records.len() as u32;
+                self.unsynced += bodies.len() as u32;
                 if n > 0 && self.unsynced >= n {
                     self.sync_or_poison(ctx)?;
                 }
@@ -349,7 +379,7 @@ impl WalWriter {
             "wal_append",
             span,
             [
-                Some(("records", records.len() as u64)),
+                Some(("records", bodies.len() as u64)),
                 Some(("bytes", buf.len() as u64)),
             ],
         );
@@ -374,6 +404,19 @@ impl WalWriter {
             return Err(e);
         }
         Ok(())
+    }
+
+    /// Empty the log back to its header and fsync it; sequence numbers start
+    /// over at 1. A failure leaves the writer consistent with its file
+    /// whichever step failed, so the call can simply be retried.
+    pub(crate) fn clear(&mut self) -> Result<(), WalError> {
+        self.heal()?;
+        let header = format!("{MAGIC}\t{VERSION}\t{:016x}\n", self.fingerprint);
+        self.file.set_len(header.len() as u64)?;
+        self.file.seek(SeekFrom::End(0))?;
+        self.len = header.len() as u64;
+        self.next_seq = 1;
+        self.sync()
     }
 
     /// fsync the log file (durability point). Resets the
@@ -447,8 +490,8 @@ pub struct LogRecovery {
 }
 
 /// Internal scan result shared by reader and writer-open.
-struct LogScan {
-    records: Vec<(u64, ChangeRecord)>,
+struct LogScan<T> {
+    records: Vec<(u64, T)>,
     last_seq: u64,
     /// Byte length of the valid prefix (everything before a torn tail).
     valid_len: usize,
@@ -461,7 +504,7 @@ struct LogScan {
 /// [`LogRecovery::torn_tail`]); corruption anywhere else is an error.
 pub fn read_log(path: &Path, catalog: &Catalog) -> Result<LogRecovery, WalError> {
     let bytes = std::fs::read(path)?;
-    let scan = scan_log(&bytes, schema_fingerprint(catalog))?;
+    let scan = scan_log(&bytes, schema_fingerprint(catalog), ChangeRecord::decode)?;
     if scan.torn_tail {
         count_torn_tail();
     }
@@ -471,7 +514,11 @@ pub fn read_log(path: &Path, catalog: &Catalog) -> Result<LogRecovery, WalError>
     })
 }
 
-fn scan_log(bytes: &[u8], expected_fp: u64) -> Result<LogScan, WalError> {
+fn scan_log<T>(
+    bytes: &[u8],
+    expected_fp: u64,
+    decode: fn(&str) -> Result<T, String>,
+) -> Result<LogScan<T>, WalError> {
     let corrupt = |line: usize, message: String| WalError::Corrupt { line, message };
     // A file without a single complete line is a crash during creation
     // (the header write itself was torn) — zero records were ever logged,
@@ -524,7 +571,7 @@ fn scan_log(bytes: &[u8], expected_fp: u64) -> Result<LogScan, WalError> {
             // field sits outside the body checksum, so tail rot can damage
             // it alone — on the final line that must degrade to a dropped
             // tail (below), not a fatal error.
-            parse_record(line).and_then(|(seq, rec)| {
+            parse_line(line, decode).and_then(|(seq, rec)| {
                 if seq <= last_seq {
                     return Err(format!("sequence {seq} not after {last_seq}"));
                 }
@@ -568,6 +615,53 @@ fn scan_log(bytes: &[u8], expected_fp: u64) -> Result<LogScan, WalError> {
     })
 }
 
+/// Cut a damaged log at `path` back to its valid prefix: the header and the
+/// records, in sequence, up to the first line that does not verify. This is
+/// done only when the prefix reaches `keep_through`, and only when `copy`,
+/// the range of LSNs the caller holds elsewhere and re-appends (`None`:
+/// none), starts no later than the first LSN after the prefix and reaches
+/// every LSN a verified line past the damage holds. Returns whether the log was cut;
+/// the cut is fsynced and counted as a torn tail.
+pub(crate) fn cut_damage(
+    path: &Path,
+    catalog: &Catalog,
+    keep_through: u64,
+    copy: Option<std::ops::RangeInclusive<u64>>,
+) -> Result<bool, WalError> {
+    let bytes = std::fs::read(path)?;
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+    let header = lines.next().unwrap_or_default();
+    let header = std::str::from_utf8(header).unwrap_or_default();
+    parse_header(header.trim_end_matches('\n'), schema_fingerprint(catalog))?;
+    let (mut valid_len, mut last_seq, mut damaged) = (header.len(), 0u64, false);
+    // Highest LSN any verified line holds, past the damage included.
+    let mut held = 0u64;
+    for raw in lines {
+        let seq = std::str::from_utf8(raw)
+            .ok()
+            .and_then(|line| line.strip_suffix('\n'))
+            .and_then(|line| parse_record(line).ok())
+            .map(|(seq, _)| seq);
+        held = held.max(seq.unwrap_or(0));
+        match seq {
+            Some(seq) if !damaged && seq > last_seq => {
+                last_seq = seq;
+                valid_len += raw.len();
+            }
+            _ => damaged = true,
+        }
+    }
+    let resupplied = copy.is_some_and(|copy| *copy.start() <= last_seq + 1 && held <= *copy.end());
+    if !damaged || last_seq < keep_through || !resupplied {
+        return Ok(false);
+    }
+    let file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(valid_len as u64)?;
+    file.sync_all()?;
+    count_torn_tail();
+    Ok(true)
+}
+
 /// Parse and verify the header line.
 pub(crate) fn parse_header(line: &str, expected_fp: u64) -> Result<(), WalError> {
     let mut fields = line.split('\t');
@@ -595,6 +689,11 @@ pub(crate) fn parse_header(line: &str, expected_fp: u64) -> Result<(), WalError>
 
 /// Parse one record line: `seq \t checksum \t body`.
 pub(crate) fn parse_record(line: &str) -> Result<(u64, ChangeRecord), String> {
+    parse_line(line, ChangeRecord::decode)
+}
+
+/// Parse one line of any body type: `seq \t checksum \t body`.
+fn parse_line<T>(line: &str, decode: fn(&str) -> Result<T, String>) -> Result<(u64, T), String> {
     let mut parts = line.splitn(3, '\t');
     let seq = parts
         .next()
@@ -608,8 +707,7 @@ pub(crate) fn parse_record(line: &str) -> Result<(u64, ChangeRecord), String> {
     if fnv64(body.as_bytes()) != crc {
         return Err(format!("checksum mismatch on record {seq}"));
     }
-    let record = ChangeRecord::decode(body)?;
-    Ok((seq, record))
+    Ok((seq, decode(body)?))
 }
 
 /// Outcome of [`replay`].
@@ -691,6 +789,54 @@ mod tests {
             table: "t".into(),
             row: vec![id.into(), format!("row {id}").into()],
         }
+    }
+
+    #[test]
+    fn cut_damage_cuts_only_what_the_copy_resupplies() {
+        let c = catalog();
+        let path = temp_path("cut-damage");
+        std::fs::remove_file(&path).ok();
+        {
+            let mut w = WalWriter::open(&path, &c).unwrap();
+            w.append_batch(&(1..=5).map(ins).collect::<Vec<_>>())
+                .unwrap();
+        }
+        let clean = std::fs::read(&path).unwrap();
+        // Garble record 3; records 4 and 5 still verify after it.
+        let mut lines: Vec<Vec<u8>> = clean
+            .split_inclusive(|&b| b == b'\n')
+            .map(<[u8]>::to_vec)
+            .collect();
+        let body = lines[3].len() - 1;
+        lines[3][..body].fill(0);
+        let damaged = lines.concat();
+        std::fs::write(&path, &damaged).unwrap();
+        assert!(matches!(
+            read_log(&path, &c).unwrap_err(),
+            WalError::Corrupt { line: 4, .. }
+        ));
+
+        // Refused: the prefix (records 1–2) ends below `keep_through`; the
+        // copy starts past record 3, stops short of record 5, or is empty.
+        let refused = [
+            (3, Some(3..=5)),
+            (2, Some(4..=5)),
+            (2, Some(3..=4)),
+            (2, None),
+        ];
+        for (keep_through, copy) in refused {
+            assert!(!cut_damage(&path, &c, keep_through, copy).unwrap());
+            assert_eq!(std::fs::read(&path).unwrap(), damaged);
+        }
+        // Cut: the log ends at record 2 and reads clean.
+        assert!(cut_damage(&path, &c, 2, Some(3..=5)).unwrap());
+        let kept = read_log(&path, &c).unwrap();
+        assert_eq!(kept.records.len(), 2);
+        assert!(!kept.torn_tail);
+        assert!(clean.starts_with(&std::fs::read(&path).unwrap()));
+        // An undamaged log is left alone.
+        assert!(!cut_damage(&path, &c, 0, Some(1..=5)).unwrap());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -6,13 +6,67 @@
 //!
 //! A snapshot has no per-line checksum, so its reader faces arbitrary
 //! corruption instead: overwritten bytes and truncations must come back as
-//! `Ok` or `Err`, never as a panic or an abort.
+//! `Ok` or `Err`, never as a panic or an abort. A coordinator log's batch
+//! frame gets the same treatment, with its checksum recomputed so the
+//! damage reaches the frame decoder, which must also never allocate out of
+//! proportion to its input.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use quest_wal::{read_log, read_snapshot, recover, write_snapshot, ChangeRecord, WalWriter};
-use relstore::{Catalog, DataType, Database, Row, Value};
+use quest_fault::{RetryPolicy, SystemClock};
+use quest_wal::codec::fnv64;
+use quest_wal::{
+    read_log, read_snapshot, recover, schema_fingerprint, write_snapshot, BatchFrame, ChangeRecord,
+    CoordinatorLog, ShardSlice, WalWriter,
+};
+use relstore::{Catalog, DataType, Database, Date, Row, Value};
+
+/// The system allocator, noting the largest single request per thread.
+struct LargestAllocation;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for LargestAllocation {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAllocation = LargestAllocation;
+
+/// Run `f`, returning its result and the largest single allocation it made
+/// on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -237,5 +291,136 @@ proptest! {
             "read_snapshot panicked on fields {:?}, bytes {:?}, truncate {} at {}",
             fields, bytes_at, truncate, cut
         );
+    }
+}
+
+/// A three-participant frame with every record kind, every value tag, and
+/// text that needs escaping twice (once in the record, once in the frame).
+fn valid_frame() -> String {
+    let insert = |id: i64, name: &str| ChangeRecord::Insert {
+        table: "t".into(),
+        row: vec![id.into(), name.into()],
+    };
+    BatchFrame {
+        slices: vec![
+            ShardSlice {
+                shard: 0,
+                last_lsn: 9,
+                records: vec![
+                    insert(1, "name\t1ö"),
+                    insert(2, "back \\ slash"),
+                    ChangeRecord::Delete {
+                        table: "t".into(),
+                        key: vec![3.into()],
+                    },
+                ],
+            },
+            ShardSlice {
+                shard: 2,
+                last_lsn: 1,
+                records: vec![ChangeRecord::Update {
+                    table: "u".into(),
+                    key: vec![11.into()],
+                    row: vec![
+                        11.into(),
+                        Value::Null,
+                        (1.0f64 / 3.0).into(),
+                        true.into(),
+                        Value::Date(Date::new(2024, 2, 29).expect("leap day")),
+                    ],
+                }],
+            },
+            ShardSlice {
+                shard: 3,
+                last_lsn: 12,
+                records: vec![insert(4, "𝄞€")],
+            },
+        ],
+    }
+    .encode()
+}
+
+/// Field replacements for a frame: counts and LSNs too large to allocate
+/// or to fit (alone, and as a whole slice header that passes the
+/// count-versus-LSN check), shard numbers out of order, non-canonical
+/// spellings, and record fields that are only half escaped.
+const FRAME_TOKENS: &[&str] = &[
+    "0\t99999999999\t99999999999",
+    "1\t18446744073709551615\t18446744073709551615",
+    "",
+    "0",
+    "1",
+    "3",
+    "+1",
+    "01",
+    "99999999999",
+    "18446744073709551615",
+    "B",
+    "I\\tt\\ti1",
+    "D\\t",
+    "U\\tt\\t9\\ti1",
+    "\\",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn hostile_frame_bytes_never_panic_or_overallocate(
+        fields in proptest::collection::vec((0usize..64, 0usize..FRAME_TOKENS.len()), 0..4),
+        bytes_at in proptest::collection::vec((0usize..4096, 0usize..HOSTILE.len()), 0..4),
+        cut in 0usize..4096,
+        truncate in any::<bool>(),
+    ) {
+        let mut cells: Vec<String> = valid_frame().split('\t').map(str::to_string).collect();
+        for &(at, token) in &fields {
+            let at = at % cells.len();
+            cells[at] = FRAME_TOKENS[token].to_string();
+        }
+        let mut bytes = cells.join("\t").into_bytes();
+        for &(at, b) in &bytes_at {
+            let at = at % bytes.len();
+            bytes[at] = HOSTILE[b];
+        }
+        if truncate {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+
+        // The decoder on the body alone: no panic, no allocation out of
+        // proportion to the input (a decoded record takes at least 8 input
+        // bytes and one record slot, and a vector at most doubles), and an
+        // accepted frame is exactly what `encode` writes.
+        let body = String::from_utf8_lossy(&bytes).into_owned();
+        let bound = 32 * body.len().max(64);
+        let outcome = std::panic::catch_unwind(|| largest_allocation(|| BatchFrame::decode(&body)));
+        prop_assert!(outcome.is_ok(), "decode panicked on {:?}", body);
+        let (decoded, largest) = outcome.expect("checked above");
+        prop_assert!(
+            largest <= bound,
+            "decode of {} bytes allocated {} at once: {:?}", body.len(), largest, body
+        );
+        if let Ok(frame) = decoded {
+            prop_assert_eq!(frame.encode(), body.clone());
+        }
+
+        // The same bytes as the final line of a coordinator log, checksum
+        // recomputed so they reach the decoder: opening never panics.
+        let path = temp_path("hostile-frame", "wal");
+        let mut file = format!("QUESTWAL\t1\t{:016x}\n", schema_fingerprint(&catalog())).into_bytes();
+        file.extend_from_slice(format!("1\t{:016x}\t", fnv64(&bytes)).as_bytes());
+        file.extend_from_slice(&bytes);
+        file.push(b'\n');
+        std::fs::write(&path, &file).expect("write hostile log");
+        let opened = std::panic::catch_unwind(|| {
+            CoordinatorLog::open(
+                &path,
+                &catalog(),
+                RetryPolicy::default(),
+                Arc::new(SystemClock::new()),
+            )
+            .map(|(_, frames)| frames.len())
+        });
+        std::fs::remove_file(&path).ok();
+        prop_assert!(opened.is_ok(), "opening panicked on {:?}", body);
     }
 }

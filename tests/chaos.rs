@@ -263,8 +263,18 @@ fn run_replicated(tag: &str, plan: Option<FaultPlan>) -> (Fingerprints, u64) {
 
 /// One sharded schedule: a 2-shard set under `plan`, with a deliberately
 /// small commit retry budget so schedules that stack faults on one site
-/// actually fence a shard and exercise `recover()`.
-fn run_sharded(tag: &str, plan: Option<FaultPlan>) -> (Fingerprints, Vec<u64>) {
+/// actually fence the set and exercise recovery. A fenced set is healed by
+/// supervision, or — with `reopen_mid_fence` — dropped while fenced and
+/// reopened from its directory, as a process that dies mid-fence would be.
+/// A batch whose commit outcome was unknown is committed again once the
+/// healed set shows it did not land, as a client that saw the error would.
+/// Returns the healed service, its LSNs, and how many commits fenced the
+/// set: `[outcome unknown, shard down]`.
+fn run_sharded(
+    tag: &str,
+    plan: Option<FaultPlan>,
+    reopen_mid_fence: bool,
+) -> (Fingerprints, Vec<u64>, [usize; 2]) {
     let dir = temp_dir(tag);
     let db = dataset();
     let catalog = db.catalog().clone();
@@ -273,17 +283,15 @@ fn run_sharded(tag: &str, plan: Option<FaultPlan>) -> (Fingerprints, Vec<u64>) {
         shard_count: 2,
         parallel: false,
     };
+    let retry = RetryPolicy {
+        retries: 2,
+        base: Duration::from_millis(1),
+        cap: Duration::from_millis(4),
+        jitter_seed: 1,
+    };
     let mut sp = ShardedPrimary::open(&dir, db, &shards, QuestConfig::default())
         .expect("sharded primary opens");
-    sp.set_recovery(
-        RetryPolicy {
-            retries: 2,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(4),
-            jitter_seed: 1,
-        },
-        clock.clone(),
-    );
+    sp.set_recovery(retry.clone(), clock.clone());
 
     let spec = quest_obs::SloSpec {
         max_lag: Some(64),
@@ -293,33 +301,61 @@ fn run_sharded(tag: &str, plan: Option<FaultPlan>) -> (Fingerprints, Vec<u64>) {
         fault::install(plan);
     }
 
-    let mut saw_fence = false;
+    let mut fences = [0usize; 2];
     for batch in &chaos_batches() {
-        match sp.commit(batch) {
-            Ok(_) => {}
-            Err(ShardError::ShardDown { .. }) => {
-                // The gateway applied the batch and the fence captured the
-                // missed slice; heal before the next round.
-                saw_fence = true;
-                assert_ne!(
-                    sp.topology().health(&spec).status,
-                    HealthStatus::Healthy,
-                    "a fenced shard must grade non-Healthy"
-                );
-                let mut iters = 0;
-                while !sp.is_healthy() {
-                    clock.advance(Duration::from_millis(40));
-                    sp.supervise();
-                    iters += 1;
-                    assert!(iters < 256, "sharded schedule {tag} failed to unfence");
+        let mut attempts = 0;
+        loop {
+            let lsns_before = sp.topology().lsns;
+            match sp.commit(batch) {
+                Ok(_) => break,
+                Err(e @ (ShardError::ShardDown { .. } | ShardError::CommitUnknown { .. })) => {
+                    fences[usize::from(matches!(e, ShardError::ShardDown { .. }))] += 1;
+                    assert_ne!(
+                        sp.topology().health(&spec).status,
+                        HealthStatus::Healthy,
+                        "a fenced shard must grade non-Healthy"
+                    );
+                    if reopen_mid_fence {
+                        drop(sp);
+                        sp = ShardedPrimary::reopen(
+                            &dir,
+                            catalog.clone(),
+                            &shards,
+                            QuestConfig::default(),
+                        )
+                        .expect("a directory left mid-fence reopens");
+                        sp.set_recovery(retry.clone(), clock.clone());
+                    }
+                    let mut iters = 0;
+                    while !sp.is_healthy() {
+                        clock.advance(Duration::from_millis(40));
+                        sp.supervise();
+                        iters += 1;
+                        assert!(iters < 256, "sharded schedule {tag} failed to unfence");
+                    }
+                    // A batch past its commit point is in the healed set. One
+                    // whose commit point failed is there only if its frame
+                    // reached the file; otherwise send it again.
+                    let landed = sp.topology().lsns != lsns_before;
+                    if let ShardError::ShardDown { .. } = e {
+                        assert!(landed, "a committed batch was lost in {tag}");
+                    }
+                    if landed {
+                        break;
+                    }
                 }
+                Err(other) => panic!("unexpected commit error in {tag}: {other}"),
             }
-            Err(other) => panic!("unexpected commit error in {tag}: {other}"),
+            attempts += 1;
+            assert!(
+                attempts < 16,
+                "sharded schedule {tag} never committed a batch"
+            );
         }
     }
     assert!(sp.is_healthy(), "sharded set must end healthy in {tag}");
     assert_eq!(sp.topology().health(&spec).status, HealthStatus::Healthy);
-    if saw_fence {
+    if fences != [0, 0] && !reopen_mid_fence {
         assert!(
             quest_obs::global()
                 .snapshot()
@@ -336,7 +372,6 @@ fn run_sharded(tag: &str, plan: Option<FaultPlan>) -> (Fingerprints, Vec<u64>) {
 
     // The healed logs are the only durable witness of what the set serves:
     // a cold reopen of the directory must answer, and number, identically.
-    sp.sync().expect("group fsync");
     drop(sp);
     let reopened = ShardedPrimary::reopen(&dir, catalog.clone(), &shards, QuestConfig::default())
         .expect("healed directory reopens");
@@ -348,7 +383,7 @@ fn run_sharded(tag: &str, plan: Option<FaultPlan>) -> (Fingerprints, Vec<u64>) {
     assert_eq!(reopened.topology().lsns, lsns, "reopen LSN drift in {tag}");
     drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
-    (prints, lsns)
+    (prints, lsns, fences)
 }
 
 /// The never-faulted twins, computed once and reused by every schedule.
@@ -359,7 +394,10 @@ fn replicated_twin() -> &'static (Fingerprints, u64) {
 
 fn sharded_twin() -> &'static (Fingerprints, Vec<u64>) {
     static TWIN: OnceLock<(Fingerprints, Vec<u64>)> = OnceLock::new();
-    TWIN.get_or_init(|| run_sharded("twin-sharded", None))
+    TWIN.get_or_init(|| {
+        let (prints, lsns, _) = run_sharded("twin-sharded", None, false);
+        (prints, lsns)
+    })
 }
 
 #[test]
@@ -376,6 +414,7 @@ fn seeded_schedules_heal_to_twin_identical_service() {
         "twin must actually answer queries"
     );
 
+    let mut fenced_seeds = Vec::new();
     for seed in 0..schedules() {
         let plan = FaultPlan::generate(seed, 5);
         let (injected_before, _, consumed_before) = fault_counters();
@@ -387,12 +426,20 @@ fn seeded_schedules_heal_to_twin_identical_service() {
             );
             assert_eq!(target, twin_replicated.1, "LSN drift in schedule {seed}");
         } else {
-            let (prints, lsns) = run_sharded(&format!("s{seed}"), Some(plan));
+            // Sharded schedules are the odd seeds. One that fences is run
+            // twice: healed by supervision, then — the same faults at the
+            // same points — dropped mid-fence and reopened instead.
+            let (prints, lsns, fenced) =
+                run_sharded(&format!("s{seed}"), Some(plan.clone()), false);
             assert_eq!(
                 prints, twin_sharded.0,
                 "sharded schedule {seed} diverged from the twin"
             );
             assert_eq!(lsns, twin_sharded.1, "shard LSN drift in schedule {seed}");
+            if fenced != [0, 0] {
+                fenced_seeds.push(seed);
+                assert_reopen_mid_fence_matches(&format!("s{seed}"), plan, &twin_sharded);
+            }
         }
         let (injected_after, _, consumed_after) = fault_counters();
         assert_eq!(
@@ -409,9 +456,50 @@ fn seeded_schedules_heal_to_twin_identical_service() {
     assert!(injected_total > 0, "no schedule injected a single fault");
     assert!(heals_total > 0, "no schedule exercised a heal path");
     println!(
-        "chaos: {} schedules, {injected_total} faults injected, {heals_total} heals",
+        "chaos: {} schedules, {injected_total} faults injected, {heals_total} heals, \
+         sharded schedules that fenced (supervised and reopened): {fenced_seeds:?}",
         schedules()
     );
+}
+
+/// Rerun a sharded schedule that fenced under supervision with the same
+/// faults at the same points, dropping the set mid-fence and reopening it
+/// instead: it must fence again and heal to the twin all the same.
+fn assert_reopen_mid_fence_matches(tag: &str, plan: FaultPlan, twin: &(Fingerprints, Vec<u64>)) {
+    let (prints, lsns, fenced) = run_sharded(&format!("{tag}-reopen"), Some(plan), true);
+    assert_ne!(fenced, [0, 0], "schedule {tag} must fence again when rerun");
+    assert_eq!(
+        prints, twin.0,
+        "reopened schedule {tag} diverged from the twin"
+    );
+    assert_eq!(lsns, twin.1, "reopen LSN drift in schedule {tag}");
+}
+
+#[test]
+fn a_fenced_sharded_schedule_heals_by_supervision_and_by_reopen() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let twin = sharded_twin().clone();
+    // Seeded plans rarely fence a sharded set, so this one does for sure:
+    // a coordinator fsync fails for good (the commit's outcome is unknown,
+    // and the batch is resent once the healed set shows it did not land),
+    // and later a shard append fails for good (the batch is committed).
+    let plan: FaultPlan = "wal.fsync@2=fsync_error!,shard.commit@2=append_error!"
+        .parse()
+        .expect("plan parses");
+    let (prints, lsns, fenced) = run_sharded("fixed-fence", Some(plan.clone()), false);
+    assert_eq!(
+        fenced,
+        [1, 1],
+        "the fixed plan must fence the set both ways"
+    );
+    assert_eq!(
+        prints, twin.0,
+        "supervised fixed schedule diverged from the twin"
+    );
+    assert_eq!(lsns, twin.1, "supervised fixed schedule LSN drift");
+    assert_reopen_mid_fence_matches("fixed-fence", plan, &twin);
+    fault::clear();
 }
 
 #[test]

@@ -620,3 +620,392 @@ fn publish_snapshots_refuses_a_fenced_set_and_the_healed_disk_reopens() {
     assert_eq!(answers(&reopened), live);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+// ---------------------------------------------------------------------------
+// Crash points of a sharded commit. The coordinator log's fsynced frame is
+// the commit point: a crash after it must reopen *with* the batch, a crash
+// before it *without* the batch, and never with half of it.
+// ---------------------------------------------------------------------------
+
+fn crash_db() -> Database {
+    imdb::generate(&ImdbScale {
+        movies: 50,
+        seed: 7,
+    })
+    .expect("generate")
+}
+
+fn crash_shards() -> quest::shard::ShardConfig {
+    quest::shard::ShardConfig {
+        shard_count: 4,
+        parallel: false,
+    }
+}
+
+/// A fresh 4-shard set over a 50-movie IMDB instance, retrying on a manual
+/// clock.
+fn crash_set(name: &str) -> (std::path::PathBuf, ShardedPrimary) {
+    let dir = failpoint_dir(name);
+    let mut set = ShardedPrimary::open(&dir, crash_db(), &crash_shards(), QuestConfig::default())
+        .expect("sharded primary opens");
+    set.set_recovery(short_retry(), Arc::new(ManualClock::new()));
+    (dir, set)
+}
+
+/// Reopen a set directory the way a restarted process would.
+fn reopen_set(dir: &std::path::Path) -> ShardedPrimary {
+    ShardedPrimary::reopen(
+        dir,
+        crash_db().catalog().clone(),
+        &crash_shards(),
+        QuestConfig::default(),
+    )
+    .expect("the set directory reopens without an operator")
+}
+
+/// One batch over two shards: a person (shard 1) and a movie directed by
+/// that person (shard 0). Logged half-way, it leaves a dangling foreign key.
+fn probe_batch() -> Vec<ChangeRecord> {
+    vec![
+        ChangeRecord::Insert {
+            table: "person".into(),
+            row: vec![9_000_003.into(), "Probe Director".into(), 1950.into()],
+        },
+        ChangeRecord::Insert {
+            table: "movie".into(),
+            row: vec![
+                9_500_021.into(),
+                "Probe Feature".into(),
+                1990.into(),
+                7.0.into(),
+                9_000_003.into(),
+            ],
+        },
+    ]
+}
+
+/// What two sets must agree on: each probe query's answers (SQL text and
+/// score bits, in ranking order), the LSN vector, and every table's rows.
+type SetState = (Vec<Vec<(String, u64)>>, Vec<u64>, Vec<Vec<Vec<Value>>>);
+
+fn set_state(set: &ShardedPrimary) -> SetState {
+    let guard = set.gateway().engine().engine();
+    let store = guard.wrapper().store();
+    let catalog = store.catalog();
+    let answers = [
+        "probe feature",
+        "probe director",
+        "injected feature",
+        "casablanca",
+    ]
+    .iter()
+    .map(|q| {
+        let out = set.search(q).expect("a healthy set answers");
+        out.explanations
+            .iter()
+            .map(|e| (e.sql(catalog), e.score.to_bits()))
+            .collect()
+    })
+    .collect();
+    let db = store.gather().expect("shards gather");
+    let rows = catalog
+        .tables()
+        .iter()
+        .map(|t| {
+            let mut rows: Vec<Vec<Value>> = db
+                .table_data(t.id)
+                .iter()
+                .map(|(_, r)| r.values().to_vec())
+                .collect();
+            rows.sort();
+            rows
+        })
+        .collect();
+    (answers, set.topology().lsns, rows)
+}
+
+/// The never-crashed twin after `batches`.
+fn twin_state(name: &str, batches: &[Vec<ChangeRecord>]) -> SetState {
+    let (dir, mut twin) = crash_set(name);
+    for batch in batches {
+        twin.commit(batch).expect("the twin commits");
+    }
+    let state = set_state(&twin);
+    drop(twin);
+    std::fs::remove_dir_all(&dir).ok();
+    state
+}
+
+#[test]
+fn a_crash_between_two_shard_appends_reopens_with_the_whole_batch() {
+    use quest::shard::ShardError;
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let (dir, mut set) = crash_set("probe-crash");
+    // The movie's shard appends first; the person's shard fails for good.
+    fault::install("shard.commit@2=append_error!".parse().expect("plan parses"));
+    let fenced = set.commit(&probe_batch());
+    fault::clear();
+    assert!(
+        matches!(fenced, Err(ShardError::ShardDown { shard: 1, .. })),
+        "{fenced:?}"
+    );
+    assert_eq!(set.topology().lsns, vec![1, 0, 0, 0]);
+    // The process dies before supervision runs.
+    drop(set);
+    let reopened = reopen_set(&dir);
+    assert_eq!(reopened.topology().lsns, vec![1, 1, 0, 0]);
+    assert_eq!(
+        set_state(&reopened),
+        twin_state("probe-twin", &[probe_batch()])
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_shard_append_crash_point_reopens_to_the_twin_with_the_batch() {
+    use quest::shard::ShardError;
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let with = twin_state("append-twin", &[insert_batch(0), probe_batch()]);
+    let before = twin_state("append-twin-before", &[insert_batch(0)]);
+    let participants = with
+        .1
+        .iter()
+        .zip(&before.1)
+        .filter(|(after, before)| after > before)
+        .count();
+    assert_eq!(participants, 2, "the probe batch spans two shards");
+    for k in 1..=participants {
+        let (dir, mut set) = crash_set(&format!("append-crash-{k}"));
+        set.commit(&insert_batch(0)).expect("commit");
+        fault::install(
+            format!("shard.commit@{k}=append_error!")
+                .parse()
+                .expect("plan parses"),
+        );
+        let fenced = set.commit(&probe_batch());
+        fault::clear();
+        assert!(
+            matches!(fenced, Err(ShardError::ShardDown { .. })),
+            "crash at append {k}: {fenced:?}"
+        );
+        drop(set);
+        let reopened = reopen_set(&dir);
+        assert_eq!(set_state(&reopened), with, "crash at append {k}");
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_failed_coordinator_append_reopens_or_rebuilds_without_the_batch() {
+    use quest::shard::ShardError;
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let without = twin_state("coordinator-twin", &[insert_batch(0)]);
+    let with = twin_state("coordinator-twin-with", &[insert_batch(0), probe_batch()]);
+    for supervised in [false, true] {
+        let (dir, mut set) = crash_set(&format!("coordinator-crash-{supervised}"));
+        set.commit(&insert_batch(0)).expect("commit");
+        fault::install(
+            "shard.coordinator@1=append_error!"
+                .parse()
+                .expect("plan parses"),
+        );
+        let fenced = set.commit(&probe_batch());
+        fault::clear();
+        assert!(
+            matches!(fenced, Err(ShardError::CommitUnknown { .. })),
+            "{fenced:?}"
+        );
+        // The whole set is fenced: the gateway holds a batch no log does.
+        let topology = set.topology();
+        assert!(topology.broken.iter().all(Option::is_some), "{topology:?}");
+        assert!(matches!(
+            set.search("probe feature"),
+            Err(ShardError::ShardDown { .. })
+        ));
+        if supervised {
+            assert_eq!(
+                set.supervise(),
+                topology.shard_count,
+                "the rebuild lifts every shard's fence"
+            );
+            assert!(set.is_healthy());
+            assert_eq!(set_state(&set), without);
+            // The batch was never committed; committing it again lands it.
+            set.commit(&probe_batch()).expect("commit");
+            assert_eq!(set_state(&set), with);
+        } else {
+            drop(set);
+            assert_eq!(set_state(&reopen_set(&dir)), without);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Copy a set directory (the root and one level of shard directories).
+fn copy_set_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("read dir") {
+        let entry = entry.expect("entry");
+        let target = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_set_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).expect("copy");
+        }
+    }
+}
+
+#[test]
+fn a_coordinator_frame_torn_before_its_fsync_reopens_without_its_batch() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let (dir, mut set) = crash_set("torn-frame");
+    set.commit(&insert_batch(0)).expect("commit");
+    // The directory as it stood before the next commit...
+    let crashed = failpoint_dir("torn-frame-crashed");
+    copy_set_dir(&dir, &crashed);
+    set.commit(&probe_batch()).expect("commit");
+    drop(set);
+    // ...plus half of the next frame: the crash hit while the frame was
+    // being written, before its fsync returned and before any shard append.
+    let coordinator = std::fs::read(dir.join("coordinator.wal")).expect("read");
+    let last_frame = coordinator[..coordinator.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("a header precedes the frames")
+        + 1;
+    let cut = last_frame + (coordinator.len() - last_frame) / 2;
+    std::fs::write(crashed.join("coordinator.wal"), &coordinator[..cut]).expect("write");
+
+    let torn = || {
+        quest::obs::global()
+            .snapshot()
+            .counter(quest::wal::names::TORN_TAIL)
+            .unwrap_or(0)
+    };
+    let torn_before = torn();
+    let reopened = reopen_set(&crashed);
+    assert!(torn() > torn_before, "the dropped frame is counted");
+    assert_eq!(
+        set_state(&reopened),
+        twin_state("torn-frame-twin", &[insert_batch(0)])
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&crashed).ok();
+}
+
+/// Overwrite record `lsn` of a shard log with zero bytes, keeping its
+/// newline: a page that never reached the disk before a power loss.
+fn zero_record(wal: &std::path::Path, lsn: u64) {
+    let bytes = std::fs::read(wal).expect("read");
+    let mut lines: Vec<Vec<u8>> = bytes
+        .split_inclusive(|&b| b == b'\n')
+        .map(<[u8]>::to_vec)
+        .collect();
+    // Line 0 is the header; record `lsn` is line `lsn`.
+    let line = &mut lines[lsn as usize];
+    let body = line.len() - 1;
+    line[..body].fill(0);
+    std::fs::write(wal, lines.concat()).expect("write");
+}
+
+#[test]
+fn a_shard_log_garbled_past_its_snapshot_rolls_forward_from_the_coordinator() {
+    use quest::shard::ShardError;
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let batches = [
+        insert_batch(0),
+        insert_batch(1),
+        insert_batch(2),
+        insert_batch(3),
+        probe_batch(),
+    ];
+    let (dir, mut set) = crash_set("garbled-shard");
+    set.commit(&batches[0]).expect("commit");
+    let snapshots = set.publish_snapshots().expect("publish");
+    // Every frame is now in a synced shard log: the coordinator is emptied
+    // back to its header.
+    let coordinator = std::fs::read_to_string(dir.join("coordinator.wal")).expect("read");
+    assert_eq!(coordinator.lines().count(), 1, "{coordinator}");
+    for batch in &batches[1..] {
+        set.commit(batch).expect("commit");
+    }
+    let lsns = set.topology().lsns;
+    drop(set);
+    // A shard with a record past its snapshot that has another after it,
+    // and one with a record at or below its snapshot.
+    let past = (0..lsns.len())
+        .find(|&i| lsns[i] >= snapshots[i] + 2)
+        .expect("a shard holds two records past its snapshot");
+    let covered = (0..lsns.len())
+        .find(|&i| snapshots[i] >= 1 && lsns[i] > snapshots[i])
+        .expect("a shard holds records on both sides of its snapshot");
+    let wal = |dir: &std::path::Path, shard: usize| {
+        dir.join(format!("shard-{shard:03}")).join("primary.wal")
+    };
+
+    // Damage below the snapshot was fsynced before it, so it is rot, not a
+    // power loss: the set refuses to open.
+    let rotted = failpoint_dir("garbled-shard-rotted");
+    copy_set_dir(&dir, &rotted);
+    zero_record(&wal(&rotted, covered), snapshots[covered]);
+    let refused = ShardedPrimary::reopen(
+        &rotted,
+        crash_db().catalog().clone(),
+        &crash_shards(),
+        QuestConfig::default(),
+    );
+    assert!(
+        matches!(
+            refused,
+            Err(ShardError::Wal(quest::wal::WalError::Corrupt { .. }))
+        ),
+        "{refused:?}"
+    );
+    std::fs::remove_dir_all(&rotted).ok();
+
+    // Damage past the snapshot, with a valid line after it: the log is cut
+    // back and the coordinator re-supplies the rest.
+    zero_record(&wal(&dir, past), snapshots[past] + 1);
+    let reopened = reopen_set(&dir);
+    assert_eq!(reopened.topology().lsns, lsns);
+    assert_eq!(
+        set_state(&reopened),
+        twin_state("garbled-shard-twin", &batches)
+    );
+    // The repaired log reopens as it is.
+    drop(reopened);
+    assert_eq!(set_state(&reopen_set(&dir)).1, lsns);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_set_directory_without_a_coordinator_log_reopens_and_starts_one() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let (dir, mut set) = crash_set("legacy-set");
+    set.commit(&insert_batch(0)).expect("commit");
+    drop(set);
+    // A directory written before the coordinator log existed: shard logs
+    // and snapshots only.
+    let coordinator = dir.join("coordinator.wal");
+    std::fs::remove_file(&coordinator).expect("remove");
+    let mut reopened = reopen_set(&dir);
+    assert!(coordinator.exists(), "reopen starts a coordinator log");
+    assert_eq!(
+        set_state(&reopened),
+        twin_state("legacy-twin", &[insert_batch(0)])
+    );
+    reopened.commit(&probe_batch()).expect("commit");
+    drop(reopened);
+    assert_eq!(
+        set_state(&reopen_set(&dir)),
+        twin_state("legacy-twin-with", &[insert_batch(0), probe_batch()])
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

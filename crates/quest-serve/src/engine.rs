@@ -2,22 +2,29 @@
 //! [`Quest`] that also owns the serving layer's **live-data mutation
 //! path**.
 //!
-//! Two bounded LRU caches sit in front of the pipeline's two expensive
-//! stages:
+//! Two bounded LRU caches sit in front of the pipeline:
 //!
 //! * **forward** — normalized keywords (+ data epoch + feedback epoch) →
-//!   the full [`ForwardResult`] (both operating-mode decodes and their DST
-//!   combination);
+//!   a `ForwardEntry`. A miss stores the full [`ForwardResult`] (both
+//!   operating-mode decodes and their DST combination). The first hit
+//!   runs the rest of the pipeline from it once — backward lookups, then
+//!   [`Quest::assemble_with`] — and overwrites the slot with the finished
+//!   [`SearchOutcome`]. Every later hit is *answered*: one lookup and one
+//!   clone, with no backward lookup and no assembly.
 //! * **backward** — a configuration's term sequence (+ data epoch) → its
-//!   top-k Steiner interpretations.
+//!   top-k Steiner interpretations, consulted by misses and first hits.
 //!
-//! Both stages are pure functions of their key for a fixed engine state, so
+//! Every stage is a pure function of its key for a fixed engine state, so
 //! caching is semantically transparent: a cached search returns bit-identical
-//! explanations and scores to an uncached [`Quest::search_query`]. Two
-//! monotonic epochs version that state:
+//! explanations and scores to an uncached [`Quest::search_query`]. An
+//! answer is a pure function of the forward key too: assembly reads only
+//! the forward result, backward results of the same data epoch and the
+//! fixed [`quest_core::QuestConfig`]. Two monotonic epochs version that
+//! state:
 //!
 //! * the **feedback epoch** ([`Quest::feedback_epoch`]) advances on user
-//!   feedback and EM refinement and retires forward entries only;
+//!   feedback and EM refinement and retires forward entries (and with them
+//!   answers) only;
 //! * the **data epoch** ([`CachedEngine::data_epoch`]) advances on every
 //!   mutation batch applied through [`CachedEngine::apply`] and retires
 //!   *both* caches — backward results embed instance-derived join weights.
@@ -26,6 +33,11 @@
 //! never match again: it is never served, and it ages out of the LRU as
 //! live entries push it to the tail. Nothing is purged on an epoch bump, so
 //! neither a commit nor a search pays a sweep of either cache.
+//!
+//! Answers are admitted on a key's *second* sight, not its first: most
+//! keys of a tail stream are seen once, and storing an outcome on every
+//! miss would charge each of them a clone of the answer and a larger
+//! eviction.
 //!
 //! Mutations serialize against searches through an `RwLock`: searches share
 //! the read side, a mutation batch takes the write side, applies its
@@ -84,6 +96,16 @@ type ForwardKey = (u64, u64, Vec<(String, bool)>);
 /// Backward-cache key: data epoch plus the configuration's term sequence.
 type BackwardKey = (u64, Vec<DbTerm>);
 
+/// What a forward-cache slot holds.
+#[derive(Debug, Clone)]
+enum ForwardEntry {
+    /// Stored by a miss: the forward stage's result.
+    Forward(Arc<ForwardResult>),
+    /// Stored by the first hit, over its `Forward`: the finished answer.
+    /// Its `query` is the promoting caller's; a hit re-stamps its own.
+    Answer(Arc<SearchOutcome>),
+}
+
 /// A [`Quest`] engine plus the two stage caches, serving counters, and the
 /// mutation path.
 ///
@@ -102,7 +124,7 @@ pub struct CachedEngine<W: SourceWrapper> {
     watermark: AtomicU64,
     // Values are Arc-wrapped so a hit clones a pointer inside the lock and
     // the (potentially large) payload copy happens outside it.
-    forward: Mutex<LruCache<ForwardKey, Arc<ForwardResult>>>,
+    forward: Mutex<LruCache<ForwardKey, ForwardEntry>>,
     backward: Mutex<LruCache<BackwardKey, Arc<Vec<Interpretation>>>>,
     obs: ServeObs,
     /// Optional SLO monitor ([`CachedEngine::set_slo`]): the declarative
@@ -194,7 +216,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
         });
     }
 
-    fn forward_cache(&self) -> MutexGuard<'_, LruCache<ForwardKey, Arc<ForwardResult>>> {
+    fn forward_cache(&self) -> MutexGuard<'_, LruCache<ForwardKey, ForwardEntry>> {
         self.forward.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -229,6 +251,11 @@ impl<W: SourceWrapper> CachedEngine<W> {
     /// [`CachedEngine::search_query`] with a caller-owned scratch; cache
     /// misses run the engine's allocation-lean hot path instead of
     /// allocating per query. Bit-identical results either way.
+    ///
+    /// An answered hit (a key's third and later sights in one epoch pair)
+    /// returns a stored outcome: its `query` is the caller's, but its
+    /// `timings` are those of the search that assembled it, not of this
+    /// lookup.
     pub fn search_query_with(
         &self,
         query: &KeywordQuery,
@@ -261,7 +288,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
         let engine = self.engine();
         // Both epochs are stable for the lifetime of the read guard except
         // the feedback epoch, which can advance concurrently (feedback only
-        // needs the read side); the insert below re-checks it.
+        // needs the read side); the miss path re-checks it before inserting.
         let data_epoch = self.data_epoch();
         let feedback_epoch = engine.feedback_epoch();
         let key: ForwardKey = (
@@ -275,12 +302,24 @@ impl<W: SourceWrapper> CachedEngine<W> {
         );
         // Bind the lookup before matching: a guard born in a match
         // scrutinee lives to the end of the match and would deadlock the
-        // insert below.
+        // inserts below.
         let t0 = Instant::now();
         let cached_forward = self.forward_cache().get(&key);
-        let forward_cache_hit = cached_forward.is_some();
-        let forward = match cached_forward {
-            Some(hit) => (*hit).clone(), // payload copy happens off-lock
+        let (forward, promote) = match cached_forward {
+            Some(ForwardEntry::Answer(answer)) => {
+                let mut outcome = (*answer).clone(); // payload copy happens off-lock
+                outcome.query = query.clone();
+                self.obs.record_answered();
+                quest_obs::spans().record_with(
+                    ctx,
+                    "query_forward",
+                    Some(t0),
+                    [Some(("cache_hit", 1)), Some(("answered", 1))],
+                );
+                return Ok(outcome);
+            }
+            // First hit: assemble below, then store the answer under `key`.
+            Some(ForwardEntry::Forward(hit)) => ((*hit).clone(), Some(key)),
             None => {
                 let computed = engine.forward_pass_with(query, scratch)?;
                 self.obs.record_uncached_forward(&computed.timings);
@@ -288,9 +327,10 @@ impl<W: SourceWrapper> CachedEngine<W> {
                 // spanning an epoch boundary may mix old and new model state
                 // and must not be replayed.
                 if engine.feedback_epoch() == feedback_epoch {
-                    self.forward_cache().insert(key, Arc::new(computed.clone()));
+                    self.forward_cache()
+                        .insert(key, ForwardEntry::Forward(Arc::new(computed.clone())));
                 }
-                computed
+                (computed, None)
             }
         };
         let forward_wall = t0.elapsed();
@@ -298,7 +338,10 @@ impl<W: SourceWrapper> CachedEngine<W> {
             ctx,
             "query_forward",
             Some(t0),
-            [Some(("cache_hit", forward_cache_hit as u64)), None],
+            [
+                Some(("cache_hit", promote.is_some() as u64)),
+                Some(("answered", 0)),
+            ],
         );
 
         let t0 = Instant::now();
@@ -338,6 +381,14 @@ impl<W: SourceWrapper> CachedEngine<W> {
         quest_obs::spans().record(ctx, "query_assemble", Some(t0));
         self.obs
             .record_stage_walls(forward_wall, backward_time, assemble_wall);
+        // The answer depends on nothing the key does not pin: the forward
+        // result came from this key's slot, the backward results from the
+        // data epoch the read guard holds, the rest from the fixed config.
+        // So it is stored even if feedback landed meanwhile.
+        if let (Some(key), Ok(answer)) = (promote, &outcome) {
+            self.forward_cache()
+                .insert(key, ForwardEntry::Answer(Arc::new(answer.clone())));
+        }
         outcome
     }
 
@@ -604,14 +655,31 @@ mod tests {
     use crate::testutil::engine;
     use relstore::Value;
 
+    /// Bit-for-bit equality of everything an outcome answers with: each
+    /// explanation's SQL, configuration and score bits (its own and its
+    /// interpretation's), all three configuration lists with their score
+    /// bits, and `O_Cf`.
     fn same_outcome(a: &SearchOutcome, b: &SearchOutcome) {
-        assert_eq!(a.explanations.len(), b.explanations.len());
-        for (x, y) in a.explanations.iter().zip(&b.explanations) {
-            assert_eq!(x.score, y.score);
-            assert_eq!(x.configuration.terms, y.configuration.terms);
-            assert_eq!(x.statement, y.statement);
-        }
-        assert_eq!(a.effective_o_cf, b.effective_o_cf);
+        let config = |c: &Configuration| (c.terms.clone(), c.score.to_bits());
+        let configs = |cs: &[Configuration]| cs.iter().map(config).collect::<Vec<_>>();
+        let explanations = |o: &SearchOutcome| {
+            o.explanations
+                .iter()
+                .map(|e| {
+                    (
+                        config(&e.configuration),
+                        e.interpretation.score.to_bits(),
+                        e.statement.clone(),
+                        e.score.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(explanations(a), explanations(b));
+        assert_eq!(configs(&a.configurations), configs(&b.configurations));
+        assert_eq!(configs(&a.apriori_configs), configs(&b.apriori_configs));
+        assert_eq!(configs(&a.feedback_configs), configs(&b.feedback_configs));
+        assert_eq!(a.effective_o_cf.to_bits(), b.effective_o_cf.to_bits());
     }
 
     #[test]
@@ -620,15 +688,22 @@ mod tests {
         let reference = engine();
         for raw in ["wind fleming", "fleming", "wind"] {
             let a = cached.search(raw).unwrap(); // cold: fills caches
-            let b = cached.search(raw).unwrap(); // warm: from caches
+            let b = cached.search(raw).unwrap(); // warm: assembles, stores the answer
+            let answered = cached.search(raw).unwrap(); // warm: the stored answer
             let c = reference.search(raw).unwrap(); // uncached reference
-            same_outcome(&a, &c);
-            same_outcome(&b, &c);
+            let query = KeywordQuery::parse(raw).unwrap();
+            let cold = reference.search_query_reference(&query).unwrap();
+            for served in [&a, &b, &answered] {
+                same_outcome(served, &c);
+                same_outcome(served, &cold);
+            }
+            assert_eq!(answered.query, query);
         }
         let stats = cached.stats();
-        assert_eq!(stats.queries, 6);
-        assert_eq!(stats.forward_cache.hits, 3);
+        assert_eq!(stats.queries, 9);
+        assert_eq!(stats.forward_cache.hits, 6);
         assert_eq!(stats.forward_cache.misses, 3);
+        assert_eq!(stats.answered_hits, 3, "every third search is answered");
         assert!(stats.backward_cache.hits > 0);
     }
 
@@ -638,25 +713,35 @@ mod tests {
         let before = cached.search("wind fleming").unwrap();
         let _warm = cached.search("wind fleming").unwrap();
         assert_eq!(cached.stats().forward_cache.hits, 1);
+        let _answered = cached.search("wind fleming").unwrap();
+        assert_eq!(cached.stats().answered_hits, 1);
 
         // Feedback bumps the epoch: the next search must recompute the
-        // forward stage and reflect the trained model.
+        // forward stage and reflect the trained model, and the answer stored
+        // under the old epoch must not be served.
         let best = before.explanations[0].clone();
         let query = KeywordQuery::parse("wind fleming").unwrap();
         for _ in 0..5 {
             cached.feedback(&query, &best, true).unwrap();
         }
         let after = cached.search("wind fleming").unwrap();
+        let stats = cached.stats();
         assert_eq!(
-            cached.stats().forward_cache.hits,
-            1,
+            stats.forward_cache.hits, 2,
             "post-feedback search must miss the forward cache"
         );
+        assert_eq!(stats.answered_hits, 1, "no dead-epoch answer is served");
         assert!(
             !after.feedback_configs.is_empty(),
             "trained model must now contribute"
         );
-        same_outcome(&after, &cached.engine().search("wind fleming").unwrap());
+        let fresh = cached.engine().search_query_reference(&query).unwrap();
+        same_outcome(&after, &fresh);
+        // The new epoch's answer is the trained model's, too.
+        for _ in 0..2 {
+            same_outcome(&cached.search("wind fleming").unwrap(), &fresh);
+        }
+        assert_eq!(cached.stats().answered_hits, 2);
     }
 
     #[test]
@@ -683,9 +768,16 @@ mod tests {
             } else {
                 cached.feedback(&query, &best, true).unwrap();
             }
+            // Three sights per epoch pair: a miss, a first hit that stores
+            // the answer, and an answered hit.
             for raw in queries {
-                let served = cached.search(raw).unwrap();
-                same_outcome(&served, &cached.engine().search(raw).unwrap());
+                let fresh = cached
+                    .engine()
+                    .search_query_reference(&KeywordQuery::parse(raw).unwrap())
+                    .unwrap();
+                for _ in 0..3 {
+                    same_outcome(&cached.search(raw).unwrap(), &fresh);
+                }
             }
             let stats = cached.stats();
             assert!(stats.forward_cache.entries <= caches.forward_capacity);
@@ -697,6 +789,11 @@ mod tests {
             "dead entries fill the cache to capacity, and no further: {stats}"
         );
         assert_eq!(stats.forward_cache.purge_scans, 0);
+        assert_eq!(
+            stats.answered_hits,
+            (3 * caches.forward_capacity * queries.len()) as u64,
+            "exactly one answered hit per query per epoch pair: {stats}"
+        );
     }
 
     #[test]
@@ -719,6 +816,13 @@ mod tests {
         assert!(warm.stages.forward >= cold.stages.forward);
         let text = warm.to_string();
         assert!(text.contains("stages:"), "{text}");
+
+        // An answered hit runs no stage, so it adds to no stage bucket.
+        let _ = cached.search_with("wind fleming", &mut scratch).unwrap();
+        let answered = cached.stats();
+        assert_eq!(answered.answered_hits, 1);
+        assert_eq!(answered.stages, warm.stages);
+        assert_eq!(answered.queries, 3);
     }
 
     #[test]
@@ -842,12 +946,21 @@ mod tests {
     fn normalization_shares_forward_slots() {
         let cached = CachedEngine::new(engine());
         let _ = cached.search("Fleming").unwrap();
-        let _ = cached.search("  fleming  ").unwrap();
+        let promoted = cached.search("  fleming  ").unwrap();
         let stats = cached.stats();
         assert_eq!(
             stats.forward_cache.hits, 1,
             "case/whitespace variants share one cache slot"
         );
+        // The slot now holds the answer "  fleming  " assembled. Each
+        // answered variant carries its own query, not the one stored.
+        for raw in ["Fleming", "  fleming  "] {
+            let answered = cached.search(raw).unwrap();
+            assert_eq!(answered.query, KeywordQuery::parse(raw).unwrap());
+            assert_eq!(answered.query.raw, raw);
+            same_outcome(&answered, &promoted);
+        }
+        assert_eq!(cached.stats().answered_hits, 2);
     }
 
     #[test]
@@ -870,13 +983,15 @@ mod tests {
         use crate::stats::names;
 
         let cached = CachedEngine::new(engine());
-        let _ = cached.search("wind fleming").unwrap();
-        let _ = cached.search("wind fleming").unwrap();
+        for _ in 0..3 {
+            let _ = cached.search("wind fleming").unwrap();
+        }
         let stats = cached.stats();
 
         // The core recorder metrics and every snapshot-time mirror gauge
         // must exist in the snapshot...
         let expected = [
+            names::ANSWERED_HITS,
             names::QUERIES,
             names::ERRORS,
             names::LATENCY,
@@ -917,17 +1032,25 @@ mod tests {
             Some(stats.queries),
             "registry counter and typed field are the same number"
         );
+        assert_eq!(stats.answered_hits, 1);
+        assert_eq!(
+            stats.metrics.counter(names::ANSWERED_HITS),
+            Some(stats.answered_hits)
+        );
+        assert!(text.contains("1 answered"), "{text}");
     }
 
     /// A served query is recorded once, as a span tree: a `query` root
-    /// under a fresh trace id, with exactly one span per stage inside the
-    /// root's interval, carrying the cache outcomes (the cold search
-    /// misses both caches, the warm repeat hits the forward cache).
+    /// under a fresh trace id, with exactly one span per stage it ran
+    /// inside the root's interval, carrying the cache outcomes (the cold
+    /// search misses both caches, the first warm repeat hits the forward
+    /// cache, and the second is answered with `query_forward` alone).
     #[test]
     fn traces_attribute_stages_and_cache_outcomes() {
         let cached = CachedEngine::new(engine());
-        let _ = cached.search("wind fleming").unwrap();
-        let _ = cached.search("wind fleming").unwrap();
+        for _ in 0..3 {
+            let _ = cached.search("wind fleming").unwrap();
+        }
 
         // The collector is process-wide: keep only this thread's spans.
         let tid = quest_obs::span::thread_id();
@@ -944,9 +1067,11 @@ mod tests {
                 .map(|a| a.1)
         };
         let roots: Vec<_> = spans.iter().filter(|s| s.name == "query").collect();
-        assert_eq!(roots.len(), 2, "{spans:?}");
+        assert_eq!(roots.len(), 3, "{spans:?}");
         assert_ne!(roots[0].trace_id, roots[1].trace_id);
+        assert_ne!(roots[1].trace_id, roots[2].trace_id);
         let mut forward_hits = Vec::new();
+        let mut answered = Vec::new();
         let mut backward_misses = Vec::new();
         for root in &roots {
             assert_ne!(root.trace_id, 0, "a served query mints its own ctx");
@@ -968,11 +1093,33 @@ mod tests {
                 );
                 s
             };
-            forward_hits.push(arg(stage("query_forward"), "cache_hit"));
+            let forward = stage("query_forward");
+            forward_hits.push(arg(forward, "cache_hit"));
+            answered.push(arg(forward, "answered"));
+            if arg(forward, "answered") == Some(1) {
+                for name in ["query_backward", "query_assemble"] {
+                    assert!(
+                        !spans
+                            .iter()
+                            .any(|s| s.trace_id == root.trace_id && s.name == name),
+                        "an answered hit runs no {name}: {spans:?}"
+                    );
+                }
+                continue;
+            }
             backward_misses.push(arg(stage("query_backward"), "cache_misses"));
             stage("query_assemble");
         }
-        assert_eq!(forward_hits, [Some(0), Some(1)], "cold misses, warm hits");
+        assert_eq!(
+            forward_hits,
+            [Some(0), Some(1), Some(1)],
+            "cold misses, warm hits"
+        );
+        assert_eq!(
+            answered,
+            [Some(0), Some(0), Some(1)],
+            "the third sight is answered"
+        );
         assert!(
             backward_misses[0] >= Some(1),
             "cold search enumerates at least one configuration"

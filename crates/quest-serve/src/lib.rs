@@ -6,8 +6,9 @@
 //!
 //! * [`CachedEngine`] — wraps a [`Quest`](quest_core::Quest) engine with two
 //!   bounded LRU caches (keyword → top-k configurations for the forward
-//!   stage; configuration → interpretations for the backward/Steiner stage)
-//!   and hit/miss/latency counters. Caching is semantically transparent:
+//!   stage, which a key's first hit overwrites with the finished answer;
+//!   configuration → interpretations for the backward/Steiner stage) and
+//!   hit/miss/latency counters. Caching is semantically transparent:
 //!   results are bit-identical to the uncached engine. Two monotonic epochs
 //!   keep it that way under change — the engine's *feedback epoch* (user
 //!   feedback, EM refinement) and the serving layer's *data epoch*, bumped

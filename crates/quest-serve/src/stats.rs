@@ -51,6 +51,8 @@ impl CacheStats {
 /// Cumulative wall time per pipeline stage, summed across all searches
 /// (and across threads). Divide by [`ServeStats::queries`] — or by
 /// `uncached_forward` for the fine-grained forward substages — for means.
+/// An answered hit ([`ServeStats::answered_hits`]) runs no stage and adds
+/// nothing here; its wall time is in the total latency only.
 ///
 /// Derived from the per-stage histograms (exact sums), so it stays
 /// consistent with the percentile readouts in [`ServeStats::metrics`].
@@ -93,6 +95,9 @@ pub struct ServeStats {
     pub forward_cache: CacheStats,
     /// Configuration → interpretations cache (backward stage).
     pub backward_cache: CacheStats,
+    /// Forward-cache hits served from a stored answer, with no backward
+    /// lookup and no assembly (a subset of `forward_cache.hits`).
+    pub answered_hits: u64,
     /// Per-engine memoized join-path templates inside the backward module
     /// (terminal set + k → interpretations). Rebuilt from scratch — all
     /// gauges back to zero — whenever a mutation batch resyncs the engine.
@@ -151,10 +156,11 @@ impl fmt::Display for ServeStats {
         )?;
         writeln!(
             f,
-            "forward cache:  {}/{} hits ({:.1}%), {} of {} entries",
+            "forward cache:  {}/{} hits ({:.1}%), {} answered, {} of {} entries",
             self.forward_cache.hits,
             self.forward_cache.hits + self.forward_cache.misses,
             100.0 * self.forward_cache.hit_rate(),
+            self.answered_hits,
             self.forward_cache.entries,
             self.forward_cache.capacity
         )?;
@@ -241,6 +247,8 @@ pub mod names {
     pub const STAGE_COMBINE: &str = "quest_serve_stage_combine_ns";
     /// Forward passes actually computed (counter).
     pub const UNCACHED_FORWARD: &str = "quest_serve_uncached_forward_total";
+    /// Forward-cache hits answered from a stored outcome (counter).
+    pub const ANSWERED_HITS: &str = "quest_serve_answered_hits_total";
     /// Jobs submitted but not yet picked up by a worker (gauge).
     pub const QUEUE_DEPTH: &str = "quest_serve_queue_depth";
     /// Snapshot-time mirror gauges of the non-registry counters.
@@ -276,6 +284,7 @@ pub(crate) struct ServeObs {
     decode: Histogram,
     combine: Histogram,
     uncached_forward: Counter,
+    answered_hits: Counter,
 }
 
 fn nanos(d: Duration) -> u64 {
@@ -287,6 +296,10 @@ impl ServeObs {
         registry.describe(names::QUERIES, "Total searches served.");
         registry.describe(names::ERRORS, "Searches that returned an error.");
         registry.describe(names::LATENCY, "Per-search wall time, nanoseconds.");
+        registry.describe(
+            names::ANSWERED_HITS,
+            "Forward-cache hits answered from a stored outcome, with no stage run.",
+        );
         registry.describe(
             names::QUEUE_DEPTH,
             "Jobs submitted but not yet claimed by a worker or a waiting caller.",
@@ -302,6 +315,7 @@ impl ServeObs {
             decode: registry.histogram(names::STAGE_DECODE),
             combine: registry.histogram(names::STAGE_COMBINE),
             uncached_forward: registry.counter(names::UNCACHED_FORWARD),
+            answered_hits: registry.counter(names::ANSWERED_HITS),
             registry,
         }
     }
@@ -327,6 +341,12 @@ impl ServeObs {
         self.assemble.record(nanos(assemble));
     }
 
+    /// Record one search answered from a stored outcome. It ran no stage,
+    /// so it records no stage wall.
+    pub fn record_answered(&self) {
+        self.answered_hits.inc();
+    }
+
     /// Record the fine-grained timings of one forward pass that was
     /// actually computed (a forward-cache miss).
     pub fn record_uncached_forward(&self, timings: &quest_core::StageTimings) {
@@ -343,6 +363,7 @@ impl ServeObs {
     pub fn snapshot_into(&self, stats: &mut ServeStats) {
         stats.queries = self.queries.value();
         stats.errors = self.errors.value();
+        stats.answered_hits = self.answered_hits.value();
         let latency = self.latency.snapshot();
         stats.total_latency = Duration::from_nanos(latency.sum);
         stats.max_latency = Duration::from_nanos(latency.max);

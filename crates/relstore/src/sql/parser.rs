@@ -320,9 +320,13 @@ impl<'a> Parser<'a> {
         match self.bump() {
             Some(Token::Number(n)) => {
                 if n.contains('.') {
+                    // A digit run too long for f64 parses as infinity, which
+                    // has no SQL literal to render back to.
                     n.parse::<f64>()
+                        .ok()
+                        .filter(|f| f.is_finite())
                         .map(Value::float)
-                        .map_err(|_| self.err("bad float literal"))
+                        .ok_or_else(|| self.err("bad float literal"))
                 } else {
                     n.parse::<i64>()
                         .map(Value::Int)
@@ -462,6 +466,11 @@ mod tests {
             "SELECT * FROM movie trailing",
             "SELECT * FROM movie WHERE movie.title LIKE 'unterminated",
             "SELECT * FROM movie WHERE movie.year > person.id", // join must use =
+            // 400 digits: parses as an infinite f64.
+            &format!(
+                "SELECT * FROM movie WHERE movie.year = {}.0",
+                "9".repeat(400)
+            ),
         ] {
             assert!(parse_sql(&c, bad).is_err(), "should reject: {bad}");
         }

@@ -152,7 +152,9 @@ impl Value {
             Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
             Value::Int(i) => i.to_string(),
             Value::Float(f) => {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
+                // An integral float keeps its `.0` at every magnitude (`{}`
+                // drops it), or the literal would read back as an integer.
+                if f.fract() == 0.0 {
                     format!("{:.1}", f)
                 } else {
                     format!("{}", f)
@@ -375,5 +377,6 @@ mod tests {
         assert_eq!(Value::text("O'Hara").to_sql_literal(), "'O''Hara'");
         assert_eq!(Value::Null.to_sql_literal(), "NULL");
         assert_eq!(Value::Float(2.0).to_sql_literal(), "2.0");
+        assert_eq!(Value::Float(1e17).to_sql_literal(), "100000000000000000.0");
     }
 }

@@ -65,10 +65,9 @@ fn concurrent_results_identical_to_serial_cold_and_warm() {
     let stream = shuffled_stream(4);
     let expected = serial_reference(&engine, &stream);
 
-    let service = QueryService::new(CachedEngine::new(engine), 4);
-    for phase in ["cold", "warm"] {
-        let tickets = service.submit_batch(&stream);
-        for (raw, ticket) in stream.iter().zip(tickets) {
+    let check = |service: &QueryService<FullAccessWrapper>, batch: &[String], phase: &str| {
+        let tickets = service.submit_batch(batch);
+        for (raw, ticket) in batch.iter().zip(tickets) {
             let out = ticket.wait().expect("served search succeeds");
             assert_eq!(&out.query.raw, raw, "ticket order matches submissions");
             let got = fingerprint(&service.engine().engine(), &out);
@@ -77,14 +76,38 @@ fn concurrent_results_identical_to_serial_cold_and_warm() {
                 "{phase}-cache result diverged from serial for {raw:?}"
             );
         }
+    };
+
+    // Three passes: every query is missed, then assembled once from its
+    // forward entry, then answered from the stored outcome.
+    let service = QueryService::new(CachedEngine::new(engine.clone()), 4);
+    for phase in ["cold", "warm", "answered"] {
+        check(&service, &stream, phase);
     }
     let stats = service.shutdown();
-    assert_eq!(stats.queries as usize, 2 * stream.len());
+    assert_eq!(stats.queries as usize, 3 * stream.len());
     assert_eq!(stats.errors, 0);
     assert!(
-        stats.forward_cache.hits > 0 && stats.backward_cache.hits > 0,
+        stats.forward_cache.hits > 0 && stats.backward_cache.hits > 0 && stats.answered_hits > 0,
         "the stream must actually exercise the caches: {stats}"
     );
+
+    // Cold start, each query in a run of 8 back to back: the workers and
+    // the waiting caller take the same key at once, so they race to fill
+    // its slot and then to store its answer over it.
+    let mut distinct: Vec<&String> = expected.keys().collect();
+    distinct.sort();
+    let runs: Vec<String> = distinct
+        .into_iter()
+        .flat_map(|raw| std::iter::repeat_n(raw.clone(), 8))
+        .collect();
+    let service = QueryService::new(CachedEngine::new(engine), 4);
+    for phase in ["racing cold", "racing warm"] {
+        check(&service, &runs, phase);
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.errors, 0);
+    assert!(stats.answered_hits > 0, "{stats}");
 }
 
 #[test]

@@ -151,17 +151,18 @@ impl BackwardModule {
     ///
     /// A miss runs `top_k_steiner_with` (bit-identical to the reference's
     /// `top_k_steiner`, pinned by `quest-graph`'s property suite) and
-    /// memoizes the deduped interpretations; a hit clones the memoized
-    /// template. Two threads racing on the same miss both compute the same
-    /// pure value, so the second insert overwrites with an equal payload.
+    /// memoizes the deduped interpretations; a hit shares the memoized
+    /// template's `Arc`, so the caller decides whether to deep-copy it. Two
+    /// threads racing on the same miss both compute the same pure value, so
+    /// the second insert overwrites with an equal payload.
     pub fn interpretations_for_terminals_cached(
         &self,
         terminals: &[quest_graph::NodeId],
         k: usize,
         scratch: &mut SteinerScratch,
-    ) -> Result<Vec<Interpretation>, QuestError> {
+    ) -> Result<Arc<Vec<Interpretation>>, QuestError> {
         if terminals.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Arc::new(Vec::new()));
         }
         let key: TemplateKey = (terminals.to_vec(), k);
         if let Some(hit) = self
@@ -171,21 +172,23 @@ impl BackwardModule {
             .get(&key)
         {
             self.template_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.as_ref().clone());
+            return Ok(Arc::clone(hit));
         }
         self.template_misses.fetch_add(1, Ordering::Relaxed);
         let cfg = SteinerConfig::top_k(k);
-        let computed = match top_k_steiner_with(self.schema.graph(), terminals, &cfg, scratch) {
-            Ok(trees) => {
-                dedup_interpretations(trees.into_iter().map(Interpretation::from_tree).collect())
-            }
-            Err(GraphError::Disconnected) => Vec::new(),
-            Err(e) => return Err(e.into()),
-        };
+        let computed = Arc::new(
+            match top_k_steiner_with(self.schema.graph(), terminals, &cfg, scratch) {
+                Ok(trees) => dedup_interpretations(
+                    trees.into_iter().map(Interpretation::from_tree).collect(),
+                ),
+                Err(GraphError::Disconnected) => Vec::new(),
+                Err(e) => return Err(e.into()),
+            },
+        );
         self.templates
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, Arc::new(computed.clone()));
+            .insert(key, Arc::clone(&computed));
         Ok(computed)
     }
 
@@ -385,6 +388,7 @@ mod tests {
         let warm = b
             .interpretations_for_terminals_cached(&terminals, 3, &mut scratch)
             .unwrap();
+        assert!(Arc::ptr_eq(&cold, &warm), "a hit shares the template");
         for got in [&cold, &warm] {
             assert_eq!(got.len(), reference.len());
             for (x, y) in reference.iter().zip(got.iter()) {

@@ -8,6 +8,7 @@
 //! E   ← QueryBuilder(E)
 //! ```
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use relstore::sql::ResultSet;
@@ -451,15 +452,15 @@ impl<W: SourceWrapper> Quest<W> {
     ) -> Result<Vec<Interpretation>, QuestError> {
         let terminals = self.backward.terminals(self.wrapper.catalog(), config);
         if let Some(hit) = scratch.memoized_interpretations(&terminals) {
-            return Ok(hit.clone());
+            return Ok(hit.as_ref().clone());
         }
         let interps = self.backward.interpretations_for_terminals_cached(
             &terminals,
             self.config.k,
             &mut scratch.steiner,
         )?;
-        scratch.steiner_memo.push((terminals, interps.clone()));
-        Ok(interps)
+        scratch.steiner_memo.push((terminals, Arc::clone(&interps)));
+        Ok(interps.as_ref().clone())
     }
 
     /// Final stage of Algorithm 1: the second DST combination, query

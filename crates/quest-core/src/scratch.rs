@@ -29,6 +29,8 @@
 //! methods of [`crate::Quest`]; the convenience methods without a scratch
 //! argument create a throwaway one per call.
 
+use std::sync::Arc;
+
 use quest_graph::{NodeId, SteinerScratch};
 use quest_hmm::{Emissions, ListDecoder};
 
@@ -48,10 +50,11 @@ pub struct SearchScratch {
     /// Keyword-side buffers of the compiled metadata matcher, used when a
     /// keyword misses the engine's metadata memo.
     pub(crate) matcher: MatchScratch,
-    /// Per-query memo: Steiner terminal set → interpretations. Valid only
-    /// within one search (cleared by `Quest::search_query_with`); the
-    /// engine state is locked for that duration by every caller.
-    pub(crate) steiner_memo: Vec<(Vec<NodeId>, Vec<Interpretation>)>,
+    /// Per-query memo: Steiner terminal set → the join-template memo's
+    /// shared interpretations (no second copy). Valid only within one
+    /// search (cleared by `Quest::search_query_with`); the engine state is
+    /// locked for that duration by every caller.
+    pub(crate) steiner_memo: Vec<(Vec<NodeId>, Arc<Vec<Interpretation>>)>,
     /// Flat graph scratch (frontier heap, state tables, pooled edge lists)
     /// for the pruned Steiner enumeration on template-memo misses.
     pub(crate) steiner: SteinerScratch,
@@ -91,7 +94,7 @@ impl SearchScratch {
     pub(crate) fn memoized_interpretations(
         &self,
         terminals: &[NodeId],
-    ) -> Option<&Vec<Interpretation>> {
+    ) -> Option<&Arc<Vec<Interpretation>>> {
         self.steiner_memo
             .iter()
             .find(|(t, _)| t.as_slice() == terminals)

@@ -113,31 +113,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Build a policy from the environment, falling back to the defaults:
-    /// `QUEST_FAULT_RETRIES`, `QUEST_FAULT_BACKOFF_BASE_MS`,
-    /// `QUEST_FAULT_BACKOFF_CAP_MS`, `QUEST_FAULT_JITTER_SEED`.
-    pub fn from_env() -> RetryPolicy {
-        fn get<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        }
-        let defaults = RetryPolicy::default();
-        RetryPolicy {
-            retries: get("QUEST_FAULT_RETRIES", defaults.retries),
-            base: Duration::from_millis(get(
-                "QUEST_FAULT_BACKOFF_BASE_MS",
-                defaults.base.as_millis() as u64,
-            )),
-            cap: Duration::from_millis(get(
-                "QUEST_FAULT_BACKOFF_CAP_MS",
-                defaults.cap.as_millis() as u64,
-            )),
-            jitter_seed: get("QUEST_FAULT_JITTER_SEED", defaults.jitter_seed),
-        }
-    }
-
     /// The delay before retry attempt `attempt` (0-based). Always ≤ `cap`.
     pub fn delay(&self, attempt: u32) -> Duration {
         let exp = self

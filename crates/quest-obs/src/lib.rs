@@ -37,9 +37,8 @@
 //!   logical-vs-physical byte and probe counters here; their ratios are
 //!   per-layer metrics of the repo benchmark.
 //!
-//! Env knobs: `QUEST_OBS_SPAN_CAPACITY` (span ring size; 0 disables span
-//! tracing) — see [`SpanCollector::from_env`]; `QUEST_OBS_WINDOW_SECS`
-//! (rolling window width) — see [`WindowConfig::from_env`].
+//! Env knob: `QUEST_OBS_SPAN_CAPACITY` (span ring size; 0 disables span
+//! tracing) — see [`SpanCollector::from_env`].
 
 #![warn(missing_docs)]
 

@@ -52,21 +52,6 @@ impl Default for WindowConfig {
     }
 }
 
-impl WindowConfig {
-    /// Defaults overridden by `QUEST_OBS_WINDOW_SECS` (window width in
-    /// seconds; unparsable values fall back silently).
-    pub fn from_env() -> WindowConfig {
-        let mut config = WindowConfig::default();
-        if let Some(secs) = std::env::var("QUEST_OBS_WINDOW_SECS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            config.window_ms = secs.saturating_mul(1000);
-        }
-        config
-    }
-}
-
 #[derive(Debug)]
 struct WindowState {
     samples: VecDeque<(u64, MetricsSnapshot)>,
@@ -102,12 +87,6 @@ impl WindowAggregator {
                 samples: VecDeque::new(),
             }),
         }
-    }
-
-    /// An aggregator configured from the environment
-    /// (`QUEST_OBS_WINDOW_SECS`).
-    pub fn from_env() -> WindowAggregator {
-        WindowAggregator::new(WindowConfig::from_env())
     }
 
     /// The knobs this aggregator runs with.

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use quest_core::{FullAccessWrapper, Quest, QuestConfig, QuestError, SearchOutcome};
 use quest_fault::{Clock, RetryPolicy, SystemClock};
 use quest_obs::{TraceCtx, TraceKind};
-use quest_serve::{ApplyReport, CacheConfig, CachedEngine};
+use quest_serve::{ApplyReport, CachedEngine};
 use quest_wal::{ChangeRecord, DurableLog, SyncPolicy};
 use relstore::Database;
 
@@ -35,11 +35,9 @@ pub struct PrimaryOptions {
     /// Automatic-fsync policy of the log (default: [`SyncPolicy::Never`] —
     /// the caller owns durability points via [`Primary::sync`]).
     pub sync_policy: SyncPolicy,
-    /// Cache sizing of the primary's serving engine.
-    pub caches: CacheConfig,
     /// Backoff policy for transient WAL faults inside [`Primary::commit`],
-    /// [`Primary::sync`], and [`Primary::publish_snapshot`] (default: from
-    /// the `QUEST_FAULT_*` environment knobs).
+    /// [`Primary::sync`], and [`Primary::publish_snapshot`] (default:
+    /// [`RetryPolicy::default`]).
     pub retry: RetryPolicy,
     /// Time source the retry loops sleep against (default: wall clock;
     /// tests inject a [`quest_fault::ManualClock`]).
@@ -50,8 +48,7 @@ impl Default for PrimaryOptions {
     fn default() -> PrimaryOptions {
         PrimaryOptions {
             sync_policy: SyncPolicy::default(),
-            caches: CacheConfig::default(),
-            retry: RetryPolicy::from_env(),
+            retry: RetryPolicy::default(),
             clock: Arc::new(SystemClock::new()),
         }
     }
@@ -109,7 +106,7 @@ impl Primary {
         options: PrimaryOptions,
     ) -> Result<Primary, ReplicaError> {
         let log = DurableLog::create(dir, &db, options.sync_policy, options.retry, options.clock)?;
-        Primary::assemble(log, db, config, options.caches)
+        Primary::assemble(log, db, config)
     }
 
     /// Resume a primary from its directory: recover the database from the
@@ -121,7 +118,7 @@ impl Primary {
         options: PrimaryOptions,
     ) -> Result<Primary, ReplicaError> {
         let (log, db) = DurableLog::reopen(dir, options.sync_policy, options.retry, options.clock)?;
-        Primary::assemble(log, db, config, options.caches)
+        Primary::assemble(log, db, config)
     }
 
     /// A primary serving `db`, the state after exactly the records in `log`.
@@ -129,7 +126,6 @@ impl Primary {
         log: DurableLog,
         db: Database,
         config: QuestConfig,
-        caches: CacheConfig,
     ) -> Result<Primary, ReplicaError> {
         let engine = Quest::new(FullAccessWrapper::new(db), config)?;
         let registry = quest_obs::global();
@@ -138,7 +134,7 @@ impl Primary {
             "Records committed through Primary::commit.",
         );
         Ok(Primary {
-            engine: Arc::new(CachedEngine::with_caches(engine, caches)),
+            engine: Arc::new(CachedEngine::new(engine)),
             last_lsn: AtomicU64::new(log.last_lsn()),
             log: Mutex::new(log),
             records_committed: registry.counter(crate::names::RECORDS_COMMITTED),
@@ -337,14 +333,8 @@ mod tests {
         let err =
             Primary::reopen(&dir, QuestConfig::default(), PrimaryOptions::default()).unwrap_err();
         assert!(matches!(err, ReplicaError::State(_)), "{err}");
-        let err = crate::Replica::bootstrap(
-            "r1",
-            &snap_path,
-            &wal_path,
-            QuestConfig::default(),
-            quest_serve::CacheConfig::default(),
-        )
-        .unwrap_err();
+        let err = crate::Replica::bootstrap("r1", &snap_path, &wal_path, QuestConfig::default())
+            .unwrap_err();
         assert!(matches!(err, ReplicaError::State(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

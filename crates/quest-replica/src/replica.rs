@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use quest_core::{FullAccessWrapper, Quest, QuestConfig, QuestError, SearchOutcome};
-use quest_serve::{CacheConfig, CachedEngine, ServeStats};
+use quest_serve::{CachedEngine, ServeStats};
 use quest_wal::{read_snapshot, ChangeRecord, LogReader};
 
 use crate::error::ReplicaError;
@@ -105,7 +105,6 @@ impl Replica {
         snapshot_path: &Path,
         wal_path: &Path,
         config: QuestConfig,
-        caches: CacheConfig,
     ) -> Result<Replica, ReplicaError> {
         if let Some(fault) = quest_fault::fire(quest_fault::sites::REPLICA_BOOTSTRAP) {
             match fault.kind {
@@ -116,26 +115,14 @@ impl Replica {
         let snapshot = read_snapshot(snapshot_path)?;
         let reader = attach_reader(wal_path, &snapshot)?;
         let engine = Quest::new(FullAccessWrapper::new(snapshot.db), config)?;
-        Ok(Replica::assemble(
-            name,
-            engine,
-            reader,
-            snapshot.last_seq,
-            caches,
-        ))
+        Ok(Replica::assemble(name, engine, reader, snapshot.last_seq))
     }
 
     /// Bootstrap from a primary's published snapshot and log, deriving the
     /// engine configuration from the primary itself.
     pub fn from_primary(name: &str, primary: &Primary) -> Result<Replica, ReplicaError> {
         let config = primary.engine().engine().config().clone();
-        Replica::bootstrap(
-            name,
-            &primary.snapshot_path(),
-            &primary.wal_path(),
-            config,
-            CacheConfig::default(),
-        )
+        Replica::bootstrap(name, &primary.snapshot_path(), &primary.wal_path(), config)
     }
 
     fn assemble(
@@ -143,9 +130,8 @@ impl Replica {
         engine: Quest<FullAccessWrapper>,
         reader: LogReader,
         lsn: u64,
-        caches: CacheConfig,
     ) -> Replica {
-        let engine = Arc::new(CachedEngine::with_caches(engine, caches));
+        let engine = Arc::new(CachedEngine::new(engine));
         engine.set_watermark(lsn);
         let registry = quest_obs::global();
         registry.describe(

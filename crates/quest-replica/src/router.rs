@@ -196,7 +196,7 @@ impl ReplicaSet {
             policy,
             rr: AtomicUsize::new(0),
             fallback: quest_obs::global().counter(crate::names::ROUTER_FALLBACK),
-            retry: RetryPolicy::from_env(),
+            retry: RetryPolicy::default(),
             clock: Arc::new(SystemClock::new()),
             quarantined: quest_fault::quarantined("replica"),
         }

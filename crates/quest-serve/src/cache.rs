@@ -1,10 +1,10 @@
 //! A bounded LRU cache with hit/miss accounting.
 //!
-//! The serving layer keeps two of these in front of the engine — one for
-//! forward-stage results, one for backward-stage (Steiner) results. The
-//! implementation is a slab of doubly-linked entries plus a `HashMap` from
-//! key to slab slot, so `get` and `insert` are O(1) apart from hashing; no
-//! allocation happens on a hit. An eviction reuses the least recently used
+//! The serving layer keeps one in front of the engine, for forward-stage
+//! results and the answers they become. The implementation is a slab of
+//! doubly-linked entries plus a `HashMap` from key to slab slot, so `get`
+//! and `insert` are O(1) apart from hashing; no allocation happens on a
+//! hit. An eviction reuses the least recently used
 //! slot in place, dropping its key and payload there.
 //!
 //! Nothing is ever purged. The serving layer keys entries by epoch, so an
@@ -28,10 +28,9 @@ struct Slot<K, V> {
 /// A bounded least-recently-used cache.
 ///
 /// `get` refreshes recency and counts a hit or a miss; `insert` evicts the
-/// least recently used entry once `capacity` is reached. A capacity of 0
-/// disables the cache entirely: every lookup misses and nothing is stored.
+/// least recently used entry once `capacity` is reached.
 #[derive(Debug)]
-pub struct LruCache<K, V> {
+pub(crate) struct LruCache<K, V> {
     capacity: usize,
     map: HashMap<K, usize>,
     /// Slot slab; an evicted slot is reused in place, so it has no holes.
@@ -45,7 +44,7 @@ pub struct LruCache<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
-    /// Create a cache holding at most `capacity` entries.
+    /// Create a cache holding at most `capacity` (at least 1) entries.
     pub fn new(capacity: usize) -> LruCache<K, V> {
         LruCache {
             capacity,
@@ -66,11 +65,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// Current number of entries.
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Lookups that found an entry.
@@ -103,9 +97,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// Insert `key → value`, evicting the least recently used entry if the
     /// cache is full. Replaces (and refreshes) an existing entry in place.
     pub fn insert(&mut self, key: K, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
         if let Some(&i) = self.map.get(&key) {
             self.slots[i].value = value;
             self.detach(i);
@@ -132,14 +123,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         };
         self.map.insert(key, i);
         self.push_front(i);
-    }
-
-    /// Drop every entry; hit/miss counters are preserved.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.head = NIL;
-        self.tail = NIL;
     }
 
     /// Unlink slot `i` from the recency list.
@@ -216,15 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_storage() {
-        let mut c: LruCache<&str, i32> = LruCache::new(0);
-        c.insert("a", 1);
-        assert_eq!(c.get(&"a"), None);
-        assert!(c.is_empty());
-        assert_eq!(c.misses(), 1);
-    }
-
-    #[test]
     fn capacity_one_churns_correctly() {
         let mut c: LruCache<u32, u32> = LruCache::new(1);
         for i in 0..10 {
@@ -245,20 +219,6 @@ mod tests {
         c.insert(0, Arc::clone(&a));
         c.insert(1, Arc::new("b".to_string()));
         assert_eq!(Arc::strong_count(&a), 1, "evicted payload was dropped");
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let mut c: LruCache<&str, i32> = LruCache::new(4);
-        c.insert("a", 1);
-        let _ = c.get(&"a");
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.get(&"a"), None);
-        // Reusable after clear.
-        c.insert("b", 2);
-        assert_eq!(c.get(&"b"), Some(2));
     }
 
     #[test]

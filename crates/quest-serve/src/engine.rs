@@ -2,37 +2,37 @@
 //! [`Quest`] that also owns the serving layer's **live-data mutation
 //! path**.
 //!
-//! Two bounded LRU caches sit in front of the pipeline:
+//! One bounded LRU cache sits in front of the pipeline: normalized
+//! keywords (+ data epoch + feedback epoch) → a `ForwardEntry`. A miss
+//! stores the full [`ForwardResult`] (both operating-mode decodes and their
+//! DST combination). The first hit runs the rest of the pipeline from it
+//! once — [`Quest::backward_pass_with`] per configuration, then
+//! [`Quest::assemble_with`] — and overwrites the slot with the finished
+//! [`SearchOutcome`]. Every later hit is *answered*: one lookup and one
+//! clone, with no backward pass and no assembly.
 //!
-//! * **forward** — normalized keywords (+ data epoch + feedback epoch) →
-//!   a `ForwardEntry`. A miss stores the full [`ForwardResult`] (both
-//!   operating-mode decodes and their DST combination). The first hit
-//!   runs the rest of the pipeline from it once — backward lookups, then
-//!   [`Quest::assemble_with`] — and overwrites the slot with the finished
-//!   [`SearchOutcome`]. Every later hit is *answered*: one lookup and one
-//!   clone, with no backward lookup and no assembly.
-//! * **backward** — a configuration's term sequence (+ data epoch) → its
-//!   top-k Steiner interpretations, consulted by misses and first hits.
+//! The backward stage needs no serving cache of its own: a configuration's
+//! interpretations are a pure function of its Steiner terminal set and
+//! `k`, which the engine's join-template memo already holds, under the same
+//! invalidation ([`Quest::resync`] rebuilds it on every data change).
 //!
 //! Every stage is a pure function of its key for a fixed engine state, so
 //! caching is semantically transparent: a cached search returns bit-identical
 //! explanations and scores to an uncached [`Quest::search_query`]. An
 //! answer is a pure function of the forward key too: assembly reads only
-//! the forward result, backward results of the same data epoch and the
+//! the forward result, backward results of the same engine state and the
 //! fixed [`quest_core::QuestConfig`]. Two monotonic epochs version that
 //! state:
 //!
 //! * the **feedback epoch** ([`Quest::feedback_epoch`]) advances on user
-//!   feedback and EM refinement and retires forward entries (and with them
-//!   answers) only;
+//!   feedback and EM refinement;
 //! * the **data epoch** ([`CachedEngine::data_epoch`]) advances on every
-//!   mutation batch applied through [`CachedEngine::apply`] and retires
-//!   *both* caches — backward results embed instance-derived join weights.
+//!   mutation batch applied through [`CachedEngine::apply`].
 //!
 //! Both epochs are part of every key, so an entry keyed by a dead epoch can
 //! never match again: it is never served, and it ages out of the LRU as
 //! live entries push it to the tail. Nothing is purged on an epoch bump, so
-//! neither a commit nor a search pays a sweep of either cache.
+//! neither a commit nor a search pays a sweep of the cache.
 //!
 //! Answers are admitted on a key's *second* sight, not its first: most
 //! keys of a tail stream are seen once, and storing an outcome on every
@@ -51,50 +51,28 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
-use quest_core::backward::Interpretation;
-use quest_core::term::DbTerm;
 use quest_core::{
     Configuration, Explanation, ForwardResult, FullAccessWrapper, KeywordQuery, Quest, QuestError,
     SearchOutcome, SearchScratch, SourceWrapper,
 };
-use quest_obs::{HealthInputs, MetricsRegistry, SloSpec, TraceCtx, TraceKind, WindowAggregator};
+use quest_obs::{
+    HealthInputs, MetricsRegistry, SloSpec, TraceCtx, TraceKind, WindowAggregator, WindowConfig,
+};
 use quest_wal::ChangeRecord;
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
 use crate::stats::{names, CacheStats, ServeObs, ServeStats};
 
-/// Cache-tuning knobs of the serving layer.
-#[derive(Debug, Clone)]
-pub struct CacheConfig {
-    /// Entries of the forward cache (distinct keyword queries per epoch
-    /// pair). 0 disables it.
-    pub forward_capacity: usize,
-    /// Entries of the backward cache (distinct configurations per data
-    /// epoch). 0 disables it.
-    pub backward_capacity: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            // A workload's distinct-query set is small next to its volume;
-            // configurations are shared across queries, so the backward
-            // cache earns a larger budget.
-            forward_capacity: 1024,
-            backward_capacity: 4096,
-        }
-    }
-}
+/// Entries of the forward cache: distinct keyword queries per epoch pair.
+/// A workload's distinct-query set is small next to its volume.
+const FORWARD_CAPACITY: usize = 1024;
 
 /// Forward-cache key: data epoch, feedback epoch, and the normalized
 /// keyword sequence (normalized text and phrase flag are the only keyword
 /// features the pipeline reads, so raw strings that normalize identically
 /// share a slot).
 type ForwardKey = (u64, u64, Vec<(String, bool)>);
-
-/// Backward-cache key: data epoch plus the configuration's term sequence.
-type BackwardKey = (u64, Vec<DbTerm>);
 
 /// What a forward-cache slot holds.
 #[derive(Debug, Clone)]
@@ -106,7 +84,7 @@ enum ForwardEntry {
     Answer(Arc<SearchOutcome>),
 }
 
-/// A [`Quest`] engine plus the two stage caches, serving counters, and the
+/// A [`Quest`] engine plus the forward cache, serving counters, and the
 /// mutation path.
 ///
 /// All methods take `&self`; wrap it in an [`std::sync::Arc`] to share one
@@ -125,7 +103,6 @@ pub struct CachedEngine<W: SourceWrapper> {
     // Values are Arc-wrapped so a hit clones a pointer inside the lock and
     // the (potentially large) payload copy happens outside it.
     forward: Mutex<LruCache<ForwardKey, ForwardEntry>>,
-    backward: Mutex<LruCache<BackwardKey, Arc<Vec<Interpretation>>>>,
     obs: ServeObs,
     /// Optional SLO monitor ([`CachedEngine::set_slo`]): the declarative
     /// spec plus the rolling window [`CachedEngine::stats`] feeds. Strictly
@@ -141,34 +118,25 @@ struct SloMonitor {
 }
 
 impl<W: SourceWrapper> CachedEngine<W> {
-    /// Front `engine` with default-sized caches.
-    pub fn new(engine: Quest<W>) -> CachedEngine<W> {
-        CachedEngine::with_caches(engine, CacheConfig::default())
-    }
-
-    /// Front `engine` with explicitly sized caches and a fresh per-engine
+    /// Front `engine` with the forward cache and a fresh per-engine
     /// metrics registry.
-    pub fn with_caches(engine: Quest<W>, caches: CacheConfig) -> CachedEngine<W> {
-        CachedEngine::with_obs(engine, caches, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// Front `engine` with explicit caches and metrics registry. Pass
-    /// [`MetricsRegistry::disabled`] for a near-no-op recording stack, or a
-    /// shared registry to aggregate several engines into one scrape.
-    pub fn with_obs(
-        engine: Quest<W>,
-        caches: CacheConfig,
-        registry: Arc<MetricsRegistry>,
-    ) -> CachedEngine<W> {
+    pub fn new(engine: Quest<W>) -> CachedEngine<W> {
         CachedEngine {
             engine: RwLock::new(engine),
             data_epoch: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
-            forward: Mutex::new(LruCache::new(caches.forward_capacity)),
-            backward: Mutex::new(LruCache::new(caches.backward_capacity)),
-            obs: ServeObs::new(registry),
+            forward: Mutex::new(LruCache::new(FORWARD_CAPACITY)),
+            obs: ServeObs::new(Arc::new(MetricsRegistry::new())),
             slo: Mutex::new(None),
         }
+    }
+
+    /// [`CachedEngine::new`] with a forward cache of `capacity` entries.
+    #[cfg(test)]
+    fn with_forward_capacity(engine: Quest<W>, capacity: usize) -> CachedEngine<W> {
+        let cached = CachedEngine::new(engine);
+        *cached.forward_cache() = LruCache::new(capacity);
+        cached
     }
 
     /// The engine's metrics registry (counters, gauges, and the per-stage
@@ -203,25 +171,21 @@ impl<W: SourceWrapper> CachedEngine<W> {
     }
 
     /// Install (or replace) an SLO health monitor. Every subsequent
-    /// [`CachedEngine::stats`] feeds the monitor's rolling window
-    /// (`QUEST_OBS_WINDOW_SECS` wide) with the registry snapshot and grades
-    /// the windowed p99 and error rate into [`ServeStats::health`].
+    /// [`CachedEngine::stats`] feeds the monitor's rolling window (of
+    /// [`WindowConfig::default`] width) with the registry snapshot and
+    /// grades the windowed p99 and error rate into [`ServeStats::health`].
     /// Monitoring is strictly observational: served results are
     /// byte-identical with a spec installed or not (pinned by
     /// `tests/serve.rs`).
     pub fn set_slo(&self, spec: SloSpec) {
         *self.slo.lock().unwrap_or_else(PoisonError::into_inner) = Some(SloMonitor {
             spec,
-            window: WindowAggregator::from_env(),
+            window: WindowAggregator::new(WindowConfig::default()),
         });
     }
 
     fn forward_cache(&self) -> MutexGuard<'_, LruCache<ForwardKey, ForwardEntry>> {
         self.forward.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn backward_cache(&self) -> MutexGuard<'_, LruCache<BackwardKey, Arc<Vec<Interpretation>>>> {
-        self.backward.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Run Algorithm 1 on a raw query string, through the caches.
@@ -345,36 +309,12 @@ impl<W: SourceWrapper> CachedEngine<W> {
         );
 
         let t0 = Instant::now();
-        let (mut backward_hits, mut backward_misses) = (0u64, 0u64);
         let mut interpretations = Vec::with_capacity(forward.configurations.len());
         for cfg in &forward.configurations {
-            let bkey: BackwardKey = (data_epoch, cfg.terms.clone());
-            let cached_backward = self.backward_cache().get(&bkey);
-            let interps = match cached_backward {
-                Some(hit) => {
-                    backward_hits += 1;
-                    (*hit).clone()
-                }
-                None => {
-                    backward_misses += 1;
-                    let computed = engine.backward_pass_with(cfg, scratch)?;
-                    self.backward_cache()
-                        .insert(bkey, Arc::new(computed.clone()));
-                    computed
-                }
-            };
-            interpretations.push(interps);
+            interpretations.push(engine.backward_pass_with(cfg, scratch)?);
         }
         let backward_time = t0.elapsed();
-        quest_obs::spans().record_with(
-            ctx,
-            "query_backward",
-            Some(t0),
-            [
-                Some(("cache_hits", backward_hits)),
-                Some(("cache_misses", backward_misses)),
-            ],
-        );
+        quest_obs::spans().record(ctx, "query_backward", Some(t0));
         let t0 = Instant::now();
         let outcome = engine.assemble_with(query, forward, interpretations, backward_time, scratch);
         let assemble_wall = t0.elapsed();
@@ -383,7 +323,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
             .record_stage_walls(forward_wall, backward_time, assemble_wall);
         // The answer depends on nothing the key does not pin: the forward
         // result came from this key's slot, the backward results from the
-        // data epoch the read guard holds, the rest from the fixed config.
+        // engine state the read guard holds, the rest from the fixed config.
         // So it is stored even if feedback landed meanwhile.
         if let (Some(key), Ok(answer)) = (promote, &outcome) {
             self.forward_cache()
@@ -414,16 +354,11 @@ impl<W: SourceWrapper> CachedEngine<W> {
         self.engine().feedback_configuration(config, positive)
     }
 
-    /// Drop all cached entries (counters are preserved).
-    pub fn clear_caches(&self) {
-        self.forward_cache().clear();
-        self.backward_cache().clear();
-    }
-
     /// A point-in-time snapshot of hit/miss/latency counters.
     ///
-    /// Counters kept outside the registry (cache hit/miss tallies inside
-    /// the LRU locks, the epochs, the template memo) are mirrored into
+    /// Counters kept outside the registry (the forward cache's hit/miss
+    /// tallies inside its lock, the join-template memo's, the epochs) are
+    /// mirrored into
     /// registry gauges here, so [`ServeStats::metrics`] — and with it the
     /// `Display` rendering and both exporters — always covers every public
     /// counter.
@@ -443,18 +378,15 @@ impl<W: SourceWrapper> CachedEngine<W> {
             };
         }
         {
-            let c = self.backward_cache();
+            let engine = self.engine();
+            let templates = engine.backward().template_stats();
             stats.backward_cache = CacheStats {
-                hits: c.hits(),
-                misses: c.misses(),
-                entries: c.len(),
-                capacity: c.capacity(),
+                hits: templates.hits,
+                misses: templates.misses,
+                entries: templates.entries,
+                capacity: 0,
                 purge_scans: 0,
             };
-        }
-        {
-            let engine = self.engine();
-            stats.join_templates = engine.backward().template_stats();
             stats.shards = engine.wrapper().shard_count();
         }
         let registry = self.metrics();
@@ -462,18 +394,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
             ("quest_serve_data_epoch", stats.data_epoch as i64),
             ("quest_serve_watermark", stats.watermark as i64),
             ("quest_serve_shards", stats.shards as i64),
-            (
-                "quest_serve_join_template_hits",
-                stats.join_templates.hits as i64,
-            ),
-            (
-                "quest_serve_join_template_misses",
-                stats.join_templates.misses as i64,
-            ),
-            (
-                "quest_serve_join_template_entries",
-                stats.join_templates.entries as i64,
-            ),
         ] {
             registry.gauge(name).set(value);
         }
@@ -705,6 +625,11 @@ mod tests {
         assert_eq!(stats.forward_cache.misses, 3);
         assert_eq!(stats.answered_hits, 3, "every third search is answered");
         assert!(stats.backward_cache.hits > 0);
+        // The backward figures are the engine's join-template memo.
+        let templates = cached.engine().backward().template_stats();
+        assert_eq!(stats.backward_cache.hits, templates.hits);
+        assert_eq!(stats.backward_cache.misses, templates.misses);
+        assert_eq!(stats.backward_cache.entries, templates.entries);
     }
 
     #[test]
@@ -746,18 +671,15 @@ mod tests {
 
     #[test]
     fn dead_epoch_entries_age_out_within_capacity() {
-        // Nothing sweeps the caches on an epoch bump. Under three
+        // Nothing sweeps the cache on an epoch bump. Under three
         // capacities' worth of data and feedback bumps, dead entries must
         // stay bounded by the LRU, and no search may be served one.
-        let caches = CacheConfig {
-            forward_capacity: 8,
-            backward_capacity: 16,
-        };
-        let cached = CachedEngine::with_caches(engine(), caches.clone());
+        let capacity = 8;
+        let cached = CachedEngine::with_forward_capacity(engine(), capacity);
         let queries = ["wind fleming", "fleming", "wind"];
         let query = KeywordQuery::parse("wind fleming").unwrap();
         let best = cached.search("wind fleming").unwrap().explanations[0].clone();
-        for step in 0..3 * caches.forward_capacity as i64 {
+        for step in 0..3 * capacity as i64 {
             if step % 2 == 0 {
                 cached
                     .apply(&[ChangeRecord::Insert {
@@ -779,19 +701,17 @@ mod tests {
                     same_outcome(&cached.search(raw).unwrap(), &fresh);
                 }
             }
-            let stats = cached.stats();
-            assert!(stats.forward_cache.entries <= caches.forward_capacity);
-            assert!(stats.backward_cache.entries <= caches.backward_capacity);
+            assert!(cached.stats().forward_cache.entries <= capacity);
         }
         let stats = cached.stats();
         assert_eq!(
-            stats.forward_cache.entries, caches.forward_capacity,
+            stats.forward_cache.entries, capacity,
             "dead entries fill the cache to capacity, and no further: {stats}"
         );
         assert_eq!(stats.forward_cache.purge_scans, 0);
         assert_eq!(
             stats.answered_hits,
-            (3 * caches.forward_capacity * queries.len()) as u64,
+            (3 * capacity * queries.len()) as u64,
             "exactly one answered hit per query per epoch pair: {stats}"
         );
     }
@@ -926,23 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_caches_still_correct() {
-        let cached = CachedEngine::with_caches(
-            engine(),
-            CacheConfig {
-                forward_capacity: 0,
-                backward_capacity: 0,
-            },
-        );
-        let a = cached.search("wind fleming").unwrap();
-        let b = cached.search("wind fleming").unwrap();
-        same_outcome(&a, &b);
-        let stats = cached.stats();
-        assert_eq!(stats.forward_cache.hits, 0);
-        assert_eq!(stats.forward_cache.entries, 0);
-    }
-
-    #[test]
     fn normalization_shares_forward_slots() {
         let cached = CachedEngine::new(engine());
         let _ = cached.search("Fleming").unwrap();
@@ -961,17 +864,6 @@ mod tests {
             same_outcome(&answered, &promoted);
         }
         assert_eq!(cached.stats().answered_hits, 2);
-    }
-
-    #[test]
-    fn clear_caches_forces_recompute() {
-        let cached = CachedEngine::new(engine());
-        let _ = cached.search("wind").unwrap();
-        cached.clear_caches();
-        let _ = cached.search("wind").unwrap();
-        let stats = cached.stats();
-        assert_eq!(stats.forward_cache.hits, 0);
-        assert_eq!(stats.forward_cache.misses, 2);
     }
 
     /// Every public counter the serving layer exposes is present in the
@@ -1024,8 +916,8 @@ mod tests {
             Some(stats.forward_cache.hits as i64)
         );
         assert_eq!(
-            stats.metrics.gauge("quest_serve_join_template_entries"),
-            Some(stats.join_templates.entries as i64)
+            stats.metrics.gauge("quest_serve_backward_cache_entries"),
+            Some(stats.backward_cache.entries as i64)
         );
         assert_eq!(
             stats.metrics.counter(names::QUERIES),
@@ -1043,8 +935,8 @@ mod tests {
     /// A served query is recorded once, as a span tree: a `query` root
     /// under a fresh trace id, with exactly one span per stage it ran
     /// inside the root's interval, carrying the cache outcomes (the cold
-    /// search misses both caches, the first warm repeat hits the forward
-    /// cache, and the second is answered with `query_forward` alone).
+    /// search misses the forward cache, the first warm repeat hits it, and
+    /// the second is answered with `query_forward` alone).
     #[test]
     fn traces_attribute_stages_and_cache_outcomes() {
         let cached = CachedEngine::new(engine());
@@ -1072,7 +964,6 @@ mod tests {
         assert_ne!(roots[1].trace_id, roots[2].trace_id);
         let mut forward_hits = Vec::new();
         let mut answered = Vec::new();
-        let mut backward_misses = Vec::new();
         for root in &roots {
             assert_ne!(root.trace_id, 0, "a served query mints its own ctx");
             assert_eq!(root.kind, TraceKind::Query);
@@ -1107,7 +998,7 @@ mod tests {
                 }
                 continue;
             }
-            backward_misses.push(arg(stage("query_backward"), "cache_misses"));
+            stage("query_backward");
             stage("query_assemble");
         }
         assert_eq!(
@@ -1119,10 +1010,6 @@ mod tests {
             answered,
             [Some(0), Some(0), Some(1)],
             "the third sight is answered"
-        );
-        assert!(
-            backward_misses[0] >= Some(1),
-            "cold search enumerates at least one configuration"
         );
     }
 }

@@ -4,17 +4,17 @@
 //! serving layer in front of it for analytical keyword-query streams, where
 //! many queries repeat the same schema terms and join paths:
 //!
-//! * [`CachedEngine`] — wraps a [`Quest`](quest_core::Quest) engine with two
-//!   bounded LRU caches (keyword → top-k configurations for the forward
-//!   stage, which a key's first hit overwrites with the finished answer;
-//!   configuration → interpretations for the backward/Steiner stage) and
-//!   hit/miss/latency counters. Caching is semantically transparent:
-//!   results are bit-identical to the uncached engine. Two monotonic epochs
-//!   keep it that way under change — the engine's *feedback epoch* (user
-//!   feedback, EM refinement) and the serving layer's *data epoch*, bumped
-//!   by every live-data mutation batch applied through
-//!   [`CachedEngine::apply`] (a slice of
-//!   [`quest_wal::ChangeRecord`]s). Both epochs are in every key, so an
+//! * [`CachedEngine`] — wraps a [`Quest`](quest_core::Quest) engine with a
+//!   bounded LRU cache (keyword → top-k configurations for the forward
+//!   stage, which a key's first hit overwrites with the finished answer)
+//!   and hit/miss/latency counters. The backward/Steiner stage is served by
+//!   the engine's own join-template memo, so it has no serving cache.
+//!   Caching is semantically transparent: results are bit-identical to the
+//!   uncached engine. Two monotonic epochs keep it that way under change —
+//!   the engine's *feedback epoch* (user feedback, EM refinement) and the
+//!   serving layer's *data epoch*, bumped by every live-data mutation batch
+//!   applied through [`CachedEngine::apply`] (a slice of
+//!   [`quest_wal::ChangeRecord`]s). Both epochs are in the cache key, so an
 //!   entry of a dead epoch is never served; nothing is purged, and it ages
 //!   out of the LRU.
 //! * [`QueryService`] — a thread pool (std threads, a mutex-and-condvar
@@ -60,7 +60,7 @@
 //! for ticket in tickets {
 //!     assert!(!ticket.wait()?.explanations.is_empty());
 //! }
-//! // The stream has been seen once, so a repeat is served from the caches.
+//! // The stream has been seen once, so a repeat is served from the cache.
 //! let repeat = service.submit("wind fleming").wait()?;
 //! assert!(!repeat.explanations.is_empty());
 //! let stats = service.shutdown();
@@ -71,14 +71,13 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod engine;
 pub mod error;
 pub mod service;
 pub mod stats;
 
-pub use cache::LruCache;
-pub use engine::{ApplyReport, CacheConfig, CachedEngine, MutableSource};
+pub use engine::{ApplyReport, CachedEngine, MutableSource};
 pub use error::ServeError;
 pub use service::{QueryService, Ticket};
 pub use stats::{names, CacheStats, ServeStats, StageLatencies};

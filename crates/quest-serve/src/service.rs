@@ -4,9 +4,9 @@
 //! Built on `std` threads only. Submissions go to one FIFO work queue (a
 //! `VecDeque` behind a mutex, with a condvar that idle workers sleep on), so
 //! a slow query never blocks the others; every submission returns a
-//! [`Ticket`] the caller can block on. Because all workers share one engine
-//! and one pair of caches, repeated keywords and shared join paths turn into
-//! lookups no matter which thread serves them.
+//! [`Ticket`] the caller can block on. Because all workers share one engine,
+//! its join-template memo and one forward cache, repeated keywords and
+//! shared join paths turn into lookups no matter which thread serves them.
 //!
 //! **The waiting caller serves.** A caller blocked in [`Ticket::wait`] has a
 //! core and nothing to do, and a warm query costs about as much as waking a
@@ -202,7 +202,7 @@ impl<W: SourceWrapper + Send + Sync + 'static> QueryService<W> {
     }
 
     /// Spawn `workers` threads (at least one) over an already shared engine
-    /// — e.g. one whose caches another service or a direct caller is also
+    /// — e.g. one whose cache another service or a direct caller is also
     /// using.
     pub fn over(shared: Arc<CachedEngine<W>>, workers: usize) -> QueryService<W> {
         QueryService::spawn(shared, workers.max(1))
@@ -265,7 +265,7 @@ impl<W: SourceWrapper + Send + Sync + 'static> QueryService<W> {
             .collect()
     }
 
-    /// The shared engine (for direct searches, feedback, or cache control).
+    /// The shared engine (for direct searches, feedback, or stats).
     pub fn engine(&self) -> &Arc<CachedEngine<W>> {
         &self.pool.engine
     }
@@ -375,7 +375,7 @@ mod tests {
         for t in tickets {
             assert!(t.wait().is_ok(), "tickets stay valid across shutdown");
         }
-        // A fresh service over the same engine reuses the warm caches.
+        // A fresh service over the same engine reuses the warm cache.
         let service = QueryService::over(shared, 1);
         let _ = service.submit("wind").wait().unwrap();
         assert!(service.stats().forward_cache.hits > 0);

@@ -6,10 +6,10 @@
 //! histogram, one histogram per pipeline stage (replacing the old flat
 //! wall-time sums — the sums are now derived from the histograms, which
 //! additionally give exact-bound p50/p95/p99). Cache hit/miss counts live
-//! inside each [`crate::LruCache`] and are mirrored into registry gauges at
-//! snapshot time, so one registry snapshot — and therefore one
-//! [`ServeStats::metrics`] and one `Display` rendering — covers every
-//! public counter. `Display` iterates the snapshot instead of a hand-kept
+//! inside the forward LRU and the engine's join-template memo and are
+//! mirrored into registry gauges at snapshot time, so one registry
+//! snapshot — and therefore one [`ServeStats::metrics`] and one `Display`
+//! rendering — covers every public counter. `Display` iterates the snapshot instead of a hand-kept
 //! field list: a newly registered metric cannot be silently omitted.
 
 use std::fmt;
@@ -17,8 +17,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use quest_obs::{Counter, HealthReport, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
-
-pub use quest_core::TemplateCacheStats;
 
 /// Counters of one cache at snapshot time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,7 +27,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently held.
     pub entries: usize,
-    /// Maximum entries.
+    /// Maximum entries; 0 for the unbounded join-template memo.
     pub capacity: usize,
     /// Always 0. Dead-epoch entries are no longer swept; they age out of
     /// the LRU. The field stays for readers of the old counter.
@@ -60,7 +58,7 @@ impl CacheStats {
 pub struct StageLatencies {
     /// Forward stage (cache lookup, and on a miss the full computation).
     pub forward: Duration,
-    /// Backward stage (cache lookups plus any Steiner enumeration).
+    /// Backward stage (template-memo lookups plus any Steiner enumeration).
     pub backward: Duration,
     /// Final assembly: second DST combination, SQL building, ranking.
     pub assemble: Duration,
@@ -93,15 +91,14 @@ pub struct ServeStats {
     pub shards: usize,
     /// Keyword → top-k-configurations cache (forward stage).
     pub forward_cache: CacheStats,
-    /// Configuration → interpretations cache (backward stage).
+    /// The engine's join-template memo (Steiner terminal set + k →
+    /// interpretations), which serves the backward stage. Rebuilt from
+    /// empty — every count back to zero — whenever a mutation batch
+    /// resyncs the engine.
     pub backward_cache: CacheStats,
     /// Forward-cache hits served from a stored answer, with no backward
-    /// lookup and no assembly (a subset of `forward_cache.hits`).
+    /// pass and no assembly (a subset of `forward_cache.hits`).
     pub answered_hits: u64,
-    /// Per-engine memoized join-path templates inside the backward module
-    /// (terminal set + k → interpretations). Rebuilt from scratch — all
-    /// gauges back to zero — whenever a mutation batch resyncs the engine.
-    pub join_templates: TemplateCacheStats,
     /// Total wall time spent inside searches, summed across threads.
     pub total_latency: Duration,
     /// Slowest single search.
@@ -166,19 +163,11 @@ impl fmt::Display for ServeStats {
         )?;
         writeln!(
             f,
-            "backward cache: {}/{} hits ({:.1}%), {} of {} entries",
+            "backward cache: {}/{} hits ({:.1}%), {} join templates",
             self.backward_cache.hits,
             self.backward_cache.hits + self.backward_cache.misses,
             100.0 * self.backward_cache.hit_rate(),
-            self.backward_cache.entries,
-            self.backward_cache.capacity
-        )?;
-        writeln!(
-            f,
-            "join templates: {}/{} hits, {} entries",
-            self.join_templates.hits,
-            self.join_templates.hits + self.join_templates.misses,
-            self.join_templates.entries
+            self.backward_cache.entries
         )?;
         write!(
             f,
@@ -262,9 +251,6 @@ pub mod names {
         "quest_serve_backward_cache_hits",
         "quest_serve_backward_cache_misses",
         "quest_serve_backward_cache_entries",
-        "quest_serve_join_template_hits",
-        "quest_serve_join_template_misses",
-        "quest_serve_join_template_entries",
     ];
 }
 
@@ -451,7 +437,6 @@ mod tests {
         assert!(text.contains("forward cache"));
         assert!(text.contains("80.0%"));
         assert!(text.contains("backward cache"));
-        assert!(text.contains("join templates"));
         assert!(text.contains("stages:"));
     }
 }

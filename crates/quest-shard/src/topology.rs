@@ -256,7 +256,7 @@ impl ShardedPrimary {
         config: QuestConfig,
     ) -> Result<ShardedPrimary, ShardError> {
         let store = ShardedStore::from_database(&db, shard_config)?;
-        let retry = RetryPolicy::from_env();
+        let retry = RetryPolicy::default();
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         std::fs::create_dir_all(dir).map_err(WalError::Io)?;
         let path = dir.join(COORDINATOR_FILE);
@@ -311,7 +311,7 @@ impl ShardedPrimary {
             catalog,
             shard_config,
             config,
-            RetryPolicy::from_env(),
+            RetryPolicy::default(),
             clock,
         )
     }

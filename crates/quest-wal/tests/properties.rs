@@ -9,7 +9,10 @@
 //! `Ok` or `Err`, never as a panic or an abort. A coordinator log's batch
 //! frame gets the same treatment, with its checksum recomputed so the
 //! damage reaches the frame decoder, which must also never allocate out of
-//! proportion to its input.
+//! proportion to its input. A [`LogReader`] tailing a log file must survive
+//! any bytes in that file: `open`, `seek` and `poll` return `Ok` or a
+//! `WalError`, never a panic, and never allocate out of proportion to the
+//! file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,7 +24,7 @@ use quest_fault::{RetryPolicy, SystemClock};
 use quest_wal::codec::fnv64;
 use quest_wal::{
     read_log, read_snapshot, recover, schema_fingerprint, write_snapshot, BatchFrame, ChangeRecord,
-    CoordinatorLog, ShardSlice, WalWriter,
+    CoordinatorLog, LogReader, ShardSlice, WalError, WalWriter,
 };
 use relstore::{Catalog, DataType, Database, Date, Row, Value};
 
@@ -422,5 +425,98 @@ proptest! {
         });
         std::fs::remove_file(&path).ok();
         prop_assert!(opened.is_ok(), "opening panicked on {:?}", body);
+    }
+}
+
+/// Seq-field replacements for a log line: in order, repeated, regressed,
+/// `u64::MAX`, one past it, far past it, signed, padded, and not a number.
+const SEQS: &[&str] = &[
+    "1",
+    "2",
+    "3",
+    "0",
+    "18446744073709551615",
+    "18446744073709551616",
+    "99999999999999999999999",
+    "-1",
+    "+2",
+    "02",
+    "",
+    "x",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_log_bytes_never_panic_the_reader(
+        shape in 0usize..3,
+        garbage in proptest::collection::vec(any::<u8>(), 0..256),
+        seqs in proptest::collection::vec((0usize..4, 0usize..SEQS.len()), 0..3),
+        bytes_at in proptest::collection::vec((0usize..4096, 0usize..HOSTILE.len()), 0..3),
+        cut in 0usize..4096,
+        after in prop_oneof![0u64..6, Just(u64::MAX)],
+    ) {
+        let c = catalog();
+        let header = format!("QUESTWAL\t1\t{:016x}\n", schema_fingerprint(&c)).into_bytes();
+        let bytes = match shape {
+            // Arbitrary bytes where the log should be.
+            0 => garbage,
+            // A valid header followed by garbage.
+            1 => [header, garbage].concat(),
+            // A valid three-record log with hostile seq fields (they sit
+            // outside the checksum), overwritten bytes, and a cut that can
+            // truncate the final record anywhere.
+            _ => {
+                let base = temp_path("hostile-reader-base", "wal");
+                {
+                    let mut w = WalWriter::open(&base, &c).expect("open");
+                    for r in records_from(vec!["a".into(), "b".into(), "c".into()]) {
+                        w.append(&r).expect("append");
+                    }
+                }
+                let text = std::fs::read_to_string(&base).expect("read log");
+                std::fs::remove_file(&base).ok();
+                let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+                for &(line, seq) in &seqs {
+                    // Line 0 is the header; records are lines 1..=3.
+                    let line = &mut lines[1 + line % 3];
+                    let tab = line.find('\t').expect("seq field");
+                    line.replace_range(..tab, SEQS[seq]);
+                }
+                let mut bytes = (lines.join("\n") + "\n").into_bytes();
+                for &(at, b) in &bytes_at {
+                    let at = at % bytes.len();
+                    bytes[at] = HOSTILE[b];
+                }
+                bytes.truncate(cut % (bytes.len() + 1));
+                bytes
+            }
+        };
+        let path = temp_path("hostile-reader", "wal");
+        std::fs::write(&path, &bytes).expect("write hostile log");
+        let outcome = std::panic::catch_unwind(|| largest_allocation(|| {
+            let mut reader = LogReader::open(&path, &c)?;
+            reader.seek(after)?;
+            let mut accepted = Vec::new();
+            for _ in 0..2 {
+                accepted.extend(reader.poll()?.records.into_iter().map(|(seq, _)| seq));
+            }
+            Ok::<_, WalError>(accepted)
+        }));
+        std::fs::remove_file(&path).ok();
+        prop_assert!(outcome.is_ok(), "the reader panicked on {:?} after seek({})", bytes, after);
+        let (read, largest) = outcome.expect("checked above");
+        let bound = 32 * bytes.len().max(64);
+        prop_assert!(
+            largest <= bound,
+            "reading {} bytes allocated {} at once: {:?}", bytes.len(), largest, bytes
+        );
+        // Whatever it accepts streams past the seek watermark, in strictly
+        // increasing order.
+        if let Ok(accepted) = read {
+            prop_assert!(accepted.first().is_none_or(|&first| first > after), "{:?}", accepted);
+            prop_assert!(accepted.windows(2).all(|w| w[0] < w[1]), "{:?}", accepted);
+        }
     }
 }

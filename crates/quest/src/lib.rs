@@ -42,7 +42,7 @@ pub mod prelude {
     pub use quest_replica::{
         Consistency, Primary, Replica, ReplicaError, ReplicaSet, RoutingPolicy,
     };
-    pub use quest_serve::{CacheConfig, CachedEngine, QueryService, ServeError, ServeStats};
+    pub use quest_serve::{CachedEngine, QueryService, ServeError, ServeStats};
     pub use quest_shard::{
         ScatterGather, ShardConfig, ShardError, ShardedPrimary, ShardedStore, ShardedWrapper,
     };

@@ -61,7 +61,6 @@ fn manual_primary(dir: &std::path::Path, db: Database, sync_policy: SyncPolicy) 
             sync_policy,
             retry: short_retry(),
             clock: Arc::new(ManualClock::new()),
-            ..Default::default()
         },
     )
     .expect("primary opens")

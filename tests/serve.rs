@@ -279,7 +279,7 @@ fn schema_affecting_mutations_rebuild_join_templates() {
     for raw in &stream {
         let _ = cached.search(raw).expect("warm fill");
     }
-    let warm = cached.stats().join_templates;
+    let warm = cached.stats().backward_cache;
     assert!(
         warm.entries > 0 && warm.misses > 0,
         "the warm stream must populate the template memo: {warm:?}"
@@ -288,7 +288,7 @@ fn schema_affecting_mutations_rebuild_join_templates() {
     let batch = mutation_batches(&shadow_db).remove(0);
     let report = cached.apply(&batch).expect("batch applies");
     assert!(report.all_applied());
-    let cold_stats = cached.stats().join_templates;
+    let cold_stats = cached.stats().backward_cache;
     assert_eq!(
         (cold_stats.hits, cold_stats.misses, cold_stats.entries),
         (0, 0, 0),
@@ -309,7 +309,7 @@ fn schema_affecting_mutations_rebuild_join_templates() {
             "post-apply result diverged from cold engine for {raw:?}"
         );
     }
-    let refilled = cached.stats().join_templates;
+    let refilled = cached.stats().backward_cache;
     assert!(
         refilled.misses > 0 && refilled.entries > 0,
         "post-apply searches must recompute templates: {refilled:?}"

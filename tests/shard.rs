@@ -573,7 +573,6 @@ fn sharded_primary_commits_recover_and_feed_replicas() {
         &log.snapshot_path(),
         &log.wal_path(),
         QuestConfig::default(),
-        CacheConfig::default(),
     )
     .expect("replica bootstraps");
     assert_eq!(replica.applied_lsn(), snapshot_lsns[0]);

@@ -58,7 +58,8 @@ impl From<WalError> for ReplicaError {
     fn from(e: WalError) -> Self {
         match e {
             // The durable log's refusals (history on create, a log below
-            // its snapshot on reopen) are this layer's state errors.
+            // its snapshot on reopen or bootstrap) are this layer's state
+            // errors.
             WalError::State(msg) => ReplicaError::State(msg),
             e => ReplicaError::Wal(e),
         }

@@ -12,9 +12,12 @@
 //!   publishes the LSN; [`Primary::publish_snapshot`] emits slot-exact
 //!   snapshots at exact LSNs for replica bootstrap.
 //! * [`Replica`] — bootstraps from a snapshot, then tails the log with a
-//!   positioned [`LogReader`](quest_wal::LogReader) (seek past the
-//!   snapshot, poll the tail) and applies batches through its own cached
-//!   engine, re-rejecting poison records exactly like recovery does. A
+//!   positioned [`LogReader`](quest_wal::LogReader) —
+//!   [`LogReader::after`](quest_wal::LogReader::after) seeks past the
+//!   snapshot and refuses a log that ends below it, the same check
+//!   `quest_wal::recover` makes — polls the tail, and applies batches
+//!   through its own cached engine, re-rejecting poison records exactly
+//!   like recovery does. A
 //!   replica at LSN `L` answers bit-identically to a cold engine built
 //!   from the first `L` log records (`tests/replica.rs`).
 //! * [`ReplicaSet`] — a consistency-aware router: [`RoutingPolicy`] picks

@@ -317,7 +317,8 @@ mod tests {
         // publish_snapshot syncs the log before the snapshot, so a log
         // ending below the snapshot watermark is rot/tampering. Resuming a
         // primary from it would re-issue covered LSNs; bootstrapping a
-        // replica from it would mis-frame the stream. Both must refuse.
+        // replica from it would mis-frame the stream; recovering from it
+        // would serve a state the log cannot extend. All must refuse.
         let dir = temp_dir("primary-lost-history");
         let (wal_path, snap_path) = {
             let primary = Primary::open(&dir, sample_db(), QuestConfig::default()).unwrap();
@@ -336,6 +337,42 @@ mod tests {
         let err = crate::Replica::bootstrap("r1", &snap_path, &wal_path, QuestConfig::default())
             .unwrap_err();
         assert!(matches!(err, ReplicaError::State(_)), "{err}");
+        let err = quest_wal::recover(&snap_path, &wal_path).unwrap_err();
+        assert!(matches!(err, quest_wal::WalError::State(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_rotted_header_is_corrupt_to_every_reader() {
+        // A header whose line grew past a header's length (here past any
+        // fixed look-ahead window) is damage, not a log still being
+        // created: every reader of the format must refuse it rather than
+        // read the acknowledged records after it as an empty log.
+        use quest_wal::{read_log, recover, LogReader, WalError, WalWriter};
+        let dir = temp_dir("primary-rotted-header");
+        let (wal_path, snap_path) = {
+            let primary = Primary::open(&dir, sample_db(), QuestConfig::default()).unwrap();
+            primary.commit(&movie_batch(1)).unwrap();
+            primary.commit(&movie_batch(2)).unwrap();
+            primary.sync().unwrap();
+            (primary.wal_path(), primary.snapshot_path())
+        };
+        let text = std::fs::read_to_string(&wal_path).unwrap();
+        let records = text.split_once('\n').unwrap().1;
+        std::fs::write(&wal_path, format!("{}\n{records}", "#".repeat(300))).unwrap();
+        let catalog = sample_db().catalog().clone();
+
+        let corrupt = |err: &WalError| matches!(err, WalError::Corrupt { line: 1, .. });
+        assert!(corrupt(&read_log(&wal_path, &catalog).unwrap_err()));
+        assert!(corrupt(&WalWriter::open(&wal_path, &catalog).unwrap_err()));
+        assert!(corrupt(&LogReader::open(&wal_path, &catalog).unwrap_err()));
+        assert!(corrupt(&recover(&snap_path, &wal_path).unwrap_err()));
+        let err = crate::Replica::bootstrap("r1", &snap_path, &wal_path, QuestConfig::default())
+            .unwrap_err();
+        assert!(matches!(&err, ReplicaError::Wal(e) if corrupt(e)), "{err}");
+        let err =
+            Primary::reopen(&dir, QuestConfig::default(), PrimaryOptions::default()).unwrap_err();
+        assert!(matches!(&err, ReplicaError::Wal(e) if corrupt(e)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,9 +1,10 @@
 //! [`Replica`]: a read-only serving node fed by the primary's log.
 //!
 //! A replica bootstraps from a published snapshot (slot-exact at some LSN
-//! `S`), then tails the log with a positioned
-//! [`LogReader`]: seek past `S` without decoding the
-//! skipped prefix, then poll-and-apply batches through its own
+//! `S`), then tails the log with a positioned [`LogReader`]:
+//! [`LogReader::after`] seeks past `S` without decoding the skipped prefix
+//! and refuses a log that ends below `S` (syncing from it would mis-frame
+//! the stream), then the replica polls and applies batches through its own
 //! [`CachedEngine`]. Applying uses the exact per-record apply-or-reject
 //! path recovery uses, so a poison record the primary rejected is
 //! re-rejected here — byte-for-byte convergence, not best-effort mirroring
@@ -29,28 +30,6 @@ use crate::primary::Primary;
 /// Bounded number of empty-but-pending polls [`Replica::sync_to`] tolerates
 /// while an in-flight append finishes landing.
 const SYNC_TO_RETRIES: usize = 1024;
-
-/// Open a log reader positioned past the snapshot's watermark, refusing a
-/// log that does not actually hold everything the watermark claims. The
-/// primary syncs the log before publishing a snapshot, so a deficit here is
-/// rot or a mismatched file pair — syncing from it would mis-frame the
-/// stream (the log's sequence numbers restart below the watermark).
-fn attach_reader(
-    wal_path: &Path,
-    snapshot: &quest_wal::Snapshot,
-) -> Result<LogReader, ReplicaError> {
-    let mut reader = LogReader::open(wal_path, snapshot.db.catalog())?;
-    let reached = reader.seek(snapshot.last_seq)?;
-    if reached < snapshot.last_seq {
-        return Err(ReplicaError::State(format!(
-            "log at {} ends at lsn {reached} but the snapshot covers lsn {}; \
-             refusing to bootstrap from an inconsistent pair",
-            wal_path.display(),
-            snapshot.last_seq
-        )));
-    }
-    Ok(reader)
-}
 
 /// What one [`Replica::sync`] round did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +92,7 @@ impl Replica {
             }
         }
         let snapshot = read_snapshot(snapshot_path)?;
-        let reader = attach_reader(wal_path, &snapshot)?;
+        let reader = LogReader::after(wal_path, &snapshot)?;
         let engine = Quest::new(FullAccessWrapper::new(snapshot.db), config)?;
         Ok(Replica::assemble(name, engine, reader, snapshot.last_seq))
     }

@@ -86,29 +86,17 @@ impl DurableLog {
     /// snapshot plus the log suffix ([`recover`](crate::recover), so it has
     /// passed [`Database::validate`]) and continue the LSN sequence where
     /// the previous incarnation stopped. The database is returned beside
-    /// the log, not kept.
+    /// the log, not kept. A log that ends below its snapshot's watermark
+    /// would re-issue covered LSNs; `recover` refuses it with
+    /// [`WalError::State`].
     pub fn reopen(
         dir: &Path,
         sync_policy: SyncPolicy,
         retry: RetryPolicy,
         clock: Arc<dyn Clock>,
     ) -> Result<(DurableLog, Database), WalError> {
-        let recovery = crate::recover(&dir.join(SNAPSHOT_FILE), &dir.join(WAL_FILE))?;
-        let db = recovery.db;
+        let db = crate::recover(&dir.join(SNAPSHOT_FILE), &dir.join(WAL_FILE))?.db;
         let wal = WalWriter::open_with(&dir.join(WAL_FILE), db.catalog(), sync_policy)?;
-        let last_lsn = wal.next_seq() - 1;
-        // A log whose last sequence sits below the snapshot watermark has
-        // lost acknowledged history (publish_snapshot syncs the log before
-        // the snapshot, so this is rot or tampering, not a crash).
-        // Resuming would re-issue LSNs the snapshot — and every reader
-        // bootstrapped from it — already covers. Refuse.
-        if last_lsn < recovery.snapshot_lsn {
-            return Err(WalError::State(format!(
-                "log ends at lsn {last_lsn} but the snapshot covers lsn {}; \
-                 resuming would re-issue covered LSNs",
-                recovery.snapshot_lsn
-            )));
-        }
         let log = DurableLog {
             dir: dir.to_path_buf(),
             wal,

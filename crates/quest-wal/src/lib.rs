@@ -14,7 +14,8 @@
 //! * [`LogReader`] — positioned, incremental reading of the same log:
 //!   `seek` past a snapshot's watermark without decoding the skipped
 //!   prefix, then `poll` the tail as it grows (the replication transport —
-//!   see the `quest-replica` crate);
+//!   see the `quest-replica` crate), under the same header and torn-tail
+//!   rules as the writer and `read_log` ([`log`]);
 //! * [`write_snapshot`] / [`read_snapshot`] — whole-[`Database`] snapshots
 //!   that preserve the exact slot layout (tombstones included), so a
 //!   restored instance is structurally identical, not merely equivalent;
@@ -48,8 +49,10 @@
 //! 1. **History is never overwritten**: [`DurableLog::create`] refuses a log
 //!    that already holds records
 //!    (`P::open_refuses_a_directory_with_history_but_reopen_resumes_it`).
-//! 2. **Covered LSNs are never re-issued**: [`DurableLog::reopen`] refuses a
-//!    log that ends below its snapshot's watermark
+//! 2. **Covered LSNs are never re-issued**: [`LogReader::after`], the one
+//!    check, refuses a log that ends below its snapshot's watermark with
+//!    [`WalError::State`]; [`recover`] (so [`DurableLog::reopen`]) and
+//!    `quest-replica`'s `Replica::bootstrap` both attach through it
 //!    (`P::a_log_that_lost_acknowledged_history_is_refused_everywhere`).
 //! 3. **The log is durable before the snapshot that watermarks it**, and a
 //!    failed publish leaves the previous snapshot in place
@@ -139,10 +142,9 @@ pub struct Recovery {
     /// The recovered, finalized database.
     pub db: Database,
     /// The snapshot's watermark: every record at or below this sequence
-    /// number is already reflected in it. A caller that resumes *writing*
-    /// must refuse when the log's own last sequence is below this (the
-    /// pair is inconsistent; appending would re-issue covered sequence
-    /// numbers) — [`DurableLog::reopen`] does.
+    /// number is already reflected in it. The log holds at least this far
+    /// — [`recover`] refuses a log that ends below it — so a caller can
+    /// resume writing after the log's own last record.
     pub snapshot_lsn: u64,
     /// Log records applied on top of the snapshot.
     pub applied: usize,
@@ -158,11 +160,13 @@ pub struct Recovery {
 /// snapshot's watermark. The result is bit-identical to the database the
 /// uninterrupted process held after its last complete append.
 ///
-/// The log suffix is read through a positioned [`LogReader`]: records at or
+/// The log suffix is read through [`LogReader::after`]: records at or
 /// below the snapshot's watermark are skipped by frame (no checksumming or
 /// body decode — their effects are already in the snapshot), so recovery
 /// cost scales with the suffix, not the whole log. Run [`read_log`]
-/// separately for a full-file integrity audit.
+/// separately for a full-file integrity audit; both apply the same header
+/// and torn-tail rules. A log that ends below the snapshot's watermark is
+/// refused with [`WalError::State`].
 ///
 /// The recovered instance passes through [`Database::validate`] before it
 /// is returned: WAL records carry per-line checksums but snapshot data
@@ -171,10 +175,8 @@ pub struct Recovery {
 pub fn recover(snapshot_path: &Path, wal_path: &Path) -> Result<Recovery, WalError> {
     let start = std::time::Instant::now();
     let snapshot = read_snapshot(snapshot_path)?;
+    let tail = LogReader::after(wal_path, &snapshot)?.poll()?;
     let mut db = snapshot.db;
-    let mut reader = LogReader::open(wal_path, db.catalog())?;
-    reader.seek(snapshot.last_seq)?;
-    let tail = reader.poll()?;
     let report = replay(&mut db, &tail.records, snapshot.last_seq)?;
     db.validate()?;
     quest_obs::global()

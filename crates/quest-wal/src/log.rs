@@ -8,17 +8,26 @@
 //! ```
 //!
 //! Sequence numbers start at 1 and increase strictly; the checksum covers
-//! the record body, so a torn write (a crash mid-append) is detected. Any
-//! invalid *final* line — unterminated or not — ends the log: filesystems
-//! flush pages out of order, so an un-synced append interrupted by a crash
-//! can surface either way, and refusing to load would hold every durable
-//! record hostage to one unacknowledged tail. The dropped tail is always
-//! reported ([`LogRecovery::torn_tail`]), so a tail that was in fact
-//! synced-then-rotted is surfaced, not silently swallowed. A bad line
-//! anywhere *else* cannot be a torn append and refuses to load.
+//! the record body, so a torn write (a crash mid-append) is detected. Every
+//! reader of the format — the writer's open, [`read_log`],
+//! [`crate::LogReader`] and the salvage cut — applies the same two rules:
 //!
-//! A coordinator log ([`crate::CoordinatorLog`]) uses the same framing,
-//! sequence rule and torn-tail rule with [`crate::BatchFrame`] bodies.
+//! * **Header** (`header_len`). Newline-free bytes shorter than a header
+//!   line are a creation in flight or torn by a crash: nothing was logged,
+//!   so the log reads as empty and the writer starts it over. Any other
+//!   first line that is not the header is corrupt.
+//! * **Records** (`scan_records`). Any invalid *final* line — unterminated
+//!   or not — ends the log: filesystems flush pages out of order, so an
+//!   un-synced append interrupted by a crash can surface either way, and
+//!   refusing to load would hold every durable record hostage to one
+//!   unacknowledged tail. The dropped tail is always reported
+//!   ([`LogRecovery::torn_tail`], [`crate::TailPoll::pending`]), so a tail
+//!   that was in fact synced-then-rotted is surfaced, not silently
+//!   swallowed. A bad line anywhere *else* cannot be a torn append and
+//!   refuses to load.
+//!
+//! A coordinator log ([`crate::CoordinatorLog`]) uses the same framing and
+//! rules with [`crate::BatchFrame`] bodies.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -36,6 +45,9 @@ use crate::record::ChangeRecord;
 const MAGIC: &str = "QUESTWAL";
 /// Format version this code writes and reads.
 const VERSION: &str = "1";
+/// Length of a header line, newline included: magic, version and a
+/// 16-digit fingerprint, tab-separated.
+pub(crate) const HEADER_LEN: usize = MAGIC.len() + VERSION.len() + 16 + 3;
 
 /// The WAL's metric names in the [`quest_obs::global`] registry.
 pub mod names {
@@ -185,46 +197,26 @@ impl WalWriter {
             .open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        // A file without a single complete line never got past writing its
-        // header (a crash during creation): nothing is lost by starting
-        // over. This also covers the empty file. Without this branch, a
-        // torn-but-parseable header would be truncated to zero bytes below
-        // and records would then be appended to a headerless file.
-        if !bytes.contains(&b'\n') {
-            if !bytes.is_empty() {
-                // A partial header is a creation-time torn tail.
-                count_torn_tail();
-            }
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            let header = format!("{MAGIC}\t{VERSION}\t{fingerprint:016x}\n");
-            file.write_all(header.as_bytes())?;
-            let writer = WalWriter {
-                file,
-                fingerprint,
-                next_seq: 1,
-                len: header.len() as u64,
-                poisoned: false,
-                policy,
-                unsynced: 0,
-                obs: WalObs::new(),
-            };
-            return Ok((writer, Vec::new()));
-        }
         let scan = scan_log(&bytes, fingerprint, decode)?;
-        if scan.torn_tail {
-            count_torn_tail();
-        }
         // Drop a torn tail so the next append starts on a clean line.
         if scan.valid_len < bytes.len() {
+            count_torn_tail();
             file.set_len(scan.valid_len as u64)?;
+        }
+        let mut len = scan.valid_len as u64;
+        if len == 0 {
+            // No complete header: the log is new, or its creation crashed
+            // and nothing was ever logged. Start it over.
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(format!("{MAGIC}\t{VERSION}\t{fingerprint:016x}\n").as_bytes())?;
+            len = HEADER_LEN as u64;
         }
         file.seek(SeekFrom::End(0))?;
         let writer = WalWriter {
             file,
             fingerprint,
             next_seq: scan.last_seq + 1,
-            len: scan.valid_len as u64,
+            len,
             poisoned: false,
             policy,
             unsynced: 0,
@@ -411,10 +403,9 @@ impl WalWriter {
     /// whichever step failed, so the call can simply be retried.
     pub(crate) fn clear(&mut self) -> Result<(), WalError> {
         self.heal()?;
-        let header = format!("{MAGIC}\t{VERSION}\t{:016x}\n", self.fingerprint);
-        self.file.set_len(header.len() as u64)?;
+        self.file.set_len(HEADER_LEN as u64)?;
         self.file.seek(SeekFrom::End(0))?;
-        self.len = header.len() as u64;
+        self.len = HEADER_LEN as u64;
         self.next_seq = 1;
         self.sync()
     }
@@ -489,130 +480,135 @@ pub struct LogRecovery {
     pub torn_tail: bool,
 }
 
-/// Internal scan result shared by reader and writer-open.
-struct LogScan<T> {
-    records: Vec<(u64, T)>,
-    last_seq: u64,
-    /// Byte length of the valid prefix (everything before a torn tail).
-    valid_len: usize,
-    torn_tail: bool,
+/// What the record rule accepted: records, the last seq (the starting one
+/// if none), and the byte length of the verified prefix — anything past it
+/// is a torn tail.
+pub(crate) struct LogScan<T> {
+    pub(crate) records: Vec<(u64, T)>,
+    pub(crate) last_seq: u64,
+    pub(crate) valid_len: usize,
 }
 
-/// Read and verify a whole log against the catalog fingerprint `expected`.
-/// A torn final line — including a header torn during log creation, i.e. a
-/// file with no complete line at all — is tolerated (reported via
-/// [`LogRecovery::torn_tail`]); corruption anywhere else is an error.
+/// Read and verify a whole log against `catalog`'s fingerprint. A torn
+/// final line — including a header torn during log creation — is tolerated
+/// (reported via [`LogRecovery::torn_tail`]); corruption anywhere else is
+/// an error. See the [module docs](self) for both rules.
 pub fn read_log(path: &Path, catalog: &Catalog) -> Result<LogRecovery, WalError> {
     let bytes = std::fs::read(path)?;
     let scan = scan_log(&bytes, schema_fingerprint(catalog), ChangeRecord::decode)?;
-    if scan.torn_tail {
+    let torn_tail = scan.valid_len < bytes.len();
+    if torn_tail {
         count_torn_tail();
     }
     Ok(LogRecovery {
         records: scan.records,
-        torn_tail: scan.torn_tail,
+        torn_tail,
     })
 }
 
+/// The header rule, then the record rule, over a whole log file.
 fn scan_log<T>(
     bytes: &[u8],
     expected_fp: u64,
     decode: fn(&str) -> Result<T, String>,
 ) -> Result<LogScan<T>, WalError> {
-    let corrupt = |line: usize, message: String| WalError::Corrupt { line, message };
-    // A file without a single complete line is a crash during creation
-    // (the header write itself was torn) — zero records were ever logged,
-    // so recovery legitimately proceeds with an empty log, mirroring what
-    // `WalWriter::open` does when it reinitializes such a file.
-    let Some(cut) = bytes.iter().rposition(|&b| b == b'\n').map(|i| i + 1) else {
+    let Some(header) = header_len(bytes, expected_fp)? else {
         return Ok(LogScan {
             records: Vec::new(),
             last_seq: 0,
             valid_len: 0,
-            torn_tail: !bytes.is_empty(),
         });
     };
-    // Everything after the last newline is a torn append; its bytes may not
-    // even decode (a crash can split a multi-byte character mid-write), so
-    // it is dropped and reported without ever being interpreted. The region
-    // of complete lines must decode: it was written as UTF-8, so a decode
-    // failure there is rot, not tearing.
-    let text = std::str::from_utf8(&bytes[..cut]).map_err(|e| {
-        corrupt(
-            0,
-            format!("log is not valid UTF-8 at byte {}", e.valid_up_to()),
-        )
-    })?;
-    let mut torn_tail = cut < bytes.len();
-    // Split keeping track of byte offsets so a torn tail can be truncated.
-    let mut header_seen = false;
-    let mut records = Vec::new();
-    let mut last_seq = 0u64;
-    let mut valid_len = 0usize;
-    let mut offset = 0usize;
-    let mut lines = text.split_inclusive('\n').enumerate().peekable();
-    while let Some((i, raw)) = lines.next() {
-        let lineno = i + 1;
-        let is_last = lines.peek().is_none();
-        let complete = raw.ends_with('\n');
-        let line = raw.strip_suffix('\n').unwrap_or(raw);
-        let parsed: Result<(), String> = if !header_seen {
-            parse_header(line, expected_fp).map_err(|e| {
-                // Header schema mismatch is never a torn write: fail loud.
-                if let WalError::SchemaMismatch { .. } = e {
-                    return e;
-                }
-                corrupt(lineno, e.to_string())
-            })?;
-            header_seen = true;
-            Ok(())
-        } else {
-            // Sequence regression counts as an invalid record: the seq
-            // field sits outside the body checksum, so tail rot can damage
-            // it alone — on the final line that must degrade to a dropped
-            // tail (below), not a fatal error.
-            parse_line(line, decode).and_then(|(seq, rec)| {
-                if seq <= last_seq {
-                    return Err(format!("sequence {seq} not after {last_seq}"));
-                }
-                records.push((seq, rec));
-                Ok(())
-            })
-        };
-        match parsed {
-            Ok(()) if complete => {
-                if let Some(&(seq, _)) = records.last() {
-                    last_seq = seq;
-                }
-                offset += raw.len();
-                valid_len = offset;
+    let mut scan = scan_records(&bytes[header..], 0, 2, decode)?;
+    scan.valid_len += header;
+    Ok(scan)
+}
+
+/// The header rule: verify the header line `bytes` start with against
+/// `expected_fp` and return its length, newline included; `None` for a
+/// newline-free start shorter than a header line. Reads no further.
+pub(crate) fn header_len(bytes: &[u8], expected_fp: u64) -> Result<Option<usize>, WalError> {
+    let head = &bytes[..bytes.len().min(HEADER_LEN)];
+    let Some(nl) = head.iter().position(|&b| b == b'\n') else {
+        if head.len() < HEADER_LEN {
+            return Ok(None);
+        }
+        return Err(bad_header(head));
+    };
+    let line = std::str::from_utf8(&head[..nl]).map_err(|_| bad_header(head))?;
+    let mut fields = line.split('\t');
+    let (Some(MAGIC), Some(VERSION), Some(fp)) = (fields.next(), fields.next(), fields.next())
+    else {
+        return Err(bad_header(head));
+    };
+    let found = u64::from_str_radix(fp, 16).map_err(|_| bad_header(head))?;
+    if found != expected_fp {
+        return Err(WalError::SchemaMismatch {
+            expected: expected_fp,
+            found,
+        });
+    }
+    Ok(Some(nl + 1))
+}
+
+/// The header rule's one error; it quotes at most a header line.
+fn bad_header(head: &[u8]) -> WalError {
+    WalError::Corrupt {
+        line: 1,
+        message: format!("bad header `{}`", head.escape_ascii()),
+    }
+}
+
+/// The record rule: verify the lines of `bytes` (the first is line
+/// `first_line` of the file), with sequence numbers rising strictly past
+/// `after`. Bytes after the last newline and a bad final line are a torn
+/// tail; a bad line with a complete line after it is [`WalError::Corrupt`].
+pub(crate) fn scan_records<T>(
+    bytes: &[u8],
+    after: u64,
+    first_line: usize,
+    decode: fn(&str) -> Result<T, String>,
+) -> Result<LogScan<T>, WalError> {
+    let mut scan = LogScan {
+        records: Vec::new(),
+        last_seq: after,
+        valid_len: 0,
+    };
+    // Bytes after the last newline are an append in flight or a torn tail;
+    // a crash can split a multi-byte character, so they are never decoded.
+    let cut = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let mut lines = bytes[..cut]
+        .split_inclusive(|&b| b == b'\n')
+        .zip(first_line..)
+        .peekable();
+    while let Some((raw, line)) = lines.next() {
+        // Complete lines were written as UTF-8, so a decode failure is rot,
+        // not tearing.
+        let text = std::str::from_utf8(&raw[..raw.len() - 1]).map_err(|e| WalError::Corrupt {
+            line,
+            message: format!("not valid UTF-8 at byte {}", e.valid_up_to()),
+        })?;
+        match parse_line(text, decode) {
+            Ok((seq, body)) if seq > scan.last_seq => {
+                scan.records.push((seq, body));
+                scan.last_seq = seq;
+                scan.valid_len += raw.len();
             }
-            // Any invalid final line ends the log. A torn append usually
-            // lacks the trailing newline, but out-of-order page flush can
-            // persist the newline without the bytes before it, so the
-            // newline proves nothing; only *position* does — a bad line
-            // mid-file cannot be a torn append and is fatal below. An
-            // unterminated line that happens to parse (checksum collision
-            // on a prefix) is dropped too.
-            Ok(()) | Err(_) if is_last && header_seen => {
-                if matches!(parsed, Ok(())) {
-                    records.pop();
-                }
-                torn_tail = true;
+            // A bad final line ends the log: out-of-order page flush can
+            // persist a torn append's newline, so only *position* proves
+            // anything. A seq regression is bad too: the seq field sits
+            // outside the checksum, so tail rot can damage it alone.
+            _ if lines.peek().is_none() => break,
+            Ok((seq, _)) => {
+                return Err(WalError::Corrupt {
+                    line,
+                    message: format!("sequence {seq} not after {}", scan.last_seq),
+                })
             }
-            Err(e) => return Err(corrupt(lineno, e)),
-            Ok(()) => unreachable!("incomplete non-last line"),
+            Err(message) => return Err(WalError::Corrupt { line, message }),
         }
     }
-    if !header_seen {
-        return Err(corrupt(1, "missing header".into()));
-    }
-    Ok(LogScan {
-        records,
-        last_seq,
-        valid_len,
-        torn_tail,
-    })
+    Ok(scan)
 }
 
 /// Cut a damaged log at `path` back to its valid prefix: the header and the
@@ -629,18 +625,17 @@ pub(crate) fn cut_damage(
     copy: Option<std::ops::RangeInclusive<u64>>,
 ) -> Result<bool, WalError> {
     let bytes = std::fs::read(path)?;
-    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
-    let header = lines.next().unwrap_or_default();
-    let header = std::str::from_utf8(header).unwrap_or_default();
-    parse_header(header.trim_end_matches('\n'), schema_fingerprint(catalog))?;
-    let (mut valid_len, mut last_seq, mut damaged) = (header.len(), 0u64, false);
+    let Some(header) = header_len(&bytes, schema_fingerprint(catalog))? else {
+        return Ok(false);
+    };
+    let (mut valid_len, mut last_seq, mut damaged) = (header, 0u64, false);
     // Highest LSN any verified line holds, past the damage included.
     let mut held = 0u64;
-    for raw in lines {
+    for raw in bytes[header..].split_inclusive(|&b| b == b'\n') {
         let seq = std::str::from_utf8(raw)
             .ok()
             .and_then(|line| line.strip_suffix('\n'))
-            .and_then(|line| parse_record(line).ok())
+            .and_then(|line| parse_line(line, ChangeRecord::decode).ok())
             .map(|(seq, _)| seq);
         held = held.max(seq.unwrap_or(0));
         match seq {
@@ -662,42 +657,18 @@ pub(crate) fn cut_damage(
     Ok(true)
 }
 
-/// Parse and verify the header line.
-pub(crate) fn parse_header(line: &str, expected_fp: u64) -> Result<(), WalError> {
-    let mut fields = line.split('\t');
-    let magic = fields.next().unwrap_or_default();
-    let version = fields.next().unwrap_or_default();
-    let fp = fields.next().unwrap_or_default();
-    if magic != MAGIC || version != VERSION {
-        return Err(WalError::Corrupt {
-            line: 1,
-            message: format!("bad header `{line}`"),
-        });
-    }
-    let found = u64::from_str_radix(fp, 16).map_err(|_| WalError::Corrupt {
-        line: 1,
-        message: format!("bad fingerprint `{fp}`"),
-    })?;
-    if found != expected_fp {
-        return Err(WalError::SchemaMismatch {
-            expected: expected_fp,
-            found,
-        });
-    }
-    Ok(())
-}
-
-/// Parse one record line: `seq \t checksum \t body`.
-pub(crate) fn parse_record(line: &str) -> Result<(u64, ChangeRecord), String> {
-    parse_line(line, ChangeRecord::decode)
-}
-
-/// Parse one line of any body type: `seq \t checksum \t body`.
-fn parse_line<T>(line: &str, decode: fn(&str) -> Result<T, String>) -> Result<(u64, T), String> {
+/// Parse one line of any body type: `seq \t checksum \t body`. The last
+/// `u64` is no sequence number: a log ending at it could never be appended
+/// to, and the seq field sits outside the checksum, so only rot writes it.
+pub(crate) fn parse_line<T>(
+    line: &str,
+    decode: fn(&str) -> Result<T, String>,
+) -> Result<(u64, T), String> {
     let mut parts = line.splitn(3, '\t');
     let seq = parts
         .next()
         .and_then(|s| s.parse::<u64>().ok())
+        .filter(|&seq| seq < u64::MAX)
         .ok_or("bad sequence field")?;
     let crc = parts
         .next()
@@ -941,6 +912,47 @@ mod tests {
             let log = read_log(&path, &c).unwrap();
             assert!(!log.torn_tail);
             assert_eq!(log.records, vec![(1, ins(1))]);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_first_line_longer_than_a_header_is_corrupt_to_every_reader() {
+        // A header can be torn only while it is shorter than a header line;
+        // past that length the first line is damage, newline or not, and
+        // the one header error names it once and quotes no more of it than
+        // a header's length.
+        let path = temp_path("long-header");
+        let c = catalog();
+        let records = {
+            let mut w = WalWriter::open(&path, &c).unwrap();
+            w.append_batch(&[ins(1), ins(2), ins(3)]).unwrap();
+            w.sync().unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            text[HEADER_LEN..].to_string()
+        };
+        let long = format!("QUESTWAL\t1\t{}\n{records}", "f".repeat(300));
+        let newline_free = "QUESTWAL\t1\t0123456789abcdef0".to_string();
+        assert_eq!(newline_free.len(), HEADER_LEN);
+        for bytes in [long, newline_free] {
+            std::fs::write(&path, &bytes).unwrap();
+            let errors = [
+                read_log(&path, &c).unwrap_err(),
+                WalWriter::open(&path, &c).unwrap_err(),
+                crate::LogReader::open(&path, &c).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(matches!(err, WalError::Corrupt { line: 1, .. }), "{err}");
+                let shown = err.to_string();
+                assert_eq!(
+                    shown.matches("corrupt record at line 1").count(),
+                    1,
+                    "{shown}"
+                );
+                assert!(shown.len() <= 32 + 4 * HEADER_LEN, "{shown}");
+            }
+            // The writer refused without touching the file.
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), bytes);
         }
         std::fs::remove_file(&path).unwrap();
     }

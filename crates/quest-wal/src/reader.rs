@@ -11,15 +11,17 @@
 //!   by scanning line frames and their leading seq field only — no
 //!   checksumming, no body decode — which is what makes bootstrapping from
 //!   a snapshot O(suffix) in decode work instead of O(log);
-//! * [`LogReader::poll`] parses the records appended since the last call
-//!   and stops cleanly at an in-flight or torn tail, which simply stays
-//!   *pending* until a later poll (live follow) or is reported as torn by
-//!   batch callers that treat the current end of file as final.
+//! * [`LogReader::poll`] applies the log's header and record rules
+//!   ([`crate::log`]) to one read from its offset, so it accepts what
+//!   `read_log` accepts; an in-flight or torn tail stays *pending* until a
+//!   later poll (live follow) or is reported as torn by batch callers;
+//! * [`LogReader::after`] attaches at a snapshot: open, seek past its
+//!   watermark, and refuse a log that ends below it.
 //!
 //! The reader holds no file handle between calls: each poll re-opens the
 //! path, so it keeps working across writer crashes, torn-tail truncations
-//! on reopen (the writer only ever truncates bytes no reader has consumed —
-//! both sides advance strictly over complete, valid records), and
+//! on reopen (the writer only ever truncates bytes no reader has consumed
+//! — both sides advance strictly over complete, valid records), and
 //! snapshot/rotation schemes that swap files atomically.
 
 use std::io::{Read, Seek, SeekFrom};
@@ -29,8 +31,9 @@ use relstore::Catalog;
 
 use crate::codec::schema_fingerprint;
 use crate::error::WalError;
-use crate::log::{parse_header, parse_record};
+use crate::log::{header_len, parse_line, scan_records, HEADER_LEN};
 use crate::record::ChangeRecord;
+use crate::snapshot::Snapshot;
 
 /// One batch of records surfaced by [`LogReader::poll`].
 #[derive(Debug)]
@@ -49,20 +52,19 @@ pub struct TailPoll {
 /// A positioned reader over a write-ahead log.
 ///
 /// See the [module docs](self) for the contract. Create with
-/// [`LogReader::open`], position with [`LogReader::seek`], then call
-/// [`LogReader::poll`] as often as needed.
+/// [`LogReader::open`] (or [`LogReader::after`]), position with
+/// [`LogReader::seek`], then call [`LogReader::poll`] as often as needed.
 #[derive(Debug)]
 pub struct LogReader {
     path: PathBuf,
     fingerprint: u64,
     /// Byte offset just past the last consumed line (header or record).
     offset: u64,
+    /// Lines consumed, the header included: 0 until a read finds a
+    /// complete header (a log whose creation crashed has none yet).
+    line: usize,
     /// Sequence number of the last consumed record (or the seek watermark).
     last_seq: u64,
-    /// Whether the header line has been read and verified yet. A log whose
-    /// creation itself crashed has no complete header; the reader tolerates
-    /// that and re-checks on every poll, mirroring `read_log`.
-    header_seen: bool,
 }
 
 impl LogReader {
@@ -73,14 +75,40 @@ impl LogReader {
     /// re-checked on each poll, so a follower can attach before the writer
     /// finishes initializing.
     pub fn open(path: &Path, catalog: &Catalog) -> Result<LogReader, WalError> {
-        let mut reader = LogReader {
+        let reader = LogReader {
             path: path.to_path_buf(),
             fingerprint: schema_fingerprint(catalog),
             offset: 0,
+            line: 0,
             last_seq: 0,
-            header_seen: false,
         };
-        reader.ensure_header()?;
+        let mut head = Vec::with_capacity(HEADER_LEN);
+        std::fs::File::open(path)?
+            .take(HEADER_LEN as u64)
+            .read_to_end(&mut head)?;
+        header_len(&head, reader.fingerprint)?;
+        Ok(reader)
+    }
+
+    /// Open a reader over the log at `path` positioned past `snapshot`'s
+    /// watermark: how recovery and replica bootstrap attach. The log is
+    /// durable before any snapshot that watermarks it, so a log ending
+    /// below the watermark is rot or a mismatched pair, and resuming from
+    /// it would re-issue covered sequence numbers: [`WalError::State`].
+    /// Damage at or below the watermark is [`WalError::Corrupt`].
+    pub fn after(path: &Path, snapshot: &Snapshot) -> Result<LogReader, WalError> {
+        let mut reader = LogReader::open(path, snapshot.db.catalog())?;
+        let reached = reader.seek(snapshot.last_seq)?;
+        if reached < snapshot.last_seq {
+            // A damaged line stopped the seek early: report it as such.
+            reader.poll()?;
+            return Err(WalError::State(format!(
+                "log at {} ends at lsn {reached} but the snapshot covers lsn {}; \
+                 resuming from this pair would re-issue covered LSNs",
+                path.display(),
+                snapshot.last_seq
+            )));
+        }
         Ok(reader)
     }
 
@@ -90,11 +118,6 @@ impl LogReader {
         self.last_seq
     }
 
-    /// Byte offset just past the last consumed line.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
     /// Position past every record with sequence number `<= after_seq`,
     /// without checksumming or decoding the skipped records (their effects
     /// are already in whatever state the caller starts from, typically a
@@ -102,9 +125,8 @@ impl LogReader {
     ///
     /// Returns the highest sequence number actually observed at or below
     /// `after_seq` (0 if none). A return below `after_seq` means the log
-    /// does not hold everything the watermark claims — callers that resume
-    /// *writing* from such a pair must refuse, or they would re-issue
-    /// sequence numbers the snapshot already covers.
+    /// does not hold everything the watermark claims; [`LogReader::after`]
+    /// refuses such a log.
     ///
     /// Records at or below an earlier watermark are already consumed, so
     /// seeking backwards is a no-op.
@@ -112,18 +134,19 @@ impl LogReader {
         if after_seq <= self.last_seq {
             return Ok(self.last_seq);
         }
-        if !self.ensure_header()? {
+        let (bytes, start) = self.read_tail()?;
+        let Some(start) = start else {
             // No complete header yet ⇒ no records exist to skip; keep the
             // watermark so the records, once written, still stream from
             // `after_seq + 1` on.
             self.last_seq = after_seq;
             return Ok(0);
-        }
-        let bytes = self.read_from_offset()?;
+        };
         // End of the last complete line: the frontier of what may safely
         // be consumed on seq evidence alone (see below).
         let last_line_end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        let mut pos = 0usize;
+        let mut pos = start;
+        self.line = self.line.max(1);
         while let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') {
             let line = &bytes[pos..pos + nl];
             let end = pos + nl + 1;
@@ -141,11 +164,13 @@ impl LogReader {
             // writer truncates on reopen, so it is consumed only fully
             // verified — exactly poll's standard for a last line.
             if end == last_line_end
-                && !std::str::from_utf8(line).is_ok_and(|l| parse_record(l).is_ok())
+                && !std::str::from_utf8(line)
+                    .is_ok_and(|l| parse_line(l, ChangeRecord::decode).is_ok())
             {
                 break;
             }
             pos = end;
+            self.line += 1;
             self.last_seq = seq;
         }
         let reached = self.last_seq;
@@ -160,7 +185,7 @@ impl LogReader {
     /// pending (see [`TailPoll::pending`]). An invalid line with *further
     /// complete lines after it* cannot be an append in flight and fails
     /// with [`WalError::Corrupt`]. Sequence numbers must increase strictly
-    /// across the reader's lifetime.
+    /// across the reader's lifetime. On `Err` the reader is unchanged.
     pub fn poll(&mut self) -> Result<TailPoll, WalError> {
         if let Some(fault) = quest_fault::fire(quest_fault::sites::WAL_READ) {
             match fault.kind {
@@ -168,90 +193,34 @@ impl LogReader {
                 _ => return Err(WalError::Io(fault.io_error())),
             }
         }
-        if !self.ensure_header()? {
-            let len = std::fs::metadata(&self.path)?.len();
+        let (bytes, start) = self.read_tail()?;
+        let Some(start) = start else {
             return Ok(TailPoll {
                 records: Vec::new(),
-                pending: len,
+                pending: bytes.len() as u64,
             });
-        }
-        let bytes = self.read_from_offset()?;
-        // Bytes after the last newline are an append in flight (or a torn
-        // tail); they may split a multi-byte character, so they are never
-        // decoded. Complete lines were written as UTF-8.
-        let cut = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        let text = std::str::from_utf8(&bytes[..cut]).map_err(|e| WalError::Corrupt {
-            line: 0,
-            message: format!("log tail is not valid UTF-8 at byte {}", e.valid_up_to()),
-        })?;
-        let mut records = Vec::new();
-        let mut consumed = 0usize;
-        let mut lines = text.split_inclusive('\n').peekable();
-        while let Some(raw) = lines.next() {
-            let line = raw.strip_suffix('\n').unwrap_or(raw);
-            let parsed = parse_record(line).and_then(|(seq, rec)| {
-                if seq <= self.last_seq {
-                    return Err(format!("sequence {seq} not after {}", self.last_seq));
-                }
-                Ok((seq, rec))
-            });
-            match parsed {
-                Ok((seq, rec)) => {
-                    records.push((seq, rec));
-                    consumed += raw.len();
-                    self.last_seq = seq;
-                }
-                // A bad final line is a tail that has not (or will never)
-                // become whole: out-of-order page flush can persist its
-                // newline before its body. It stays pending — the writer
-                // truncates it on reopen, after which this very reader
-                // picks up the clean rewrite from the same offset.
-                Err(_) if lines.peek().is_none() => break,
-                Err(message) => {
-                    return Err(WalError::Corrupt { line: 0, message });
-                }
-            }
-        }
+        };
+        let line = self.line.max(1);
+        let scan = scan_records(
+            &bytes[start..],
+            self.last_seq,
+            line + 1,
+            ChangeRecord::decode,
+        )?;
+        let consumed = start + scan.valid_len;
         self.offset += consumed as u64;
+        self.line = line + scan.records.len();
+        self.last_seq = scan.last_seq;
         Ok(TailPoll {
-            records,
+            records: scan.records,
             pending: (bytes.len() - consumed) as u64,
         })
     }
 
-    /// Verify the header if it has not been verified yet. Returns whether a
-    /// complete header exists (false only while the log's creation is still
-    /// in flight or was torn by a crash).
-    fn ensure_header(&mut self) -> Result<bool, WalError> {
-        if self.header_seen {
-            return Ok(true);
-        }
-        // The header is one short line; 256 bytes is comfortably past it.
-        let mut file = std::fs::File::open(&self.path)?;
-        let mut buf = [0u8; 256];
-        let mut filled = 0usize;
-        loop {
-            let n = file.read(&mut buf[filled..])?;
-            filled += n;
-            if n == 0 || filled == buf.len() {
-                break;
-            }
-        }
-        let Some(nl) = buf[..filled].iter().position(|&b| b == b'\n') else {
-            return Ok(false);
-        };
-        let line = std::str::from_utf8(&buf[..nl]).map_err(|_| WalError::Corrupt {
-            line: 1,
-            message: "header is not valid UTF-8".into(),
-        })?;
-        parse_header(line, self.fingerprint)?;
-        self.offset = (nl + 1) as u64;
-        self.header_seen = true;
-        Ok(true)
-    }
-
-    /// Read everything from the consumed offset to the current end of file.
-    fn read_from_offset(&self) -> Result<Vec<u8>, WalError> {
+    /// Read from the consumed offset to the end of file, and where the
+    /// records start in it: past the header until one is consumed, `None`
+    /// while there is no complete header.
+    fn read_tail(&self) -> Result<(Vec<u8>, Option<usize>), WalError> {
         let mut file = std::fs::File::open(&self.path)?;
         let len = file.metadata()?.len();
         if len < self.offset {
@@ -269,7 +238,11 @@ impl LogReader {
         file.seek(SeekFrom::Start(self.offset))?;
         let mut bytes = Vec::with_capacity((len - self.offset) as usize);
         file.read_to_end(&mut bytes)?;
-        Ok(bytes)
+        let start = match self.line {
+            0 => header_len(&bytes, self.fingerprint)?,
+            _ => Some(0),
+        };
+        Ok((bytes, start))
     }
 }
 
@@ -437,7 +410,18 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("rëcord 2", "rëcorX 2")).unwrap();
         let mut r = LogReader::open(&path, &c).unwrap();
-        assert!(matches!(r.poll().unwrap_err(), WalError::Corrupt { .. }));
+        assert!(matches!(
+            r.poll().unwrap_err(),
+            WalError::Corrupt { line: 3, .. }
+        ));
+        // The failed poll consumed nothing: once the line is whole again,
+        // the same reader streams every record.
+        assert_eq!(r.last_seq(), 0);
+        std::fs::write(&path, &text).unwrap();
+        assert_eq!(
+            r.poll().unwrap().records,
+            vec![(1, ins(1)), (2, ins(2)), (3, ins(3))]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -12,7 +12,8 @@
 //! proportion to its input. A [`LogReader`] tailing a log file must survive
 //! any bytes in that file: `open`, `seek` and `poll` return `Ok` or a
 //! `WalError`, never a panic, and never allocate out of proportion to the
-//! file.
+//! file. On those same bytes every reader of the log format — `read_log`,
+//! a polled `LogReader` and a writer's open — reaches the same verdict.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -445,54 +446,80 @@ const SEQS: &[&str] = &[
     "x",
 ];
 
+/// A valid three-record log, written once: the generator below runs on
+/// every test thread at once.
+fn three_record_log() -> &'static str {
+    static LOG: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    LOG.get_or_init(|| {
+        let base = temp_path("hostile-reader-base", "wal");
+        {
+            let mut w = WalWriter::open(&base, &catalog()).expect("open");
+            for r in records_from(vec!["a".into(), "b".into(), "c".into()]) {
+                w.append(&r).expect("append");
+            }
+        }
+        let text = std::fs::read_to_string(&base).expect("read log");
+        std::fs::remove_file(&base).ok();
+        text
+    })
+}
+
+/// Bytes where a log should be, in four shapes: arbitrary bytes; a valid
+/// header followed by garbage; a valid three-record log with hostile seq
+/// fields (they sit outside the checksum), overwritten bytes, and a cut
+/// that can truncate it anywhere; and the same log with a first line that
+/// runs past 256 bytes, a header grown into damage no fixed look-ahead
+/// window can see the end of.
+fn hostile_log() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0usize..4,
+        proptest::collection::vec(any::<u8>(), 0..256),
+        proptest::collection::vec((0usize..4, 0usize..SEQS.len()), 0..3),
+        proptest::collection::vec((0usize..4096, 0usize..HOSTILE.len()), 0..3),
+        0usize..4096,
+    )
+        .prop_map(|(shape, garbage, seqs, bytes_at, cut)| {
+            let c = catalog();
+            let header = format!("QUESTWAL\t1\t{:016x}", schema_fingerprint(&c));
+            if shape == 0 {
+                return garbage;
+            }
+            if shape == 1 {
+                return [format!("{header}\n").into_bytes(), garbage].concat();
+            }
+            let mut lines: Vec<String> = three_record_log().lines().map(str::to_string).collect();
+            if shape == 3 {
+                let mut first = header + &String::from_utf8_lossy(&garbage).replace('\n', "#");
+                while first.len() <= 256 {
+                    first.push('#');
+                }
+                lines[0] = first;
+            }
+            for &(line, seq) in &seqs {
+                // Line 0 is the header; records are lines 1..=3.
+                let line = &mut lines[1 + line % 3];
+                let tab = line.find('\t').expect("seq field");
+                line.replace_range(..tab, SEQS[seq]);
+            }
+            let mut bytes = (lines.join("\n") + "\n").into_bytes();
+            for &(at, b) in &bytes_at {
+                let at = at % bytes.len();
+                bytes[at] = HOSTILE[b];
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            bytes
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn hostile_log_bytes_never_panic_the_reader(
-        shape in 0usize..3,
-        garbage in proptest::collection::vec(any::<u8>(), 0..256),
-        seqs in proptest::collection::vec((0usize..4, 0usize..SEQS.len()), 0..3),
-        bytes_at in proptest::collection::vec((0usize..4096, 0usize..HOSTILE.len()), 0..3),
-        cut in 0usize..4096,
+        bytes in hostile_log(),
         after in prop_oneof![0u64..6, Just(u64::MAX)],
     ) {
         let c = catalog();
-        let header = format!("QUESTWAL\t1\t{:016x}\n", schema_fingerprint(&c)).into_bytes();
-        let bytes = match shape {
-            // Arbitrary bytes where the log should be.
-            0 => garbage,
-            // A valid header followed by garbage.
-            1 => [header, garbage].concat(),
-            // A valid three-record log with hostile seq fields (they sit
-            // outside the checksum), overwritten bytes, and a cut that can
-            // truncate the final record anywhere.
-            _ => {
-                let base = temp_path("hostile-reader-base", "wal");
-                {
-                    let mut w = WalWriter::open(&base, &c).expect("open");
-                    for r in records_from(vec!["a".into(), "b".into(), "c".into()]) {
-                        w.append(&r).expect("append");
-                    }
-                }
-                let text = std::fs::read_to_string(&base).expect("read log");
-                std::fs::remove_file(&base).ok();
-                let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-                for &(line, seq) in &seqs {
-                    // Line 0 is the header; records are lines 1..=3.
-                    let line = &mut lines[1 + line % 3];
-                    let tab = line.find('\t').expect("seq field");
-                    line.replace_range(..tab, SEQS[seq]);
-                }
-                let mut bytes = (lines.join("\n") + "\n").into_bytes();
-                for &(at, b) in &bytes_at {
-                    let at = at % bytes.len();
-                    bytes[at] = HOSTILE[b];
-                }
-                bytes.truncate(cut % (bytes.len() + 1));
-                bytes
-            }
-        };
         let path = temp_path("hostile-reader", "wal");
         std::fs::write(&path, &bytes).expect("write hostile log");
         let outcome = std::panic::catch_unwind(|| largest_allocation(|| {
@@ -517,6 +544,46 @@ proptest! {
         if let Ok(accepted) = read {
             prop_assert!(accepted.first().is_none_or(|&first| first > after), "{:?}", accepted);
             prop_assert!(accepted.windows(2).all(|w| w[0] < w[1]), "{:?}", accepted);
+        }
+    }
+
+    #[test]
+    fn every_reader_of_the_log_accepts_the_same_bytes(bytes in hostile_log()) {
+        // One header rule and one torn-tail rule decide for every reader:
+        // `read_log`, a `LogReader` polled from the start, and a writer
+        // opening a copy either all refuse, with the same error, or all
+        // accept the same records and agree on the torn tail.
+        let c = catalog();
+        let path = temp_path("agree-read", "wal");
+        let copy = temp_path("agree-write", "wal");
+        std::fs::write(&path, &bytes).expect("write hostile log");
+        std::fs::write(&copy, &bytes).expect("write hostile log");
+        let read = read_log(&path, &c);
+        let polled = LogReader::open(&path, &c).and_then(|mut reader| reader.poll());
+        let next_seq = WalWriter::open(&copy, &c).map(|w| w.next_seq());
+        let kept = read_log(&copy, &c);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&copy).ok();
+        match (read, polled, next_seq) {
+            (Ok(log), Ok(poll), Ok(next_seq)) => {
+                prop_assert_eq!(&log.records, &poll.records, "{:?}", bytes);
+                prop_assert_eq!(log.torn_tail, poll.pending > 0, "{:?}", bytes);
+                let last = log.records.last().map_or(0, |&(seq, _)| seq);
+                prop_assert_eq!(next_seq, last + 1, "{:?}", bytes);
+                // What the writer kept is exactly what the readers accepted.
+                let kept = kept.expect("the writer's log reads back");
+                prop_assert_eq!(&kept.records, &log.records, "{:?}", bytes);
+                prop_assert!(!kept.torn_tail, "{:?}", bytes);
+            }
+            (Err(read), Err(polled), Err(opened)) => {
+                prop_assert_eq!(read.to_string(), polled.to_string(), "{:?}", bytes);
+                prop_assert_eq!(read.to_string(), opened.to_string(), "{:?}", bytes);
+            }
+            (read, polled, next_seq) => prop_assert!(
+                false,
+                "readers disagree on {:?}: read_log {:?}, LogReader {:?}, WalWriter {:?}",
+                bytes, read.map(|log| log.records.len()), polled.map(|poll| poll.pending), next_seq
+            ),
         }
     }
 }

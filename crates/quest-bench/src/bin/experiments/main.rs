@@ -1,7 +1,7 @@
 //! Prints every experiment table (markdown, to stdout).
 //!
 //! Usage: `cargo run --release -p quest-bench --bin experiments
-//! [e1|e2|e3|e4|e5|e7|e8|e9|e14|all]` (alias: `chaos` = e14), or
+//! [e1|e2|e3|e4|e5|e7|e8|e9|all]`, or
 //! `experiments bench-json [path]` for the committed perf artifact. An
 //! unknown selector prints the valid ones to stderr and exits with status 2.
 //!
@@ -10,7 +10,6 @@
 
 mod bench_json;
 mod e1;
-mod e14;
 mod e2;
 mod e3;
 mod e4;
@@ -32,7 +31,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("e7", None, e7::run),
     ("e8", None, e8::run),
     ("e9", None, e9::run),
-    ("e14", Some("chaos"), e14::run),
 ];
 
 fn main() {
@@ -100,7 +98,9 @@ mod tests {
 
     #[test]
     fn retired_selectors_do_not_resolve() {
-        for retired in ["e6", "e10", "e11", "e12", "e13", "sharding", "all", ""] {
+        for retired in [
+            "e6", "e10", "e11", "e12", "e13", "e14", "chaos", "sharding", "all", "",
+        ] {
             assert!(resolve(retired).is_none(), "`{retired}` must not resolve");
         }
     }

@@ -1,4 +1,4 @@
-//! Shared harness code for the QUEST experiments (E1–E5, E7–E9, E14) and
+//! Shared harness code for the QUEST experiments (E1–E5, E7–E9) and
 //! the criterion microbenches. Each experiment table is printed by the
 //! `experiments` binary, which builds on these helpers.
 

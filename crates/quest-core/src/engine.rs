@@ -55,12 +55,6 @@ pub struct QuestConfig {
     /// Drop explanations whose SQL returns no tuples (requires an endpoint
     /// probe per explanation).
     pub prune_empty: bool,
-    /// Physical partitions the engine's source is split across. 1 (the
-    /// default) for an unsharded store; a sharded deployment (the
-    /// `quest-shard` crate) sets it to its shard count. Valid range:
-    /// `1..=1024` — 0 is rejected by [`QuestConfig::validate`], because a
-    /// zero-shard store would silently answer every query from no data.
-    pub shard_count: usize,
 }
 
 impl Default for QuestConfig {
@@ -76,7 +70,6 @@ impl Default for QuestConfig {
             weights: SchemaGraphWeights::default(),
             result_limit: Some(100),
             prune_empty: false,
-            shard_count: 1,
         }
     }
 }
@@ -105,19 +98,6 @@ impl QuestConfig {
                  use None for no limit"
                     .into(),
             ));
-        }
-        if self.shard_count == 0 {
-            return Err(QuestError::BadParameter(
-                "shard_count = 0 would serve every query from no data; \
-                 valid range is 1..=1024 (1 = unsharded)"
-                    .into(),
-            ));
-        }
-        if self.shard_count > 1024 {
-            return Err(QuestError::BadParameter(format!(
-                "shard_count = {} above the supported maximum of 1024",
-                self.shard_count
-            )));
         }
         Ok(())
     }
@@ -947,37 +927,6 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn zero_shard_count_rejected() {
-        // A zero-shard store would answer every query from no data with no
-        // error anywhere downstream — same failure shape as `LIMIT 0`,
-        // rejected at the same gate.
-        let bad = QuestConfig {
-            shard_count: 0,
-            ..Default::default()
-        };
-        let err = bad.validate().unwrap_err();
-        assert!(matches!(&err, QuestError::BadParameter(m) if m.contains("shard_count")));
-        // The documented range: 1..=1024.
-        for n in [1usize, 2, 16, 1024] {
-            assert!(
-                QuestConfig {
-                    shard_count: n,
-                    ..Default::default()
-                }
-                .validate()
-                .is_ok(),
-                "shard_count {n} must validate"
-            );
-        }
-        assert!(QuestConfig {
-            shard_count: 1025,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]

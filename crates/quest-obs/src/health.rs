@@ -10,10 +10,9 @@
 //! outage.
 //!
 //! Health monitoring is **strictly observational**: nothing in this module
-//! (or in the layers that surface a report through `ServeStats` or the
-//! topology reports) feeds back into routing, admission, or any serving
-//! decision. The serving bit-identity suites pin that: results are
-//! byte-identical with monitoring on and off.
+//! (or in the topology reports that surface it) feeds back into routing,
+//! admission, or any serving decision. The replica and shard suites pin
+//! that: grading a topology changes no served result.
 //!
 //! [`Healthy`]: HealthStatus::Healthy
 //! [`Degraded`]: HealthStatus::Degraded

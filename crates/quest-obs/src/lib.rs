@@ -21,24 +21,21 @@
 //! Two registries matter in practice: each `CachedEngine` owns one (its
 //! snapshot rides along in `ServeStats`), and [`global()`] aggregates the
 //! layers with no natural owner — the WAL, replication, and shard fan-out
-//! paths. Beyond the registry, four observability subsystems build on it:
+//! paths. Beyond the registry, three observability subsystems build on it:
 //!
 //! - **Span tracing** ([`span`]): explicit-[`TraceCtx`] spans through the
 //!   write path and query path, collected in the bounded [`spans()`] ring
 //!   and exported as Chrome trace-event JSON
 //!   ([`to_chrome_trace_json`]). A served query is one `query` root span
 //!   plus one span per stage, all under one trace id.
-//! - **Windowed aggregation** ([`window`]): rolling-window rates, deltas,
-//!   sliding percentiles, and gauge extremes over [`MetricsSnapshot`]
-//!   samples, counter-reset tolerant.
 //! - **SLO health** ([`health`]): declarative [`SloSpec`] bounds graded
 //!   into a [`HealthReport`] — strictly observational.
 //! - **Amplification accounting**: the WAL/replica/shard layers publish
 //!   logical-vs-physical byte and probe counters here; their ratios are
 //!   per-layer metrics of the repo benchmark.
 //!
-//! Env knob: `QUEST_OBS_SPAN_CAPACITY` (span ring size; 0 disables span
-//! tracing) — see [`SpanCollector::from_env`].
+//! The span ring holds the last 2048 spans; `spans().set_enabled(false)`
+//! turns tracing off.
 
 #![warn(missing_docs)]
 
@@ -47,7 +44,6 @@ pub mod health;
 pub mod histogram;
 pub mod metrics;
 pub mod span;
-pub mod window;
 
 pub use export::{
     parse_prometheus_text, to_chrome_trace_json, to_json, to_prometheus_text, ParsedSample,
@@ -61,7 +57,6 @@ pub use metrics::{
     MetricsSnapshot, WindowedGauge,
 };
 pub use span::{spans, SpanCollector, SpanRecord, TraceCtx, TraceKind};
-pub use window::{WindowAggregator, WindowConfig, WindowRates};
 
 use std::sync::OnceLock;
 

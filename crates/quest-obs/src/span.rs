@@ -13,8 +13,9 @@
 //! The collector follows the registry's inertness discipline: span records
 //! are `Copy` (static names, fixed-size args), slots are pre-allocated, and
 //! recording is gated on a single relaxed load — a disabled collector
-//! ([`SpanCollector::disabled`], or `QUEST_OBS_SPAN_CAPACITY=0`) performs
-//! **no allocation and no clock read** on the hot path:
+//! ([`SpanCollector::disabled`], or [`spans()`] after
+//! `set_enabled(false)`) performs **no allocation and no clock read** on
+//! the hot path:
 //! [`SpanCollector::start`] returns `None` before touching the clock, and
 //! [`SpanCollector::record`] returns before building anything.
 
@@ -147,17 +148,6 @@ impl SpanCollector {
         c
     }
 
-    /// Capacity from `QUEST_OBS_SPAN_CAPACITY` (default 2048; 0 disables).
-    /// Unparsable values fall back silently — observability must never
-    /// take the service down.
-    pub fn from_env() -> SpanCollector {
-        let capacity = std::env::var("QUEST_OBS_SPAN_CAPACITY")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(2048);
-        SpanCollector::new(capacity)
-    }
-
     /// Whether spans are being recorded.
     pub fn is_enabled(&self) -> bool {
         !self.slots.is_empty() && self.enabled.load(Ordering::Relaxed)
@@ -255,12 +245,15 @@ impl SpanCollector {
     }
 }
 
-/// The process-wide span collector, sized by `QUEST_OBS_SPAN_CAPACITY` at
-/// first use. The WAL, replica, shard, and serving layers all record here,
-/// so one Chrome trace export sees every lane of the process.
+/// Spans the process-wide collector retains.
+const SPANS_CAPACITY: usize = 2048;
+
+/// The process-wide span collector, retaining the last 2048 spans. The
+/// WAL, replica, shard, and serving layers all record here, so one Chrome
+/// trace export sees every lane of the process.
 pub fn spans() -> &'static SpanCollector {
     static SPANS: OnceLock<SpanCollector> = OnceLock::new();
-    SPANS.get_or_init(SpanCollector::from_env)
+    SPANS.get_or_init(|| SpanCollector::new(SPANS_CAPACITY))
 }
 
 #[cfg(test)]

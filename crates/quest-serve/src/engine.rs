@@ -55,14 +55,12 @@ use quest_core::{
     Configuration, Explanation, ForwardResult, FullAccessWrapper, KeywordQuery, Quest, QuestError,
     SearchOutcome, SearchScratch, SourceWrapper,
 };
-use quest_obs::{
-    HealthInputs, MetricsRegistry, SloSpec, TraceCtx, TraceKind, WindowAggregator, WindowConfig,
-};
+use quest_obs::{MetricsRegistry, TraceCtx, TraceKind};
 use quest_wal::ChangeRecord;
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
-use crate::stats::{names, CacheStats, ServeObs, ServeStats};
+use crate::stats::{CacheStats, ServeObs, ServeStats};
 
 /// Entries of the forward cache: distinct keyword queries per epoch pair.
 /// A workload's distinct-query set is small next to its volume.
@@ -104,17 +102,6 @@ pub struct CachedEngine<W: SourceWrapper> {
     // the (potentially large) payload copy happens outside it.
     forward: Mutex<LruCache<ForwardKey, ForwardEntry>>,
     obs: ServeObs,
-    /// Optional SLO monitor ([`CachedEngine::set_slo`]): the declarative
-    /// spec plus the rolling window [`CachedEngine::stats`] feeds. Strictly
-    /// observational — grading never feeds back into serving.
-    slo: Mutex<Option<SloMonitor>>,
-}
-
-/// See [`CachedEngine::set_slo`].
-#[derive(Debug)]
-struct SloMonitor {
-    spec: SloSpec,
-    window: WindowAggregator,
 }
 
 impl<W: SourceWrapper> CachedEngine<W> {
@@ -127,7 +114,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
             watermark: AtomicU64::new(0),
             forward: Mutex::new(LruCache::new(FORWARD_CAPACITY)),
             obs: ServeObs::new(Arc::new(MetricsRegistry::new())),
-            slo: Mutex::new(None),
         }
     }
 
@@ -168,20 +154,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
     /// contract; the engine only stores and reports it.
     pub fn set_watermark(&self, watermark: u64) {
         self.watermark.store(watermark, Ordering::Release);
-    }
-
-    /// Install (or replace) an SLO health monitor. Every subsequent
-    /// [`CachedEngine::stats`] feeds the monitor's rolling window (of
-    /// [`WindowConfig::default`] width) with the registry snapshot and
-    /// grades the windowed p99 and error rate into [`ServeStats::health`].
-    /// Monitoring is strictly observational: served results are
-    /// byte-identical with a spec installed or not (pinned by
-    /// `tests/serve.rs`).
-    pub fn set_slo(&self, spec: SloSpec) {
-        *self.slo.lock().unwrap_or_else(PoisonError::into_inner) = Some(SloMonitor {
-            spec,
-            window: WindowAggregator::new(WindowConfig::default()),
-        });
     }
 
     fn forward_cache(&self) -> MutexGuard<'_, LruCache<ForwardKey, ForwardEntry>> {
@@ -412,24 +384,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
                 .set(cache.entries as i64);
         }
         stats.metrics = registry.snapshot();
-        if let Some(monitor) = self
-            .slo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-        {
-            monitor.window.observe(&stats.metrics);
-            let rates = monitor.window.query_rates(names::QUERIES, names::ERRORS);
-            let inputs = HealthInputs {
-                p99_us: monitor
-                    .window
-                    .percentile(names::LATENCY, 99.0)
-                    .map(|ns| ns / 1_000),
-                error_rate: rates.map(|r| r.error_rate),
-                lag: None,
-            };
-            stats.health = Some(monitor.spec.evaluate(&inputs));
-        }
         stats
     }
 }

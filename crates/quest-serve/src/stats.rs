@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use quest_obs::{Counter, HealthReport, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
+use quest_obs::{Counter, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 
 /// Counters of one cache at snapshot time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,10 +110,6 @@ pub struct ServeStats {
     /// the typed fields above. `Display` renders *this*, so nothing can be
     /// registered yet dropped from the rendering.
     pub metrics: MetricsSnapshot,
-    /// SLO grade of the window ending at this snapshot — `None` until a
-    /// spec is installed via `CachedEngine::set_slo`. Strictly
-    /// observational: the grade never feeds back into serving.
-    pub health: Option<HealthReport>,
 }
 
 impl ServeStats {
@@ -126,16 +122,6 @@ impl ServeStats {
             // count and wrap to a division by zero at 2^32 queries.
             Duration::from_nanos((self.total_latency.as_nanos() / self.queries as u128) as u64)
         }
-    }
-
-    /// Exact-bound latency percentile in microseconds, read from the
-    /// total-latency histogram (0 before any search or in a
-    /// default-constructed snapshot).
-    pub fn latency_percentile_us(&self, p: f64) -> u64 {
-        self.metrics
-            .histogram(names::LATENCY)
-            .map(|h| h.percentile(p) / 1_000)
-            .unwrap_or(0)
     }
 }
 
@@ -205,9 +191,6 @@ impl fmt::Display for ServeStats {
                     Duration::from_nanos(h.max),
                 )?,
             }
-        }
-        if let Some(health) = &self.health {
-            write!(f, "\nhealth: {health}")?;
         }
         Ok(())
     }

@@ -2,9 +2,8 @@
 
 use crate::error::ShardError;
 
-/// Upper bound on the shard count. Matches the bound
-/// `QuestConfig::validate` enforces on its `shard_count` knob: beyond this,
-/// per-shard fixed costs dwarf any per-query win at this engine's scale.
+/// Upper bound on the shard count: beyond this, per-shard fixed costs
+/// dwarf any per-query win at this engine's scale.
 pub const MAX_SHARD_COUNT: usize = 1024;
 
 /// How a [`ShardedStore`](crate::ShardedStore) is partitioned.

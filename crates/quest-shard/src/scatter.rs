@@ -40,11 +40,8 @@ impl ScatterGather {
     /// Serve an existing sharded store with default cache sizing.
     pub fn from_store(
         store: ShardedStore,
-        mut config: QuestConfig,
+        config: QuestConfig,
     ) -> Result<ScatterGather, ShardError> {
-        // Keep the engine config's shard knob in sync with the actual
-        // partitioning, so config introspection and ServeStats agree.
-        config.shard_count = store.shard_count();
         let engine = Quest::new(ShardedWrapper::new(store), config)?;
         Ok(ScatterGather {
             engine: Arc::new(CachedEngine::new(engine)),

@@ -9,8 +9,11 @@
 //!   replication;
 //! * [`WalWriter`] / [`read_log`] — an append-only on-disk log with a text
 //!   framing format: a schema-fingerprinted header, per-record FNV-64
-//!   checksums, a [`SyncPolicy`] durability knob, and torn-tail recovery
-//!   (a crash mid-append costs at most the unfinished record);
+//!   checksums, sequence numbers that rise by exactly one, a
+//!   [`SyncPolicy`] durability knob, and torn-tail recovery (a crash
+//!   mid-append costs at most the unfinished record; any bad final line —
+//!   not UTF-8, failing its checksum, or a seq that is not the next one —
+//!   is dropped and reported as a torn tail);
 //! * [`LogReader`] — positioned, incremental reading of the same log:
 //!   `seek` past a snapshot's watermark without decoding the skipped
 //!   prefix, then `poll` the tail as it grows (the replication transport —

@@ -7,24 +7,27 @@
 //! <seq><TAB><fnv64 of body, hex><TAB><body>             (records)
 //! ```
 //!
-//! Sequence numbers start at 1 and increase strictly; the checksum covers
-//! the record body, so a torn write (a crash mid-append) is detected. Every
-//! reader of the format — the writer's open, [`read_log`],
-//! [`crate::LogReader`] and the salvage cut — applies the same two rules:
+//! Sequence numbers start at 1 and rise by exactly one per record: every
+//! writer numbers from 1 without gaps, and clearing a log starts it over
+//! at 1. The checksum covers the record body, so a torn write (a crash
+//! mid-append) is detected. Every reader of the format — the writer's
+//! open, [`read_log`], [`crate::LogReader`] and the salvage cut — applies
+//! the same two rules:
 //!
 //! * **Header** (`header_len`). Newline-free bytes shorter than a header
 //!   line are a creation in flight or torn by a crash: nothing was logged,
 //!   so the log reads as empty and the writer starts it over. Any other
 //!   first line that is not the header is corrupt.
-//! * **Records** (`scan_records`). Any invalid *final* line — unterminated
-//!   or not — ends the log: filesystems flush pages out of order, so an
-//!   un-synced append interrupted by a crash can surface either way, and
-//!   refusing to load would hold every durable record hostage to one
-//!   unacknowledged tail. The dropped tail is always reported
-//!   ([`LogRecovery::torn_tail`], [`crate::TailPoll::pending`]), so a tail
-//!   that was in fact synced-then-rotted is surfaced, not silently
-//!   swallowed. A bad line anywhere *else* cannot be a torn append and
-//!   refuses to load.
+//! * **Records** (`scan_records`). A line is bad when it is not UTF-8,
+//!   does not parse or checksum, or its seq is not one past the previous
+//!   record's. Any bad *final* line — unterminated or not — ends the log:
+//!   filesystems flush pages out of order, so an un-synced append
+//!   interrupted by a crash can surface either way, and refusing to load
+//!   would hold every durable record hostage to one unacknowledged tail.
+//!   The dropped tail is always reported ([`LogRecovery::torn_tail`],
+//!   [`crate::TailPoll::pending`]), so a tail that was in fact
+//!   synced-then-rotted is surfaced, not silently swallowed. A bad line
+//!   anywhere *else* cannot be a torn append and refuses to load.
 //!
 //! A coordinator log ([`crate::CoordinatorLog`]) uses the same framing and
 //! rules with [`crate::BatchFrame`] bodies.
@@ -560,9 +563,10 @@ fn bad_header(head: &[u8]) -> WalError {
 }
 
 /// The record rule: verify the lines of `bytes` (the first is line
-/// `first_line` of the file), with sequence numbers rising strictly past
-/// `after`. Bytes after the last newline and a bad final line are a torn
-/// tail; a bad line with a complete line after it is [`WalError::Corrupt`].
+/// `first_line` of the file), with sequence numbers rising by exactly one
+/// from `after`. Bytes after the last newline and a bad final line are a
+/// torn tail; a bad line with a complete line after it is
+/// [`WalError::Corrupt`].
 pub(crate) fn scan_records<T>(
     bytes: &[u8],
     after: u64,
@@ -582,27 +586,27 @@ pub(crate) fn scan_records<T>(
         .zip(first_line..)
         .peekable();
     while let Some((raw, line)) = lines.next() {
-        // Complete lines were written as UTF-8, so a decode failure is rot,
-        // not tearing.
-        let text = std::str::from_utf8(&raw[..raw.len() - 1]).map_err(|e| WalError::Corrupt {
-            line,
-            message: format!("not valid UTF-8 at byte {}", e.valid_up_to()),
-        })?;
-        match parse_line(text, decode) {
-            Ok((seq, body)) if seq > scan.last_seq => {
+        // Complete lines were written as UTF-8: one that is not is as bad
+        // as one that does not parse.
+        let parsed = std::str::from_utf8(&raw[..raw.len() - 1])
+            .map_err(|e| format!("not valid UTF-8 at byte {}", e.valid_up_to()))
+            .and_then(|text| parse_line(text, decode));
+        match parsed {
+            Ok((seq, body)) if scan.last_seq.checked_add(1) == Some(seq) => {
                 scan.records.push((seq, body));
                 scan.last_seq = seq;
                 scan.valid_len += raw.len();
             }
             // A bad final line ends the log: out-of-order page flush can
             // persist a torn append's newline, so only *position* proves
-            // anything. A seq regression is bad too: the seq field sits
-            // outside the checksum, so tail rot can damage it alone.
+            // anything. A seq that does not follow by one is bad too: the
+            // seq field sits outside the checksum, so tail rot can damage
+            // it alone.
             _ if lines.peek().is_none() => break,
             Ok((seq, _)) => {
                 return Err(WalError::Corrupt {
                     line,
-                    message: format!("sequence {seq} not after {}", scan.last_seq),
+                    message: format!("sequence {seq} does not follow {}", scan.last_seq),
                 })
             }
             Err(message) => return Err(WalError::Corrupt { line, message }),
@@ -639,7 +643,7 @@ pub(crate) fn cut_damage(
             .map(|(seq, _)| seq);
         held = held.max(seq.unwrap_or(0));
         match seq {
-            Some(seq) if !damaged && seq > last_seq => {
+            Some(seq) if !damaged && last_seq.checked_add(1) == Some(seq) => {
                 last_seq = seq;
                 valid_len += raw.len();
             }
@@ -1009,35 +1013,78 @@ mod tests {
     #[test]
     fn sequence_regression_is_torn_on_the_final_line_but_fatal_mid_file() {
         // The seq field sits outside the body checksum, so tail rot can
-        // damage it alone: on the final line that ends the log (dropped,
-        // reported); mid-file it is unambiguous corruption.
-        let path = temp_path("seq-rot");
+        // damage it alone: 3 -> 1 (or 2 -> 1) leaves a line that verifies
+        // but goes backwards.
+        assert_tail_torn_and_middle_corrupt("seq-rot", |line| line[0] = b'1');
+    }
+
+    /// Write a three-record log beside a snapshot at LSN 0, then `rot`
+    /// the line of record `n`.
+    fn rotted_log(name: &str, n: usize, rot: fn(&mut [u8])) -> (PathBuf, PathBuf) {
+        let (path, snap) = (temp_path(name), temp_path(&format!("{name}-snap")));
+        std::fs::remove_file(&path).ok();
         let c = catalog();
-        {
-            let mut w = WalWriter::open(&path, &c).unwrap();
-            w.append(&ins(1)).unwrap();
-            w.append(&ins(2)).unwrap();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let rotted = text.replacen("\n2\t", "\n1\t", 1);
-        std::fs::write(&path, &rotted).unwrap();
+        let mut db = Database::new(c.clone()).unwrap();
+        db.finalize();
+        crate::write_snapshot(&db, &snap, 0).unwrap();
+        WalWriter::open(&path, &c)
+            .unwrap()
+            .append_batch(&(1..=3).map(ins).collect::<Vec<_>>())
+            .unwrap();
+        let mut lines: Vec<Vec<u8>> = std::fs::read(&path)
+            .unwrap()
+            .split_inclusive(|&b| b == b'\n')
+            .map(<[u8]>::to_vec)
+            .collect();
+        rot(&mut lines[n]);
+        std::fs::write(&path, lines.concat()).unwrap();
+        (path, snap)
+    }
+
+    /// Rot of record 3 (the final line) is a torn tail to every reader and
+    /// the writer resumes at seq 3; the same rot of record 2 is corrupt at
+    /// line 3 to every reader.
+    fn assert_tail_torn_and_middle_corrupt(name: &str, rot: fn(&mut [u8])) {
+        let c = catalog();
+        let (path, snap) = rotted_log(name, 3, rot);
         let log = read_log(&path, &c).unwrap();
         assert!(log.torn_tail);
-        assert_eq!(log.records, vec![(1, ins(1))]);
+        assert_eq!(log.records, vec![(1, ins(1)), (2, ins(2))]);
+        let recovered = crate::recover(&snap, &path).unwrap();
+        assert!(recovered.torn_tail);
+        assert_eq!(recovered.applied, 2);
+        assert_eq!(WalWriter::open(&path, &c).unwrap().next_seq(), 3);
 
-        // Same damage mid-file (a third record follows) is fatal.
-        std::fs::write(&path, text).unwrap();
-        {
-            let mut w = WalWriter::open(&path, &c).unwrap();
-            w.append(&ins(3)).unwrap();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replacen("\n2\t", "\n1\t", 1)).unwrap();
-        assert!(matches!(
-            read_log(&path, &c).unwrap_err(),
-            WalError::Corrupt { line: 3, .. }
-        ));
-        std::fs::remove_file(&path).unwrap();
+        let (path, snap) = rotted_log(name, 2, rot);
+        let corrupt_at_line_3 = |e: WalError| matches!(e, WalError::Corrupt { line: 3, .. });
+        assert!(corrupt_at_line_3(read_log(&path, &c).unwrap_err()));
+        assert!(corrupt_at_line_3(crate::recover(&snap, &path).unwrap_err()));
+        assert!(corrupt_at_line_3(WalWriter::open(&path, &c).unwrap_err()));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&snap).ok();
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_torn_at_the_tail_and_corrupt_mid_file() {
+        // 0xFF in the body: the line fails UTF-8 before its checksum.
+        assert_tail_torn_and_middle_corrupt("not-utf8", |line| {
+            let body_end = line.len() - 2;
+            line[body_end] = 0xFF;
+        });
+    }
+
+    #[test]
+    fn a_seq_that_skips_is_torn_at_the_tail_and_corrupt_mid_file() {
+        // The seq field sits outside the checksum: 3 -> 9 (or 2 -> 9)
+        // leaves a line that verifies but skips LSNs.
+        assert_tail_torn_and_middle_corrupt("seq-gap", |line| line[0] = b'9');
+        // The salvage cut stops before the skip too, not after it.
+        let c = catalog();
+        let (path, snap) = rotted_log("seq-gap-cut", 2, |line| line[0] = b'9');
+        assert!(cut_damage(&path, &c, 1, Some(2..=9)).unwrap());
+        assert_eq!(read_log(&path, &c).unwrap().records, vec![(1, ins(1))]);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&snap).ok();
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::snapshot::Snapshot;
 #[derive(Debug)]
 pub struct TailPoll {
     /// Complete, verified records in log order, each with its sequence
-    /// number (strictly increasing across polls).
+    /// number (each one past the last, across polls).
     pub records: Vec<(u64, ChangeRecord)>,
     /// Bytes past the last consumed record that do not (yet) form a valid
     /// record: an append still in flight, or a torn tail after a crash.
@@ -151,11 +151,11 @@ impl LogReader {
             let line = &bytes[pos..pos + nl];
             let end = pos + nl + 1;
             // Only the seq field matters for skipping; anything unparseable
-            // is left for `poll` to classify (torn tail vs. corruption). A
-            // seq regression is the writer's torn-tail signal (the field
-            // sits outside the body checksum), so stop there too.
+            // is left for `poll` to classify (torn tail vs. corruption). So
+            // is a seq that does not follow by one: the field sits outside
+            // the body checksum, so it may be rot.
             let Some(seq) = leading_seq(line) else { break };
-            if seq > after_seq || seq <= self.last_seq {
+            if seq > after_seq || self.last_seq.checked_add(1) != Some(seq) {
                 break;
             }
             // The *final* complete line may be a torn append whose newline
@@ -184,7 +184,7 @@ impl LogReader {
     /// Stops at the first incomplete or invalid trailing line, which stays
     /// pending (see [`TailPoll::pending`]). An invalid line with *further
     /// complete lines after it* cannot be an append in flight and fails
-    /// with [`WalError::Corrupt`]. Sequence numbers must increase strictly
+    /// with [`WalError::Corrupt`]. Sequence numbers must rise by exactly one
     /// across the reader's lifetime. On `Err` the reader is unchanged.
     pub fn poll(&mut self) -> Result<TailPoll, WalError> {
         if let Some(fault) = quest_fault::fire(quest_fault::sites::WAL_READ) {

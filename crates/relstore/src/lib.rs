@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod csv;
 pub mod database;
 pub mod error;
 pub mod index;

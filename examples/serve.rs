@@ -41,16 +41,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The service: same engine behind the thread pool and stage caches.
     let service = QueryService::new(CachedEngine::new(engine), workers);
 
-    // SLO monitoring: generous bounds a healthy demo never violates. The
-    // first stats() call seeds the aggregation window so the final report
-    // grades the whole serving run's deltas.
-    service.engine().set_slo(quest::obs::SloSpec {
-        max_p99_us: Some(5_000_000),
-        max_error_rate: Some(0.5),
-        ..Default::default()
-    });
-    let _ = service.engine().stats();
-
     let t0 = Instant::now();
     let tickets = service.submit_batch(&stream);
     let mut answered = 0usize;
@@ -87,9 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = service.shutdown();
     println!("\n{stats}");
-    if let Some(health) = &stats.health {
-        println!("slo verdict: {health}");
-    }
 
     // Prometheus exposition: the engine's registry snapshot (riding in the
     // stats) merged with the process-wide registry (WAL/replica/shard

@@ -137,10 +137,11 @@ where
 }
 
 /// Snapshot of the global fault counters (bare, label-free series).
-fn fault_counters() -> (u64, u64, u64) {
+fn fault_counters() -> (u64, u64, u64, u64) {
     let snap = quest_obs::global().snapshot();
     (
         snap.counter(fault::names::INJECTED).unwrap_or(0),
+        snap.counter(fault::names::RETRIES).unwrap_or(0),
         snap.counter(fault::names::HEALS).unwrap_or(0),
         fault::consumed(),
     )
@@ -414,10 +415,11 @@ fn seeded_schedules_heal_to_twin_identical_service() {
         "twin must actually answer queries"
     );
 
+    let (injected_start, retries_start, heals_start, _) = fault_counters();
     let mut fenced_seeds = Vec::new();
     for seed in 0..schedules() {
         let plan = FaultPlan::generate(seed, 5);
-        let (injected_before, _, consumed_before) = fault_counters();
+        let (injected_before, _, _, consumed_before) = fault_counters();
         if seed % 2 == 0 {
             let (prints, target) = run_replicated(&format!("r{seed}"), Some(plan));
             assert_eq!(
@@ -441,7 +443,7 @@ fn seeded_schedules_heal_to_twin_identical_service() {
                 assert_reopen_mid_fence_matches(&format!("s{seed}"), plan, &twin_sharded);
             }
         }
-        let (injected_after, _, consumed_after) = fault_counters();
+        let (injected_after, _, _, consumed_after) = fault_counters();
         assert_eq!(
             injected_after - injected_before,
             consumed_after - consumed_before,
@@ -451,14 +453,20 @@ fn seeded_schedules_heal_to_twin_identical_service() {
 
     // The sweep must have real coverage: faults actually fired, and the
     // supervised heal paths actually ran — otherwise a plan whose sites
-    // never trigger would pass vacuously.
-    let (injected_total, heals_total, _) = fault_counters();
-    assert!(injected_total > 0, "no schedule injected a single fault");
-    assert!(heals_total > 0, "no schedule exercised a heal path");
+    // never trigger would pass vacuously. The counters are process-wide,
+    // so count only what this sweep added, not other tests' faults.
+    let (injected_end, retries_end, heals_end, _) = fault_counters();
+    let injected = injected_end - injected_start;
+    let heals = heals_end - heals_start;
+    assert!(injected > 0, "no schedule injected a single fault");
+    assert!(heals > 0, "no schedule exercised a heal path");
+    // CI greps this line: only a run whose every schedule converged to the
+    // twin reaches it.
     println!(
-        "chaos: {} schedules, {injected_total} faults injected, {heals_total} heals, \
+        "chaos OK: {} schedules, {injected} faults injected, {} retries, {heals} heals, \
          sharded schedules that fenced (supervised and reopened): {fenced_seeds:?}",
-        schedules()
+        schedules(),
+        retries_end - retries_start,
     );
 }
 
@@ -507,17 +515,18 @@ fn zero_fault_plan_is_inert() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::clear();
     let twin = replicated_twin().clone();
-    let (injected_before, heals_before, consumed_before) = fault_counters();
+    let (injected_before, retries_before, heals_before, consumed_before) = fault_counters();
     fault::install(FaultPlan::none());
     // An empty plan disarms the registry outright: the hot path stays a
     // single relaxed load, exactly as if no plan had ever been installed.
     assert!(!fault::installed());
     assert_eq!(fault::pending(), 0);
     let (prints, target) = run_replicated("zero-plan", None);
-    let (injected_after, heals_after, consumed_after) = fault_counters();
+    let (injected_after, retries_after, heals_after, consumed_after) = fault_counters();
     assert_eq!(prints, twin.0, "an empty plan must not perturb results");
     assert_eq!(target, twin.1);
     assert_eq!(injected_after, injected_before);
+    assert_eq!(retries_after, retries_before);
     assert_eq!(heals_after, heals_before);
     assert_eq!(consumed_after, consumed_before);
     fault::clear();

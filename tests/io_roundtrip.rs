@@ -1,55 +1,12 @@
-//! Cross-crate I/O round trips: a database exported to CSV and re-imported
-//! answers keyword queries identically; SQL rendered from explanations
-//! parses back to an equivalent statement; the schema summary orients on
-//! the right tables.
+//! Cross-crate I/O round trips: SQL rendered from explanations parses back
+//! to an equivalent statement; the schema summary orients on the right
+//! tables.
 
 use quest::prelude::*;
-use quest::store::csv::{dump_csv, load_csv};
 use quest::store::sql::parse_sql;
 use quest_core::backward::{summarize, SummaryWeights};
 use quest_core::eval::statements_equivalent;
 use quest_data::imdb::{self, ImdbScale};
-
-/// Dump every table of a database and load it into a fresh instance.
-fn roundtrip(db: &Database) -> Database {
-    let mut copy = Database::new(db.catalog().clone()).expect("same catalog is valid");
-    for table in db.catalog().tables() {
-        let text = dump_csv(db, table.id);
-        load_csv(&mut copy, &table.name, &text, true).expect("reimport succeeds");
-    }
-    copy.validate_foreign_keys()
-        .expect("fks survive round trip");
-    copy.finalize();
-    copy
-}
-
-#[test]
-fn csv_round_trip_preserves_search_results() {
-    let db = imdb::generate(&ImdbScale {
-        movies: 100,
-        seed: 42,
-    })
-    .expect("generate");
-    let copy = roundtrip(&db);
-    assert_eq!(db.total_rows(), copy.total_rows());
-
-    let a = Quest::new(FullAccessWrapper::new(db), QuestConfig::default()).expect("build");
-    let b = Quest::new(FullAccessWrapper::new(copy), QuestConfig::default()).expect("build");
-    for q in ["casablanca", "fleming wind", "drama 1939"] {
-        let oa = a.search(q).expect("search original");
-        let ob = b.search(q).expect("search copy");
-        assert_eq!(oa.explanations.len(), ob.explanations.len(), "query {q}");
-        for (ea, eb) in oa.explanations.iter().zip(&ob.explanations) {
-            assert!(
-                statements_equivalent(&ea.statement, &eb.statement),
-                "query {q}: {} vs {}",
-                ea.sql(a.wrapper().catalog()),
-                eb.sql(b.wrapper().catalog())
-            );
-            assert!((ea.score - eb.score).abs() < 1e-9);
-        }
-    }
-}
 
 #[test]
 fn rendered_sql_parses_back_equivalently() {

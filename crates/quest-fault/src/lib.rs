@@ -11,8 +11,10 @@
 //!   the hot path is a single relaxed atomic load, mirroring how `quest-obs`
 //!   stays free when disabled.
 //! * **Self-healing** ([`retry`]): a [`RetryPolicy`] with bounded,
-//!   deterministic exponential backoff (seeded jitter) and an injectable
-//!   [`Clock`] so recovery loops never touch wall-clock time in tests.
+//!   deterministic exponential backoff (seeded jitter), an injectable
+//!   [`Clock`] so recovery loops never touch wall-clock time in tests, and
+//!   [`Quarantine`], the one probe-after-backoff state machine that both
+//!   the replica and the shard supervisors run.
 //!
 //! Every injection, retry, heal, and escalation is counted in the global
 //! `quest-obs` registry under the `quest_fault_*` names so chaos runs are
@@ -38,7 +40,7 @@ pub use plan::{
     clear, consumed, fire, init_from_env, install, installed, pending, sites, Fault, FaultKind,
     FaultPlan, Injection, Transience,
 };
-pub use retry::{Clock, ManualClock, RetryPolicy, SystemClock};
+pub use retry::{Clock, ManualClock, Quarantine, RetryPolicy, SystemClock};
 
 /// Metric names exported to the global `quest-obs` registry.
 pub mod names {
@@ -75,7 +77,7 @@ pub(crate) fn count_injected(site: &str) {
 }
 
 /// Count one retry attempt made by a self-healing loop.
-pub fn count_retry() {
+pub(crate) fn count_retry() {
     describe_all();
     quest_obs::global().counter(names::RETRIES).inc();
 }
@@ -90,7 +92,7 @@ pub fn count_heal(component: &str) {
 }
 
 /// Count one escalation of `component` to permanent failure.
-pub fn count_escalation(component: &str) {
+pub(crate) fn count_escalation(component: &str) {
     describe_all();
     let reg = quest_obs::global();
     reg.counter(names::ESCALATIONS).inc();

@@ -88,7 +88,7 @@ impl Clock for ManualClock {
 /// clamped to `cap` again. The whole schedule is a pure function of the
 /// policy, so two runs with the same seed back off identically. Every site
 /// spends the budget — the first try plus `retries` retries — through
-/// [`RetryPolicy::backoff`] (in place) or [`RetryPolicy::next_probe`] (ticks).
+/// [`RetryPolicy::backoff`] (in place) or a [`Quarantine`] (supervisor ticks).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum retries after the first try (0 disables retries).
@@ -135,11 +135,11 @@ impl RetryPolicy {
         (0..self.retries).map(|a| self.delay(a)).collect()
     }
 
-    /// The scheduling step of a supervisor: a probe failed at `now` after
-    /// `attempts` earlier failed probes. While the budget lasts this counts
-    /// one retry, bumps `attempts` and returns when the next probe is due;
-    /// `None` means the budget is spent and the caller escalates.
-    pub fn next_probe(&self, attempts: &mut u32, now: Duration) -> Option<Duration> {
+    /// The scheduling step of a [`Quarantine`]: a probe failed at `now`
+    /// after `attempts` earlier failed probes. While the budget lasts this
+    /// counts one retry, bumps `attempts` and returns when the next probe
+    /// is due; `None` means the budget is spent and the caller escalates.
+    pub(crate) fn next_probe(&self, attempts: &mut u32, now: Duration) -> Option<Duration> {
         if *attempts >= self.retries {
             return None;
         }
@@ -163,6 +163,68 @@ impl RetryPolicy {
             clock.sleep(delay);
         }
         delay.is_some()
+    }
+}
+
+/// One out-of-service component's quarantine: when its supervisor probes
+/// it next, until a probe heals it or the budget is spent. The owner keeps
+/// the component and runs the probes. Entering charges the component's
+/// [`quarantined`](crate::quarantined) gauge and dropping releases it, so
+/// a lifted, an escalated-then-dropped and a replaced quarantine all
+/// release it the same way.
+#[derive(Debug)]
+pub struct Quarantine {
+    component: String,
+    /// The charged gauge, resolved on entry so `drop` needs no lookup.
+    gauge: quest_obs::Gauge,
+    /// Failed probes rescheduled so far.
+    attempts: u32,
+    /// When the next probe is due; `None` once escalated.
+    next_probe: Option<Duration>,
+}
+
+impl Quarantine {
+    /// Quarantine `component` (`"replica"`, `"shard"`) at `now`, with its
+    /// first probe due at once.
+    pub fn enter(component: &str, now: Duration) -> Quarantine {
+        let gauge = crate::quarantined(component);
+        gauge.add(1);
+        Quarantine {
+            component: component.to_string(),
+            gauge,
+            attempts: 0,
+            next_probe: Some(now),
+        }
+    }
+
+    /// Whether a probe is due at `now`; never, once escalated.
+    pub fn is_due(&self, now: Duration) -> bool {
+        self.next_probe.is_some_and(|due| now >= due)
+    }
+
+    /// A due probe failed at `now`: schedule the next one under `retry`'s
+    /// backoff, or escalate once the first probe and all
+    /// [`RetryPolicy::retries`] retries have failed. An escalated component
+    /// is never probed again and stays charged until it is dropped.
+    pub fn probe_failed(&mut self, retry: &RetryPolicy, now: Duration) {
+        self.next_probe = retry.next_probe(&mut self.attempts, now);
+        if self.next_probe.is_none() {
+            crate::count_escalation(&self.component);
+        }
+    }
+
+    /// A probe healed the component: count `heals` heals and lift the
+    /// quarantine.
+    pub fn lift(self, heals: usize) {
+        for _ in 0..heals {
+            crate::count_heal(&self.component);
+        }
+    }
+}
+
+impl Drop for Quarantine {
+    fn drop(&mut self) {
+        self.gauge.sub(1);
     }
 }
 

@@ -1,13 +1,17 @@
 //! Property tests for the retry/backoff schedule: deterministic per seed,
-//! monotone in the exponential regime, and always bounded by the cap. Also
-//! the fault-plan syntax (`QUEST_FAULT_PLAN`): hostile text is refused with
-//! an error, never a panic, and every accepted plan round-trips through
-//! its `Display` form.
+//! monotone in the exponential regime, and always bounded by the cap. The
+//! quarantine machine probes on that schedule and escalates on its budget.
+//! Also the fault-plan syntax (`QUEST_FAULT_PLAN`): hostile text is refused
+//! with an error, never a panic, and every accepted plan round-trips
+//! through its `Display` form.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use quest_fault::{sites, FaultPlan, RetryPolicy};
+use quest_fault::{
+    names, quarantined, sites, Clock, FaultPlan, ManualClock, Quarantine, RetryPolicy,
+};
 
 /// Fault kinds the plan syntax knows, plus one it must refuse.
 const KINDS: &[&str] = &[
@@ -52,8 +56,60 @@ fn policy(retries: u32, base_ms: u64, cap_ms: u64, seed: u64) -> RetryPolicy {
     }
 }
 
+/// Numbers each quarantine case's component label: the metrics registry is
+/// process-global, so a shared label would see other cases' counts.
+static CASE: AtomicU64 = AtomicU64::new(0);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn quarantine_probes_on_schedule_and_escalates_on_budget(
+        retries in 0u32..8,
+        base_ms in 1u64..50,
+        cap_ms in 1u64..500,
+        seed in any::<u64>(),
+        start_us in 0u64..1_000_000,
+        outcomes in proptest::collection::vec(any::<bool>(), 0..12),
+    ) {
+        let p = policy(retries, base_ms, cap_ms, seed);
+        let component = format!("quarantine-{}", CASE.fetch_add(1, Ordering::Relaxed));
+        let labels = [("component", component.as_str())];
+        let count = |name| quest_obs::global().counter_with(name, &labels).value();
+        let clock = ManualClock::new();
+        clock.advance(Duration::from_micros(start_us));
+        let mut quarantine = Quarantine::enter(&component, clock.now());
+        prop_assert_eq!(quarantined(&component).value(), 1);
+        // Due on entry; each failed probe schedules the next at its own time
+        // plus the policy's delay for that retry.
+        let (mut due, mut failures) = (clock.now(), 0u32);
+        for heals in outcomes {
+            let early = due.checked_sub(Duration::from_nanos(1));
+            prop_assert!(!early.is_some_and(|early| quarantine.is_due(early)));
+            // The first microsecond tick at or past `due`.
+            clock.advance(due.saturating_sub(clock.now()) + Duration::from_nanos(999));
+            let now = clock.now();
+            prop_assert!(quarantine.is_due(due) && quarantine.is_due(now));
+            if heals {
+                quarantine.lift(1);
+                prop_assert_eq!(count(names::HEALS), 1);
+                prop_assert_eq!(quarantined(&component).value(), 0);
+                return Ok(());
+            }
+            quarantine.probe_failed(&p, now);
+            failures += 1;
+            let spent = failures == 1 + retries;
+            prop_assert_eq!(count(names::ESCALATIONS), u64::from(spent));
+            if spent {
+                prop_assert!(!quarantine.is_due(Duration::MAX));
+                break;
+            }
+            due = now + p.delay(failures - 1);
+        }
+        prop_assert_eq!(quarantined(&component).value(), 1);
+        drop(quarantine);
+        prop_assert_eq!((count(names::HEALS), quarantined(&component).value()), (0, 0));
+    }
 
     #[test]
     fn schedule_is_deterministic_per_seed(

@@ -28,8 +28,8 @@
 //!   and exported as Chrome trace-event JSON
 //!   ([`to_chrome_trace_json`]). A served query is one `query` root span
 //!   plus one span per stage, all under one trace id.
-//! - **SLO health** ([`health`]): declarative [`SloSpec`] bounds graded
-//!   into a [`HealthReport`] — strictly observational.
+//! - **SLO health** ([`health`]): a declarative [`SloSpec`] lag bound
+//!   graded into a [`HealthReport`] — strictly observational.
 //! - **Amplification accounting**: the WAL/replica/shard layers publish
 //!   logical-vs-physical byte and probe counters here; their ratios are
 //!   per-layer metrics of the repo benchmark.
@@ -48,7 +48,7 @@ pub mod span;
 pub use export::{
     parse_prometheus_text, to_chrome_trace_json, to_json, to_prometheus_text, ParsedSample,
 };
-pub use health::{HealthInputs, HealthReport, HealthStatus, SloSpec};
+pub use health::{HealthReport, HealthStatus, SloSpec};
 pub use histogram::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, HistogramSnapshot, BUCKETS,
 };

@@ -14,10 +14,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::time::Duration;
 
 use quest_core::SearchOutcome;
-use quest_fault::{Clock, RetryPolicy, SystemClock};
+use quest_fault::{Clock, Quarantine, RetryPolicy, SystemClock};
 use quest_serve::ServeStats;
 
 use crate::error::ReplicaError;
@@ -105,11 +104,7 @@ impl Topology {
             .filter(|r| r.healthy)
             .map(|r| r.lag)
             .max();
-        let mut report = spec.evaluate(&quest_obs::HealthInputs {
-            p99_us: None,
-            error_rate: None,
-            lag,
-        });
+        let mut report = spec.evaluate(lag);
         for broken in self.replicas.iter().filter(|r| !r.healthy) {
             report.push(
                 quest_obs::HealthStatus::Critical,
@@ -139,30 +134,14 @@ impl std::fmt::Display for Topology {
     }
 }
 
-/// Recovery state of one replica slot (see [`ReplicaSet::supervise`]).
-#[derive(Debug)]
-enum Quarantine {
-    /// Serving normally (or merely lagging — lag is not quarantine).
-    Active,
-    /// Broken and quarantined: re-bootstrap probes run behind backoff.
-    Probing {
-        /// Failed probes so far.
-        attempts: u32,
-        /// Clock time before which no further probe runs.
-        next_probe: Duration,
-    },
-    /// Probes exhausted the retry budget; only operator action (a manual
-    /// [`ReplicaSet::spawn_replica`] replacement) brings the slot back.
-    Permanent,
-}
-
-/// One registered replica plus its recovery state. The `Arc<Replica>` is
-/// swapped wholesale when a quarantine probe re-bootstraps it; handles from
-/// before the swap keep working (they just point at the retired instance).
+/// One registered replica plus its quarantine (`None` while serving, or
+/// merely lagging: lag is not quarantine). The `Arc<Replica>` is swapped
+/// wholesale when a quarantine probe re-bootstraps it; handles from before
+/// the swap keep working (they just point at the retired instance).
 #[derive(Debug)]
 struct ReplicaSlot {
     replica: RwLock<Arc<Replica>>,
-    state: Mutex<Quarantine>,
+    quarantine: Mutex<Option<Quarantine>>,
 }
 
 /// The router: one primary, N replicas, a default policy.
@@ -181,8 +160,6 @@ pub struct ReplicaSet {
     /// Time source the quarantine machinery reads (tests inject a
     /// [`quest_fault::ManualClock`]).
     clock: Arc<dyn Clock>,
-    /// Gauge of slots currently not Active (probing or permanent).
-    quarantined: quest_obs::Gauge,
 }
 
 impl ReplicaSet {
@@ -198,7 +175,6 @@ impl ReplicaSet {
             fallback: quest_obs::global().counter(crate::names::ROUTER_FALLBACK),
             retry: RetryPolicy::default(),
             clock: Arc::new(SystemClock::new()),
-            quarantined: quest_fault::quarantined("replica"),
         }
     }
 
@@ -213,7 +189,7 @@ impl ReplicaSet {
     pub fn add_replica(&mut self, replica: Arc<Replica>) {
         self.slots.push(ReplicaSlot {
             replica: RwLock::new(replica),
-            state: Mutex::new(Quarantine::Active),
+            quarantine: Mutex::new(None),
         });
     }
 
@@ -254,43 +230,27 @@ impl ReplicaSet {
         let mut healed = 0;
         for slot in &self.slots {
             let replica = Arc::clone(&slot.replica.read().unwrap_or_else(PoisonError::into_inner));
-            let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-            if matches!(*state, Quarantine::Active) && !replica.is_healthy() {
-                // Quarantine: the router already skips unhealthy replicas;
-                // this transition is what schedules the heal probes.
-                *state = Quarantine::Probing {
-                    attempts: 0,
-                    next_probe: now,
-                };
-                self.quarantined.add(1);
+            let mut state = slot
+                .quarantine
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            // The router already skips unhealthy replicas; entering
+            // quarantine is what schedules the heal probes.
+            if state.is_none() && !replica.is_healthy() {
+                *state = Some(Quarantine::enter("replica", now));
             }
-            let Quarantine::Probing {
-                attempts,
-                next_probe,
-            } = &mut *state
-            else {
+            let Some(quarantine) = state.as_mut().filter(|q| q.is_due(now)) else {
                 continue;
             };
-            if now < *next_probe {
-                continue;
-            }
             match self.try_rebootstrap(replica.name()) {
                 Ok(fresh) => {
                     *slot.replica.write().unwrap_or_else(PoisonError::into_inner) = fresh;
-                    *state = Quarantine::Active;
-                    self.quarantined.sub(1);
-                    quest_fault::count_heal("replica");
+                    if let Some(lifted) = state.take() {
+                        lifted.lift(1);
+                    }
                     healed += 1;
                 }
-                Err(_) => match self.retry.next_probe(attempts, now) {
-                    Some(due) => *next_probe = due,
-                    None => {
-                        // Still counted in the quarantine gauge: the slot
-                        // is out of service either way.
-                        *state = Quarantine::Permanent;
-                        quest_fault::count_escalation("replica");
-                    }
-                },
+                Err(_) => quarantine.probe_failed(&self.retry, now),
             }
         }
         healed

@@ -52,10 +52,9 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use quest_core::{QuestConfig, SearchOutcome};
-use quest_fault::{Clock, FaultKind, RetryPolicy, SystemClock};
+use quest_fault::{Clock, FaultKind, Quarantine, RetryPolicy, SystemClock};
 use quest_obs::{TraceCtx, TraceKind};
 use quest_serve::ApplyReport;
 use quest_wal::{
@@ -93,57 +92,16 @@ fn commit_ctx() -> TraceCtx {
     TraceCtx::detached(TraceKind::Commit)
 }
 
-/// Which shards are fenced and why, and when supervision probes the set
-/// next. One probe heals every fenced shard, because it rebuilds the whole
-/// set from its directory. What to repair is not stored here: the
-/// coordinator log on disk holds every committed slice a shard log may
-/// lack.
-#[derive(Debug, Clone)]
+/// Which shards are fenced and why, and the set's quarantine: one probe
+/// heals every fenced shard, because it rebuilds the whole set from its
+/// directory. What to repair is not stored here: the coordinator log on
+/// disk holds every committed slice a shard log may lack.
+#[derive(Debug)]
 struct Fence {
     /// Why each shard is fenced (`None` = not fenced); a failed probe's
     /// error replaces every reason.
     reasons: Vec<Option<String>>,
-    /// Failed recovery probes that were rescheduled so far.
-    attempts: u32,
-    /// Escalated: the first recovery probe and all
-    /// [`RetryPolicy::retries`] retries failed; only an operator restart
-    /// clears this.
-    permanent: bool,
-    /// Earliest clock reading at which the next recovery probe is due.
-    next_probe: Duration,
-}
-
-impl Fence {
-    /// A fence over none of `shard_count` shards yet, due for its first
-    /// probe at `now`.
-    fn new(shard_count: usize, now: Duration) -> Fence {
-        Fence {
-            reasons: vec![None; shard_count],
-            attempts: 0,
-            permanent: false,
-            next_probe: now,
-        }
-    }
-
-    /// Whether supervision should probe it at `now`.
-    fn due(&self, now: Duration) -> bool {
-        !self.permanent && now >= self.next_probe
-    }
-
-    /// Record a failed probe: reschedule it under `retry`'s backoff, or
-    /// escalate once the budget is spent.
-    fn reschedule(&mut self, retry: &RetryPolicy, error: &ShardError, now: Duration) {
-        for reason in self.reasons.iter_mut().flatten() {
-            *reason = error.to_string();
-        }
-        match retry.next_probe(&mut self.attempts, now) {
-            Some(due) => self.next_probe = due,
-            None => {
-                self.permanent = true;
-                quest_fault::count_escalation("shard");
-            }
-        }
-    }
+    quarantine: Quarantine,
 }
 
 /// Point-in-time view of the shard set's replication state.
@@ -185,11 +143,7 @@ impl ShardTopology {
             (Some(max), Some(min)) => Some(max - min),
             _ => None,
         };
-        let mut report = spec.evaluate(&quest_obs::HealthInputs {
-            p99_us: None,
-            error_rate: None,
-            lag: skew,
-        });
+        let mut report = spec.evaluate(skew);
         for (shard, state) in self.broken.iter().enumerate() {
             if let Some(reason) = state {
                 report.push(
@@ -544,12 +498,11 @@ impl ShardedPrimary {
             self.retry.clone(),
             self.clock.clone(),
         )?;
-        let lifted = self.fenced();
-        // Dropping the old set releases its fence's quarantine charge.
-        *self = fresh;
-        for _ in 0..lifted {
-            quest_fault::count_heal("shard");
-        }
+        let Some(fence) = std::mem::replace(self, fresh).fence else {
+            return Ok(0);
+        };
+        let lifted = fence.reasons.iter().flatten().count();
+        fence.quarantine.lift(lifted);
         Ok(lifted)
     }
 
@@ -561,14 +514,21 @@ impl ShardedPrimary {
     /// how many shard fences were lifted this tick.
     pub fn supervise(&mut self) -> usize {
         let now = self.clock.now();
-        if !self.fence.as_ref().is_some_and(|f| f.due(now)) {
+        if !self
+            .fence
+            .as_ref()
+            .is_some_and(|f| f.quarantine.is_due(now))
+        {
             return 0;
         }
         match self.rebuild() {
             Ok(lifted) => lifted,
             Err(e) => {
                 if let Some(fence) = self.fence.as_mut() {
-                    fence.reschedule(&self.retry, &e, now);
+                    for reason in fence.reasons.iter_mut().flatten() {
+                        *reason = e.to_string();
+                    }
+                    fence.quarantine.probe_failed(&self.retry, now);
                 }
                 0
             }
@@ -648,14 +608,14 @@ impl ShardedPrimary {
         self.install_fence([shard], reason.into());
     }
 
-    /// Fence `shards` for `reason`, charging the quarantine gauge only on
-    /// the set's not-fenced → fenced edge. A set already fenced keeps its
-    /// probe schedule.
+    /// Fence `shards` for `reason`, quarantining the set on its not-fenced →
+    /// fenced edge with its first probe due at once. A set already fenced
+    /// keeps its probe schedule.
     fn install_fence(&mut self, shards: impl IntoIterator<Item = usize>, reason: String) {
         let (count, now) = (self.logs.len(), self.clock.now());
-        let fence = self.fence.get_or_insert_with(|| {
-            quest_fault::quarantined("shard").add(1);
-            Fence::new(count, now)
+        let fence = self.fence.get_or_insert_with(|| Fence {
+            reasons: vec![None; count],
+            quarantine: Quarantine::enter("shard", now),
         });
         for shard in shards {
             count_fence();
@@ -666,13 +626,6 @@ impl ShardedPrimary {
     /// Whether every shard is serving.
     pub fn is_healthy(&self) -> bool {
         self.fence.is_none()
-    }
-
-    /// How many shards are fenced.
-    fn fenced(&self) -> usize {
-        self.fence
-            .as_ref()
-            .map_or(0, |f| f.reasons.iter().flatten().count())
     }
 
     fn ensure_healthy(&self) -> Result<(), ShardError> {
@@ -736,16 +689,6 @@ impl ShardedPrimary {
     /// The gateway serving engine (searches, stats).
     pub fn gateway(&self) -> &ScatterGather {
         &self.gateway
-    }
-}
-
-impl Drop for ShardedPrimary {
-    /// A dropped set is no longer quarantined: release the charge its
-    /// fence holds on the quarantine gauge.
-    fn drop(&mut self) {
-        if self.fence.is_some() {
-            quest_fault::quarantined("shard").sub(1);
-        }
     }
 }
 

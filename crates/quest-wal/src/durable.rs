@@ -16,9 +16,9 @@ use crate::record::ChangeRecord;
 use crate::snapshot::{read_snapshot, write_snapshot};
 
 /// File name of the write-ahead log inside the directory.
-const WAL_FILE: &str = "primary.wal";
+pub(crate) const WAL_FILE: &str = "primary.wal";
 /// File name of the latest published snapshot inside the directory.
-const SNAPSHOT_FILE: &str = "latest.snap";
+pub(crate) const SNAPSHOT_FILE: &str = "latest.snap";
 
 /// Run `step` on `wal` until it succeeds, sleeping out `retry`'s backoff on
 /// `clock` between transient failures; a permanent error or a spent budget

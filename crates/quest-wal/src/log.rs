@@ -123,16 +123,13 @@ fn count_torn_tail() {
 /// The default is [`SyncPolicy::Never`]: appends are flushed to the OS but
 /// the durability point is wherever the caller puts its `sync()` — the
 /// fastest mode, and the right one for tests and for callers that batch
-/// their own barriers. `EveryN(n)` bounds data loss to `n` acknowledged
-/// appends; `Always` is one fsync per append, the classic group-commit-free
-/// worst case.
+/// their own barriers. `Always` is one fsync per append, the classic
+/// group-commit-free worst case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// No automatic fsync; the caller owns the durability points.
     #[default]
     Never,
-    /// fsync once every `n` appends (`EveryN(0)` behaves like `Never`).
-    EveryN(u32),
     /// fsync after every append.
     Always,
 }
@@ -151,9 +148,6 @@ pub struct WalWriter {
     poisoned: bool,
     /// Automatic-fsync policy (see [`SyncPolicy`]).
     policy: SyncPolicy,
-    /// Appends since the last fsync (explicit or automatic); drives
-    /// [`SyncPolicy::EveryN`].
-    unsynced: u32,
     /// Global-registry handles (append/fsync latency, poison events).
     obs: WalObs,
 }
@@ -222,7 +216,6 @@ impl WalWriter {
             len,
             poisoned: false,
             policy,
-            unsynced: 0,
             obs: WalObs::new(),
         };
         Ok((writer, scan.records))
@@ -238,11 +231,6 @@ impl WalWriter {
         self.next_seq
     }
 
-    /// The automatic-fsync policy in force.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
     /// Whether the writer refuses further appends after an unrecoverable
     /// I/O failure. When set by a *post-write* fsync failure, the batch
     /// that triggered it is still fully in the log ([`WalWriter::next_seq`]
@@ -250,11 +238,6 @@ impl WalWriter {
     /// can use that to stay consistent with what tailing readers see.
     pub fn poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// Change the automatic-fsync policy; takes effect from the next append.
-    pub fn set_sync_policy(&mut self, policy: SyncPolicy) {
-        self.policy = policy;
     }
 
     /// Append one change record, returning its sequence number. The line is
@@ -354,15 +337,8 @@ impl WalWriter {
         }
         self.len += buf.len() as u64;
         self.next_seq += bodies.len() as u64;
-        match self.policy {
-            SyncPolicy::Always => self.sync_or_poison(ctx)?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += bodies.len() as u32;
-                if n > 0 && self.unsynced >= n {
-                    self.sync_or_poison(ctx)?;
-                }
-            }
-            SyncPolicy::Never => {}
+        if self.policy == SyncPolicy::Always {
+            self.sync_or_poison(ctx)?;
         }
         self.obs
             .append
@@ -413,8 +389,7 @@ impl WalWriter {
         self.sync()
     }
 
-    /// fsync the log file (durability point). Resets the
-    /// [`SyncPolicy::EveryN`] append counter.
+    /// fsync the log file (durability point).
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.sync_in(TraceCtx::detached(TraceKind::Commit))
     }
@@ -434,7 +409,6 @@ impl WalWriter {
         self.obs
             .fsync
             .record(quest_obs::duration_ns(start.elapsed()));
-        self.unsynced = 0;
         quest_obs::spans().record(ctx, "wal_fsync", span);
         Ok(())
     }
@@ -620,8 +594,10 @@ pub(crate) fn scan_records<T>(
 /// done only when the prefix reaches `keep_through`, and only when `copy`,
 /// the range of LSNs the caller holds elsewhere and re-appends (`None`:
 /// none), starts no later than the first LSN after the prefix and reaches
-/// every LSN a verified line past the damage holds. Returns whether the log was cut;
-/// the cut is fsynced and counted as a torn tail.
+/// the last LSN the damaged part held. LSNs rise by exactly one per line,
+/// so that part held one LSN per complete line; a seq field there is not
+/// read, because it sits outside the checksum. Returns whether the log was
+/// cut; the cut is fsynced and counted as a torn tail.
 pub(crate) fn cut_damage(
     path: &Path,
     catalog: &Catalog,
@@ -632,26 +608,25 @@ pub(crate) fn cut_damage(
     let Some(header) = header_len(&bytes, schema_fingerprint(catalog))? else {
         return Ok(false);
     };
-    let (mut valid_len, mut last_seq, mut damaged) = (header, 0u64, false);
-    // Highest LSN any verified line holds, past the damage included.
-    let mut held = 0u64;
+    let (mut valid_len, mut last_seq) = (header, 0u64);
     for raw in bytes[header..].split_inclusive(|&b| b == b'\n') {
         let seq = std::str::from_utf8(raw)
             .ok()
             .and_then(|line| line.strip_suffix('\n'))
             .and_then(|line| parse_line(line, ChangeRecord::decode).ok())
             .map(|(seq, _)| seq);
-        held = held.max(seq.unwrap_or(0));
         match seq {
-            Some(seq) if !damaged && last_seq.checked_add(1) == Some(seq) => {
+            Some(seq) if last_seq.checked_add(1) == Some(seq) => {
                 last_seq = seq;
                 valid_len += raw.len();
             }
-            _ => damaged = true,
+            _ => break,
         }
     }
+    let damage = &bytes[valid_len..];
+    let held = last_seq + damage.iter().filter(|&&b| b == b'\n').count() as u64;
     let resupplied = copy.is_some_and(|copy| *copy.start() <= last_seq + 1 && held <= *copy.end());
-    if !damaged || last_seq < keep_through || !resupplied {
+    if damage.is_empty() || last_seq < keep_through || !resupplied {
         return Ok(false);
     }
     let file = OpenOptions::new().write(true).open(path)?;
@@ -738,8 +713,10 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{DurableLog, SNAPSHOT_FILE, WAL_FILE};
     use relstore::DataType;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -839,30 +816,20 @@ mod tests {
 
     #[test]
     fn sync_policies_apply_and_reset() {
-        // fsync effects are invisible to a test, but every policy path must
+        // fsync effects are invisible to a test, but both policies must
         // append successfully, keep counting, and survive reopen.
         let path = temp_path("syncpolicy");
+        std::fs::remove_file(&path).ok();
         let c = catalog();
-        {
-            let mut w = WalWriter::open_with(&path, &c, SyncPolicy::Always).unwrap();
-            assert_eq!(w.sync_policy(), SyncPolicy::Always);
-            w.append(&ins(1)).unwrap();
-            w.set_sync_policy(SyncPolicy::EveryN(2));
-            w.append(&ins(2)).unwrap();
-            w.append(&ins(3)).unwrap(); // second unsynced append: auto-syncs
-            w.append(&ins(4)).unwrap();
-            w.sync().unwrap(); // manual sync resets the EveryN counter
-            w.set_sync_policy(SyncPolicy::EveryN(0)); // behaves like Never
-            w.append(&ins(5)).unwrap();
-            w.set_sync_policy(SyncPolicy::Never);
-            w.append(&ins(6)).unwrap();
+        for (policy, id) in [(SyncPolicy::Always, 1), (SyncPolicy::Never, 2)] {
+            let mut w = WalWriter::open_with(&path, &c, policy).unwrap();
+            assert_eq!(w.append(&ins(id)).unwrap(), id as u64);
         }
         let log = read_log(&path, &c).unwrap();
-        assert_eq!(log.records.len(), 6);
+        assert_eq!(log.records, vec![(1, ins(1)), (2, ins(2))]);
         assert!(!log.torn_tail);
         // The default stays the fast path.
-        let w = WalWriter::open(&path, &c).unwrap();
-        assert_eq!(w.sync_policy(), SyncPolicy::Never);
+        assert_eq!(SyncPolicy::default(), SyncPolicy::Never);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1018,10 +985,13 @@ mod tests {
         assert_tail_torn_and_middle_corrupt("seq-rot", |line| line[0] = b'1');
     }
 
-    /// Write a three-record log beside a snapshot at LSN 0, then `rot`
-    /// the line of record `n`.
+    /// Write a three-record log beside a snapshot at LSN 0, in the layout
+    /// of a [`DurableLog`](crate::DurableLog) directory, then `rot` the
+    /// line of record `n`.
     fn rotted_log(name: &str, n: usize, rot: fn(&mut [u8])) -> (PathBuf, PathBuf) {
-        let (path, snap) = (temp_path(name), temp_path(&format!("{name}-snap")));
+        let dir = temp_path(name).with_extension("d");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, snap) = (dir.join(WAL_FILE), dir.join(SNAPSHOT_FILE));
         std::fs::remove_file(&path).ok();
         let c = catalog();
         let mut db = Database::new(c.clone()).unwrap();
@@ -1085,6 +1055,29 @@ mod tests {
         assert_eq!(read_log(&path, &c).unwrap().records, vec![(1, ins(1))]);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();
+    }
+
+    #[test]
+    fn a_rotted_seq_past_the_damage_does_not_widen_the_salvage() {
+        // Record 2 reads seq 9: the damage is records 2 and 3, which a copy
+        // of 2..=3 re-supplies, whatever the rotted seq claims.
+        let (path, _) = rotted_log("seq-gap-salvage", 2, |line| line[0] = b'9');
+        let dir = path.parent().unwrap();
+        let open = |copy| {
+            let clock = Arc::new(quest_fault::ManualClock::new());
+            DurableLog::reopen_salvaging(dir, SyncPolicy::Never, Default::default(), clock, copy)
+        };
+        assert!(matches!(open(Some(2..=2)), Err(WalError::Corrupt { .. })));
+        let (mut log, db) = open(Some(2..=3)).unwrap();
+        assert_eq!((log.last_lsn(), db.total_rows()), (1, 1));
+        log.append(&[ins(2), ins(3)], TraceCtx::detached(TraceKind::Commit))
+            .unwrap();
+        let records = read_log(&path, &catalog()).unwrap().records;
+        assert_eq!(
+            records,
+            (1..=3).map(|i| (i as u64, ins(i))).collect::<Vec<_>>()
+        );
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

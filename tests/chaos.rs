@@ -137,14 +137,20 @@ where
 }
 
 /// Snapshot of the global fault counters (bare, label-free series).
-fn fault_counters() -> (u64, u64, u64, u64) {
+fn fault_counters() -> (u64, u64, u64, u64, u64) {
     let snap = quest_obs::global().snapshot();
     (
         snap.counter(fault::names::INJECTED).unwrap_or(0),
         snap.counter(fault::names::RETRIES).unwrap_or(0),
         snap.counter(fault::names::HEALS).unwrap_or(0),
+        snap.counter(fault::names::ESCALATIONS).unwrap_or(0),
         fault::consumed(),
     )
+}
+
+/// The replica and shard quarantine gauges.
+fn quarantine_gauges() -> [i64; 2] {
+    ["replica", "shard"].map(|component| fault::quarantined(component).value())
 }
 
 /// One replicated schedule: primary + two replicas under `plan`, with a
@@ -415,11 +421,12 @@ fn seeded_schedules_heal_to_twin_identical_service() {
         "twin must actually answer queries"
     );
 
-    let (injected_start, retries_start, heals_start, _) = fault_counters();
+    let (injected_start, retries_start, heals_start, escalations_start, _) = fault_counters();
     let mut fenced_seeds = Vec::new();
     for seed in 0..schedules() {
         let plan = FaultPlan::generate(seed, 5);
-        let (injected_before, _, _, consumed_before) = fault_counters();
+        let (injected_before, _, _, _, consumed_before) = fault_counters();
+        let gauges_before = quarantine_gauges();
         if seed % 2 == 0 {
             let (prints, target) = run_replicated(&format!("r{seed}"), Some(plan));
             assert_eq!(
@@ -443,11 +450,16 @@ fn seeded_schedules_heal_to_twin_identical_service() {
                 assert_reopen_mid_fence_matches(&format!("s{seed}"), plan, &twin_sharded);
             }
         }
-        let (injected_after, _, _, consumed_after) = fault_counters();
+        let (injected_after, _, _, _, consumed_after) = fault_counters();
         assert_eq!(
             injected_after - injected_before,
             consumed_after - consumed_before,
             "every consumed injection of schedule {seed} must land in the counter"
+        );
+        let charged = quarantine_gauges();
+        assert_eq!(
+            charged, gauges_before,
+            "schedule {seed} left a quarantine charged"
         );
     }
 
@@ -455,7 +467,7 @@ fn seeded_schedules_heal_to_twin_identical_service() {
     // supervised heal paths actually ran — otherwise a plan whose sites
     // never trigger would pass vacuously. The counters are process-wide,
     // so count only what this sweep added, not other tests' faults.
-    let (injected_end, retries_end, heals_end, _) = fault_counters();
+    let (injected_end, retries_end, heals_end, escalations_end, _) = fault_counters();
     let injected = injected_end - injected_start;
     let heals = heals_end - heals_start;
     assert!(injected > 0, "no schedule injected a single fault");
@@ -464,9 +476,11 @@ fn seeded_schedules_heal_to_twin_identical_service() {
     // twin reaches it.
     println!(
         "chaos OK: {} schedules, {injected} faults injected, {} retries, {heals} heals, \
-         sharded schedules that fenced (supervised and reopened): {fenced_seeds:?}",
+         {} escalations, sharded schedules that fenced (supervised and reopened): \
+         {fenced_seeds:?}",
         schedules(),
         retries_end - retries_start,
+        escalations_end - escalations_start,
     );
 }
 
@@ -515,14 +529,14 @@ fn zero_fault_plan_is_inert() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::clear();
     let twin = replicated_twin().clone();
-    let (injected_before, retries_before, heals_before, consumed_before) = fault_counters();
+    let (injected_before, retries_before, heals_before, _, consumed_before) = fault_counters();
     fault::install(FaultPlan::none());
     // An empty plan disarms the registry outright: the hot path stays a
     // single relaxed load, exactly as if no plan had ever been installed.
     assert!(!fault::installed());
     assert_eq!(fault::pending(), 0);
     let (prints, target) = run_replicated("zero-plan", None);
-    let (injected_after, retries_after, heals_after, consumed_after) = fault_counters();
+    let (injected_after, retries_after, heals_after, _, consumed_after) = fault_counters();
     assert_eq!(prints, twin.0, "an empty plan must not perturb results");
     assert_eq!(target, twin.1);
     assert_eq!(injected_after, injected_before);
@@ -541,11 +555,13 @@ fn fault_metrics_render_in_prometheus_exposition() {
     // (each helper registers its own `# HELP` description).
     fault::install("wal.fsync@1=fsync_error".parse().expect("plan parses"));
     assert!(fault::fire(fault::sites::WAL_FSYNC).is_some());
-    fault::count_retry();
+    // The default budget: four failed probes retry, the fifth escalates.
+    let mut quarantine = fault::Quarantine::enter("chaos", Duration::ZERO);
+    for _ in 0..5 {
+        quarantine.probe_failed(&RetryPolicy::default(), Duration::ZERO);
+    }
+    drop(quarantine);
     fault::count_heal("chaos");
-    fault::count_escalation("chaos");
-    fault::quarantined("chaos").add(1);
-    fault::quarantined("chaos").sub(1);
     fault::clear();
 
     let text = quest::obs::to_prometheus_text(&quest_obs::global().snapshot());

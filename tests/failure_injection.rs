@@ -438,6 +438,30 @@ fn healed_replica_resumes_serving_bounded_reads() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_dropped_set_releases_its_quarantined_slot() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    let dir = failpoint_dir("quarantine-drop");
+    let clock = Arc::new(ManualClock::new());
+    let (_primary, set) = set_with_broken_replica(&dir, &clock);
+    let uncharged = fault::quarantined("replica").value();
+    // The first tick quarantines the slot; its probe fails, so the slot
+    // stays quarantined when the set goes.
+    fault::install(
+        "replica.bootstrap@1=append_error!"
+            .parse()
+            .expect("plan parses"),
+    );
+    assert_eq!(set.supervise(), 0, "the probe fails");
+    assert_eq!(fault::pending(), 0, "the probe ran");
+    fault::clear();
+    assert_eq!(fault::quarantined("replica").value(), uncharged + 1);
+    drop(set);
+    assert_eq!(fault::quarantined("replica").value(), uncharged);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Supervise under a fault that fails every probe — `site` armed for more
 /// arrivals than the budget — then once more with the fault gone. The slot
 /// must have been probed exactly `1 + retries` times (each probe consumes

@@ -14,6 +14,7 @@ use quest_core::QuestConfig;
 use quest_core::{DbTerm, FullAccessWrapper, KeywordQuery, SearchScratch, SourceWrapper};
 use quest_data::imdb::{self, ImdbScale};
 use quest_hmm::{baum_welch_step, list_viterbi, Hmm, ListDecoder};
+use quest_replica::{Primary, PrimaryOptions};
 use quest_serve::ApplyReport;
 use quest_shard::{ShardConfig, ShardedPrimary, ShardedStore};
 use quest_wal::ChangeRecord;
@@ -361,6 +362,86 @@ fn bench_sharded_commit_warm(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Crash recovery at 105k rows (15k movies): `Primary::reopen` (snapshot
+/// restore, log-suffix replay, one `finalize`, `validate`, engine) after 0
+/// and after 40 commits shaped like the repo benchmark's commit stream —
+/// a person and a movie inserted per commit, and every second commit
+/// deleting the movie inserted two commits earlier — plus the setup phase
+/// alone: `Database::finalize` on its job runner against the serial
+/// `Database::finalize_reference`, on clones of one database. Dropping
+/// what a routine returns is not timed.
+fn bench_recover(c: &mut Criterion) {
+    let db = imdb::generate(&ImdbScale {
+        movies: 15_000,
+        seed: 42,
+    })
+    .expect("generate");
+    let root = std::env::temp_dir().join(format!("quest-bench-recover-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let mut g = c.benchmark_group("recover");
+    g.sample_size(10);
+    for commits in [0i64, 40] {
+        let dir = root.join(format!("after-{commits}"));
+        let primary =
+            Primary::open(&dir, db.clone(), QuestConfig::default()).expect("open primary");
+        for round in 0..commits {
+            let id = 9_000_000 + round;
+            let mut batch = vec![
+                ChangeRecord::Insert {
+                    table: "person".into(),
+                    row: vec![id.into(), "Recover Person".into(), 1950.into()],
+                },
+                ChangeRecord::Insert {
+                    table: "movie".into(),
+                    row: vec![id.into(), "zq".into(), 1999.into(), Value::Null, id.into()],
+                },
+            ];
+            if round >= 2 && round % 2 == 1 {
+                batch.push(ChangeRecord::Delete {
+                    table: "movie".into(),
+                    key: vec![(id - 2).into()],
+                });
+            }
+            primary.commit(&batch).expect("commit");
+        }
+        drop(primary);
+        g.bench_with_input(
+            BenchmarkId::new("reopen_after", commits),
+            &commits,
+            |b, _| {
+                b.iter_batched(
+                    || (),
+                    |()| Primary::reopen(&dir, QuestConfig::default(), PrimaryOptions::default()),
+                    BatchSize::PerIteration,
+                )
+            },
+        );
+    }
+    // Each routine hands its database back so that dropping it is untimed.
+    g.bench_function("finalize", |b| {
+        b.iter_batched(
+            || db.clone(),
+            |mut db| {
+                db.finalize();
+                db
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    g.bench_function("finalize_reference", |b| {
+        b.iter_batched(
+            || db.clone(),
+            |mut db| {
+                db.finalize_reference();
+                db
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    g.finish();
+    std::fs::remove_dir_all(&root).ok();
+}
+
 criterion_group!(
     benches,
     bench_list_viterbi,
@@ -371,6 +452,7 @@ criterion_group!(
     bench_raw_list_viterbi,
     bench_commit_refresh,
     bench_shard_open,
-    bench_sharded_commit_warm
+    bench_sharded_commit_warm,
+    bench_recover
 );
 criterion_main!(benches);

@@ -201,6 +201,22 @@ impl ReplicaSet {
         Ok(replica)
     }
 
+    /// Remove the slot serving the replica named `name` and return that
+    /// replica; `None` if no slot has that name. Dropping the slot drops
+    /// its quarantine, which releases the slot's
+    /// `quest_fault_quarantined{component="replica"}` charge, so this is
+    /// how an escalated slot leaves the set. Register a replacement with
+    /// [`ReplicaSet::spawn_replica`].
+    pub fn retire(&mut self, name: &str) -> Option<Arc<Replica>> {
+        let at = self.replicas().iter().position(|r| r.name() == name)?;
+        let slot = self.slots.remove(at);
+        Some(
+            slot.replica
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
+    }
+
     /// The write point.
     pub fn primary(&self) -> &Arc<Primary> {
         &self.primary
@@ -220,8 +236,10 @@ impl ReplicaSet {
     /// any due re-bootstrap probes. A successful probe builds a fresh
     /// replica from the newest published snapshot, catches it up to the
     /// primary, and swaps it into the slot; a failed probe backs off, and
-    /// after the retry budget is spent the slot escalates to permanent
-    /// (manual replacement only). Returns how many replicas healed.
+    /// after the retry budget is spent the slot escalates to permanent.
+    /// An escalated slot is replaced by hand: [`ReplicaSet::retire`] it,
+    /// then [`ReplicaSet::spawn_replica`] a successor. Returns how many
+    /// replicas healed.
     ///
     /// Runs opportunistically on every [`ReplicaSet::query`] that sees an
     /// unhealthy replica; idle topologies can call it from a timer tick.

@@ -14,13 +14,13 @@ pub struct ShardConfig {
     /// 0 is rejected by [`ShardConfig::validate`] — a zero-shard set would
     /// serve every query from no data.
     pub shard_count: usize,
-    /// Run *data-proportional* work on scoped threads: the per-shard index
-    /// builds (one thread per shard), and the full statistics rebuild and
-    /// the full-table `execute` scatter (their slots chunked over
-    /// `available_parallelism()` threads, the calling thread taking the
-    /// first chunk). Results are always merged in index order, so this knob
-    /// changes wall-clock time and nothing else — bit-identity holds either
-    /// way.
+    /// Run *data-proportional* work on scoped threads: the full statistics
+    /// rebuild and the full-table `execute` scatter (their slots chunked
+    /// over `available_parallelism()` threads, the calling thread taking
+    /// the first chunk). Results are always merged in index order, so this
+    /// knob changes wall-clock time and nothing else — bit-identity holds
+    /// either way. Shard index builds are not under it: shards finalize one
+    /// after another, each on relstore's own job runner.
     ///
     /// It does **not** govern keyword probes: a probe scatter
     /// ([`ShardedStore::scatter_value_scores`](crate::ShardedStore::scatter_value_scores))

@@ -267,8 +267,8 @@ impl ShardedStore {
     }
 
     /// Shard an existing database: every row is routed by the hash of its
-    /// primary key, shard indexes are built per shard (in parallel when
-    /// configured), and the merged statistics are computed once.
+    /// primary key, shard indexes are built per shard, and the merged
+    /// statistics are computed once.
     pub fn from_database(db: &Database, config: &ShardConfig) -> Result<ShardedStore, ShardError> {
         let mut store = ShardedStore::empty(db.catalog().clone(), config)?;
         for schema in db.catalog().tables() {
@@ -358,24 +358,13 @@ impl ShardedStore {
         })
     }
 
-    /// Build (or rebuild) every shard's indexes — one `finalize` per
-    /// shard, in parallel when configured — and list the attributes a
-    /// keyword scatter has to probe.
+    /// Build (or rebuild) every shard's indexes and list the attributes a
+    /// keyword scatter has to probe. Shards finalize one after another:
+    /// each `finalize` already spreads its indexes over relstore's job
+    /// runner, and a thread per shard on top would nest spawns.
     fn finalize_shards(&mut self) {
-        if self.parallel && self.shards.len() > 1 {
-            std::thread::scope(|s| {
-                for db in self.shards.iter_mut() {
-                    if !db.is_finalized() {
-                        s.spawn(move || db.finalize());
-                    }
-                }
-            });
-        } else {
-            for db in self.shards.iter_mut() {
-                if !db.is_finalized() {
-                    db.finalize();
-                }
-            }
+        for db in self.shards.iter_mut().filter(|db| !db.is_finalized()) {
+            db.finalize();
         }
         self.indexed_attrs = (0..self.catalog.attribute_count())
             .map(|a| AttrId(a as u32))

@@ -13,7 +13,7 @@ use relstore::Database;
 use crate::error::WalError;
 use crate::log::{cut_damage, SyncPolicy, WalWriter};
 use crate::record::ChangeRecord;
-use crate::snapshot::{read_snapshot, write_snapshot};
+use crate::snapshot::{read_snapshot_rows, write_snapshot};
 
 /// File name of the write-ahead log inside the directory.
 pub(crate) const WAL_FILE: &str = "primary.wal";
@@ -125,7 +125,7 @@ impl DurableLog {
     ) -> Result<(DurableLog, Database), WalError> {
         match DurableLog::reopen(dir, sync_policy, retry.clone(), clock.clone()) {
             Err(damage @ WalError::Corrupt { .. }) => {
-                let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
+                let snapshot = read_snapshot_rows(&dir.join(SNAPSHOT_FILE))?;
                 let wal = dir.join(WAL_FILE);
                 if !cut_damage(&wal, snapshot.db.catalog(), snapshot.last_seq, copy)? {
                     return Err(damage);

@@ -171,16 +171,23 @@ pub struct Recovery {
 /// and torn-tail rules. A log that ends below the snapshot's watermark is
 /// refused with [`WalError::State`].
 ///
+/// The order is restore → replay → finalize → validate. The suffix is
+/// replayed on the snapshot's bare rows, so it maintains no postings and
+/// recomputes no statistics; [`Database::finalize`] then builds the
+/// derived state once, over the final rows — by construction the cold
+/// rebuild, and equal to the uninterrupted process's by token string.
+///
 /// The recovered instance passes through [`Database::validate`] before it
 /// is returned: WAL records carry per-line checksums but snapshot data
 /// lines do not, so this is the gate that catches a snapshot whose bytes
 /// rotted into something type-correct but referentially inconsistent.
 pub fn recover(snapshot_path: &Path, wal_path: &Path) -> Result<Recovery, WalError> {
     let start = std::time::Instant::now();
-    let snapshot = read_snapshot(snapshot_path)?;
+    let snapshot = snapshot::read_snapshot_rows(snapshot_path)?;
     let tail = LogReader::after(wal_path, &snapshot)?.poll()?;
     let mut db = snapshot.db;
     let report = replay(&mut db, &tail.records, snapshot.last_seq)?;
+    db.finalize();
     db.validate()?;
     quest_obs::global()
         .histogram(names::RECOVER)
@@ -199,16 +206,14 @@ mod tests {
     use super::*;
     use relstore::{Catalog, DataType, Row};
 
-    #[test]
-    fn recover_rejects_a_referentially_broken_snapshot() {
-        // Snapshot data lines carry no per-line checksum; the recover()
-        // validate() gate must catch bytes that rotted into a
-        // type-correct but dangling foreign key.
+    /// A clean snapshot + empty log pair over `person` ← `movie`, with one
+    /// movie (id 10) directed by person 7.
+    fn movie_pair(name: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         let dir = std::env::temp_dir().join("quest-wal-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let pid = std::process::id();
-        let snap = dir.join(format!("broken-fk-{pid}.snap"));
-        let wal = dir.join(format!("broken-fk-{pid}.wal"));
+        let snap = dir.join(format!("{name}-{pid}.snap"));
+        let wal = dir.join(format!("{name}-{pid}.wal"));
 
         let mut c = Catalog::new();
         c.define_table("person")
@@ -236,15 +241,47 @@ mod tests {
         db.finalize();
         let _ = WalWriter::open(&wal, db.catalog()).unwrap();
         write_snapshot(&db, &snap, 0).unwrap();
-
         // Sanity: the clean pair recovers.
         assert!(recover(&snap, &wal).is_ok());
+        (snap, wal)
+    }
+
+    #[test]
+    fn recover_rejects_a_referentially_broken_snapshot() {
+        // Snapshot data lines carry no per-line checksum; the recover()
+        // validate() gate must catch bytes that rotted into a
+        // type-correct but dangling foreign key.
+        let (snap, wal) = movie_pair("broken-fk");
         // Rot the movie's FK field (trailing value of its R line) to a
         // person id that does not exist.
         let text = std::fs::read_to_string(&snap).unwrap();
         std::fs::write(&snap, text.replace("\ti7\n", "\ti9\n")).unwrap();
         let err = recover(&snap, &wal).unwrap_err();
         assert!(matches!(err, WalError::Store(_)), "{err}");
+
+        std::fs::remove_file(&snap).ok();
+        std::fs::remove_file(&wal).ok();
+    }
+
+    #[test]
+    fn a_structure_fault_is_reported_before_a_dangling_foreign_key() {
+        // The same dangling director, and the movie's INT key rotted into
+        // text: the structure fault is the one reported. Restore checks
+        // each row's shape before replay, and `validate` ranks every
+        // structure error above every FK error (relstore pins that order
+        // on a live database).
+        let (snap, wal) = movie_pair("broken-both");
+        let text = std::fs::read_to_string(&snap).unwrap();
+        let rotted = text
+            .replace("\ti7\n", "\ti9\n")
+            .replace("R\ti10\t", "R\ttten\t");
+        assert_ne!(rotted, text.replace("\ti7\n", "\ti9\n"), "key rotted");
+        std::fs::write(&snap, rotted).unwrap();
+        let err = recover(&snap, &wal).unwrap_err();
+        assert!(
+            matches!(err, WalError::Store(relstore::StoreError::TypeMismatch(_))),
+            "{err}"
+        );
 
         std::fs::remove_file(&snap).ok();
         std::fs::remove_file(&wal).ok();

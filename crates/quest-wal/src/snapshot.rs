@@ -34,7 +34,7 @@ const VERSION: &str = "1";
 /// A snapshot read back from disk.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// The restored, finalized database.
+    /// The restored database, finalized by [`read_snapshot`].
     pub db: Database,
     /// Highest WAL sequence number whose effect the snapshot contains;
     /// recovery replays strictly newer records on top.
@@ -145,6 +145,15 @@ pub fn write_snapshot(db: &Database, path: &Path, last_seq: u64) -> Result<(), W
 
 /// Read a snapshot back into a finalized [`Database`].
 pub fn read_snapshot(path: &Path) -> Result<Snapshot, WalError> {
+    let mut snapshot = read_snapshot_rows(path)?;
+    snapshot.db.finalize();
+    Ok(snapshot)
+}
+
+/// [`read_snapshot`] without the final [`Database::finalize`]: the rows,
+/// slot layout and watermark only. [`crate::recover`] replays the log
+/// suffix on these rows before it builds the derived state, once.
+pub(crate) fn read_snapshot_rows(path: &Path) -> Result<Snapshot, WalError> {
     let text = std::fs::read_to_string(path)?;
     let corrupt = |line: usize, message: String| WalError::Corrupt { line, message };
     let mut lines = text.lines().enumerate();
@@ -311,7 +320,6 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, WalError> {
             message: "snapshot missing end marker (truncated write?)".into(),
         });
     }
-    db.finalize();
     Ok(Snapshot { db, last_seq })
 }
 

@@ -4,8 +4,9 @@ use std::collections::{BTreeSet, HashMap};
 
 use crate::error::StoreError;
 use crate::index::inverted::{AttributeIndex, KeywordProbe};
+use crate::jobs;
 use crate::row::{Row, RowId};
-use crate::schema::{AttrId, Catalog, ForeignKey, TableId};
+use crate::schema::{AttrId, Attribute, Catalog, ForeignKey, TableId, TableSchema};
 use crate::stats::{join_stats, JoinStats};
 use crate::table::TableData;
 use crate::value::Value;
@@ -29,6 +30,16 @@ use crate::value::Value;
 /// would build (asserted by the relstore property suite). Batch writers
 /// wrap their loop in [`Database::with_stats_deferred`] to pay the
 /// per-table refresh once per batch instead of once per record.
+///
+/// Before `finalize`, mutations touch rows only. A bulk path that ends
+/// in `finalize` therefore pays for its derived state once: crash
+/// recovery restores a snapshot's rows, replays the log suffix on them,
+/// then finalizes and validates. `finalize` and [`Database::validate`]
+/// split into independent jobs (one per full-text index, per foreign
+/// key's statistics, per table's structure check, per foreign key's
+/// target check) on at most `available_parallelism()` scoped threads;
+/// [`Database::finalize_reference`] is the serial twin. Mutations never
+/// spawn a thread.
 #[derive(Debug, Clone)]
 pub struct Database {
     catalog: Catalog,
@@ -242,30 +253,20 @@ impl Database {
 
     /// Scan every FK column and verify all non-null values have targets.
     pub fn validate_foreign_keys(&self) -> Result<(), StoreError> {
-        for fk in self.catalog.foreign_keys() {
-            let from = self.catalog.attribute(fk.from);
-            let target_table = self.catalog.attribute(fk.to).table;
-            let target = &self.tables[target_table.0 as usize];
-            for (_, row) in self.tables[from.table.0 as usize].iter() {
-                let v = row.get(from.position);
-                if !v.is_null() && target.lookup_pk(std::slice::from_ref(v)).is_none() {
-                    return Err(StoreError::ForeignKeyViolation(format!(
-                        "{} = {v}",
-                        self.catalog.qualified_name(fk.from)
-                    )));
-                }
-            }
-        }
-        Ok(())
+        self.run_checks(&[], self.catalog.foreign_keys())
     }
 
     /// Full instance integrity check: every live row satisfies its table's
     /// arity, types and NOT NULL constraints; the PK index maps each live
     /// row's key back to its slot (and nothing else); and every FK value has
     /// a target. Bulk loaders and WAL replay use this as the final gate.
+    ///
+    /// Each table's structure and each foreign key's targets are checked
+    /// as separate jobs, in parallel. The error reported is the one a
+    /// serial pass meets first: any structure error before any FK error,
+    /// an earlier table's before a later one's.
     pub fn validate(&self) -> Result<(), StoreError> {
-        self.validate_structure()?;
-        self.validate_foreign_keys()
+        self.run_checks(self.catalog.tables(), self.catalog.foreign_keys())
     }
 
     /// [`Database::validate`] minus the foreign-key pass: row shape, PK
@@ -273,27 +274,57 @@ impl Database {
     /// a *shard* database, where FK targets may live on other shards and
     /// referential integrity is validated globally by the sharded store.
     pub fn validate_structure(&self) -> Result<(), StoreError> {
-        for schema in self.catalog.tables() {
-            let data = &self.tables[schema.id.0 as usize];
-            let mut live = 0usize;
-            for (rid, row) in data.iter() {
-                TableData::check_row(&self.catalog, schema, row)?;
-                let key = TableData::pk_of(&self.catalog, schema, row);
-                if data.lookup_pk(&key) != Some(rid) {
-                    return Err(StoreError::InvalidSchema(format!(
-                        "{}: PK index does not map {} back to row {rid}",
-                        schema.name,
-                        fmt_key(&key)
-                    )));
-                }
-                live += 1;
-            }
-            if live != data.len() {
+        self.run_checks(self.catalog.tables(), &[])
+    }
+
+    /// One job per table's structure check, then one per foreign key's
+    /// target check; the first error in that order wins.
+    fn run_checks(&self, tables: &[TableSchema], fks: &[ForeignKey]) -> Result<(), StoreError> {
+        jobs::run(tables.len() + fks.len(), |i| match tables.get(i) {
+            Some(schema) => self.check_structure(schema),
+            None => self.check_targets(fks[i - tables.len()]),
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// Row shape, PK index consistency and live count of one table.
+    fn check_structure(&self, schema: &TableSchema) -> Result<(), StoreError> {
+        let data = &self.tables[schema.id.0 as usize];
+        let mut live = 0usize;
+        for (rid, row) in data.iter() {
+            TableData::check_row(&self.catalog, schema, row)?;
+            let key = TableData::pk_of(&self.catalog, schema, row);
+            if data.lookup_pk(&key) != Some(rid) {
                 return Err(StoreError::InvalidSchema(format!(
-                    "{}: live-row count {} disagrees with len {}",
+                    "{}: PK index does not map {} back to row {rid}",
                     schema.name,
-                    live,
-                    data.len()
+                    fmt_key(&key)
+                )));
+            }
+            live += 1;
+        }
+        if live != data.len() {
+            return Err(StoreError::InvalidSchema(format!(
+                "{}: live-row count {} disagrees with len {}",
+                schema.name,
+                live,
+                data.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Every non-null value of one FK column has a target.
+    fn check_targets(&self, fk: ForeignKey) -> Result<(), StoreError> {
+        let from = self.catalog.attribute(fk.from);
+        let target = &self.tables[self.catalog.attribute(fk.to).table.0 as usize];
+        for (_, row) in self.tables[from.table.0 as usize].iter() {
+            let v = row.get(from.position);
+            if !v.is_null() && target.lookup_pk(std::slice::from_ref(v)).is_none() {
+                return Err(StoreError::ForeignKeyViolation(format!(
+                    "{} = {v}",
+                    self.catalog.qualified_name(fk.from)
                 )));
             }
         }
@@ -316,30 +347,84 @@ impl Database {
 
     /// The setup phase: build full-text indexes over all `full_text`
     /// attributes and compute the join statistics of every foreign key.
+    ///
+    /// Each index and each foreign key's statistics is its own job on
+    /// scoped threads (see [`Database`]). The result equals
+    /// [`Database::finalize_reference`]'s, postings and statistic bits
+    /// alike (pinned by the relstore property suite).
     pub fn finalize(&mut self) {
+        enum Built {
+            Index(AttrId, AttributeIndex),
+            Stats(ForeignKey, JoinStats),
+        }
+        let full_text: Vec<&Attribute> = self.full_text_attributes().collect();
+        let fks = self.catalog.foreign_keys();
+        let built = jobs::run(full_text.len() + fks.len(), |i| match full_text.get(i) {
+            Some(attr) => Built::Index(attr.id, self.build_index(attr)),
+            None => {
+                let fk = fks[i - full_text.len()];
+                Built::Stats(fk, self.build_join_stats(fk))
+            }
+        });
         self.indexes.clear();
         self.join_stats.clear();
-        for attr in self.catalog.attributes().iter().filter(|a| a.full_text) {
-            // Bulk-build path: append postings, sort each list once at the
-            // end — bit-identical to per-row sorted inserts (pinned by the
-            // relstore property suite) without the mid-list shifting.
-            let mut ix = AttributeIndex::new();
-            for (rid, row) in self.tables[attr.table.0 as usize].iter() {
-                let v = row.get(attr.position);
-                if !v.is_null() {
-                    ix.add_bulk(rid, &v.render());
+        for item in built {
+            match item {
+                Built::Index(attr, ix) => {
+                    self.indexes.insert(attr, ix);
+                }
+                Built::Stats(fk, stats) => {
+                    self.join_stats.insert(fk, stats);
                 }
             }
-            ix.finish_build();
-            self.indexes.insert(attr.id, ix);
-        }
-        for fk in self.catalog.foreign_keys() {
-            let referencing = &self.tables[self.catalog.attribute(fk.from).table.0 as usize];
-            let referenced = &self.tables[self.catalog.attribute(fk.to).table.0 as usize];
-            self.join_stats
-                .insert(*fk, join_stats(&self.catalog, *fk, referencing, referenced));
         }
         self.finalized = true;
+    }
+
+    /// [`Database::finalize`] on the calling thread, one index and one
+    /// foreign key after another: the twin the parallel setup phase is
+    /// checked against.
+    pub fn finalize_reference(&mut self) {
+        let indexes = self
+            .full_text_attributes()
+            .map(|attr| (attr.id, self.build_index(attr)))
+            .collect();
+        let join_stats = self
+            .catalog
+            .foreign_keys()
+            .iter()
+            .map(|fk| (*fk, self.build_join_stats(*fk)))
+            .collect();
+        self.indexes = indexes;
+        self.join_stats = join_stats;
+        self.finalized = true;
+    }
+
+    fn full_text_attributes(&self) -> impl Iterator<Item = &Attribute> {
+        self.catalog.attributes().iter().filter(|a| a.full_text)
+    }
+
+    /// One attribute's full-text index over the live rows. Bulk-build
+    /// path: append postings, sort each list once at the end —
+    /// bit-identical to per-row sorted inserts (pinned by the relstore
+    /// property suite) without the mid-list shifting.
+    fn build_index(&self, attr: &Attribute) -> AttributeIndex {
+        let mut ix = AttributeIndex::new();
+        for (rid, row) in self.tables[attr.table.0 as usize].iter() {
+            let v = row.get(attr.position);
+            if !v.is_null() {
+                ix.add_bulk(rid, &v.render());
+            }
+        }
+        ix.finish_build();
+        ix
+    }
+
+    /// One foreign key's join statistics over the live rows.
+    fn build_join_stats(&self, fk: ForeignKey) -> JoinStats {
+        let referencing = &self.tables[self.catalog.attribute(fk.from).table.0 as usize];
+        let referenced = &self.tables[self.catalog.attribute(fk.to).table.0 as usize];
+        join_stats(&self.catalog, fk, referencing, referenced)
     }
 
     /// Incremental index maintenance for one mutated row: un-index the old
@@ -629,6 +714,60 @@ mod tests {
         db.insert("b", Row::new(vec![7.into()])).unwrap();
         assert!(db.validate_foreign_keys().is_ok());
         assert!(db.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_reports_structure_before_targets_and_earlier_tables_first() {
+        let mut db = movie_db();
+        db.insert_unchecked(
+            "movie",
+            Row::new(vec![12.into(), "Orphan".into(), 99.into()]),
+        )
+        .unwrap();
+        // A row keyed by text in an INT-keyed table: restored under a
+        // catalog that types every column TEXT, which only a fault can do
+        // to a live database.
+        let fault = |db: &mut Database, table: &str, row: Vec<Value>| {
+            let tid = db.catalog().table_id(table).unwrap();
+            let mut loose = Catalog::new();
+            let mut columns = loose
+                .define_table(table)
+                .unwrap()
+                .pk("id", DataType::Text)
+                .unwrap();
+            for attr in &db.catalog().table(tid).attributes[1..] {
+                let name = &db.catalog().attribute(*attr).name;
+                columns = columns.col(name, DataType::Text).unwrap();
+            }
+            columns.finish();
+            let schema = loose.table(TableId(0)).clone();
+            let mut slots: Vec<Option<Row>> =
+                db.table_data(tid).slots().map(|s| s.cloned()).collect();
+            slots.push(Some(Row::new(row)));
+            db.tables[tid.0 as usize] = TableData::restore(&loose, &schema, slots).unwrap();
+        };
+        assert!(matches!(
+            db.validate(),
+            Err(StoreError::ForeignKeyViolation(_))
+        ));
+        fault(&mut db, "movie", vec!["m".into(), "x".into(), Value::Null]);
+        let movie_fault = db.validate().unwrap_err();
+        assert!(!matches!(movie_fault, StoreError::ForeignKeyViolation(_)));
+        assert!(movie_fault.to_string().contains("movie"), "{movie_fault}");
+        fault(&mut db, "person", vec!["p".into(), "x".into()]);
+        let person_fault = db.validate().unwrap_err();
+        assert!(
+            person_fault.to_string().contains("person"),
+            "{person_fault}"
+        );
+        assert_eq!(
+            db.validate_structure().unwrap_err().to_string(),
+            person_fault.to_string()
+        );
+        assert!(matches!(
+            db.validate_foreign_keys(),
+            Err(StoreError::ForeignKeyViolation(_))
+        ));
     }
 
     #[test]

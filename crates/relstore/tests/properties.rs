@@ -478,6 +478,92 @@ proptest! {
     }
 }
 
+/// A two-table catalog for the setup-phase twin: `author` and `book`, with
+/// the text columns full-text or not, and with the `book → author` and
+/// self-referencing `book → book` foreign keys present or not.
+fn twin_catalog(full_text: bool, fks: bool, self_ref: bool) -> Catalog {
+    let mut c = Catalog::new();
+    c.define_table("author")
+        .expect("t")
+        .pk("id", DataType::Int)
+        .expect("pk")
+        .col_opts("name", DataType::Text, false, full_text)
+        .expect("col")
+        .finish();
+    c.define_table("book")
+        .expect("t")
+        .pk("id", DataType::Int)
+        .expect("pk")
+        .col_opts("title", DataType::Text, false, full_text)
+        .expect("col")
+        .col_opts("author_id", DataType::Int, true, false)
+        .expect("col")
+        .col_opts("sequel_of", DataType::Int, true, false)
+        .expect("col")
+        .finish();
+    if fks {
+        c.add_foreign_key("book", "author_id", "author")
+            .expect("fk");
+    }
+    if self_ref {
+        c.add_foreign_key("book", "sequel_of", "book").expect("fk");
+    }
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The parallel setup phase builds exactly what the serial twin builds:
+    /// the same postings for every attribute and the same statistics, NMI
+    /// bits included, on instances with tombstones, without foreign keys,
+    /// without full-text attributes and with a self-referencing key.
+    #[test]
+    fn finalize_matches_the_serial_reference(
+        shape in (any::<bool>(), any::<bool>(), any::<bool>()),
+        ops in proptest::collection::vec((0u8..4, 0i64..12, 0usize..8, 0i64..12), 0..80)
+    ) {
+        let (full_text, fks, self_ref) = shape;
+        let mut db = Database::new(twin_catalog(full_text, fks, self_ref)).expect("db");
+        for &(kind, id, word, other) in &ops {
+            let text = Value::text(WORDS[word % WORDS.len()]);
+            let reference = |v: i64| if v % 4 == 0 { Value::Null } else { Value::Int(v) };
+            // Unchecked inserts let a reference dangle; deletes leave
+            // tombstones. Rejections are expected outcomes.
+            let _ = match kind {
+                0 => db.insert_unchecked("author", Row::new(vec![id.into(), text])),
+                1 => db.insert_unchecked(
+                    "book",
+                    Row::new(vec![id.into(), text, reference(other), reference(other + id)]),
+                ),
+                2 => db.delete("author", &[Value::Int(id)]),
+                _ => db.delete("book", &[Value::Int(id)]),
+            };
+        }
+        let mut serial = db.clone();
+        serial.finalize_reference();
+        db.finalize();
+        prop_assert!(db.is_finalized() && serial.is_finalized());
+        for attr in db.catalog().attributes() {
+            prop_assert_eq!(attr.full_text, db.index(attr.id).is_some());
+            prop_assert_eq!(
+                db.index(attr.id),
+                serial.index(attr.id),
+                "index of {}",
+                db.catalog().qualified_name(attr.id)
+            );
+        }
+        prop_assert_eq!(db.catalog().foreign_keys().len(), usize::from(fks) + usize::from(self_ref));
+        for fk in db.catalog().foreign_keys() {
+            let (a, b) = (db.fk_stats(*fk).expect("built"), serial.fk_stats(*fk).expect("built"));
+            prop_assert_eq!(
+                (a.pairs, a.referenced_distinct, a.referencing_rows, a.referenced_rows, a.nmi.to_bits()),
+                (b.pairs, b.referenced_distinct, b.referencing_rows, b.referenced_rows, b.nmi.to_bits())
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Hostile text for the SQL parser: any string is refused with an error,
 // never a panic, and any string it accepts is a statement the renderer

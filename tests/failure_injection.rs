@@ -504,12 +504,29 @@ fn replica_supervisor_escalates_after_the_first_probe_plus_retries() {
     fault::clear();
     let dir = failpoint_dir("replica-escalation");
     let clock = Arc::new(ManualClock::new());
-    let (_primary, set) = set_with_broken_replica(&dir, &clock);
+    let (_primary, mut set) = set_with_broken_replica(&dir, &clock);
     // The first tick quarantines the slot (charging the gauge) and probes.
     let uncharged = fault::quarantined("replica").value();
     let site = fault::sites::REPLICA_BOOTSTRAP;
     assert_escalates_on_budget("replica", site, uncharged, &clock, || set.supervise());
     assert!(!set.replicas()[0].is_healthy());
+    let spec = quest::obs::SloSpec::default();
+    assert_eq!(
+        set.topology().health(&spec).status,
+        quest::obs::HealthStatus::Critical
+    );
+
+    // The operator's way out: retiring the escalated slot drops its
+    // quarantine, which releases the gauge, and the set stops reporting it.
+    let retired = set.retire("victim").expect("the slot is registered");
+    assert!(!retired.is_healthy());
+    assert!(set.retire("victim").is_none(), "a slot retires once");
+    assert_eq!(fault::quarantined("replica").value(), uncharged);
+    assert!(set.replicas().iter().all(|r| r.name() != "victim"));
+    assert_ne!(
+        set.topology().health(&spec).status,
+        quest::obs::HealthStatus::Critical
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -120,12 +120,22 @@ fn assert_structurally_identical(a: &Database, b: &Database) {
         );
     }
     for fk in a.catalog().foreign_keys() {
-        assert_eq!(a.fk_stats(*fk), b.fk_stats(*fk));
+        let (x, y) = (a.fk_stats(*fk), b.fk_stats(*fk));
+        assert_eq!(x, y);
+        assert_eq!(x.map(|s| s.nmi.to_bits()), y.map(|s| s.nmi.to_bits()));
     }
     for table in a.catalog().tables() {
         let (a, b) = (a.table_data(table.id), b.table_data(table.id));
         assert!(a.slots().eq(b.slots()), "slots of {} diverged", table.name);
     }
+}
+
+/// `db`'s rows with their derived state built from scratch by the serial
+/// setup phase: the cold rebuild a recovered database must equal.
+fn cold_rebuild(db: &Database) -> Database {
+    let mut cold = db.clone();
+    cold.finalize_reference();
+    cold
 }
 
 #[test]
@@ -297,6 +307,139 @@ fn torn_tail_recovers_to_the_last_complete_record() {
     let log = read_log(&wal_path, db.catalog()).expect("log reads");
     assert!(!log.torn_tail);
     assert_eq!(log.records.len(), 5);
+
+    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_file(&snap_path).ok();
+}
+
+#[test]
+fn recovery_at_every_lsn_equals_the_cold_rebuild() {
+    // Every (snapshot LSN, log end) pair of the script: the recovered
+    // database equals a cold rebuild over its own rows and the
+    // uninterrupted run at the log's end.
+    let mut db = imdb_db();
+    let script = mutation_script(&db);
+    let mut snaps = vec![temp_path("every-lsn-0", "snap")];
+    let mut lives = vec![db.clone()];
+    write_snapshot(&db, &snaps[0], 0).expect("snapshot");
+    for (i, change) in script.iter().enumerate() {
+        change.apply(&mut db).expect("apply");
+        let lsn = i as u64 + 1;
+        let snap = temp_path(&format!("every-lsn-{lsn}"), "snap");
+        write_snapshot(&db, &snap, lsn).expect("snapshot");
+        snaps.push(snap);
+        lives.push(db.clone());
+    }
+    for end in 0..=script.len() {
+        let wal_path = temp_path(&format!("every-lsn-end-{end}"), "wal");
+        std::fs::remove_file(&wal_path).ok();
+        let mut writer = WalWriter::open(&wal_path, db.catalog()).expect("wal opens");
+        for change in &script[..end] {
+            writer.append(change).expect("append");
+        }
+        writer.sync().expect("sync");
+        for (from, snap) in snaps.iter().enumerate().take(end + 1) {
+            let recovery = recover(snap, &wal_path).expect("recovery succeeds");
+            assert_eq!(recovery.applied, end - from, "snapshot {from}, end {end}");
+            assert_eq!(recovery.rejected, 0);
+            assert_structurally_identical(&cold_rebuild(&recovery.db), &recovery.db);
+            assert_structurally_identical(&lives[end], &recovery.db);
+        }
+        std::fs::remove_file(&wal_path).ok();
+    }
+    for snap in &snaps {
+        std::fs::remove_file(snap).ok();
+    }
+}
+
+#[test]
+fn a_suffix_deleting_the_only_row_of_a_token_recovers_without_it() {
+    // The token lives in the snapshot; the suffix deletes its only row.
+    // The live index drains it, the recovered one never builds it.
+    let wal_path = temp_path("only-row", "wal");
+    let snap_path = temp_path("only-row", "snap");
+    let mut db = imdb_db();
+    let title = db.catalog().attr_id("movie", "title").expect("title");
+    let mut writer = WalWriter::open(&wal_path, db.catalog()).expect("wal opens");
+    let insert = ChangeRecord::Insert {
+        table: "movie".into(),
+        row: vec![
+            700_010.into(),
+            "Zyzzyva".into(),
+            1999.into(),
+            Value::Null,
+            Value::Null,
+        ],
+    };
+    let seq = writer.append(&insert).expect("append");
+    insert.apply(&mut db).expect("apply");
+    writer.sync().expect("sync");
+    write_snapshot(&db, &snap_path, seq).expect("snapshot");
+    assert!(db.search_score(title, "zyzzyva") > 0.0);
+    let delete = ChangeRecord::Delete {
+        table: "movie".into(),
+        key: vec![700_010.into()],
+    };
+    writer.append(&delete).expect("append");
+    delete.apply(&mut db).expect("apply");
+    writer.sync().expect("sync");
+
+    let recovery = recover(&snap_path, &wal_path).expect("recovery succeeds");
+    assert_eq!((recovery.applied, recovery.rejected), (1, 0));
+    let index = recovery.db.index(title).expect("title is indexed");
+    assert!(!index.live_tokens().contains(&"zyzzyva"));
+    assert_eq!(recovery.db.search_score(title, "zyzzyva"), 0.0);
+    assert_structurally_identical(&db, &recovery.db);
+    assert_structurally_identical(&cold_rebuild(&recovery.db), &recovery.db);
+
+    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_file(&snap_path).ok();
+}
+
+#[test]
+fn a_suffix_with_rejected_records_counts_them_as_the_live_run_did() {
+    let wal_path = temp_path("rejected-suffix", "wal");
+    let snap_path = temp_path("rejected-suffix", "snap");
+    let mut db = imdb_db();
+    write_snapshot(&db, &snap_path, 0).expect("snapshot");
+    let movie = |id: i64, director: i64| ChangeRecord::Insert {
+        table: "movie".into(),
+        row: vec![
+            id.into(),
+            "Suffix Picture".into(),
+            2002.into(),
+            Value::Null,
+            director.into(),
+        ],
+    };
+    let script = vec![
+        ChangeRecord::Insert {
+            table: "person".into(),
+            row: vec![700_020.into(), "Suffix Director".into(), 1950.into()],
+        },
+        movie(700_021, 999_999), // dangling director: rejected
+        movie(700_022, 700_020),
+        ChangeRecord::Delete {
+            table: "person".into(),
+            key: vec![700_020.into()], // still directs 700_022: rejected
+        },
+    ];
+    let mut writer = WalWriter::open(&wal_path, db.catalog()).expect("wal opens");
+    let mut live = (0, 0);
+    for change in &script {
+        writer.append(change).expect("append");
+        match change.apply(&mut db) {
+            Ok(_) => live.0 += 1,
+            Err(_) => live.1 += 1,
+        }
+    }
+    writer.sync().expect("sync");
+    assert_eq!(live, (2, 2));
+
+    let recovery = recover(&snap_path, &wal_path).expect("recovery succeeds");
+    assert_eq!((recovery.applied, recovery.rejected), live);
+    assert_structurally_identical(&db, &recovery.db);
+    assert_structurally_identical(&cold_rebuild(&recovery.db), &recovery.db);
 
     std::fs::remove_file(&wal_path).ok();
     std::fs::remove_file(&snap_path).ok();

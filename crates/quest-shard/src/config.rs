@@ -6,7 +6,10 @@ use crate::error::ShardError;
 /// dwarf any per-query win at this engine's scale.
 pub const MAX_SHARD_COUNT: usize = 1024;
 
-/// How a [`ShardedStore`](crate::ShardedStore) is partitioned.
+/// How a [`ShardedStore`](crate::ShardedStore) is partitioned. The
+/// shard count is the one setting: data-proportional work (statistics
+/// rebuilds, single-table `execute`) always runs on relstore's job runner,
+/// and keyword probes and commits always run on the calling thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of hash partitions. Valid range `1..=MAX_SHARD_COUNT`
@@ -14,37 +17,18 @@ pub struct ShardConfig {
     /// 0 is rejected by [`ShardConfig::validate`] — a zero-shard set would
     /// serve every query from no data.
     pub shard_count: usize,
-    /// Run *data-proportional* work on scoped threads: the full statistics
-    /// rebuild and the full-table `execute` scatter (their slots chunked
-    /// over `available_parallelism()` threads, the calling thread taking
-    /// the first chunk). Results are always merged in index order, so this
-    /// knob changes wall-clock time and nothing else — bit-identity holds
-    /// either way. Shard index builds are not under it: shards finalize one
-    /// after another, each on relstore's own job runner.
-    ///
-    /// It does **not** govern keyword probes: a probe scatter
-    /// ([`ShardedStore::scatter_value_scores`](crate::ShardedStore::scatter_value_scores))
-    /// is a few hash lookups per shard, cheaper than creating one thread,
-    /// so it always runs inline on the calling thread.
-    pub parallel: bool,
 }
 
 impl Default for ShardConfig {
     fn default() -> ShardConfig {
-        ShardConfig {
-            shard_count: 4,
-            parallel: true,
-        }
+        ShardConfig { shard_count: 4 }
     }
 }
 
 impl ShardConfig {
-    /// A config with `shard_count` partitions and parallel builds enabled.
+    /// A config with `shard_count` partitions.
     pub fn new(shard_count: usize) -> ShardConfig {
-        ShardConfig {
-            shard_count,
-            ..ShardConfig::default()
-        }
+        ShardConfig { shard_count }
     }
 
     /// Reject out-of-range shard counts. `shard_count = 0` is the important

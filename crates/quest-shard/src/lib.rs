@@ -31,8 +31,9 @@
 //!   cached serving engine. One scatter per keyword precomputes the whole
 //!   per-attribute score table, so the engine's emission pass never fans
 //!   out per `(keyword, attribute)` pair. The scatter runs inline on the
-//!   querying thread: threads are for data-proportional work (builds,
-//!   statistics, full-table scans), never for a read's hash lookups.
+//!   querying thread: threads are for data-proportional work (index and
+//!   statistics builds, single-table scans — all on
+//!   [`relstore::jobs::run`]), never for a read's hash lookups or a commit.
 //! * [`ShardedPrimary`] — a shard is the unit of replication. The gateway's
 //!   store holds the only copy of the rows; each shard adds a
 //!   [`DurableLog`](quest_wal::DurableLog) (own WAL, own snapshots, no

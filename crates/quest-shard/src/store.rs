@@ -68,55 +68,6 @@ fn locate(
         .map(|rid| (owner, rid))
 }
 
-/// Run `f(0..n)` either serially or chunked across scoped threads,
-/// returning results in index order regardless. Build-time and full-table
-/// fan-out only: the keyword probe path never comes through here.
-fn map_range<T, F>(n: usize, parallel: bool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = if parallel {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        1
-    };
-    map_chunks(n, workers, f)
-}
-
-/// [`map_range`] for an explicit worker count: `0..n` is cut into
-/// `ceil(n / workers)`-sized chunks, the calling thread runs the first one
-/// and each further *non-empty* chunk gets one scoped thread — so
-/// `ceil(n / chunk) - 1` spawns, never one per idle worker slot.
-fn map_chunks<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = (1..n.div_ceil(chunk))
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = (lo + chunk).min(n);
-                s.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        let mut out: Vec<T> = (0..chunk).map(f).collect();
-        for h in handles {
-            out.extend(h.join().expect("shard worker panicked"));
-        }
-        out
-    })
-}
-
 /// The scatter's handles into the global registry, resolved once per store
 /// (on its first instrumented scatter) so a keyword probe records through
 /// handle-local atomics: no label formatting, no registry lock.
@@ -233,7 +184,6 @@ pub struct ShardedStore {
     /// global integrity checks see.
     catalog: Catalog,
     partitioner: Partitioner,
-    parallel: bool,
     /// One database per shard, each over `catalog.without_foreign_keys()`.
     shards: Vec<Database>,
     /// Attributes with a full-text index on some shard, ascending — the
@@ -322,7 +272,6 @@ impl ShardedStore {
         let mut store = ShardedStore {
             catalog,
             partitioner: Partitioner::new(config)?,
-            parallel: config.parallel,
             shards,
             indexed_attrs: Vec::new(),
             scatter_metrics: OnceLock::new(),
@@ -347,7 +296,6 @@ impl ShardedStore {
         Ok(ShardedStore {
             catalog,
             partitioner,
-            parallel: config.parallel,
             shards,
             indexed_attrs: Vec::new(),
             scatter_metrics: OnceLock::new(),
@@ -787,14 +735,14 @@ impl ShardedStore {
         }
     }
 
-    /// Build every foreign key's counts from scratch — in parallel across
-    /// foreign keys when configured (each is independent and lands in a
-    /// fixed slot, so parallelism cannot perturb anything) — and derive the
-    /// merged statistics from them.
+    /// Build every foreign key's counts from scratch — one job per foreign
+    /// key on relstore's job runner (each is independent and comes back in
+    /// catalog order, so the threads cannot perturb anything) — and derive
+    /// the merged statistics from them. Only the store's constructors and
+    /// `rebalance` call this; a commit moves the live counts instead.
     fn rebuild_all_stats(&mut self) {
         let fks = self.catalog.foreign_keys();
-        let counts = map_range(fks.len(), self.parallel, |i| self.build_counts(fks[i]));
-        self.join_counts = counts;
+        self.join_counts = relstore::jobs::run(fks.len(), |i| self.build_counts(fks[i]));
         for i in 0..self.join_counts.len() {
             self.derive_join_stats(i);
         }
@@ -882,12 +830,12 @@ impl ShardedStore {
     /// to every shard once per `(keyword, attribute)` pair.
     ///
     /// The scatter runs **inline on the calling thread**, attribute by
-    /// attribute over the shards in index order, whatever
-    /// [`ShardConfig::parallel`] says: a probe is a few hash lookups per
-    /// shard, far less than creating one OS thread costs, so reads never
-    /// spawn. Only attributes with an index on some shard are probed (the
-    /// rest score 0, as on the unsharded store), and the whole scatter
-    /// shares one accumulator and one per-shard timing array.
+    /// attribute over the shards in index order: a probe is a few hash
+    /// lookups per shard, far less than creating one OS thread costs, so
+    /// keyword reads never reach the job runner. Only attributes with an
+    /// index on some shard are probed (the rest score 0, as on the
+    /// unsharded store), and the whole scatter shares one accumulator and
+    /// one per-shard timing array.
     ///
     /// While the global registry is enabled, each shard's share of the
     /// scatter wall is summed across attributes into
@@ -949,7 +897,8 @@ impl ShardedStore {
     /// Execute a generated SQL statement over the shard set.
     ///
     /// Single-table statements scatter to every shard (each scans only its
-    /// own rows) and merge; join statements run over a gathered scratch
+    /// own rows, one job per shard on relstore's job runner) and merge in
+    /// shard order; join statements run over a gathered scratch
     /// database. Result rows come back in **canonical value order** (SQL
     /// set semantics — the unsharded executor's row order is a storage
     /// artifact that sharding legitimately permutes), `DISTINCT` dedups
@@ -959,7 +908,7 @@ impl ShardedStore {
         let mut inner = stmt.clone();
         inner.limit = None;
         let mut rs = if stmt.from.len() == 1 {
-            let parts = map_range(self.shards.len(), self.parallel, |i| {
+            let parts = relstore::jobs::run(self.shards.len(), |i| {
                 relstore::sql::execute(&self.shards[i], &inner)
             });
             let mut merged: Option<ResultSet> = None;
@@ -1050,38 +999,6 @@ impl ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::thread::ThreadId;
-
-    /// Which thread ran each index of `map_chunks(n, workers, ..)`.
-    fn threads_of(n: usize, workers: usize) -> Vec<ThreadId> {
-        let ran = map_chunks(n, workers, |i| (i, std::thread::current().id()));
-        assert_eq!(
-            ran.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            (0..n).collect::<Vec<_>>(),
-            "results come back in index order"
-        );
-        ran.into_iter().map(|(_, t)| t).collect()
-    }
-
-    #[test]
-    fn map_chunks_runs_the_first_chunk_inline_and_spawns_no_idle_worker() {
-        let me = std::thread::current().id();
-        // n = 5 over 4 workers: chunk = 2, so three non-empty chunks — the
-        // caller's and two spawned; the fourth slot (6..5) gets no thread.
-        let threads = threads_of(5, 4);
-        assert_eq!(&threads[..2], &[me, me]);
-        assert_eq!(threads[2], threads[3]);
-        assert_eq!(threads.iter().collect::<HashSet<_>>().len(), 3);
-        // Even split: one thread per chunk, the caller's included.
-        let threads = threads_of(8, 4);
-        assert_eq!(&threads[..2], &[me, me]);
-        assert_eq!(threads.iter().collect::<HashSet<_>>().len(), 4);
-        // One worker, one item, or nothing to do: never spawns.
-        for (n, workers) in [(7, 1), (1, 8), (0, 8)] {
-            assert!(threads_of(n, workers).iter().all(|t| *t == me));
-        }
-    }
 
     fn small_imdb() -> Database {
         let scale = quest_data::imdb::ImdbScale {

@@ -25,9 +25,10 @@ use crate::store::ShardedStore;
 /// ([`ShardedStore::scatter_value_scores`]). The emission pass then reads a
 /// table slot per `(keyword, attribute)` pair — the per-shard fan-out cost
 /// is paid once per keyword, not once per attribute. The scatter runs
-/// inline on the thread that prepares the keyword (a read never spawns,
-/// whatever [`ShardConfig::parallel`] says) and probes only the attributes
-/// some shard indexes.
+/// inline on the thread that prepares the keyword (a keyword read never
+/// spawns) and probes only the attributes some shard indexes. Generated
+/// SQL goes to [`ShardedStore::execute`], which spreads a single-table
+/// statement over the shards on relstore's job runner.
 #[derive(Debug)]
 pub struct ShardedWrapper {
     store: ShardedStore,

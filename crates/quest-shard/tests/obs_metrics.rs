@@ -23,13 +23,6 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn shard_config(n: usize) -> ShardConfig {
-    ShardConfig {
-        shard_count: n,
-        parallel: true,
-    }
-}
-
 fn counter(name: &str) -> u64 {
     quest_obs::global()
         .snapshot()
@@ -44,8 +37,8 @@ fn scatter_records_per_shard_histograms_and_imbalance() {
         seed: 7,
     })
     .expect("imdb generates");
-    let gateway =
-        ScatterGather::new(&db, &shard_config(3), QuestConfig::default()).expect("gateway builds");
+    let gateway = ScatterGather::new(&db, &ShardConfig::new(3), QuestConfig::default())
+        .expect("gateway builds");
     gateway
         .search("casablanca director")
         .expect("search succeeds");
@@ -87,7 +80,7 @@ fn fencing_and_refusals_count_in_the_global_registry() {
     })
     .expect("imdb generates");
     let dir = temp_dir("fence-counters");
-    let mut primary = ShardedPrimary::open(&dir, db, &shard_config(2), QuestConfig::default())
+    let mut primary = ShardedPrimary::open(&dir, db, &ShardConfig::new(2), QuestConfig::default())
         .expect("sharded primary opens");
 
     let fences_before = counter(names::FENCE);

@@ -53,14 +53,6 @@ fn catalog() -> Catalog {
     catalog_with(false)
 }
 
-/// A config that keeps property runs cheap and deterministic to debug.
-fn shard_config(n: usize) -> ShardConfig {
-    ShardConfig {
-        shard_count: n,
-        parallel: false,
-    }
-}
-
 /// Mutations over a small key space, so duplicate keys, dangling FKs,
 /// re-insertions after deletes, and restrictive-delete violations all
 /// actually occur.
@@ -261,7 +253,7 @@ fn assert_identical_to_unsharded(store: &ShardedStore, reference: &Database) {
 fn run_per_record(catalog: Catalog, ops: &[Op], shards: usize) -> Result<(), TestCaseError> {
     let mut reference = Database::new(catalog.clone()).unwrap();
     reference.finalize();
-    let mut store = ShardedStore::new(catalog, &shard_config(shards)).unwrap();
+    let mut store = ShardedStore::new(catalog, &ShardConfig::new(shards)).unwrap();
     for op in ops {
         let expected = apply_db(&mut reference, &op.record());
         let got = apply_sharded(&mut store, op);
@@ -324,7 +316,7 @@ proptest! {
         for self_ref in [false, true] {
             let mut reference = Database::new(catalog_with(self_ref)).unwrap();
             reference.finalize();
-            let mut store = ShardedStore::new(catalog_with(self_ref), &shard_config(shards)).unwrap();
+            let mut store = ShardedStore::new(catalog_with(self_ref), &ShardConfig::new(shards)).unwrap();
             for batch in &batches {
                 let records: Vec<ChangeRecord> = batch.iter().map(Op::record).collect();
                 let expected: Vec<Result<(), String>> = reference.with_stats_deferred(|db| {
@@ -356,7 +348,7 @@ proptest! {
         keys in vec(0i64..30, 1..15),
         shards in 2usize..6,
     ) {
-        let mut store = ShardedStore::new(catalog(), &shard_config(shards)).unwrap();
+        let mut store = ShardedStore::new(catalog(), &ShardConfig::new(shards)).unwrap();
         let mut homes = std::collections::HashMap::new();
         for k in &keys {
             if store.insert("person", Row::new(vec![(*k).into(), "gone".into(), Value::Null])).is_ok() {
@@ -373,7 +365,7 @@ proptest! {
             store.insert("person", Row::new(vec![(*k).into(), "wind".into(), Value::Null])).unwrap();
         }
         // Compaction: rebuild at the same shard count.
-        let compacted = store.rebalance(&shard_config(shards)).unwrap();
+        let compacted = store.rebalance(&ShardConfig::new(shards)).unwrap();
         compacted.validate().unwrap();
         for (k, home) in &homes {
             let tid = compacted.catalog().table_id("person").unwrap();
@@ -393,14 +385,14 @@ proptest! {
     ) {
         let mut reference = Database::new(catalog()).unwrap();
         reference.finalize();
-        let mut store = ShardedStore::new(catalog(), &shard_config(n)).unwrap();
+        let mut store = ShardedStore::new(catalog(), &ShardConfig::new(n)).unwrap();
         for op in &ops {
             let _ = apply_db(&mut reference, &op.record());
             let _ = apply_sharded(&mut store, op);
         }
-        let wide = store.rebalance(&shard_config(m)).unwrap();
+        let wide = store.rebalance(&ShardConfig::new(m)).unwrap();
         wide.validate().unwrap();
-        let back = wide.rebalance(&shard_config(n)).unwrap();
+        let back = wide.rebalance(&ShardConfig::new(n)).unwrap();
         back.validate().unwrap();
         for s in [&wide, &back] {
             assert_identical_to_unsharded(s, &reference);
@@ -437,7 +429,7 @@ proptest! {
     /// uses; the per-attribute probe is the reference).
     #[test]
     fn scatter_table_matches_per_attribute_probes(ops in vec(arb_op(), 0..25)) {
-        let mut store = ShardedStore::new(catalog(), &shard_config(3)).unwrap();
+        let mut store = ShardedStore::new(catalog(), &ShardConfig::new(3)).unwrap();
         for op in &ops {
             let _ = apply_sharded(&mut store, op);
         }
@@ -528,7 +520,7 @@ fn from_database_with_dangling_references_matches_join_stats() {
     db.finalize();
     for shards in 1..6 {
         let mut reference = db.clone();
-        let mut store = ShardedStore::from_database(&reference, &shard_config(shards)).unwrap();
+        let mut store = ShardedStore::from_database(&reference, &ShardConfig::new(shards)).unwrap();
         let fk = reference.catalog().foreign_keys()[0];
         assert_fk_stats_identical(&store, &reference);
         assert_eq!(store.fk_stats(fk).unwrap().pairs, 2, "7 dangles twice");
@@ -548,7 +540,7 @@ fn from_database_with_dangling_references_matches_join_stats() {
         }
         assert_eq!(store.fk_stats(fk).unwrap().pairs, 2);
         // Refused while referenced: 7's two references keep the person.
-        let mut again = ShardedStore::from_database(&db, &shard_config(shards)).unwrap();
+        let mut again = ShardedStore::from_database(&db, &ShardConfig::new(shards)).unwrap();
         again.insert("person", person(7)).unwrap();
         let mut whole = db.clone();
         whole.insert("person", person(7)).unwrap();

@@ -1,10 +1,9 @@
-//! The keyword scatter runs inline on the calling thread whatever
-//! `ShardConfig::parallel` says, over a per-store list of indexed
-//! attributes and one reused accumulator. This suite pins what that must
-//! not change: the score table is bit-equal between `parallel: true` and
-//! `parallel: false` stores and bit-equal to `Database::search_score` on
-//! the gathered union — single tokens, phrases, absent tokens, non-indexed
-//! attributes and normalised-away keywords, at 1/2/4/16 shards.
+//! The keyword scatter runs inline on the calling thread, over a per-store
+//! list of indexed attributes and one reused accumulator. This suite pins
+//! what that must not change: the score table is bit-equal to
+//! `Database::search_score` on the gathered union — single tokens,
+//! phrases, absent tokens, non-indexed attributes and normalised-away
+//! keywords, at 1/2/4/16 shards.
 
 use quest_core::{Keyword, SourceWrapper};
 use quest_data::imdb::{generate, ImdbScale};
@@ -20,12 +19,8 @@ fn imdb() -> Database {
     .expect("imdb generates")
 }
 
-fn store(db: &Database, shard_count: usize, parallel: bool) -> ShardedStore {
-    let config = ShardConfig {
-        shard_count,
-        parallel,
-    };
-    ShardedStore::from_database(db, &config).expect("store builds")
+fn store(db: &Database, shard_count: usize) -> ShardedStore {
+    ShardedStore::from_database(db, &ShardConfig::new(shard_count)).expect("store builds")
 }
 
 /// Single tokens and phrases drawn from the data itself (so they hit on
@@ -57,7 +52,7 @@ fn keywords(db: &Database) -> Vec<String> {
 }
 
 #[test]
-fn scatter_table_is_bit_equal_across_parallel_and_to_the_gathered_union() {
+fn scatter_table_is_bit_equal_to_the_gathered_union() {
     let db = imdb();
     let keywords = keywords(&db);
     assert!(
@@ -68,26 +63,18 @@ fn scatter_table_is_bit_equal_across_parallel_and_to_the_gathered_union() {
         "the schema should have non-indexed attributes to cover"
     );
     for shards in [1, 2, 4, 16] {
-        let serial = store(&db, shards, false);
-        let parallel = store(&db, shards, true);
-        let union = parallel.gather().expect("gather");
+        let store = store(&db, shards);
+        let union = store.gather().expect("gather");
         let (mut token_hits, mut phrase_hits) = (0usize, 0usize);
         for kw in &keywords {
             let Some(probe) = KeywordProbe::new(kw) else {
                 continue;
             };
-            let a = serial.scatter_value_scores(&probe);
-            let b = parallel.scatter_value_scores(&probe);
+            let a = store.scatter_value_scores(&probe);
             assert_eq!(a.len(), db.catalog().attribute_count());
-            assert_eq!(b.len(), a.len());
             for attr in db.catalog().attributes() {
                 let slot = attr.id.0 as usize;
                 let want = union.search_score(attr.id, kw);
-                assert_eq!(
-                    a[slot].to_bits(),
-                    b[slot].to_bits(),
-                    "{shards} shards, {kw:?}, attr {slot}: parallel and serial stores differ"
-                );
                 assert_eq!(
                     a[slot].to_bits(),
                     want.to_bits(),
@@ -115,26 +102,21 @@ fn scatter_table_is_bit_equal_across_parallel_and_to_the_gathered_union() {
 fn normalised_away_keywords_score_zero_everywhere() {
     let db = imdb();
     for shards in [1, 2, 4, 16] {
-        for parallel in [false, true] {
-            let config = ShardConfig {
-                shard_count: shards,
-                parallel,
-            };
-            let wrapper = ShardedWrapper::from_database(&db, &config).expect("wrapper builds");
-            for text in ["the", "of the", "...", ""] {
-                assert!(
-                    KeywordProbe::new(text).is_none(),
-                    "{text:?} should normalise away"
-                );
-                let prepared = wrapper.prepare_keyword(&Keyword {
-                    raw: text.to_string(),
-                    normalized: text.to_string(),
-                    phrase: false,
-                });
-                for attr in db.catalog().attributes() {
-                    assert_eq!(wrapper.value_score_prepared(attr.id, &prepared), 0.0);
-                    assert_eq!(db.search_score(attr.id, text), 0.0);
-                }
+        let wrapper =
+            ShardedWrapper::from_database(&db, &ShardConfig::new(shards)).expect("wrapper builds");
+        for text in ["the", "of the", "...", ""] {
+            assert!(
+                KeywordProbe::new(text).is_none(),
+                "{text:?} should normalise away"
+            );
+            let prepared = wrapper.prepare_keyword(&Keyword {
+                raw: text.to_string(),
+                normalized: text.to_string(),
+                phrase: false,
+            });
+            for attr in db.catalog().attributes() {
+                assert_eq!(wrapper.value_score_prepared(attr.id, &prepared), 0.0);
+                assert_eq!(db.search_score(attr.id, text), 0.0);
             }
         }
     }

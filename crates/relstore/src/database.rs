@@ -37,9 +37,9 @@ use crate::value::Value;
 /// then finalizes and validates. `finalize` and [`Database::validate`]
 /// split into independent jobs (one per full-text index, per foreign
 /// key's statistics, per table's structure check, per foreign key's
-/// target check) on at most `available_parallelism()` scoped threads;
+/// target check) on the [`jobs`] runner;
 /// [`Database::finalize_reference`] is the serial twin. Mutations never
-/// spawn a thread.
+/// reach the runner.
 #[derive(Debug, Clone)]
 pub struct Database {
     catalog: Catalog,

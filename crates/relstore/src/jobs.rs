@@ -1,23 +1,31 @@
-//! The setup-phase job runner: independent jobs pulled from one atomic
+//! The workspace's one job runner: independent jobs pulled from one atomic
 //! counter by scoped threads.
 //!
 //! [`Database::finalize`](crate::Database::finalize) (one job per full-text
 //! index, one per foreign key's join statistics) and
 //! [`Database::validate`](crate::Database::validate) (one job per table's
-//! structure check, one per foreign key's target check) run here. The
-//! runner uses at most `available_parallelism()` threads, the caller being
-//! one of them, and never more threads than jobs; it keeps no pool past the
-//! call. Nothing on a commit path runs here, and a job never calls the
-//! runner again — callers with several databases (a shard set) finalize
-//! them one after another, each on this runner, instead of nesting spawns.
+//! structure check, one per foreign key's target check) run here, and so
+//! does quest-shard's data-proportional work: the sharded store's full
+//! statistics rebuild (one job per foreign key's reference counts) and its
+//! single-table `execute` (one job per shard). The runner uses at most
+//! `available_parallelism()` threads, the caller being one of them, and
+//! never more threads than jobs; it keeps no pool past the call.
+//!
+//! Two rules keep thread creation where it pays:
+//! * **No commit path runs here.** A mutation, a batch apply or a sharded
+//!   commit costs a few hash updates, less than one spawn.
+//! * **A job never calls the runner again.** Callers with several
+//!   databases (a shard set) finalize them one after another, each on this
+//!   runner, instead of nesting spawns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run `job(0)` … `job(count - 1)` and return the results in index order.
 /// Each thread takes the next unclaimed index until none is left, so a
-/// slow job delays only the thread that drew it. A panicking job resumes
-/// its unwind on the caller.
-pub(crate) fn run<T: Send>(count: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// slow job delays only the thread that drew it. With one job, or one
+/// available processor, every job runs on the caller and nothing spawns.
+/// A panicking job resumes its unwind on the caller with its own payload.
+pub fn run<T: Send>(count: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = std::thread::available_parallelism()
         .map_or(1, |n| n.get())
         .min(count);
@@ -37,8 +45,7 @@ pub(crate) fn run<T: Send>(count: usize, job: impl Fn(usize) -> T + Sync) -> Vec
             done.push((i, job(i)));
         }
     };
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    std::thread::scope(|s| {
+    let mut done = std::thread::scope(|s| {
         let helpers: Vec<_> = (1..threads).map(|_| s.spawn(drain)).collect();
         let mut done = drain();
         for helper in helpers {
@@ -47,19 +54,20 @@ pub(crate) fn run<T: Send>(count: usize, job: impl Fn(usize) -> T + Sync) -> Vec
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        for (i, result) in done {
-            slots[i] = Some(result);
-        }
+        done
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every job index is claimed exactly once"))
-        .collect()
+    // Every index in 0..count was claimed exactly once, so sorting the
+    // pairs by index lays the results out in job order.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn results_come_back_in_index_order() {
@@ -69,14 +77,67 @@ mod tests {
         }
     }
 
+    /// The message a panicking `job` carries out of the runner.
+    fn panic_message(count: usize, job: impl Fn(usize) -> usize + Sync) -> String {
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| run(count, job)))
+            .expect_err("the job's panic reaches the caller");
+        *payload
+            .downcast::<String>()
+            .expect("a formatted panic carries a String payload")
+    }
+
     #[test]
     fn a_panicking_job_unwinds_into_the_caller() {
-        let caught = std::panic::catch_unwind(|| {
-            run(8, |i| {
-                assert_ne!(i, 5, "job 5 fails");
-                i
-            })
+        let message = panic_message(8, |i| {
+            assert_ne!(i, 5, "job 5 fails");
+            i
         });
-        assert!(caught.is_err());
+        assert!(message.contains("job 5 fails"), "payload was {message:?}");
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return;
+        }
+        // Force the panic onto a helper: the caller's job waits until a
+        // helper has claimed the other one, and only a helper's job panics.
+        let caller = std::thread::current().id();
+        let helper_claimed = AtomicBool::new(false);
+        let message = panic_message(2, |i| {
+            if std::thread::current().id() != caller {
+                helper_claimed.store(true, Ordering::SeqCst);
+                panic!("helper job {i} fails");
+            }
+            while !helper_claimed.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            i
+        });
+        assert!(
+            message.starts_with("helper job "),
+            "payload was {message:?}"
+        );
+    }
+
+    #[test]
+    fn never_runs_on_more_threads_than_processors_or_jobs() {
+        let me = std::thread::current().id();
+        let processors = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for count in 0..=17 {
+            let ran = run(count, |i| {
+                // Long enough that every spawned thread gets to claim a job.
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                (i, std::thread::current().id())
+            });
+            assert_eq!(
+                ran.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+                (0..count).collect::<Vec<_>>(),
+                "results come back in index order"
+            );
+            let threads: HashSet<_> = ran.iter().map(|(_, t)| *t).collect();
+            if count <= 1 {
+                // Nothing to share: the caller runs it.
+                assert!(threads.iter().all(|t| *t == me));
+            } else {
+                assert!(threads.len() <= processors.min(count), "{count} jobs");
+            }
+        }
     }
 }

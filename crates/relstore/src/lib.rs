@@ -26,7 +26,7 @@
 pub mod database;
 pub mod error;
 pub mod index;
-mod jobs;
+pub mod jobs;
 pub mod row;
 pub mod schema;
 pub mod sql;

@@ -286,10 +286,7 @@ fn run_sharded(
     let db = dataset();
     let catalog = db.catalog().clone();
     let clock = Arc::new(ManualClock::new());
-    let shards = ShardConfig {
-        shard_count: 2,
-        parallel: false,
-    };
+    let shards = ShardConfig::new(2);
     let retry = RetryPolicy {
         retries: 2,
         base: Duration::from_millis(1),

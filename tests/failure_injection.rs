@@ -223,10 +223,7 @@ fn sharded_primary(name: &str, shard_count: usize) -> (std::path::PathBuf, Shard
         seed: 3,
     })
     .expect("generate");
-    let shards = quest::shard::ShardConfig {
-        shard_count,
-        parallel: true,
-    };
+    let shards = quest::shard::ShardConfig::new(shard_count);
     let primary = ShardedPrimary::open(&dir, db, &shards, QuestConfig::default())
         .expect("sharded primary opens");
     (dir, primary)
@@ -651,10 +648,7 @@ fn publish_snapshots_refuses_a_fenced_set_and_the_healed_disk_reopens() {
     let live = answers(&primary);
     assert!(live.iter().all(|a| !a.is_empty()));
     drop(primary);
-    let shards = quest::shard::ShardConfig {
-        shard_count: 2,
-        parallel: true,
-    };
+    let shards = quest::shard::ShardConfig::new(2);
     let reopened = ShardedPrimary::reopen(&dir, catalog.clone(), &shards, QuestConfig::default())
         .expect("healed directory reopens");
     assert_eq!(answers(&reopened), live);
@@ -676,10 +670,7 @@ fn crash_db() -> Database {
 }
 
 fn crash_shards() -> quest::shard::ShardConfig {
-    quest::shard::ShardConfig {
-        shard_count: 4,
-        parallel: false,
-    }
+    quest::shard::ShardConfig::new(4)
 }
 
 /// A fresh 4-shard set over a 50-movie IMDB instance, retrying on a manual

@@ -37,13 +37,6 @@ fn dblp_db() -> Database {
         .expect("dblp generates")
 }
 
-fn shard_config(n: usize) -> quest::shard::ShardConfig {
-    quest::shard::ShardConfig {
-        shard_count: n,
-        parallel: true,
-    }
-}
-
 fn unsharded(db: &Database) -> CachedEngine<FullAccessWrapper> {
     CachedEngine::new(
         Quest::new(FullAccessWrapper::new(db.clone()), QuestConfig::default())
@@ -52,8 +45,12 @@ fn unsharded(db: &Database) -> CachedEngine<FullAccessWrapper> {
 }
 
 fn sharded(db: &Database, shards: usize) -> ScatterGather {
-    ScatterGather::new(db, &shard_config(shards), QuestConfig::default())
-        .expect("sharded engine builds")
+    ScatterGather::new(
+        db,
+        &quest::shard::ShardConfig::new(shards),
+        QuestConfig::default(),
+    )
+    .expect("sharded engine builds")
 }
 
 /// Bit-exact fingerprints of an outcome list: SQL text + score bits, in
@@ -423,9 +420,12 @@ fn rebalance_preserves_search_identity() {
     let queries = imdb_queries();
     let whole = unsharded(&db);
     let reference = fingerprints(&queries, |raw| whole.search(raw), db.catalog());
-    let store = ShardedStore::from_database(&db, &shard_config(2)).expect("store builds");
+    let store =
+        ShardedStore::from_database(&db, &quest::shard::ShardConfig::new(2)).expect("store builds");
     for target in [1usize, 4, 8] {
-        let rebalanced = store.rebalance(&shard_config(target)).expect("rebalance");
+        let rebalanced = store
+            .rebalance(&quest::shard::ShardConfig::new(target))
+            .expect("rebalance");
         rebalanced.validate().expect("placement + RI hold");
         assert_postings_and_stats_identical(&rebalanced, &db);
         let gather = ScatterGather::from_store(rebalanced, QuestConfig::default())
@@ -453,9 +453,13 @@ fn sharded_primary_commits_recover_and_feed_replicas() {
         q
     };
     let whole = unsharded(&db);
-    let mut primary =
-        ShardedPrimary::open(&dir, db.clone(), &shard_config(3), QuestConfig::default())
-            .expect("sharded primary opens");
+    let mut primary = ShardedPrimary::open(
+        &dir,
+        db.clone(),
+        &quest::shard::ShardConfig::new(3),
+        QuestConfig::default(),
+    )
+    .expect("sharded primary opens");
 
     for batch in mutation_batches(&db) {
         let whole_report = whole.apply(&batch).expect("unsharded apply");
@@ -598,7 +602,7 @@ fn sharded_primary_commits_recover_and_feed_replicas() {
     let reopened = ShardedPrimary::reopen(
         &dir,
         db.catalog().clone(),
-        &shard_config(3),
+        &quest::shard::ShardConfig::new(3),
         QuestConfig::default(),
     )
     .expect("sharded primary reopens");
@@ -622,9 +626,13 @@ fn topology_health_is_purely_observational() {
     let dir = temp_dir("health");
     let db = imdb_db(42);
     let queries = imdb_queries();
-    let mut primary =
-        ShardedPrimary::open(&dir, db.clone(), &shard_config(3), QuestConfig::default())
-            .expect("sharded primary opens");
+    let mut primary = ShardedPrimary::open(
+        &dir,
+        db.clone(),
+        &quest::shard::ShardConfig::new(3),
+        QuestConfig::default(),
+    )
+    .expect("sharded primary opens");
     for batch in mutation_batches(&db) {
         primary.commit(&batch).expect("sharded commit");
     }

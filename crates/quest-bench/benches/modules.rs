@@ -6,7 +6,9 @@
 //! cold open and reopen, and `sharded_commit_warm`, a sharded primary's
 //! whole commit after reads have filled its caches.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use quest_core::forward::ForwardModule;
 use quest_core::matcher::name_similarity;
 use quest_core::semantics::SemanticRules;
@@ -366,10 +368,12 @@ fn bench_sharded_commit_warm(c: &mut Criterion) {
 /// restore, log-suffix replay, one `finalize`, `validate`, engine) after 0
 /// and after 40 commits shaped like the repo benchmark's commit stream —
 /// a person and a movie inserted per commit, and every second commit
-/// deleting the movie inserted two commits earlier — plus the setup phase
-/// alone: `Database::finalize` on its job runner against the serial
-/// `Database::finalize_reference`, on clones of one database. Dropping
-/// what a routine returns is not timed.
+/// deleting the movie inserted two commits earlier — and `reopen_covered`:
+/// the same 40 commits past a snapshot that covers 10⁴ earlier records,
+/// over 7k rows (1k movies), which is what a reopen pays for history it
+/// does not replay. Plus the setup phase alone: `Database::finalize` on
+/// its job runner against the serial `Database::finalize_reference`, on
+/// clones of one database. Dropping what a routine returns is not timed.
 fn bench_recover(c: &mut Criterion) {
     let db = imdb::generate(&ImdbScale {
         movies: 15_000,
@@ -380,11 +384,8 @@ fn bench_recover(c: &mut Criterion) {
     std::fs::remove_dir_all(&root).ok();
     let mut g = c.benchmark_group("recover");
     g.sample_size(10);
-    for commits in [0i64, 40] {
-        let dir = root.join(format!("after-{commits}"));
-        let primary =
-            Primary::open(&dir, db.clone(), QuestConfig::default()).expect("open primary");
-        for round in 0..commits {
+    let commit_rounds = |primary: &Primary, rounds: i64| {
+        for round in 0..rounds {
             let id = 9_000_000 + round;
             let mut batch = vec![
                 ChangeRecord::Insert {
@@ -404,19 +405,52 @@ fn bench_recover(c: &mut Criterion) {
             }
             primary.commit(&batch).expect("commit");
         }
+    };
+    let reopen = |g: &mut BenchmarkGroup<'_>, id: BenchmarkId, dir: &std::path::Path| {
+        g.bench_with_input(id, dir, |b, dir| {
+            b.iter_batched(
+                || (),
+                |()| Primary::reopen(dir, QuestConfig::default(), PrimaryOptions::default()),
+                BatchSize::PerIteration,
+            )
+        });
+    };
+    for commits in [0i64, 40] {
+        let dir = root.join(format!("after-{commits}"));
+        let primary =
+            Primary::open(&dir, db.clone(), QuestConfig::default()).expect("open primary");
+        commit_rounds(&primary, commits);
         drop(primary);
-        g.bench_with_input(
-            BenchmarkId::new("reopen_after", commits),
-            &commits,
-            |b, _| {
-                b.iter_batched(
-                    || (),
-                    |()| Primary::reopen(&dir, QuestConfig::default(), PrimaryOptions::default()),
-                    BatchSize::PerIteration,
-                )
-            },
-        );
+        reopen(&mut g, BenchmarkId::new("reopen_after", commits), &dir);
     }
+    let covered = 10_000i64;
+    let dir = root.join(format!("covered-{covered}"));
+    let small = imdb::generate(&ImdbScale {
+        movies: 1_000,
+        seed: 42,
+    })
+    .expect("generate");
+    let primary = Primary::open(&dir, small, QuestConfig::default()).expect("open primary");
+    for first in (0..covered).step_by(100) {
+        let batch: Vec<ChangeRecord> = (first..first + 100)
+            .map(|id| ChangeRecord::Insert {
+                table: "person".into(),
+                row: vec![
+                    (8_000_000 + id).into(),
+                    "Covered Person".into(),
+                    1950.into(),
+                ],
+            })
+            .collect();
+        primary.commit(&batch).expect("commit");
+    }
+    assert_eq!(
+        primary.publish_snapshot().expect("snapshot"),
+        covered as u64
+    );
+    commit_rounds(&primary, 40);
+    drop(primary);
+    reopen(&mut g, BenchmarkId::new("reopen_covered", covered), &dir);
     // Each routine hands its database back so that dropping it is untimed.
     g.bench_function("finalize", |b| {
         b.iter_batched(

@@ -24,7 +24,7 @@ use quest_core::{FullAccessWrapper, Quest, QuestConfig, QuestError, SearchOutcom
 use quest_fault::{Clock, RetryPolicy, SystemClock};
 use quest_obs::{TraceCtx, TraceKind};
 use quest_serve::{ApplyReport, CachedEngine};
-use quest_wal::{ChangeRecord, DurableLog, SyncPolicy};
+use quest_wal::{ChangeRecord, DurableLog, SyncPolicy, WalError};
 use relstore::Database;
 
 use crate::error::ReplicaError;
@@ -109,15 +109,19 @@ impl Primary {
         Primary::assemble(log, db, config)
     }
 
-    /// Resume a primary from its directory: recover the database from the
-    /// latest snapshot plus the log suffix, and continue the LSN sequence
-    /// where the previous incarnation stopped.
+    /// Resume a primary from its directory: restore the latest snapshot
+    /// plus the log suffix ([`DurableLog::reopen`]), build the derived
+    /// state and validate it once, as [`quest_wal::recover`] does, and
+    /// continue the LSN sequence where the previous incarnation stopped.
     pub fn reopen(
         dir: &Path,
         config: QuestConfig,
         options: PrimaryOptions,
     ) -> Result<Primary, ReplicaError> {
-        let (log, db) = DurableLog::reopen(dir, options.sync_policy, options.retry, options.clock)?;
+        let (log, mut db) =
+            DurableLog::reopen(dir, options.sync_policy, options.retry, options.clock)?;
+        db.finalize();
+        db.validate().map_err(WalError::Store)?;
         Primary::assemble(log, db, config)
     }
 
@@ -326,14 +330,18 @@ mod tests {
             primary.publish_snapshot().unwrap();
             (primary.wal_path(), primary.snapshot_path())
         };
-        // Rot: the record lines vanish, the header survives.
+        // Rot: the record lines vanish, the header survives, and a torn
+        // line follows it that a writer's open would cut away.
         let text = std::fs::read_to_string(&wal_path).unwrap();
         let header: String = text.lines().take(1).map(|l| format!("{l}\n")).collect();
-        std::fs::write(&wal_path, header).unwrap();
+        let rotted = format!("{header}1\t00");
+        std::fs::write(&wal_path, &rotted).unwrap();
 
         let err =
             Primary::reopen(&dir, QuestConfig::default(), PrimaryOptions::default()).unwrap_err();
         assert!(matches!(err, ReplicaError::State(_)), "{err}");
+        // Refused before a byte of the log was written.
+        assert_eq!(std::fs::read_to_string(&wal_path).unwrap(), rotted);
         let err = crate::Replica::bootstrap("r1", &snap_path, &wal_path, QuestConfig::default())
             .unwrap_err();
         assert!(matches!(err, ReplicaError::State(_)), "{err}");
@@ -373,6 +381,87 @@ mod tests {
         let err =
             Primary::reopen(&dir, QuestConfig::default(), PrimaryOptions::default()).unwrap_err();
         assert!(matches!(&err, ReplicaError::Wal(e) if corrupt(e)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The log error inside a [`ReplicaError`], shown.
+    fn wal_error(err: ReplicaError) -> String {
+        match err {
+            ReplicaError::Wal(e) => e.to_string(),
+            other => panic!("not a log error: {other}"),
+        }
+    }
+
+    #[test]
+    fn a_rotted_covered_record_is_corrupt_to_every_reader() {
+        // Five commits, a snapshot at LSN 3, and the body of record 2 — one
+        // the snapshot covers — rotted. Skipping a covered record still
+        // verifies it, so every reader refuses the log at line 3 exactly as
+        // `read_log` does, rather than resuming over the rot.
+        use quest_wal::{read_log, recover, WalError};
+        let dir = temp_dir("primary-rotted-covered");
+        let (wal_path, snap_path) = {
+            let primary = Primary::open(&dir, sample_db(), QuestConfig::default()).unwrap();
+            for id in 1..=5i64 {
+                let row = vec![(200 + id).into(), format!("Covered {id}").into()];
+                let table = "person".into();
+                primary
+                    .commit(&[ChangeRecord::Insert { table, row }])
+                    .unwrap();
+                if id == 3 {
+                    assert_eq!(primary.publish_snapshot().unwrap(), 3);
+                }
+            }
+            primary.sync().unwrap();
+            (primary.wal_path(), primary.snapshot_path())
+        };
+        let text = std::fs::read_to_string(&wal_path).unwrap();
+        std::fs::write(&wal_path, text.replace("Covered 2", "Covered X")).unwrap();
+
+        let expected = read_log(&wal_path, sample_db().catalog()).unwrap_err();
+        assert!(
+            matches!(expected, WalError::Corrupt { line: 3, .. }),
+            "{expected}"
+        );
+        let expected = expected.to_string();
+        assert!(
+            expected.contains("checksum mismatch on record 2"),
+            "{expected}"
+        );
+        let recovered = recover(&snap_path, &wal_path).unwrap_err();
+        assert_eq!(recovered.to_string(), expected);
+        let bootstrapped =
+            crate::Replica::bootstrap("r1", &snap_path, &wal_path, QuestConfig::default());
+        assert_eq!(wal_error(bootstrapped.unwrap_err()), expected);
+        let reopened = Primary::reopen(&dir, QuestConfig::default(), PrimaryOptions::default());
+        assert_eq!(wal_error(reopened.unwrap_err()), expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopen_rejects_a_referentially_broken_snapshot() {
+        // `DurableLog::reopen` hands back bare rows, so the validate that
+        // catches a snapshot rotted into a dangling foreign key is the
+        // primary's own, and it refuses exactly as `recover`'s does.
+        let dir = temp_dir("primary-broken-fk");
+        let (wal_path, snap_path) = {
+            let primary = Primary::open(&dir, sample_db(), QuestConfig::default()).unwrap();
+            (primary.wal_path(), primary.snapshot_path())
+        };
+        // The movie's director (the trailing value of its row) now names a
+        // person who does not exist.
+        let text = std::fs::read_to_string(&snap_path).unwrap();
+        let rotted = text.replace("\ti1\n", "\ti9\n");
+        assert_ne!(rotted, text);
+        std::fs::write(&snap_path, rotted).unwrap();
+
+        let expected = quest_wal::recover(&snap_path, &wal_path).unwrap_err();
+        assert!(
+            matches!(expected, quest_wal::WalError::Store(_)),
+            "{expected}"
+        );
+        let reopened = Primary::reopen(&dir, QuestConfig::default(), PrimaryOptions::default());
+        assert_eq!(wal_error(reopened.unwrap_err()), expected.to_string());
         std::fs::remove_dir_all(&dir).ok();
     }
 

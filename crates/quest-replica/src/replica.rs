@@ -2,9 +2,9 @@
 //!
 //! A replica bootstraps from a published snapshot (slot-exact at some LSN
 //! `S`), then tails the log with a positioned [`LogReader`]:
-//! [`LogReader::after`] seeks past `S` without decoding the skipped prefix
-//! and refuses a log that ends below `S` (syncing from it would mis-frame
-//! the stream), then the replica polls and applies batches through its own
+//! [`LogReader::after`] seeks past `S` (verifying, not decoding, what it
+//! skips) and refuses a log that ends below `S` or is damaged at or below
+//! it, then the replica polls and applies batches through its own
 //! [`CachedEngine`]. Applying uses the exact per-record apply-or-reject
 //! path recovery uses, so a poison record the primary rejected is
 //! re-rejected here — byte-for-byte convergence, not best-effort mirroring

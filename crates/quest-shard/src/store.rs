@@ -234,11 +234,12 @@ impl ShardedStore {
     }
 
     /// Reassemble a sharded store from recovered shard databases (the
-    /// reopen path of [`ShardedPrimary`](crate::ShardedPrimary)). Verifies
+    /// reopen path of [`ShardedPrimary`](crate::ShardedPrimary), which
+    /// hands over bare rows: each shard is finalized here, once). Verifies
     /// the shard count, the structural agreement of every shard's catalog
     /// with `catalog` (modulo foreign keys), and — via
-    /// [`ShardedStore::validate`] — placement and global referential
-    /// integrity.
+    /// [`ShardedStore::validate`], each shard's structure once —
+    /// placement and global referential integrity.
     pub fn from_shards(
         catalog: Catalog,
         shards: Vec<Database>,

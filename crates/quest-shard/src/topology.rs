@@ -23,18 +23,19 @@
 //! follows it.
 //!
 //! **Recovery only rolls forward.** A shard log never holds a record the
-//! coordinator lacks, so [`ShardedPrimary::reopen`] recovers each shard
-//! from its snapshot and log, then appends whatever suffix of its slices
-//! the coordinator holds beyond the log's end. A frame torn by a crash was
-//! never committed, and no shard log holds any of its records. A shard log
-//! is fsynced only when a snapshot is published, so after a power loss its
-//! part past the snapshot can hold a garbled line with valid lines after
-//! it; the coordinator holds every record of that part, so the log is cut
-//! back to its valid prefix and rolled forward
-//! ([`DurableLog::reopen_salvaging`]). Publishing snapshots empties the
-//! coordinator log, because every frame it held is then in a synced shard
-//! log. A directory written before the coordinator log existed reopens
-//! with its shard logs as they are and starts one.
+//! coordinator lacks, so [`ShardedPrimary::reopen`] restores each shard's
+//! rows from its snapshot and log, then appends whatever suffix of its
+//! slices the coordinator holds beyond the log's end and replays it on
+//! those rows; the store then finalizes and validates each shard once. A
+//! frame torn by a crash was never committed, and no shard log holds any
+//! of its records. A shard log is fsynced only when a snapshot is
+//! published, so after a power loss its part past the snapshot can hold a
+//! garbled line with valid lines after it; the coordinator holds every
+//! record of that part, so the log is cut back to its valid prefix and
+//! rolled forward ([`DurableLog::reopen_salvaging`]). Publishing snapshots
+//! empties the coordinator log, because every frame it held is then in a
+//! synced shard log. A directory written before the coordinator log
+//! existed reopens with its shard logs as they are and starts one.
 //!
 //! **Visibility.** The gateway applies a batch before its frame is written,
 //! but `commit` holds `&mut self`, so no read runs in between: a read sees
@@ -246,13 +247,15 @@ impl ShardedPrimary {
         )
     }
 
-    /// Resume a sharded primary: recover every shard's database from its
+    /// Resume a sharded primary: restore every shard's rows from its
     /// snapshot + log suffix (cutting away damage past the snapshot that
     /// the coordinator re-supplies), roll each shard log forward over the
-    /// coordinator's frames it lacks, move the databases into the gateway
-    /// store (verifying placement and global referential integrity), and
-    /// continue each shard's LSN sequence. `catalog` is the full catalog —
-    /// foreign keys included — which the FK-less shard logs cannot carry.
+    /// coordinator's frames it lacks and replay those on the same bare
+    /// rows, then move the rows into the gateway store, which finalizes
+    /// and validates each shard once (placement and global referential
+    /// integrity included), and continue each shard's LSN sequence.
+    /// `catalog` is the full catalog — foreign keys included — which the
+    /// FK-less shard logs cannot carry.
     pub fn reopen(
         dir: &Path,
         catalog: Catalog,
@@ -316,8 +319,7 @@ impl ShardedPrimary {
                 clock.clone(),
                 range.map(|(first, last)| first..=last),
             )?;
-            let missing = roll_forward(i, &mut log, &frames)?;
-            quest_wal::replay(&mut db, &missing, 0)?;
+            roll_forward(i, &mut log, &mut db, &frames)?;
             logs.push(log);
             dbs.push(db);
         }
@@ -693,16 +695,18 @@ impl ShardedPrimary {
 }
 
 /// Append to shard `shard`'s `log` every record the coordinator's `frames`
-/// hold for it beyond the log's end, returning them with their LSNs. A
-/// slice can be partly in the log already (a crash can tear an unsynced
-/// append), so only its missing suffix is appended. A slice that starts
-/// past the log's end means the log lost records no frame holds: an error.
+/// hold for it beyond the log's end, and replay them on `db`, the shard's
+/// rows. A slice can be partly in the log already (a crash can tear an
+/// unsynced append), so only its missing suffix is appended. A slice that
+/// starts past the log's end means the log lost records no frame holds: an
+/// error.
 fn roll_forward(
     shard: usize,
     log: &mut DurableLog,
+    db: &mut Database,
     frames: &[(u64, BatchFrame)],
-) -> Result<Vec<(u64, ChangeRecord)>, ShardError> {
-    let mut missing: Vec<(u64, ChangeRecord)> = Vec::new();
+) -> Result<(), ShardError> {
+    let mut missing: Vec<ChangeRecord> = Vec::new();
     for (seq, frame) in frames {
         for slice in frame.slices.iter().filter(|s| s.shard == shard) {
             let end = log.last_lsn() + missing.len() as u64;
@@ -717,18 +721,13 @@ fn roll_forward(
                     before + 1
                 )));
             }
-            let lsns = before + 1..=slice.last_lsn;
-            missing.extend(
-                lsns.zip(slice.records.iter().cloned())
-                    .skip((end - before) as usize),
-            );
+            missing.extend_from_slice(&slice.records[(end - before) as usize..]);
         }
     }
-    if !missing.is_empty() {
-        let records: Vec<ChangeRecord> = missing.iter().map(|(_, r)| r.clone()).collect();
-        log.append(&records, commit_ctx())?;
-    }
-    Ok(missing)
+    let first = log.last_lsn() + 1;
+    log.append(&missing, commit_ctx())?;
+    quest_wal::replay(db, &(first..).zip(missing).collect::<Vec<_>>(), 0)?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use relstore::Catalog;
 
 use crate::durable::retrying;
 use crate::error::WalError;
-use crate::log::{SyncPolicy, WalWriter};
+use crate::log::{LogFile, SyncPolicy, WalWriter};
 use crate::record::BatchFrame;
 
 /// An append-only log of [`BatchFrame`]s whose every append is fsynced
@@ -50,10 +50,11 @@ impl CoordinatorLog {
         retry: RetryPolicy,
         clock: Arc<dyn Clock>,
     ) -> Result<(CoordinatorLog, Vec<(u64, BatchFrame)>), WalError> {
-        let (wal, frames) =
-            WalWriter::open_as(path, catalog, SyncPolicy::Never, BatchFrame::decode)?;
+        let file = LogFile::open(path, catalog, true)?;
+        let scan = file.scan(0, BatchFrame::decode)?;
+        let wal = file.into_writer(&scan, SyncPolicy::Never)?;
         let log = CoordinatorLog { wal, retry, clock };
-        Ok((log, frames))
+        Ok((log, scan.records))
     }
 
     /// Replace the retry policy and the clock its backoff sleeps against.

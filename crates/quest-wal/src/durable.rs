@@ -11,7 +11,7 @@ use quest_obs::TraceCtx;
 use relstore::Database;
 
 use crate::error::WalError;
-use crate::log::{cut_damage, SyncPolicy, WalWriter};
+use crate::log::{ensure_covers, names, read_failpoint, replay, LogFile, SyncPolicy, WalWriter};
 use crate::record::ChangeRecord;
 use crate::snapshot::{read_snapshot_rows, write_snapshot};
 
@@ -82,28 +82,21 @@ impl DurableLog {
         Ok(log)
     }
 
-    /// Resume the log in `dir`: recover the database from the latest
-    /// snapshot plus the log suffix ([`recover`](crate::recover), so it has
-    /// passed [`Database::validate`]) and continue the LSN sequence where
-    /// the previous incarnation stopped. The database is returned beside
-    /// the log, not kept. A log that ends below its snapshot's watermark
-    /// would re-issue covered LSNs; `recover` refuses it with
-    /// [`WalError::State`].
+    /// Resume the log in `dir`: restore the latest snapshot's rows, replay
+    /// the log suffix on them, and continue the LSN sequence where the
+    /// previous incarnation stopped. Each file is read once: one scan of
+    /// the log verifies every record, decodes those past the snapshot's
+    /// LSN, and gives the writer its end. A log that ends below that LSN is
+    /// refused with [`WalError::State`] before any byte of it is written.
+    /// The rows come back bare, beside the log: the owner runs
+    /// [`Database::finalize`] and [`Database::validate`] once.
     pub fn reopen(
         dir: &Path,
         sync_policy: SyncPolicy,
         retry: RetryPolicy,
         clock: Arc<dyn Clock>,
     ) -> Result<(DurableLog, Database), WalError> {
-        let db = crate::recover(&dir.join(SNAPSHOT_FILE), &dir.join(WAL_FILE))?.db;
-        let wal = WalWriter::open_with(&dir.join(WAL_FILE), db.catalog(), sync_policy)?;
-        let log = DurableLog {
-            dir: dir.to_path_buf(),
-            wal,
-            retry,
-            clock,
-        };
-        Ok((log, db))
+        DurableLog::reopen_salvaging(dir, sync_policy, retry, clock, None)
     }
 
     /// [`DurableLog::reopen`] for a log whose records in `copy` (a range of
@@ -123,17 +116,30 @@ impl DurableLog {
         clock: Arc<dyn Clock>,
         copy: Option<RangeInclusive<u64>>,
     ) -> Result<(DurableLog, Database), WalError> {
-        match DurableLog::reopen(dir, sync_policy, retry.clone(), clock.clone()) {
-            Err(damage @ WalError::Corrupt { .. }) => {
-                let snapshot = read_snapshot_rows(&dir.join(SNAPSHOT_FILE))?;
-                let wal = dir.join(WAL_FILE);
-                if !cut_damage(&wal, snapshot.db.catalog(), snapshot.last_seq, copy)? {
-                    return Err(damage);
-                }
-                DurableLog::reopen(dir, sync_policy, retry, clock)
-            }
-            reopened => reopened,
-        }
+        let start = std::time::Instant::now();
+        let snapshot = read_snapshot_rows(&dir.join(SNAPSHOT_FILE))?;
+        let covered = snapshot.last_seq;
+        let path = dir.join(WAL_FILE);
+        read_failpoint()?;
+        let mut file = LogFile::open(&path, snapshot.db.catalog(), false)?;
+        let scan = match file.scan(covered, ChangeRecord::decode) {
+            Ok(scan) => scan,
+            Err(damage) => file.cut_damage(damage, covered, copy)?,
+        };
+        ensure_covers(&path, scan.last_seq, covered)?;
+        let wal = file.into_writer(&scan, sync_policy)?;
+        let mut db = snapshot.db;
+        replay(&mut db, &scan.records, covered)?;
+        quest_obs::global()
+            .histogram(names::RECOVER)
+            .record(quest_obs::duration_ns(start.elapsed()));
+        let log = DurableLog {
+            dir: dir.to_path_buf(),
+            wal,
+            retry,
+            clock,
+        };
+        Ok((log, db))
     }
 
     /// Replace the retry policy and the clock its backoff sleeps against.

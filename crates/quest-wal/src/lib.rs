@@ -15,16 +15,17 @@
 //!   not UTF-8, failing its checksum, or a seq that is not the next one —
 //!   is dropped and reported as a torn tail);
 //! * [`LogReader`] — positioned, incremental reading of the same log:
-//!   `seek` past a snapshot's watermark without decoding the skipped
-//!   prefix, then `poll` the tail as it grows (the replication transport —
-//!   see the `quest-replica` crate), under the same header and torn-tail
-//!   rules as the writer and `read_log` ([`log`]);
+//!   `seek` past a snapshot's watermark, verifying but not decoding the
+//!   skipped prefix, then `poll` the tail as it grows (the replication
+//!   transport — see the `quest-replica` crate), in the one record loop
+//!   the writer and `read_log` run ([`log`]);
 //! * [`write_snapshot`] / [`read_snapshot`] — whole-[`Database`] snapshots
 //!   that preserve the exact slot layout (tombstones included), so a
 //!   restored instance is structurally identical, not merely equivalent;
 //! * [`recover`] — snapshot + log suffix ⇒ the database the uninterrupted
 //!   process would have held, bit-identical down to index postings and
-//!   statistics (asserted by `tests/wal.rs`);
+//!   statistics (asserted by `tests/wal.rs`); a damaged line anywhere in
+//!   the log, covered records included, refuses it;
 //! * [`DurableLog`] — the three above composed into one directory a write
 //!   point owns (see below);
 //! * [`CoordinatorLog`] / [`BatchFrame`] — the commit point of a set of
@@ -52,10 +53,10 @@
 //! 1. **History is never overwritten**: [`DurableLog::create`] refuses a log
 //!    that already holds records
 //!    (`P::open_refuses_a_directory_with_history_but_reopen_resumes_it`).
-//! 2. **Covered LSNs are never re-issued**: [`LogReader::after`], the one
-//!    check, refuses a log that ends below its snapshot's watermark with
-//!    [`WalError::State`]; [`recover`] (so [`DurableLog::reopen`]) and
-//!    `quest-replica`'s `Replica::bootstrap` both attach through it
+//! 2. **Covered LSNs are never re-issued**: one check refuses a log that
+//!    ends below its snapshot's watermark with [`WalError::State`], run by
+//!    [`LogReader::after`] (so [`recover`] and `quest-replica`'s
+//!    `Replica::bootstrap`) and by [`DurableLog::reopen`] before it writes
 //!    (`P::a_log_that_lost_acknowledged_history_is_refused_everywhere`).
 //! 3. **The log is durable before the snapshot that watermarks it**, and a
 //!    failed publish leaves the previous snapshot in place
@@ -164,12 +165,12 @@ pub struct Recovery {
 /// uninterrupted process held after its last complete append.
 ///
 /// The log suffix is read through [`LogReader::after`]: records at or
-/// below the snapshot's watermark are skipped by frame (no checksumming or
-/// body decode — their effects are already in the snapshot), so recovery
-/// cost scales with the suffix, not the whole log. Run [`read_log`]
-/// separately for a full-file integrity audit; both apply the same header
-/// and torn-tail rules. A log that ends below the snapshot's watermark is
-/// refused with [`WalError::State`].
+/// below the snapshot's watermark are verified — frame, seq rule and
+/// checksum — but not decoded (their effects are already in the snapshot),
+/// so decode work scales with the suffix, not the whole log, and damage
+/// anywhere in the log is [`WalError::Corrupt`], as it is to [`read_log`].
+/// A log that ends below the snapshot's watermark is refused with
+/// [`WalError::State`].
 ///
 /// The order is restore → replay → finalize → validate. The suffix is
 /// replayed on the snapshot's bare rows, so it maintains no postings and

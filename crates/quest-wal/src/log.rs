@@ -11,8 +11,9 @@
 //! writer numbers from 1 without gaps, and clearing a log starts it over
 //! at 1. The checksum covers the record body, so a torn write (a crash
 //! mid-append) is detected. Every reader of the format — the writer's
-//! open, [`read_log`], [`crate::LogReader`] and the salvage cut — applies
-//! the same two rules:
+//! open, [`read_log`], [`crate::LogReader`]'s `seek` and `poll`, and the
+//! salvage cut — applies the same two rules, the second in one loop
+//! (`scan_records`):
 //!
 //! * **Header** (`header_len`). Newline-free bytes shorter than a header
 //!   line are a creation in flight or torn by a crash: nothing was logged,
@@ -29,11 +30,17 @@
 //!   synced-then-rotted is surfaced, not silently swallowed. A bad line
 //!   anywhere *else* cannot be a torn append and refuses to load.
 //!
+//! Every complete line is verified, but only a reader that returns a
+//! record decodes it (`seek` and a reopen skip covered records, a plain
+//! writer's open returns none): a body that checksums but does not decode
+//! is corrupt to [`read_log`] and `poll`, unseen by a reader that skips it.
+//!
 //! A coordinator log ([`crate::CoordinatorLog`]) uses the same framing and
 //! rules with [`crate::BatchFrame`] bodies.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::RangeInclusive;
 use std::path::Path;
 use std::time::Instant;
 
@@ -157,8 +164,8 @@ impl WalWriter {
     /// `catalog`'s schema.
     ///
     /// An existing log must carry the same schema fingerprint; its records
-    /// are scanned to continue the sequence, and a torn tail from an
-    /// earlier crash is truncated away before new appends.
+    /// are verified (not decoded) to continue the sequence, and a torn tail
+    /// from an earlier crash is truncated away before new appends.
     pub fn open(path: &Path, catalog: &Catalog) -> Result<WalWriter, WalError> {
         WalWriter::open_with(path, catalog, SyncPolicy::default())
     }
@@ -169,56 +176,10 @@ impl WalWriter {
         catalog: &Catalog,
         policy: SyncPolicy,
     ) -> Result<WalWriter, WalError> {
-        WalWriter::open_as(path, catalog, policy, ChangeRecord::decode).map(|(writer, _)| writer)
-    }
-
-    /// [`WalWriter::open_with`] for a log whose bodies `decode` parses,
-    /// returning the bodies the log already holds beside the writer. The
-    /// framing, the sequence rule and the torn-tail rule are the same for
-    /// every body type.
-    pub(crate) fn open_as<T>(
-        path: &Path,
-        catalog: &Catalog,
-        policy: SyncPolicy,
-        decode: fn(&str) -> Result<T, String>,
-    ) -> Result<(WalWriter, Vec<(u64, T)>), WalError> {
-        // Cold constructor path: arm any QUEST_FAULT_PLAN schedule before
-        // the first seam can fire.
-        quest_fault::init_from_env();
-        let fingerprint = schema_fingerprint(catalog);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let scan = scan_log(&bytes, fingerprint, decode)?;
-        // Drop a torn tail so the next append starts on a clean line.
-        if scan.valid_len < bytes.len() {
-            count_torn_tail();
-            file.set_len(scan.valid_len as u64)?;
-        }
-        let mut len = scan.valid_len as u64;
-        if len == 0 {
-            // No complete header: the log is new, or its creation crashed
-            // and nothing was ever logged. Start it over.
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(format!("{MAGIC}\t{VERSION}\t{fingerprint:016x}\n").as_bytes())?;
-            len = HEADER_LEN as u64;
-        }
-        file.seek(SeekFrom::End(0))?;
-        let writer = WalWriter {
-            file,
-            fingerprint,
-            next_seq: scan.last_seq + 1,
-            len,
-            poisoned: false,
-            policy,
-            obs: WalObs::new(),
-        };
-        Ok((writer, scan.records))
+        let file = LogFile::open(path, catalog, true)?;
+        // No seq reaches `u64::MAX`, so no body is decoded.
+        let scan = file.scan(u64::MAX, ChangeRecord::decode)?;
+        file.into_writer(&scan, policy)
     }
 
     /// The schema fingerprint this log is bound to.
@@ -457,13 +418,27 @@ pub struct LogRecovery {
     pub torn_tail: bool,
 }
 
-/// What the record rule accepted: records, the last seq (the starting one
-/// if none), and the byte length of the verified prefix — anything past it
-/// is a torn tail.
+/// What the record rule accepted: the decoded records, the last seq (the
+/// starting one if none), and the byte length of the verified prefix —
+/// anything past it is a torn tail.
 pub(crate) struct LogScan<T> {
     pub(crate) records: Vec<(u64, T)>,
     pub(crate) last_seq: u64,
     pub(crate) valid_len: usize,
+}
+
+/// A bad line with a complete line after it, so no torn append: `error` to
+/// every reader but the salvage cut ([`LogFile::cut_damage`]), which keeps
+/// `prefix`, what the record rule accepted before the line.
+pub(crate) struct Damage<T> {
+    pub(crate) prefix: LogScan<T>,
+    pub(crate) error: WalError,
+}
+
+impl<T> From<Damage<T>> for WalError {
+    fn from(damage: Damage<T>) -> WalError {
+        damage.error
+    }
 }
 
 /// Read and verify a whole log against `catalog`'s fingerprint. A torn
@@ -472,7 +447,8 @@ pub(crate) struct LogScan<T> {
 /// an error. See the [module docs](self) for both rules.
 pub fn read_log(path: &Path, catalog: &Catalog) -> Result<LogRecovery, WalError> {
     let bytes = std::fs::read(path)?;
-    let scan = scan_log(&bytes, schema_fingerprint(catalog), ChangeRecord::decode)?;
+    let header = header_len(&bytes, schema_fingerprint(catalog))?;
+    let scan = scan_body(&bytes, header, 0, ChangeRecord::decode)?;
     let torn_tail = scan.valid_len < bytes.len();
     if torn_tail {
         count_torn_tail();
@@ -483,22 +459,154 @@ pub fn read_log(path: &Path, catalog: &Catalog) -> Result<LogRecovery, WalError>
     })
 }
 
-/// The header rule, then the record rule, over a whole log file.
-fn scan_log<T>(
+/// The record rule over a whole log file whose header line ends at
+/// `header`, decoding the records past `decode_past`. With no complete
+/// header (`None`) nothing is verified, so no record is read.
+fn scan_body<T>(
     bytes: &[u8],
-    expected_fp: u64,
+    header: Option<usize>,
+    decode_past: u64,
     decode: fn(&str) -> Result<T, String>,
-) -> Result<LogScan<T>, WalError> {
-    let Some(header) = header_len(bytes, expected_fp)? else {
-        return Ok(LogScan {
-            records: Vec::new(),
-            last_seq: 0,
-            valid_len: 0,
-        });
-    };
-    let mut scan = scan_records(&bytes[header..], 0, 2, decode)?;
-    scan.valid_len += header;
-    Ok(scan)
+) -> Result<LogScan<T>, Damage<T>> {
+    let (bytes, start) = header.map_or((&[][..], 0), |start| (bytes, start));
+    scan_records(bytes, start, 0, 2, decode_past, u64::MAX, decode)
+}
+
+/// A log file opened for appending, its bytes read once and its header
+/// verified. A caller can refuse or cut what [`LogFile::scan`] found before
+/// [`LogFile::into_writer`] writes any byte.
+pub(crate) struct LogFile {
+    file: File,
+    bytes: Vec<u8>,
+    /// End of the header line; `None` while there is no complete header.
+    header: Option<usize>,
+    fingerprint: u64,
+}
+
+impl LogFile {
+    /// Open the log at `path`, creating it if `create` is set, and verify
+    /// its header against `catalog`'s fingerprint. Writes nothing.
+    pub(crate) fn open(path: &Path, catalog: &Catalog, create: bool) -> Result<LogFile, WalError> {
+        // Cold constructor path: arm any QUEST_FAULT_PLAN schedule before
+        // the first seam can fire.
+        quest_fault::init_from_env();
+        let fingerprint = schema_fingerprint(catalog);
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(create)
+            .truncate(false)
+            .open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let header = header_len(&bytes, fingerprint)?;
+        Ok(LogFile {
+            file,
+            bytes,
+            header,
+            fingerprint,
+        })
+    }
+
+    /// The record rule over every record of the file, decoding only the
+    /// records past `decode_past`.
+    pub(crate) fn scan<T>(
+        &self,
+        decode_past: u64,
+        decode: fn(&str) -> Result<T, String>,
+    ) -> Result<LogScan<T>, Damage<T>> {
+        scan_body(&self.bytes, self.header, decode_past, decode)
+    }
+
+    /// Cut the file back to `damage`'s prefix and return it, only when the
+    /// prefix reaches `keep_through` and `copy`, the LSNs the caller holds
+    /// elsewhere and re-appends (`None`: none), starts no later than the
+    /// first LSN after the prefix and reaches the last LSN the damaged part
+    /// held; else `damage` is the error. LSNs rise by one per line, so that
+    /// part held one per complete line; its seq fields sit outside the
+    /// checksum and are not read. The cut is fsynced and counted as torn.
+    pub(crate) fn cut_damage<T>(
+        &mut self,
+        damage: Damage<T>,
+        keep_through: u64,
+        copy: Option<RangeInclusive<u64>>,
+    ) -> Result<LogScan<T>, WalError> {
+        let prefix = damage.prefix;
+        let lines = self.bytes[prefix.valid_len..]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        let held = prefix.last_seq + lines as u64;
+        let resupplied =
+            copy.is_some_and(|copy| *copy.start() <= prefix.last_seq + 1 && held <= *copy.end());
+        if prefix.last_seq < keep_through || !resupplied {
+            return Err(damage.error);
+        }
+        self.file.set_len(prefix.valid_len as u64)?;
+        self.file.sync_all()?;
+        self.bytes.truncate(prefix.valid_len);
+        count_torn_tail();
+        Ok(prefix)
+    }
+
+    /// Resume appending after `scan`'s records: a torn tail past them is
+    /// cut, and a log with no complete header starts over with one.
+    pub(crate) fn into_writer<T>(
+        mut self,
+        scan: &LogScan<T>,
+        policy: SyncPolicy,
+    ) -> Result<WalWriter, WalError> {
+        let mut len = scan.valid_len as u64;
+        if scan.valid_len < self.bytes.len() {
+            count_torn_tail();
+            self.file.set_len(len)?;
+        }
+        if len == 0 {
+            // No complete header: the log is new, or its creation crashed
+            // and nothing was ever logged. Start it over.
+            self.file.seek(SeekFrom::Start(0))?;
+            let header = format!("{MAGIC}\t{VERSION}\t{:016x}\n", self.fingerprint);
+            self.file.write_all(header.as_bytes())?;
+            len = HEADER_LEN as u64;
+        }
+        self.file.seek(SeekFrom::End(0))?;
+        Ok(WalWriter {
+            file: self.file,
+            fingerprint: self.fingerprint,
+            next_seq: scan.last_seq + 1,
+            len,
+            poisoned: false,
+            policy,
+            obs: WalObs::new(),
+        })
+    }
+}
+
+/// The `wal.read` failpoint of a read that replays records: a slow-IO
+/// fault stalls it, any other fails it.
+pub(crate) fn read_failpoint() -> Result<(), WalError> {
+    if let Some(fault) = quest_fault::fire(quest_fault::sites::WAL_READ) {
+        match fault.kind {
+            quest_fault::FaultKind::SlowIo => fault.stall(),
+            _ => return Err(WalError::Io(fault.io_error())),
+        }
+    }
+    Ok(())
+}
+
+/// The one refusal of a log that ends below its snapshot's LSN: the log is
+/// durable before any snapshot that covers it, so a log at `path` whose
+/// records reach only `reached` while its snapshot covers `covered` is rot
+/// or a mismatched pair, and resuming from it would re-issue covered LSNs.
+pub(crate) fn ensure_covers(path: &Path, reached: u64, covered: u64) -> Result<(), WalError> {
+    if reached < covered {
+        return Err(WalError::State(format!(
+            "log at {} ends at lsn {reached} but the snapshot covers lsn {covered}; \
+             resuming from this pair would re-issue covered LSNs",
+            path.display()
+        )));
+    }
+    Ok(())
 }
 
 /// The header rule: verify the header line `bytes` start with against
@@ -536,113 +644,79 @@ fn bad_header(head: &[u8]) -> WalError {
     }
 }
 
-/// The record rule: verify the lines of `bytes` (the first is line
-/// `first_line` of the file), with sequence numbers rising by exactly one
-/// from `after`. Bytes after the last newline and a bad final line are a
-/// torn tail; a bad line with a complete line after it is
-/// [`WalError::Corrupt`].
+/// The record rule, the one loop over log lines: verify the lines of
+/// `bytes` from offset `start` (the first is line `first_line` of the
+/// file), with sequence numbers rising by exactly one from `after`, up to
+/// and including the record `stop_after`. Every line is verified — frame,
+/// seq rule and checksum — but only the bodies of records past
+/// `decode_past` are decoded and returned. Bytes after the last newline
+/// and a bad final line are a torn tail; a bad line with a complete line
+/// after it is [`Damage`].
 pub(crate) fn scan_records<T>(
     bytes: &[u8],
+    start: usize,
     after: u64,
     first_line: usize,
+    decode_past: u64,
+    stop_after: u64,
     decode: fn(&str) -> Result<T, String>,
-) -> Result<LogScan<T>, WalError> {
+) -> Result<LogScan<T>, Damage<T>> {
     let mut scan = LogScan {
         records: Vec::new(),
         last_seq: after,
-        valid_len: 0,
+        valid_len: start,
     };
     // Bytes after the last newline are an append in flight or a torn tail;
     // a crash can split a multi-byte character, so they are never decoded.
-    let cut = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-    let mut lines = bytes[..cut]
+    let body = &bytes[start..];
+    let cut = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let mut lines = body[..cut]
         .split_inclusive(|&b| b == b'\n')
         .zip(first_line..)
         .peekable();
-    while let Some((raw, line)) = lines.next() {
+    while scan.last_seq < stop_after {
+        let Some((raw, line)) = lines.next() else {
+            break;
+        };
         // Complete lines were written as UTF-8: one that is not is as bad
-        // as one that does not parse.
-        let parsed = std::str::from_utf8(&raw[..raw.len() - 1])
+        // as one that does not parse. A seq that does not follow by one is
+        // bad too: the seq field sits outside the checksum, so rot can
+        // damage it alone.
+        let verified = std::str::from_utf8(&raw[..raw.len() - 1])
             .map_err(|e| format!("not valid UTF-8 at byte {}", e.valid_up_to()))
-            .and_then(|text| parse_line(text, decode));
-        match parsed {
-            Ok((seq, body)) if scan.last_seq.checked_add(1) == Some(seq) => {
-                scan.records.push((seq, body));
+            .and_then(parse_line)
+            .and_then(|(seq, body)| {
+                if scan.last_seq.checked_add(1) != Some(seq) {
+                    return Err(format!("sequence {seq} does not follow {}", scan.last_seq));
+                }
+                Ok((seq, (seq > decode_past).then(|| decode(body)).transpose()?))
+            });
+        match verified {
+            Ok((seq, record)) => {
+                scan.records.extend(record.map(|record| (seq, record)));
                 scan.last_seq = seq;
                 scan.valid_len += raw.len();
             }
             // A bad final line ends the log: out-of-order page flush can
             // persist a torn append's newline, so only *position* proves
-            // anything. A seq that does not follow by one is bad too: the
-            // seq field sits outside the checksum, so tail rot can damage
-            // it alone.
-            _ if lines.peek().is_none() => break,
-            Ok((seq, _)) => {
-                return Err(WalError::Corrupt {
-                    line,
-                    message: format!("sequence {seq} does not follow {}", scan.last_seq),
+            // anything.
+            Err(_) if lines.peek().is_none() => break,
+            Err(message) => {
+                return Err(Damage {
+                    prefix: scan,
+                    error: WalError::Corrupt { line, message },
                 })
             }
-            Err(message) => return Err(WalError::Corrupt { line, message }),
         }
     }
     Ok(scan)
 }
 
-/// Cut a damaged log at `path` back to its valid prefix: the header and the
-/// records, in sequence, up to the first line that does not verify. This is
-/// done only when the prefix reaches `keep_through`, and only when `copy`,
-/// the range of LSNs the caller holds elsewhere and re-appends (`None`:
-/// none), starts no later than the first LSN after the prefix and reaches
-/// the last LSN the damaged part held. LSNs rise by exactly one per line,
-/// so that part held one LSN per complete line; a seq field there is not
-/// read, because it sits outside the checksum. Returns whether the log was
-/// cut; the cut is fsynced and counted as a torn tail.
-pub(crate) fn cut_damage(
-    path: &Path,
-    catalog: &Catalog,
-    keep_through: u64,
-    copy: Option<std::ops::RangeInclusive<u64>>,
-) -> Result<bool, WalError> {
-    let bytes = std::fs::read(path)?;
-    let Some(header) = header_len(&bytes, schema_fingerprint(catalog))? else {
-        return Ok(false);
-    };
-    let (mut valid_len, mut last_seq) = (header, 0u64);
-    for raw in bytes[header..].split_inclusive(|&b| b == b'\n') {
-        let seq = std::str::from_utf8(raw)
-            .ok()
-            .and_then(|line| line.strip_suffix('\n'))
-            .and_then(|line| parse_line(line, ChangeRecord::decode).ok())
-            .map(|(seq, _)| seq);
-        match seq {
-            Some(seq) if last_seq.checked_add(1) == Some(seq) => {
-                last_seq = seq;
-                valid_len += raw.len();
-            }
-            _ => break,
-        }
-    }
-    let damage = &bytes[valid_len..];
-    let held = last_seq + damage.iter().filter(|&&b| b == b'\n').count() as u64;
-    let resupplied = copy.is_some_and(|copy| *copy.start() <= last_seq + 1 && held <= *copy.end());
-    if damage.is_empty() || last_seq < keep_through || !resupplied {
-        return Ok(false);
-    }
-    let file = OpenOptions::new().write(true).open(path)?;
-    file.set_len(valid_len as u64)?;
-    file.sync_all()?;
-    count_torn_tail();
-    Ok(true)
-}
-
-/// Parse one line of any body type: `seq \t checksum \t body`. The last
-/// `u64` is no sequence number: a log ending at it could never be appended
-/// to, and the seq field sits outside the checksum, so only rot writes it.
-pub(crate) fn parse_line<T>(
-    line: &str,
-    decode: fn(&str) -> Result<T, String>,
-) -> Result<(u64, T), String> {
+/// Split one line of any body type, `seq \t checksum \t body`, and verify
+/// the body's checksum. The last `u64` is no sequence number: a log ending
+/// at it could never be appended to, and the seq field sits outside the
+/// checksum, so only rot writes it.
+fn parse_line(line: &str) -> Result<(u64, &str), String> {
     let mut parts = line.splitn(3, '\t');
     let seq = parts
         .next()
@@ -657,7 +731,7 @@ pub(crate) fn parse_line<T>(
     if fnv64(body.as_bytes()) != crc {
         return Err(format!("checksum mismatch on record {seq}"));
     }
-    Ok((seq, decode(body)?))
+    Ok((seq, body))
 }
 
 /// Outcome of [`replay`].
@@ -743,6 +817,21 @@ mod tests {
         }
     }
 
+    /// Open the log at `path` and cut its damage as the salvage does,
+    /// returning whether it was cut.
+    fn cut_damage(
+        path: &Path,
+        c: &Catalog,
+        keep_through: u64,
+        copy: Option<RangeInclusive<u64>>,
+    ) -> bool {
+        let mut file = LogFile::open(path, c, false).unwrap();
+        match file.scan(keep_through, ChangeRecord::decode) {
+            Ok(_) => false,
+            Err(damage) => file.cut_damage(damage, keep_through, copy).is_ok(),
+        }
+    }
+
     #[test]
     fn cut_damage_cuts_only_what_the_copy_resupplies() {
         let c = catalog();
@@ -777,17 +866,17 @@ mod tests {
             (2, None),
         ];
         for (keep_through, copy) in refused {
-            assert!(!cut_damage(&path, &c, keep_through, copy).unwrap());
+            assert!(!cut_damage(&path, &c, keep_through, copy));
             assert_eq!(std::fs::read(&path).unwrap(), damaged);
         }
         // Cut: the log ends at record 2 and reads clean.
-        assert!(cut_damage(&path, &c, 2, Some(3..=5)).unwrap());
+        assert!(cut_damage(&path, &c, 2, Some(3..=5)));
         let kept = read_log(&path, &c).unwrap();
         assert_eq!(kept.records.len(), 2);
         assert!(!kept.torn_tail);
         assert!(clean.starts_with(&std::fs::read(&path).unwrap()));
         // An undamaged log is left alone.
-        assert!(!cut_damage(&path, &c, 0, Some(1..=5)).unwrap());
+        assert!(!cut_damage(&path, &c, 0, Some(1..=5)));
         std::fs::remove_file(&path).ok();
     }
 
@@ -929,6 +1018,23 @@ mod tests {
     }
 
     #[test]
+    fn an_undecodable_body_is_corrupt_to_read_log_but_unseen_by_the_writer() {
+        // Record 2's body checksums but does not decode. Only a reader that
+        // returns the record decodes it: `read_log` refuses the log, while
+        // the writer's open verifies the line and returns no record.
+        let (path, _) = rotted_log("undecodable", 2, |line| {
+            let body = b"not a record";
+            let framed = format!("2\t{:016x}\t", fnv64(body));
+            *line = [framed.as_bytes(), body, b"\n"].concat();
+        });
+        let c = catalog();
+        let err = read_log(&path, &c).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt { line: 3, .. }), "{err}");
+        assert_eq!(WalWriter::open(&path, &c).unwrap().next_seq(), 4);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
     fn mid_file_corruption_is_fatal() {
         let path = temp_path("corrupt");
         let c = catalog();
@@ -988,7 +1094,7 @@ mod tests {
     /// Write a three-record log beside a snapshot at LSN 0, in the layout
     /// of a [`DurableLog`](crate::DurableLog) directory, then `rot` the
     /// line of record `n`.
-    fn rotted_log(name: &str, n: usize, rot: fn(&mut [u8])) -> (PathBuf, PathBuf) {
+    fn rotted_log(name: &str, n: usize, rot: fn(&mut Vec<u8>)) -> (PathBuf, PathBuf) {
         let dir = temp_path(name).with_extension("d");
         std::fs::create_dir_all(&dir).unwrap();
         let (path, snap) = (dir.join(WAL_FILE), dir.join(SNAPSHOT_FILE));
@@ -1014,7 +1120,7 @@ mod tests {
     /// Rot of record 3 (the final line) is a torn tail to every reader and
     /// the writer resumes at seq 3; the same rot of record 2 is corrupt at
     /// line 3 to every reader.
-    fn assert_tail_torn_and_middle_corrupt(name: &str, rot: fn(&mut [u8])) {
+    fn assert_tail_torn_and_middle_corrupt(name: &str, rot: fn(&mut Vec<u8>)) {
         let c = catalog();
         let (path, snap) = rotted_log(name, 3, rot);
         let log = read_log(&path, &c).unwrap();
@@ -1051,7 +1157,7 @@ mod tests {
         // The salvage cut stops before the skip too, not after it.
         let c = catalog();
         let (path, snap) = rotted_log("seq-gap-cut", 2, |line| line[0] = b'9');
-        assert!(cut_damage(&path, &c, 1, Some(2..=9)).unwrap());
+        assert!(cut_damage(&path, &c, 1, Some(2..=9)));
         assert_eq!(read_log(&path, &c).unwrap().records, vec![(1, ins(1))]);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();

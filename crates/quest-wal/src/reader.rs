@@ -1,20 +1,22 @@
 //! [`LogReader`]: positioned, incremental log reading — the streaming
 //! counterpart to [`read_log`](crate::read_log).
 //!
-//! `read_log` materializes and checksums the whole file; that is the right
+//! `read_log` materializes and decodes the whole file; that is the right
 //! tool for one-shot integrity audits, but a replica tailing a live log (or
 //! a recovery that starts from a snapshot) only cares about the suffix. A
 //! `LogReader` remembers the byte offset of the last complete record it
 //! consumed, so:
 //!
 //! * [`LogReader::seek`] skips every record at or below a sequence number
-//!   by scanning line frames and their leading seq field only — no
-//!   checksumming, no body decode — which is what makes bootstrapping from
-//!   a snapshot O(suffix) in decode work instead of O(log);
-//! * [`LogReader::poll`] applies the log's header and record rules
-//!   ([`crate::log`]) to one read from its offset, so it accepts what
-//!   `read_log` accepts; an in-flight or torn tail stays *pending* until a
-//!   later poll (live follow) or is reported as torn by batch callers;
+//!   under the log's record rule ([`crate::log`]) — each skipped line's
+//!   frame, seq and checksum are verified, but no body is decoded — which
+//!   is what makes bootstrapping from a snapshot O(suffix) in decode work
+//!   instead of O(log); damage at or below the watermark is
+//!   [`WalError::Corrupt`];
+//! * [`LogReader::poll`] applies the log's header and record rules to one
+//!   read from its offset, so it accepts what `read_log` accepts; an
+//!   in-flight or torn tail stays *pending* until a later poll (live
+//!   follow) or is reported as torn by batch callers;
 //! * [`LogReader::after`] attaches at a snapshot: open, seek past its
 //!   watermark, and refuse a log that ends below it.
 //!
@@ -31,7 +33,7 @@ use relstore::Catalog;
 
 use crate::codec::schema_fingerprint;
 use crate::error::WalError;
-use crate::log::{header_len, parse_line, scan_records, HEADER_LEN};
+use crate::log::{ensure_covers, header_len, read_failpoint, scan_records, HEADER_LEN};
 use crate::record::ChangeRecord;
 use crate::snapshot::Snapshot;
 
@@ -91,24 +93,13 @@ impl LogReader {
     }
 
     /// Open a reader over the log at `path` positioned past `snapshot`'s
-    /// watermark: how recovery and replica bootstrap attach. The log is
-    /// durable before any snapshot that watermarks it, so a log ending
-    /// below the watermark is rot or a mismatched pair, and resuming from
-    /// it would re-issue covered sequence numbers: [`WalError::State`].
-    /// Damage at or below the watermark is [`WalError::Corrupt`].
+    /// watermark: how recovery and replica bootstrap attach. A log that
+    /// ends below the watermark is [`WalError::State`] (it would re-issue
+    /// covered LSNs); damage at or below it is [`WalError::Corrupt`].
     pub fn after(path: &Path, snapshot: &Snapshot) -> Result<LogReader, WalError> {
         let mut reader = LogReader::open(path, snapshot.db.catalog())?;
         let reached = reader.seek(snapshot.last_seq)?;
-        if reached < snapshot.last_seq {
-            // A damaged line stopped the seek early: report it as such.
-            reader.poll()?;
-            return Err(WalError::State(format!(
-                "log at {} ends at lsn {reached} but the snapshot covers lsn {}; \
-                 resuming from this pair would re-issue covered LSNs",
-                path.display(),
-                snapshot.last_seq
-            )));
-        }
+        ensure_covers(path, reached, snapshot.last_seq)?;
         Ok(reader)
     }
 
@@ -119,9 +110,10 @@ impl LogReader {
     }
 
     /// Position past every record with sequence number `<= after_seq`,
-    /// without checksumming or decoding the skipped records (their effects
-    /// are already in whatever state the caller starts from, typically a
-    /// snapshot). Scans only line frames and the leading seq field.
+    /// verifying each skipped line under the record rule but decoding none
+    /// (their effects are already in whatever state the caller starts
+    /// from, typically a snapshot). A bad line with a complete line after
+    /// it is [`WalError::Corrupt`], as it is to [`LogReader::poll`].
     ///
     /// Returns the highest sequence number actually observed at or below
     /// `after_seq` (0 if none). A return below `after_seq` means the log
@@ -134,47 +126,11 @@ impl LogReader {
         if after_seq <= self.last_seq {
             return Ok(self.last_seq);
         }
-        let (bytes, start) = self.read_tail()?;
-        let Some(start) = start else {
-            // No complete header yet ⇒ no records exist to skip; keep the
-            // watermark so the records, once written, still stream from
-            // `after_seq + 1` on.
-            self.last_seq = after_seq;
-            return Ok(0);
-        };
-        // End of the last complete line: the frontier of what may safely
-        // be consumed on seq evidence alone (see below).
-        let last_line_end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        let mut pos = start;
-        self.line = self.line.max(1);
-        while let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') {
-            let line = &bytes[pos..pos + nl];
-            let end = pos + nl + 1;
-            // Only the seq field matters for skipping; anything unparseable
-            // is left for `poll` to classify (torn tail vs. corruption). So
-            // is a seq that does not follow by one: the field sits outside
-            // the body checksum, so it may be rot.
-            let Some(seq) = leading_seq(line) else { break };
-            if seq > after_seq || self.last_seq.checked_add(1) != Some(seq) {
-                break;
-            }
-            // The *final* complete line may be a torn append whose newline
-            // flushed out of order; its rotted seq field could parse below
-            // the watermark. Consuming it would advance past bytes the
-            // writer truncates on reopen, so it is consumed only fully
-            // verified — exactly poll's standard for a last line.
-            if end == last_line_end
-                && !std::str::from_utf8(line)
-                    .is_ok_and(|l| parse_line(l, ChangeRecord::decode).is_ok())
-            {
-                break;
-            }
-            pos = end;
-            self.line += 1;
-            self.last_seq = seq;
-        }
-        let reached = self.last_seq;
-        self.offset += pos as u64;
+        self.scan(after_seq, after_seq)?;
+        // No complete header yet ⇒ no records exist to skip; the watermark
+        // is kept so the records, once written, still stream from
+        // `after_seq + 1` on.
+        let reached = if self.line == 0 { 0 } else { self.last_seq };
         self.last_seq = self.last_seq.max(after_seq);
         Ok(reached)
     }
@@ -187,40 +143,16 @@ impl LogReader {
     /// with [`WalError::Corrupt`]. Sequence numbers must rise by exactly one
     /// across the reader's lifetime. On `Err` the reader is unchanged.
     pub fn poll(&mut self) -> Result<TailPoll, WalError> {
-        if let Some(fault) = quest_fault::fire(quest_fault::sites::WAL_READ) {
-            match fault.kind {
-                quest_fault::FaultKind::SlowIo => fault.stall(),
-                _ => return Err(WalError::Io(fault.io_error())),
-            }
-        }
-        let (bytes, start) = self.read_tail()?;
-        let Some(start) = start else {
-            return Ok(TailPoll {
-                records: Vec::new(),
-                pending: bytes.len() as u64,
-            });
-        };
-        let line = self.line.max(1);
-        let scan = scan_records(
-            &bytes[start..],
-            self.last_seq,
-            line + 1,
-            ChangeRecord::decode,
-        )?;
-        let consumed = start + scan.valid_len;
-        self.offset += consumed as u64;
-        self.line = line + scan.records.len();
-        self.last_seq = scan.last_seq;
-        Ok(TailPoll {
-            records: scan.records,
-            pending: (bytes.len() - consumed) as u64,
-        })
+        read_failpoint()?;
+        self.scan(self.last_seq, u64::MAX)
     }
 
-    /// Read from the consumed offset to the end of file, and where the
-    /// records start in it: past the header until one is consumed, `None`
-    /// while there is no complete header.
-    fn read_tail(&self) -> Result<(Vec<u8>, Option<usize>), WalError> {
+    /// Read from the consumed offset to the end of file and consume what
+    /// the record rule verifies there, up to the record `stop_after`,
+    /// returning the records past `decode_past`. Records start past the
+    /// header until one is consumed; while there is no complete header,
+    /// nothing is consumed. On `Err` the reader is unchanged.
+    fn scan(&mut self, decode_past: u64, stop_after: u64) -> Result<TailPoll, WalError> {
         let mut file = std::fs::File::open(&self.path)?;
         let len = file.metadata()?.len();
         if len < self.offset {
@@ -242,15 +174,30 @@ impl LogReader {
             0 => header_len(&bytes, self.fingerprint)?,
             _ => Some(0),
         };
-        Ok((bytes, start))
+        let Some(start) = start else {
+            return Ok(TailPoll {
+                records: Vec::new(),
+                pending: bytes.len() as u64,
+            });
+        };
+        let line = self.line.max(1);
+        let scan = scan_records(
+            &bytes,
+            start,
+            self.last_seq,
+            line + 1,
+            decode_past,
+            stop_after,
+            ChangeRecord::decode,
+        )?;
+        self.offset += scan.valid_len as u64;
+        self.line = line + (scan.last_seq - self.last_seq) as usize;
+        self.last_seq = scan.last_seq;
+        Ok(TailPoll {
+            records: scan.records,
+            pending: (bytes.len() - scan.valid_len) as u64,
+        })
     }
-}
-
-/// Parse the decimal seq field a record line starts with (up to the first
-/// tab). `None` for anything that is not `digits<TAB>`.
-fn leading_seq(line: &[u8]) -> Option<u64> {
-    let tab = line.iter().position(|&b| b == b'\t')?;
-    std::str::from_utf8(&line[..tab]).ok()?.parse().ok()
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@
 //! any bytes in that file: `open`, `seek` and `poll` return `Ok` or a
 //! `WalError`, never a panic, and never allocate out of proportion to the
 //! file. On those same bytes every reader of the log format — `read_log`,
-//! a polled `LogReader` and a writer's open — reaches the same verdict.
+//! a polled `LogReader`, one that seeks first, and a writer's open —
+//! reaches the same verdict.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -548,11 +549,13 @@ proptest! {
     }
 
     #[test]
-    fn every_reader_of_the_log_accepts_the_same_bytes(bytes in hostile_log()) {
-        // One header rule and one torn-tail rule decide for every reader:
-        // `read_log`, a `LogReader` polled from the start, and a writer
-        // opening a copy either all refuse, with the same error, or all
-        // accept the same records and agree on the torn tail.
+    fn every_reader_of_the_log_accepts_the_same_bytes(bytes in hostile_log(), k in 0u64..4) {
+        // One header rule and one record rule decide for every reader:
+        // `read_log`, a `LogReader` polled from the start, one that seeks
+        // to `k` before it polls, and a writer opening a copy either all
+        // refuse, with the same error, or all accept the same records and
+        // agree on the torn tail. The seek verifies what it skips, so damage
+        // at or below `k` is the same error too.
         let c = catalog();
         let path = temp_path("agree-read", "wal");
         let copy = temp_path("agree-write", "wal");
@@ -560,29 +563,45 @@ proptest! {
         std::fs::write(&copy, &bytes).expect("write hostile log");
         let read = read_log(&path, &c);
         let polled = LogReader::open(&path, &c).and_then(|mut reader| reader.poll());
+        let sought = LogReader::open(&path, &c).and_then(|mut reader| {
+            let reached = reader.seek(k)?;
+            Ok((reached, reader.poll()?))
+        });
         let next_seq = WalWriter::open(&copy, &c).map(|w| w.next_seq());
         let kept = read_log(&copy, &c);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&copy).ok();
-        match (read, polled, next_seq) {
-            (Ok(log), Ok(poll), Ok(next_seq)) => {
+        match (read, polled, sought, next_seq) {
+            (Ok(log), Ok(poll), Ok((reached, tail)), Ok(next_seq)) => {
                 prop_assert_eq!(&log.records, &poll.records, "{:?}", bytes);
                 prop_assert_eq!(log.torn_tail, poll.pending > 0, "{:?}", bytes);
                 let last = log.records.last().map_or(0, |&(seq, _)| seq);
                 prop_assert_eq!(next_seq, last + 1, "{:?}", bytes);
+                // The seek reaches `k`, or says where the log ends below it
+                // (`LogReader::after` refuses such a log); from `k` on, the
+                // poll returns exactly `read_log`'s records past `k`.
+                prop_assert_eq!(reached, last.min(k), "{:?}", bytes);
+                if k <= last {
+                    let past: Vec<_> = log.records.iter().filter(|&&(seq, _)| seq > k).cloned().collect();
+                    prop_assert_eq!(&tail.records, &past, "{:?}", bytes);
+                    prop_assert_eq!(log.torn_tail, tail.pending > 0, "{:?}", bytes);
+                }
                 // What the writer kept is exactly what the readers accepted.
                 let kept = kept.expect("the writer's log reads back");
                 prop_assert_eq!(&kept.records, &log.records, "{:?}", bytes);
                 prop_assert!(!kept.torn_tail, "{:?}", bytes);
             }
-            (Err(read), Err(polled), Err(opened)) => {
+            (Err(read), Err(polled), Err(sought), Err(opened)) => {
                 prop_assert_eq!(read.to_string(), polled.to_string(), "{:?}", bytes);
+                prop_assert_eq!(read.to_string(), sought.to_string(), "{:?}", bytes);
                 prop_assert_eq!(read.to_string(), opened.to_string(), "{:?}", bytes);
             }
-            (read, polled, next_seq) => prop_assert!(
+            (read, polled, sought, next_seq) => prop_assert!(
                 false,
-                "readers disagree on {:?}: read_log {:?}, LogReader {:?}, WalWriter {:?}",
-                bytes, read.map(|log| log.records.len()), polled.map(|poll| poll.pending), next_seq
+                "readers disagree on {:?} (seek to {}): read_log {:?}, LogReader {:?}, \
+                 seeking LogReader {:?}, WalWriter {:?}",
+                bytes, k, read.map(|log| log.records.len()), polled.map(|poll| poll.pending),
+                sought.map(|(reached, _)| reached), next_seq
             ),
         }
     }

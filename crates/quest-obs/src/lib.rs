@@ -21,7 +21,10 @@
 //! Two registries matter in practice: each `CachedEngine` owns one (its
 //! snapshot rides along in `ServeStats`), and [`global()`] aggregates the
 //! layers with no natural owner — the WAL, replication, and shard fan-out
-//! paths. Beyond the registry, three observability subsystems build on it:
+//! paths. Each crate names the series it exports in its own `names`
+//! module, and the README's metrics table gives every one of them the
+//! question it answers and its reader. Beyond the registry, three
+//! observability subsystems build on it:
 //!
 //! - **Span tracing** ([`span`]): explicit-[`TraceCtx`] spans through the
 //!   write path and query path, collected in the bounded [`spans()`] ring
@@ -54,7 +57,7 @@ pub use histogram::{
 };
 pub use metrics::{
     Counter, Gauge, Histogram, Labels, MetricSnapshot, MetricValue, MetricsRegistry,
-    MetricsSnapshot, WindowedGauge,
+    MetricsSnapshot,
 };
 pub use span::{spans, SpanCollector, SpanRecord, TraceCtx, TraceKind};
 

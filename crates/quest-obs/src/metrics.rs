@@ -84,105 +84,9 @@ impl Gauge {
         self.add(-n);
     }
 
-    /// Add `n` and return the updated value (the current value when
-    /// disabled). [`WindowedGauge`] uses this to observe the level it just
-    /// produced without a second racy read.
-    #[inline]
-    pub fn add_get(&self, n: i64) -> i64 {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_add(n, Ordering::Relaxed) + n
-        } else {
-            self.value.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Lower the value to `v` if it is currently higher (window-minimum
-    /// tracking).
-    #[inline]
-    pub fn observe_min(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_min(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Raise the value to `v` if it is currently lower (window-maximum
-    /// tracking).
-    #[inline]
-    pub fn observe_max(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
     /// Current value.
     pub fn value(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge that additionally tracks the min/max it reached since the last
-/// [`WindowedGauge::reset_window`] — published as two sibling gauges
-/// (`<name>_min`, `<name>_max`) so a scrape sees spikes that came and went
-/// *between* scrapes, not just the instantaneous level. Every movement
-/// observes the new level into both extremes with relaxed `fetch_min`/
-/// `fetch_max`, so the hot path stays lock- and allocation-free.
-#[derive(Debug, Clone)]
-pub struct WindowedGauge {
-    value: Gauge,
-    min: Gauge,
-    max: Gauge,
-}
-
-impl WindowedGauge {
-    /// Overwrite the value, folding it into the window extremes.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.set(v);
-        self.min.observe_min(v);
-        self.max.observe_max(v);
-    }
-
-    /// Move the value by `n`, folding the new level into the extremes.
-    #[inline]
-    pub fn add(&self, n: i64) {
-        let now = self.value.add_get(n);
-        self.min.observe_min(now);
-        self.max.observe_max(now);
-    }
-
-    /// Subtract `n`.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.add(-n);
-    }
-
-    /// Current instantaneous value.
-    pub fn value(&self) -> i64 {
-        self.value.value()
-    }
-
-    /// Lowest level since the last window reset.
-    pub fn window_min(&self) -> i64 {
-        self.min.value()
-    }
-
-    /// Highest level since the last window reset.
-    pub fn window_max(&self) -> i64 {
-        self.max.value()
-    }
-
-    /// Collapse both extremes to the current value — called by the scraper
-    /// *after* it snapshots, so each scrape interval reports its own
-    /// min/max.
-    pub fn reset_window(&self) {
-        let v = self.value.value();
-        self.min.set(v);
-        self.max.set(v);
-    }
-
-    /// The underlying instantaneous gauge handle.
-    pub fn gauge(&self) -> &Gauge {
-        &self.value
     }
 }
 
@@ -456,35 +360,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get-or-create an unlabeled windowed gauge (see [`WindowedGauge`]).
-    pub fn windowed_gauge(&self, name: &str) -> WindowedGauge {
-        self.windowed_gauge_with(name, &[])
-    }
-
-    /// Get-or-create a labeled windowed gauge: the instantaneous series
-    /// under `name` plus `<name>_min` / `<name>_max` extreme trackers.
-    /// Freshly created extremes are seeded to the current value so an
-    /// untouched window reads the instantaneous level, not zero.
-    ///
-    /// # Panics
-    /// If any of the three names was already registered with a different
-    /// metric kind.
-    pub fn windowed_gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> WindowedGauge {
-        let min_name = format!("{name}_min");
-        let max_name = format!("{name}_max");
-        let fresh = !self
-            .map()
-            .contains_key(&(min_name.clone(), labels_of(labels)));
-        let value = self.gauge_with(name, labels);
-        let min = self.gauge_with(&min_name, labels);
-        let max = self.gauge_with(&max_name, labels);
-        if fresh {
-            min.set(value.value());
-            max.set(value.value());
-        }
-        WindowedGauge { value, min, max }
-    }
-
     /// Get-or-create an unlabeled histogram.
     pub fn histogram(&self, name: &str) -> Histogram {
         self.histogram_with(name, &[])
@@ -601,32 +476,6 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, union.snapshot());
-    }
-
-    #[test]
-    fn windowed_gauge_tracks_extremes_between_resets() {
-        let r = MetricsRegistry::new();
-        let g = r.windowed_gauge("depth");
-        g.add(5);
-        g.sub(7);
-        g.set(1);
-        assert_eq!(g.value(), 1);
-        assert_eq!((g.window_min(), g.window_max()), (-2, 5));
-        let snap = r.snapshot();
-        assert_eq!(snap.gauge("depth_min"), Some(-2));
-        assert_eq!(snap.gauge("depth_max"), Some(5));
-        g.reset_window();
-        assert_eq!((g.window_min(), g.window_max()), (1, 1));
-    }
-
-    #[test]
-    fn windowed_gauge_seeds_extremes_from_existing_value() {
-        let r = MetricsRegistry::new();
-        r.gauge_with("lag", &[("replica", "a")]).set(9);
-        let g = r.windowed_gauge_with("lag", &[("replica", "a")]);
-        assert_eq!((g.window_min(), g.window_max()), (9, 9));
-        g.set(3);
-        assert_eq!((g.window_min(), g.window_max()), (3, 9));
     }
 
     #[test]

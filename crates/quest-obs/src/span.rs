@@ -169,8 +169,12 @@ impl SpanCollector {
     }
 
     /// Mint a fresh trace context for one logical operation. Ids are
-    /// process-unique and start at 1 (0 is the detached sentinel).
+    /// process-unique and start at 1 (0 is the detached sentinel); a
+    /// disabled collector hands out [`TraceCtx::detached`] and mints none.
     pub fn ctx(&self, kind: TraceKind) -> TraceCtx {
+        if !self.is_enabled() {
+            return TraceCtx::detached(kind);
+        }
         TraceCtx {
             id: self.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
             kind,
@@ -283,8 +287,10 @@ mod tests {
         let c = SpanCollector::disabled();
         assert!(!c.is_enabled());
         assert!(c.start().is_none(), "no clock read when disabled");
+        let ctx = c.ctx(TraceKind::Query);
+        assert_eq!(ctx, TraceCtx::detached(TraceKind::Query), "no id minted");
         // A stale Some(start) from before a disable still records nothing.
-        c.record(c.ctx(TraceKind::Query), "q", Some(Instant::now()));
+        c.record(ctx, "q", Some(Instant::now()));
         assert!(c.recent().is_empty());
         assert_eq!(c.pushed(), 0);
     }

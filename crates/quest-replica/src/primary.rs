@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use quest_core::{FullAccessWrapper, Quest, QuestConfig, QuestError, SearchOutcome};
 use quest_fault::{Clock, RetryPolicy, SystemClock};
-use quest_obs::{TraceCtx, TraceKind};
+use quest_obs::TraceKind;
 use quest_serve::{ApplyReport, CachedEngine};
 use quest_wal::{ChangeRecord, DurableLog, SyncPolicy, WalError};
 use relstore::Database;
@@ -185,11 +185,7 @@ impl Primary {
         // the engine apply below record their spans under it, so the Chrome
         // export can reassemble this commit's full write-path timeline.
         let collector = quest_obs::spans();
-        let ctx = if collector.is_enabled() {
-            collector.ctx(TraceKind::Commit)
-        } else {
-            TraceCtx::detached(TraceKind::Commit)
-        };
+        let ctx = collector.ctx(TraceKind::Commit);
         let commit_started = collector.start();
         let lsn_before = log.last_lsn();
         let appended = log.append(batch, ctx);
@@ -440,9 +436,10 @@ mod tests {
 
     #[test]
     fn reopen_rejects_a_referentially_broken_snapshot() {
-        // `DurableLog::reopen` hands back bare rows, so the validate that
-        // catches a snapshot rotted into a dangling foreign key is the
-        // primary's own, and it refuses exactly as `recover`'s does.
+        // `DurableLog::reopen` and `read_snapshot` hand back bare rows, so
+        // the check that catches a snapshot rotted into a dangling foreign
+        // key is the owner's: the primary's and a bootstrapping replica's
+        // refuse exactly as `recover`'s does.
         let dir = temp_dir("primary-broken-fk");
         let (wal_path, snap_path) = {
             let primary = Primary::open(&dir, sample_db(), QuestConfig::default()).unwrap();
@@ -462,6 +459,9 @@ mod tests {
         );
         let reopened = Primary::reopen(&dir, QuestConfig::default(), PrimaryOptions::default());
         assert_eq!(wal_error(reopened.unwrap_err()), expected.to_string());
+        let bootstrapped =
+            crate::Replica::bootstrap("r1", &snap_path, &wal_path, QuestConfig::default());
+        assert_eq!(wal_error(bootstrapped.unwrap_err()), expected.to_string());
         std::fs::remove_dir_all(&dir).ok();
     }
 

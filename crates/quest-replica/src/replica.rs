@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use quest_core::{FullAccessWrapper, Quest, QuestConfig, QuestError, SearchOutcome};
 use quest_serve::{CachedEngine, ServeStats};
-use quest_wal::{read_snapshot, ChangeRecord, LogReader};
+use quest_wal::{read_snapshot, ChangeRecord, LogReader, WalError};
 
 use crate::error::ReplicaError;
 use crate::primary::Primary;
@@ -64,11 +64,9 @@ pub struct Replica {
     inflight: AtomicUsize,
     /// Apply-batch latency in the global registry.
     apply_ns: quest_obs::Histogram,
-    /// This replica's lag gauge (`quest_replica_lag_lsns{replica=name}`),
-    /// refreshed by every [`Replica::lag`] computation — windowed, so the
-    /// `_min`/`_max` siblings expose the extremes lag reached between
-    /// topology reports.
-    lag_lsns: quest_obs::WindowedGauge,
+    /// This replica's lag gauge (`quest_replica_lag_lsns{replica=name}`):
+    /// the lag of the latest [`Replica::lag`] computation.
+    lag_lsns: quest_obs::Gauge,
     /// Records this replica consumed from the log and applied (or
     /// re-rejected) — the replication-amplification numerator.
     records_applied: quest_obs::Counter,
@@ -88,30 +86,20 @@ impl Replica {
         if let Some(fault) = quest_fault::fire(quest_fault::sites::REPLICA_BOOTSTRAP) {
             match fault.kind {
                 quest_fault::FaultKind::SlowIo => fault.stall(),
-                _ => return Err(quest_wal::WalError::Io(fault.io_error()).into()),
+                _ => return Err(WalError::Io(fault.io_error()).into()),
             }
         }
         let snapshot = read_snapshot(snapshot_path)?;
         let reader = LogReader::after(wal_path, &snapshot)?;
-        let engine = Quest::new(FullAccessWrapper::new(snapshot.db), config)?;
-        Ok(Replica::assemble(name, engine, reader, snapshot.last_seq))
-    }
-
-    /// Bootstrap from a primary's published snapshot and log, deriving the
-    /// engine configuration from the primary itself.
-    pub fn from_primary(name: &str, primary: &Primary) -> Result<Replica, ReplicaError> {
-        let config = primary.engine().engine().config().clone();
-        Replica::bootstrap(name, &primary.snapshot_path(), &primary.wal_path(), config)
-    }
-
-    fn assemble(
-        name: &str,
-        engine: Quest<FullAccessWrapper>,
-        reader: LogReader,
-        lsn: u64,
-    ) -> Replica {
+        // Restore already checked every row's shape and key; the foreign
+        // keys are what a snapshot can rot into without a parse error, and
+        // `recover` and `Primary::reopen` refuse those too.
+        let mut db = snapshot.db;
+        db.finalize();
+        db.validate_foreign_keys().map_err(WalError::Store)?;
+        let engine = Quest::new(FullAccessWrapper::new(db), config)?;
         let engine = Arc::new(CachedEngine::new(engine));
-        engine.set_watermark(lsn);
+        engine.set_watermark(snapshot.last_seq);
         let registry = quest_obs::global();
         registry.describe(
             crate::names::APPLY,
@@ -122,16 +110,23 @@ impl Replica {
             crate::names::RECORDS_APPLIED,
             "Records replicas consumed from the log and applied.",
         );
-        Replica {
+        Ok(Replica {
             engine,
             reader: Mutex::new(reader),
             broken: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             apply_ns: registry.histogram(crate::names::APPLY),
-            lag_lsns: registry.windowed_gauge_with(crate::names::LAG, &[("replica", name)]),
+            lag_lsns: registry.gauge_with(crate::names::LAG, &[("replica", name)]),
             records_applied: registry.counter(crate::names::RECORDS_APPLIED),
             name: name.to_string(),
-        }
+        })
+    }
+
+    /// Bootstrap from a primary's published snapshot and log, deriving the
+    /// engine configuration from the primary itself.
+    pub fn from_primary(name: &str, primary: &Primary) -> Result<Replica, ReplicaError> {
+        let config = primary.engine().engine().config().clone();
+        Replica::bootstrap(name, &primary.snapshot_path(), &primary.wal_path(), config)
     }
 
     /// This replica's name (how the router reports it).
@@ -182,11 +177,7 @@ impl Replica {
         // One trace context per sync round: the tail and apply spans — and
         // the engine's own apply spans underneath — share it.
         let collector = quest_obs::spans();
-        let ctx = if collector.is_enabled() {
-            collector.ctx(quest_obs::TraceKind::Replica)
-        } else {
-            quest_obs::TraceCtx::detached(quest_obs::TraceKind::Replica)
-        };
+        let ctx = collector.ctx(quest_obs::TraceKind::Replica);
         let tail_started = collector.start();
         let poll = reader.poll()?;
         collector.record_with(
@@ -215,7 +206,7 @@ impl Replica {
                 // them — exactly the consumed-but-not-applied shape a real
                 // apply failure has, so the replica breaks the same way.
                 self.broken.store(true, Ordering::Release);
-                return Err(quest_wal::WalError::Io(fault.io_error()).into());
+                return Err(WalError::Io(fault.io_error()).into());
             }
         }
         // The poll above consumed these records: an apply failure here (a

@@ -199,11 +199,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
     ) -> Result<SearchOutcome, QuestError> {
         let t0 = Instant::now();
         let collector = quest_obs::spans();
-        let ctx = if collector.is_enabled() {
-            collector.ctx(TraceKind::Query)
-        } else {
-            TraceCtx::detached(TraceKind::Query)
-        };
+        let ctx = collector.ctx(TraceKind::Query);
         let result = self.search_inner(query, scratch, ctx);
         let ok = result.is_ok();
         self.obs.record(t0.elapsed(), ok);

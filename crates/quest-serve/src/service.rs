@@ -34,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
 use quest_core::{QuestError, SearchOutcome, SearchScratch, SourceWrapper};
-use quest_obs::WindowedGauge;
+use quest_obs::Gauge;
 
 use crate::engine::CachedEngine;
 use crate::error::ServeError;
@@ -65,9 +65,8 @@ struct Pool<W: SourceWrapper> {
     /// Signalled on every push and on close; idle workers wait on it.
     ready: Condvar,
     /// Jobs submitted but not yet popped, mirrored into the engine
-    /// registry's `quest_serve_queue_depth` gauge — windowed, so a scrape
-    /// also sees the `_min`/`_max` the depth reached between scrapes.
-    queue_depth: WindowedGauge,
+    /// registry's `quest_serve_queue_depth` gauge.
+    queue_depth: Gauge,
     /// The scratch a waiting caller runs queued jobs with.
     helper_scratch: Mutex<SearchScratch>,
 }
@@ -211,7 +210,7 @@ impl<W: SourceWrapper + Send + Sync + 'static> QueryService<W> {
     /// [`QueryService::over`] without the clamp: with zero workers, only
     /// waiting callers drain the queue.
     fn spawn(engine: Arc<CachedEngine<W>>, workers: usize) -> QueryService<W> {
-        let queue_depth = engine.metrics().windowed_gauge(names::QUEUE_DEPTH);
+        let queue_depth = engine.metrics().gauge(names::QUEUE_DEPTH);
         let pool = Arc::new(Pool {
             engine,
             queue: Mutex::default(),
@@ -275,13 +274,9 @@ impl<W: SourceWrapper + Send + Sync + 'static> QueryService<W> {
         self.workers.len()
     }
 
-    /// A snapshot of the shared engine's serving counters. Queue-depth
-    /// window extremes collapse to the current depth afterwards, so each
-    /// scrape interval reports its own min/max.
+    /// A snapshot of the shared engine's serving counters.
     pub fn stats(&self) -> ServeStats {
-        let stats = self.pool.engine.stats();
-        self.pool.queue_depth.reset_window();
-        stats
+        self.pool.engine.stats()
     }
 
     /// Close the queue, finish queued jobs, join all workers, and return the

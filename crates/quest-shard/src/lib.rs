@@ -73,9 +73,6 @@ pub mod names {
     /// Per-shard wall time inside one keyword scatter
     /// (`quest_shard_scatter_ns{shard="<i>"}`; histogram, nanoseconds).
     pub const SCATTER: &str = "quest_shard_scatter_ns";
-    /// Fan-out imbalance of the latest scatter: how far the busiest shard
-    /// ran over the mean, in whole percent (gauge; 0 = perfectly even).
-    pub const FANOUT_IMBALANCE: &str = "quest_shard_fanout_imbalance_pct";
     /// Per-shard index probes a keyword scatter issued — every `(indexed
     /// attribute, shard)` pair consulted, whether or not it matched;
     /// attributes no shard indexes are never probed (counter; the numerator

@@ -75,7 +75,6 @@ fn locate(
 struct ScatterMetrics {
     /// `quest_shard_scatter_ns{shard="<i>"}`, indexed by shard.
     per_shard: Vec<quest_obs::Histogram>,
-    imbalance: quest_obs::Gauge,
     probes: quest_obs::Counter,
     used: quest_obs::Counter,
 }
@@ -97,29 +96,19 @@ impl ScatterMetrics {
                     registry.histogram_with(crate::names::SCATTER, &[("shard", &s.to_string())])
                 })
                 .collect(),
-            imbalance: registry.gauge(crate::names::FANOUT_IMBALANCE),
             probes: registry.counter(crate::names::SCATTER_PROBES),
             used: registry.counter(crate::names::SCATTER_USED),
         }
     }
 
     /// Publish one scatter: the per-shard walls (labeled latency
-    /// histograms and the fan-out imbalance gauge — busiest shard's
-    /// overrun of the mean, whole percent) and its read amplification —
-    /// per-shard index probes issued versus results the gather used
-    /// (attribute slots whose merged score came back nonzero; a zero slot
-    /// contributes nothing to emission downstream).
+    /// histograms) and its read amplification — per-shard index probes
+    /// issued versus results the gather used (attribute slots whose merged
+    /// score came back nonzero; a zero slot contributes nothing to emission
+    /// downstream).
     fn record(&self, walls: &[u64], probes: u64, scores: &[f64]) {
         for (histogram, &ns) in self.per_shard.iter().zip(walls) {
             histogram.record(ns);
-        }
-        let total: u64 = walls.iter().sum();
-        let mean = total / walls.len().max(1) as u64;
-        let max = walls.iter().copied().max().unwrap_or(0);
-        // A zero mean means the scatter was too fast to resolve: leave the
-        // gauge alone rather than publish a meaningless 0-vs-0 comparison.
-        if let Some(pct) = ((max - mean) * 100).checked_div(mean) {
-            self.imbalance.set(i64::try_from(pct).unwrap_or(i64::MAX));
         }
         self.probes.add(probes);
         let used = scores.iter().filter(|s| **s != 0.0).count();
@@ -840,9 +829,8 @@ impl ShardedStore {
     ///
     /// While the global registry is enabled, each shard's share of the
     /// scatter wall is summed across attributes into
-    /// `quest_shard_scatter_ns{shard=<i>}` and the fan-out imbalance gauge,
-    /// and the per-shard index probes issued are counted against the
-    /// results used.
+    /// `quest_shard_scatter_ns{shard=<i>}`, and the per-shard index probes
+    /// issued are counted against the results used.
     pub fn scatter_value_scores(&self, probe: &KeywordProbe) -> Vec<f64> {
         let metrics = quest_obs::global().is_enabled().then(|| {
             self.scatter_metrics

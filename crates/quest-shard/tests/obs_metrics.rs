@@ -31,7 +31,7 @@ fn counter(name: &str) -> u64 {
 }
 
 #[test]
-fn scatter_records_per_shard_histograms_and_imbalance() {
+fn scatter_records_per_shard_histograms() {
     let db = generate(&ImdbScale {
         movies: 60,
         seed: 7,
@@ -60,14 +60,6 @@ fn scatter_records_per_shard_histograms_and_imbalance() {
             metric.labels.iter().any(|(k, _)| k == "shard"),
             "{} should carry a shard label",
             metric.full_name()
-        );
-    }
-    // The imbalance gauge is only published when the mean shard time is
-    // non-zero, so existence (not a specific value) is all that is stable.
-    if let Some(MetricValue::Gauge(pct)) = snap.get(names::FANOUT_IMBALANCE) {
-        assert!(
-            *pct >= 0,
-            "imbalance is a percentage overrun, never negative"
         );
     }
 }

@@ -11,9 +11,9 @@ use quest_obs::TraceCtx;
 use relstore::Database;
 
 use crate::error::WalError;
-use crate::log::{ensure_covers, names, read_failpoint, replay, LogFile, SyncPolicy, WalWriter};
+use crate::log::{ensure_covers, read_failpoint, replay, LogFile, SyncPolicy, WalWriter};
 use crate::record::ChangeRecord;
-use crate::snapshot::{read_snapshot_rows, write_snapshot};
+use crate::snapshot::{read_snapshot, write_snapshot};
 
 /// File name of the write-ahead log inside the directory.
 pub(crate) const WAL_FILE: &str = "primary.wal";
@@ -116,8 +116,7 @@ impl DurableLog {
         clock: Arc<dyn Clock>,
         copy: Option<RangeInclusive<u64>>,
     ) -> Result<(DurableLog, Database), WalError> {
-        let start = std::time::Instant::now();
-        let snapshot = read_snapshot_rows(&dir.join(SNAPSHOT_FILE))?;
+        let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
         let covered = snapshot.last_seq;
         let path = dir.join(WAL_FILE);
         read_failpoint()?;
@@ -130,9 +129,6 @@ impl DurableLog {
         let wal = file.into_writer(&scan, sync_policy)?;
         let mut db = snapshot.db;
         replay(&mut db, &scan.records, covered)?;
-        quest_obs::global()
-            .histogram(names::RECOVER)
-            .record(quest_obs::duration_ns(start.elapsed()));
         let log = DurableLog {
             dir: dir.to_path_buf(),
             wal,

@@ -183,16 +183,12 @@ pub struct Recovery {
 /// lines do not, so this is the gate that catches a snapshot whose bytes
 /// rotted into something type-correct but referentially inconsistent.
 pub fn recover(snapshot_path: &Path, wal_path: &Path) -> Result<Recovery, WalError> {
-    let start = std::time::Instant::now();
-    let snapshot = snapshot::read_snapshot_rows(snapshot_path)?;
+    let snapshot = read_snapshot(snapshot_path)?;
     let tail = LogReader::after(wal_path, &snapshot)?.poll()?;
     let mut db = snapshot.db;
     let report = replay(&mut db, &tail.records, snapshot.last_seq)?;
     db.finalize();
     db.validate()?;
-    quest_obs::global()
-        .histogram(names::RECOVER)
-        .record(quest_obs::duration_ns(start.elapsed()));
     Ok(Recovery {
         db,
         snapshot_lsn: snapshot.last_seq,

@@ -65,9 +65,6 @@ pub mod names {
     pub const APPEND: &str = "quest_wal_append_ns";
     /// Wall time of one fsync barrier (histogram, nanoseconds).
     pub const FSYNC: &str = "quest_wal_fsync_ns";
-    /// Wall time of one full recovery — snapshot load plus log replay
-    /// (histogram, nanoseconds).
-    pub const RECOVER: &str = "quest_wal_recover_ns";
     /// Torn (dropped) log tails observed by scans and opens (counter).
     pub const TORN_TAIL: &str = "quest_wal_torn_tail_total";
     /// Writers that poisoned themselves after an unrecoverable I/O failure

@@ -34,7 +34,7 @@ const VERSION: &str = "1";
 /// A snapshot read back from disk.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// The restored database, finalized by [`read_snapshot`].
+    /// The restored database's rows, not yet finalized.
     pub db: Database,
     /// Highest WAL sequence number whose effect the snapshot contains;
     /// recovery replays strictly newer records on top.
@@ -143,17 +143,12 @@ pub fn write_snapshot(db: &Database, path: &Path, last_seq: u64) -> Result<(), W
     Ok(())
 }
 
-/// Read a snapshot back into a finalized [`Database`].
+/// Read a snapshot back: the rows, slot layout and watermark only. Each
+/// row's shape and key are checked as it is restored; the derived state
+/// (postings, statistics) is not built. Call [`Database::finalize`] before
+/// searching — [`crate::recover`] first replays the log suffix on these
+/// rows, so it builds that state once.
 pub fn read_snapshot(path: &Path) -> Result<Snapshot, WalError> {
-    let mut snapshot = read_snapshot_rows(path)?;
-    snapshot.db.finalize();
-    Ok(snapshot)
-}
-
-/// [`read_snapshot`] without the final [`Database::finalize`]: the rows,
-/// slot layout and watermark only. [`crate::recover`] replays the log
-/// suffix on these rows before it builds the derived state, once.
-pub(crate) fn read_snapshot_rows(path: &Path) -> Result<Snapshot, WalError> {
     let text = std::fs::read_to_string(path)?;
     let corrupt = |line: usize, message: String| WalError::Corrupt { line, message };
     let mut lines = text.lines().enumerate();
@@ -391,8 +386,9 @@ mod tests {
         write_snapshot(&db, &path, 42).unwrap();
         let snap = read_snapshot(&path).unwrap();
         assert_eq!(snap.last_seq, 42);
-        let restored = snap.db;
-        assert!(restored.is_finalized());
+        let mut restored = snap.db;
+        assert!(!restored.is_finalized(), "bare rows");
+        restored.finalize();
         assert!(restored.validate().is_ok());
         let movie = restored.catalog().table_id("movie").unwrap();
         // Slot layout preserved: tombstone at slot 0, Casablanca at slot 1.

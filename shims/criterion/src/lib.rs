@@ -5,9 +5,10 @@
 //! [`BenchmarkId`], [`Bencher::iter`], [`Bencher::iter_batched`], and the
 //! [`criterion_group!`] /
 //! [`criterion_main!`] macros — backed by a simple fixed-budget timer
-//! instead of criterion's statistical machinery. Numbers printed here are
-//! indicative means, not confidence intervals; swap the workspace `path`
-//! dependency for the registry crate when network access is available.
+//! instead of criterion's statistical machinery. Each bench prints
+//! `time: [q1 median q3]` over its timed samples — a spread, not a
+//! confidence interval; swap the workspace `path` dependency for the
+//! registry crate when network access is available.
 
 #![warn(missing_docs)]
 
@@ -19,6 +20,10 @@ pub use std::hint::black_box;
 
 /// Per-sample time budget for a measurement.
 const SAMPLE_BUDGET: Duration = Duration::from_millis(10);
+
+/// Samples taken even past the budget (or all of them, if fewer are
+/// asked for), so the printed quartiles come from different samples.
+const MIN_SAMPLES: usize = 5;
 
 /// The benchmark driver.
 pub struct Criterion {
@@ -128,35 +133,18 @@ impl BenchmarkId {
 pub struct Bencher {
     test_mode: bool,
     samples: usize,
-    /// Mean duration of one iteration, filled in by `iter`.
-    mean: Option<Duration>,
+    /// One duration per timed iteration, filled in by `iter`.
+    times: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Measure `f`: one warm-up call, then up to `samples` timed batches
+    /// Measure `f`: one warm-up call, then up to `samples` timed calls
     /// within a fixed budget.
     pub fn iter<O, F>(&mut self, mut f: F)
     where
         F: FnMut() -> O,
     {
-        if self.test_mode {
-            black_box(f());
-            self.mean = Some(Duration::ZERO);
-            return;
-        }
-        black_box(f()); // warm-up, and lets one-shot setup costs settle
-        let mut total = Duration::ZERO;
-        let mut iters = 0u32;
-        for _ in 0..self.samples.max(1) {
-            let t0 = Instant::now();
-            black_box(f());
-            total += t0.elapsed();
-            iters += 1;
-            if total > SAMPLE_BUDGET * self.samples.max(1) as u32 {
-                break;
-            }
-        }
-        self.mean = Some(total / iters.max(1));
+        self.iter_batched(|| (), |()| f(), BatchSize::PerIteration);
     }
 
     /// Measure `routine` over inputs built by `setup`: neither the setup
@@ -173,20 +161,20 @@ impl Bencher {
             self.samples.max(1)
         };
         black_box(routine(setup())); // warm-up (the whole run in test mode)
+        self.times.clear();
         let mut total = Duration::ZERO;
-        let mut iters = 0u32;
         for _ in 0..samples {
             let input = setup();
             let t0 = Instant::now();
             let output = black_box(routine(input));
-            total += t0.elapsed();
+            let elapsed = t0.elapsed();
             drop(output);
-            iters += 1;
-            if total > SAMPLE_BUDGET * samples as u32 {
+            self.times.push(elapsed);
+            total += elapsed;
+            if self.times.len() >= MIN_SAMPLES && total > SAMPLE_BUDGET * samples as u32 {
                 break;
             }
         }
-        self.mean = Some(total / iters.max(1));
     }
 }
 
@@ -205,14 +193,27 @@ where
     let mut b = Bencher {
         test_mode,
         samples,
-        mean: None,
+        times: Vec::new(),
     };
     f(&mut b);
-    match (test_mode, b.mean) {
-        (true, _) => println!("test {label} ... ok"),
-        (false, Some(mean)) => println!("{label:<44} time: {}", fmt_duration(mean)),
-        (false, None) => println!("{label:<44} (no measurement: bencher never iterated)"),
+    if test_mode {
+        println!("test {label} ... ok");
+        return;
     }
+    let mut times = b.times;
+    if times.is_empty() {
+        println!("{label:<44} (no measurement: bencher never iterated)");
+        return;
+    }
+    times.sort_unstable();
+    // Lower-rank quartiles: with one sample all three are that sample.
+    let quartile = |q: usize| fmt_duration(times[(times.len() - 1) * q / 4]);
+    println!(
+        "{label:<44} time: [{} {} {}]",
+        quartile(1),
+        quartile(2),
+        quartile(3)
+    );
 }
 
 fn fmt_duration(d: Duration) -> String {

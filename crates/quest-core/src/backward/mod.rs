@@ -226,12 +226,6 @@ impl BackwardModule {
             Err(e) => Err(e.into()),
         }
     }
-
-    /// The distinct tables a configuration's interpretation would span if it
-    /// used only its own terms (diagnostics).
-    pub fn config_tables(&self, catalog: &Catalog, config: &Configuration) -> usize {
-        config.tables(catalog).len()
-    }
 }
 
 #[cfg(test)]

@@ -382,11 +382,6 @@ impl ForwardModule {
         Ok(report.iterations)
     }
 
-    /// Access the catalog-independent state count (for diagnostics).
-    pub fn state_count(&self) -> usize {
-        self.vocab.len()
-    }
-
     /// Catalog consistency check helper for tests and debug assertions.
     pub fn check_catalog(&self, catalog: &Catalog) -> bool {
         self.vocab.len() == catalog.table_count() + 2 * catalog.attribute_count()

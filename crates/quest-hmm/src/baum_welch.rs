@@ -26,13 +26,6 @@ pub struct TrainReport {
     pub skipped_sequences: usize,
 }
 
-impl TrainReport {
-    /// Final log-likelihood, if any iteration ran.
-    pub fn final_log_likelihood(&self) -> Option<f64> {
-        self.log_likelihoods.last().copied()
-    }
-}
-
 /// One EM step over a batch of observation sequences (each given as its
 /// per-step emission likelihood matrix). Returns the total log-likelihood of
 /// the batch *before* the update, or `None` if every sequence was

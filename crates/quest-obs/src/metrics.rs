@@ -106,13 +106,6 @@ impl Histogram {
         }
     }
 
-    /// Record a [`std::time::Duration`] in nanoseconds (saturating at
-    /// `u64::MAX`, i.e. after ~584 years).
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.core.snapshot()
@@ -382,6 +375,13 @@ impl MetricsRegistry {
             },
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
+    }
+
+    /// Unregister the series `name{labels}`, if any: later snapshots omit
+    /// it. Handles to it keep recording into a value no snapshot reads, and
+    /// a later get-or-create starts the series afresh at zero.
+    pub fn remove(&self, name: &str, labels: &[(&str, &str)]) {
+        self.map().remove(&(name.to_string(), labels_of(labels)));
     }
 
     /// A deterministic point-in-time copy of every registered metric.

@@ -205,11 +205,16 @@ impl ReplicaSet {
     /// replica; `None` if no slot has that name. Dropping the slot drops
     /// its quarantine, which releases the slot's
     /// `quest_fault_quarantined{component="replica"}` charge, so this is
-    /// how an escalated slot leaves the set. Register a replacement with
+    /// how an escalated slot leaves the set. Once no slot serves that name,
+    /// its `quest_replica_lag_lsns{replica="<name>"}` series leaves the
+    /// global registry too. Register a replacement with
     /// [`ReplicaSet::spawn_replica`].
     pub fn retire(&mut self, name: &str) -> Option<Arc<Replica>> {
         let at = self.replicas().iter().position(|r| r.name() == name)?;
         let slot = self.slots.remove(at);
+        if self.replicas().iter().all(|r| r.name() != name) {
+            quest_obs::global().remove(crate::names::LAG, &[("replica", name)]);
+        }
         Some(
             slot.replica
                 .into_inner()
@@ -508,6 +513,31 @@ mod tests {
             .counter(crate::names::ROUTER_FALLBACK)
             .unwrap_or(0);
         assert!(unchanged >= before, "counter is monotonic");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_retired_replica_takes_its_lag_series_with_it() {
+        let dir = temp_dir("router-retire");
+        let primary = Arc::new(Primary::open(&dir, sample_db(), QuestConfig::default()).unwrap());
+        let mut set = ReplicaSet::new(primary, RoutingPolicy::RoundRobin);
+        set.spawn_replica("gone").unwrap();
+        let mut records = movie_batch(1);
+        records.push(movie_batch(2).remove(0));
+        set.primary().commit(&records).unwrap();
+        let lag_of_gone = || {
+            quest_obs::global()
+                .snapshot()
+                .get_all(crate::names::LAG)
+                .into_iter()
+                .find(|m| m.labels.iter().any(|(_, v)| v == "gone"))
+                .map(|m| m.value.clone())
+        };
+        assert_eq!(set.topology().replicas[0].lag, 3);
+        assert_eq!(lag_of_gone(), Some(quest_obs::MetricValue::Gauge(3)));
+        set.retire("gone").unwrap();
+        assert!(set.topology().replicas.is_empty());
+        assert_eq!(lag_of_gone(), None, "the retired name keeps no series");
         std::fs::remove_dir_all(&dir).ok();
     }
 

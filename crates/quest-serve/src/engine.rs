@@ -401,6 +401,20 @@ impl ApplyReport {
     pub fn all_applied(&self) -> bool {
         self.rejected.is_empty()
     }
+
+    /// Apply `changes` to `store` in order through the shared write rules,
+    /// each one accepted or rejected on its own, with the statistics
+    /// refresh deferred to the end of the batch; record what happened.
+    pub fn apply<S: relstore::Partitions>(&mut self, store: &mut S, changes: &[ChangeRecord]) {
+        relstore::rules::with_stats_deferred(store, |store| {
+            for (i, change) in changes.iter().enumerate() {
+                match change.apply(store) {
+                    Ok(_) => self.applied += 1,
+                    Err(e) => self.rejected.push((i, e)),
+                }
+            }
+        })
+    }
 }
 
 /// A source the serving layer can mutate in place: the wrapper-specific
@@ -420,17 +434,7 @@ pub trait MutableSource: SourceWrapper {
 
 impl MutableSource for FullAccessWrapper {
     fn apply_changes(&mut self, changes: &[ChangeRecord], report: &mut ApplyReport) {
-        // Defer the per-table statistics refresh to the end of the batch:
-        // indexes stay exact per-record, stats are recomputed once per
-        // dirty table instead of once per record.
-        self.database_mut().with_stats_deferred(|db| {
-            for (i, change) in changes.iter().enumerate() {
-                match change.apply(db) {
-                    Ok(_) => report.applied += 1,
-                    Err(e) => report.rejected.push((i, e)),
-                }
-            }
-        });
+        report.apply(self.database_mut(), changes);
     }
 }
 

@@ -256,10 +256,6 @@ pub(crate) struct ServeObs {
     answered_hits: Counter,
 }
 
-fn nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 impl ServeObs {
     pub fn new(registry: Arc<MetricsRegistry>) -> ServeObs {
         registry.describe(names::QUERIES, "Total searches served.");
@@ -299,15 +295,15 @@ impl ServeObs {
         if !ok {
             self.errors.inc();
         }
-        self.latency.record(nanos(elapsed));
+        self.latency.record(quest_obs::duration_ns(elapsed));
     }
 
     /// Record one search's stage wall times (what this search actually
     /// spent — a cache hit contributes only its lookup cost).
     pub fn record_stage_walls(&self, forward: Duration, backward: Duration, assemble: Duration) {
-        self.forward.record(nanos(forward));
-        self.backward.record(nanos(backward));
-        self.assemble.record(nanos(assemble));
+        self.forward.record(quest_obs::duration_ns(forward));
+        self.backward.record(quest_obs::duration_ns(backward));
+        self.assemble.record(quest_obs::duration_ns(assemble));
     }
 
     /// Record one search answered from a stored outcome. It ran no stage,
@@ -320,10 +316,13 @@ impl ServeObs {
     /// actually computed (a forward-cache miss).
     pub fn record_uncached_forward(&self, timings: &quest_core::StageTimings) {
         self.uncached_forward.inc();
-        self.emissions.record(nanos(timings.emissions));
-        self.decode
-            .record(nanos(timings.forward_apriori + timings.forward_feedback));
-        self.combine.record(nanos(timings.combine_configs));
+        self.emissions
+            .record(quest_obs::duration_ns(timings.emissions));
+        self.decode.record(quest_obs::duration_ns(
+            timings.forward_apriori + timings.forward_feedback,
+        ));
+        self.combine
+            .record(quest_obs::duration_ns(timings.combine_configs));
     }
 
     /// Fill the query-level fields of a snapshot from the registry handles.

@@ -22,51 +22,36 @@
 //!   so each shard reruns the conjunctive accumulation under the *merged*
 //!   idfs and the gather step takes the max — the only cross-shard float
 //!   operation, and max is exact.
-//! * **Global checks, local storage.** Shard catalogs carry no foreign
-//!   keys; the store performs every referential-integrity check globally
-//!   (routing each probe by PK hash, and answering the restrictive rule
-//!   from the victim's reference count) *before* any shard mutates, and
-//!   reproduces the unsharded database's check order and error strings.
+//! * **Global checks, local storage, one set of rules.** Shard catalogs
+//!   carry no foreign keys; the store runs relstore's write rules
+//!   ([`relstore::rules`]) over the shard set as N partitions, the code
+//!   [`Database`] runs as one, so every integrity check is global and runs
+//!   *before* any shard mutates, with the unsharded order and errors.
 //!   Records a shard is asked to apply therefore never fail locally, which
-//!   is what keeps per-shard WAL replay deterministic.
+//!   is what keeps per-shard WAL replay deterministic, and each is logged
+//!   on the shard the rules wrote it to.
 
 use std::collections::{BTreeSet, HashMap};
+use std::slice;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use quest_serve::ApplyReport;
 use quest_wal::ChangeRecord;
 use relstore::index::{KeywordProbe, ScoreAccumulator};
+use relstore::rules::{self, Checked};
 use relstore::sql::{ResultSet, SelectStatement};
 use relstore::stats::{JoinCounts, JoinStats, Target};
 use relstore::{
-    AttrId, Catalog, Database, ForeignKey, Row, RowId, StoreError, TableData, TableId, Value,
+    AttrId, Catalog, Database, ForeignKey, Partitions, Row, RowId, StoreError, TableData, TableId,
+    Value,
 };
 
 use crate::config::ShardConfig;
 use crate::error::ShardError;
 use crate::partition::Partitioner;
 
-/// Render a PK tuple for error messages, exactly like the unsharded store.
-fn fmt_key(key: &[Value]) -> String {
-    Row::new(key.to_vec()).to_string()
-}
-
-/// Where the live row of `table` keyed `key` lives — the shard its key
-/// hashes to, and its slot there — if any row holds that key.
-fn locate(
-    partitioner: &Partitioner,
-    shards: &[Database],
-    table: TableId,
-    key: &Value,
-) -> Option<Target> {
-    let key = std::slice::from_ref(key);
-    let owner = partitioner.shard_of_key(key);
-    shards[owner]
-        .table_data(table)
-        .lookup_pk(key)
-        .map(|rid| (owner, rid))
-}
+type Result<T, E = StoreError> = std::result::Result<T, E>;
 
 /// The scatter's handles into the global registry, resolved once per store
 /// (on its first instrumented scatter) so a keyword probe records through
@@ -161,12 +146,12 @@ impl ProbeScratch {
 /// is the only one maintained (its reader is the wrapper's
 /// `join_informativeness`), and an FK-less shard has no join.
 ///
-/// The store keeps one live [`JoinCounts`] per foreign key — a `u32` per
-/// referenced row slot per shard — built when the store is assembled and
-/// moved by ±1 per applied record. A commit's statistics cost is therefore
-/// one count update per touched reference plus one entropy evaluation per
-/// dirty foreign key, and a restrictive delete reads one count per foreign
-/// key that references the victim's table.
+/// Mutations are relstore's shared write rules over the shard set as N
+/// [`Partitions`], where [`Database`] is one. The store's own part is its
+/// two hooks, over one live [`JoinCounts`] per foreign key — a `u32` per
+/// referenced row slot per shard, moved by ±1 per applied record: a
+/// restrictive delete reads one count per foreign key that references the
+/// victim's table, and a commit derives one entropy per dirty foreign key.
 #[derive(Debug)]
 pub struct ShardedStore {
     /// The *full* catalog, foreign keys included — the schema queries and
@@ -194,32 +179,32 @@ pub struct ShardedStore {
     /// FROM-table set; invalidated by every mutation. Interior-mutable so
     /// read paths (`execute`, `has_results`) can fill it.
     scratch: Mutex<HashMap<Vec<TableId>, Arc<Database>>>,
+    /// The slot mutations of the last write call (one record or a batch),
+    /// in order: where the rules put each accepted record, which is what
+    /// [`ShardedStore::route`] logs. Each of the store's own write methods
+    /// starts it afresh; rules run on the store from outside append to it.
+    landings: Vec<Landing>,
+}
+
+/// One slot mutation the write rules made, by shard.
+#[derive(Debug, Clone, Copy)]
+enum Landing {
+    Insert(usize),
+    Delete(usize),
+    Update(usize),
 }
 
 impl ShardedStore {
     /// An empty sharded store over `catalog`.
     pub fn new(catalog: Catalog, config: &ShardConfig) -> Result<ShardedStore, ShardError> {
-        let mut store = ShardedStore::empty(catalog, config)?;
-        store.finalize_shards();
-        store.rebuild_all_stats();
-        Ok(store)
+        ShardedStore::partition(catalog, config, &[])
     }
 
     /// Shard an existing database: every row is routed by the hash of its
     /// primary key, shard indexes are built per shard, and the merged
     /// statistics are computed once.
     pub fn from_database(db: &Database, config: &ShardConfig) -> Result<ShardedStore, ShardError> {
-        let mut store = ShardedStore::empty(db.catalog().clone(), config)?;
-        for schema in db.catalog().tables() {
-            for (_, row) in db.table_data(schema.id).iter() {
-                let key = TableData::pk_of(db.catalog(), schema, row);
-                let s = store.partitioner.shard_of_key(&key);
-                store.shards[s].insert_unchecked(&schema.name, row.clone())?;
-            }
-        }
-        store.finalize_shards();
-        store.rebuild_all_stats();
-        Ok(store)
+        ShardedStore::partition(db.catalog().clone(), config, std::slice::from_ref(db))
     }
 
     /// Reassemble a sharded store from recovered shard databases (the
@@ -234,7 +219,7 @@ impl ShardedStore {
         shards: Vec<Database>,
         config: &ShardConfig,
     ) -> Result<ShardedStore, ShardError> {
-        config.validate()?;
+        let mut store = ShardedStore::empty(catalog, config)?;
         if shards.len() != config.shard_count {
             return Err(ShardError::Config(format!(
                 "expected {} shard databases, got {}",
@@ -242,6 +227,7 @@ impl ShardedStore {
                 shards.len()
             )));
         }
+        let catalog = &store.catalog;
         for (i, shard) in shards.iter().enumerate() {
             let sc = shard.catalog();
             if sc.table_count() != catalog.table_count()
@@ -259,19 +245,33 @@ impl ShardedStore {
                 )));
             }
         }
-        let mut store = ShardedStore {
-            catalog,
-            partitioner: Partitioner::new(config)?,
-            shards,
-            indexed_attrs: Vec::new(),
-            scatter_metrics: OnceLock::new(),
-            join_counts: Vec::new(),
-            join_stats: HashMap::new(),
-            stats_dirty: None,
-            scratch: Mutex::new(HashMap::new()),
-        };
+        store.shards = shards;
         store.finalize_shards();
         store.validate()?;
+        store.rebuild_all_stats();
+        Ok(store)
+    }
+
+    /// Route every live row of `sources` to the shard its key hashes to —
+    /// tables, then sources, then slots, so placement and slot order depend
+    /// only on the rows — then build the shard indexes and the merged
+    /// statistics once.
+    fn partition(
+        catalog: Catalog,
+        config: &ShardConfig,
+        sources: &[Database],
+    ) -> Result<ShardedStore, ShardError> {
+        let mut store = ShardedStore::empty(catalog, config)?;
+        for schema in store.catalog.tables() {
+            for (_, row) in sources
+                .iter()
+                .flat_map(|db| db.table_data(schema.id).iter())
+            {
+                let s = store.home(schema.id, row);
+                store.shards[s].insert_unchecked(&schema.name, row.clone())?;
+            }
+        }
+        store.finalize_shards();
         store.rebuild_all_stats();
         Ok(store)
     }
@@ -293,6 +293,7 @@ impl ShardedStore {
             join_stats: HashMap::new(),
             stats_dirty: None,
             scratch: Mutex::new(HashMap::new()),
+            landings: Vec::new(),
         })
     }
 
@@ -344,182 +345,105 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.row_count(table)).sum()
     }
 
-    /// Live rows over all tables and shards.
-    pub fn total_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.total_rows()).sum()
-    }
-
     /// Merged statistics of one foreign key.
     pub fn fk_stats(&self, fk: ForeignKey) -> Option<&JoinStats> {
         self.join_stats.get(&fk)
     }
 
     // ------------------------------------------------------------------
-    // Mutations — same check order, same error strings as `Database`
+    // Mutations — the shared write rules over the shard set
     // ------------------------------------------------------------------
 
-    /// Insert with full integrity checking. The row is stored on the shard
-    /// its primary key hashes to; FK targets are checked globally first.
+    /// Insert with full integrity checking ([`rules::insert`]), on the
+    /// shard the row's primary key hashes to.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<RowId, StoreError> {
-        let tid = self.catalog.table_id(table)?;
-        let schema = self.catalog.table(tid).clone();
-        TableData::check_row(&self.catalog, &schema, &row)?;
-        self.check_foreign_keys_global(tid, &row)?;
-        let key = TableData::pk_of(&self.catalog, &schema, &row);
-        let shard = self.partitioner.shard_of_key(&key);
-        // The owning shard re-checks shape and PK uniqueness; because equal
-        // keys always route to the same shard, shard-local uniqueness *is*
-        // global uniqueness, and the error string matches the unsharded one
-        // (same schema name, same key rendering).
-        let rid = self.shards[shard].insert(table, row)?;
-        self.move_counts(tid, None, Some((shard, rid)));
-        self.finish_mutation(tid);
-        Ok(rid)
+        self.landings.clear();
+        rules::insert(self, table, row)
     }
 
-    /// Delete by primary key, with the restrictive referential rule
-    /// enforced globally (a referencing row on *any* shard blocks it).
+    /// Delete by primary key ([`rules::delete`]): a referencing row on
+    /// *any* shard blocks it.
     pub fn delete(&mut self, table: &str, key: &[Value]) -> Result<RowId, StoreError> {
-        let tid = self.catalog.table_id(table)?;
-        let schema = self.catalog.table(tid).clone();
-        let shard = self.partitioner.shard_of_key(key);
-        let rid = self.shards[shard]
-            .table_data(tid)
-            .lookup_pk(key)
-            .ok_or_else(|| StoreError::RowNotFound(format!("{}{}", schema.name, fmt_key(key))))?;
-        self.check_pk_unreferenced_global(tid, (shard, rid), None)?;
-        let old = self.shards[shard].table_data(tid).row(rid).clone();
-        let rid = self.shards[shard].delete(table, key)?;
-        self.move_counts(tid, Some(((shard, rid), &old)), None);
-        self.finish_mutation(tid);
-        Ok(rid)
+        self.landings.clear();
+        rules::delete(self, table, key)
     }
 
-    /// Replace the row at `key` with `row`. When the primary key changes
-    /// shard, the move is a checked delete + insert (all checks run before
-    /// either shard mutates, so a failure leaves both untouched).
+    /// Replace the row at `key` with `row` ([`rules::update`]); a new key
+    /// that hashes to another shard moves the row there.
     pub fn update(&mut self, table: &str, key: &[Value], row: Row) -> Result<RowId, StoreError> {
-        let tid = self.catalog.table_id(table)?;
-        let schema = self.catalog.table(tid).clone();
-        let shard = self.partitioner.shard_of_key(key);
-        let rid = self.shards[shard]
-            .table_data(tid)
-            .lookup_pk(key)
-            .ok_or_else(|| StoreError::RowNotFound(format!("{}{}", schema.name, fmt_key(key))))?;
-        TableData::check_row(&self.catalog, &schema, &row)?;
-        self.check_foreign_keys_global(tid, &row)?;
-        let new_key = TableData::pk_of(&self.catalog, &schema, &row);
-        if new_key.as_slice() != key {
-            self.check_pk_unreferenced_global(tid, (shard, rid), Some(&row))?;
-        }
-        let old = self.shards[shard].table_data(tid).row(rid).clone();
-        let new_shard = self.partitioner.shard_of_key(&new_key);
-        let new_rid = if new_shard == shard {
-            self.shards[shard].update(table, key, row)?
-        } else {
-            // Duplicate check on the destination first — same message the
-            // in-place path produces — so nothing mutates on failure.
-            if self.shards[new_shard]
-                .table_data(tid)
-                .lookup_pk(&new_key)
-                .is_some()
-            {
-                return Err(StoreError::DuplicateKey(format!(
-                    "{}{}",
-                    schema.name,
-                    Row::new(new_key)
-                )));
-            }
-            self.shards[shard].delete(table, key)?;
-            self.shards[new_shard].insert(table, row)?
-        };
-        self.move_counts(tid, Some(((shard, rid), &old)), Some((new_shard, new_rid)));
-        self.finish_mutation(tid);
-        Ok(new_rid)
+        self.landings.clear();
+        rules::update(self, table, key, row)
     }
 
     /// Apply one WAL change record through the checked mutation API.
     pub fn apply_record(&mut self, record: &ChangeRecord) -> Result<RowId, StoreError> {
-        match record {
-            ChangeRecord::Insert { table, row } => self.insert(table, Row::new(row.clone())),
-            ChangeRecord::Delete { table, key } => self.delete(table, key),
-            ChangeRecord::Update { table, key, row } => {
-                self.update(table, key, Row::new(row.clone()))
-            }
-        }
+        self.landings.clear();
+        record.apply(self)
     }
 
-    /// Apply a mutation batch with per-record accept/reject semantics and
-    /// statistics refresh deferred to the end of the batch — the sharded
-    /// twin of the unsharded `MutableSource` path: indexes and reference
-    /// counts stay exact per record, the merged join statistics are derived
-    /// once per dirty foreign key when the batch ends.
+    /// Apply a mutation batch ([`ApplyReport::apply`]): indexes and
+    /// reference counts stay exact per record, and the merged join
+    /// statistics are derived once per dirty foreign key at the batch end.
     pub fn apply_changes(&mut self, changes: &[ChangeRecord], report: &mut ApplyReport) {
-        self.with_stats_deferred(|store| {
-            for (i, change) in changes.iter().enumerate() {
-                match store.apply_record(change) {
-                    Ok(_) => report.applied += 1,
-                    Err(e) => report.rejected.push((i, e)),
+        self.landings.clear();
+        report.apply(self, changes);
+    }
+
+    /// The shard logs' share of the last [`ShardedStore::apply_changes`]
+    /// call, whose input was `batch` and whose outcome `report`: each
+    /// accepted record, in order, on the shard the rules wrote it to. A
+    /// row the rules moved between shards (inserted on the new one, then
+    /// deleted from the old) is logged as that delete and that insert.
+    pub(crate) fn route(
+        &self,
+        batch: &[ChangeRecord],
+        report: &ApplyReport,
+    ) -> Vec<Vec<ChangeRecord>> {
+        let mut per_shard = vec![Vec::new(); self.shards.len()];
+        let mut rejected = report.rejected.iter().map(|(i, _)| *i).peekable();
+        let mut landings = self.landings.iter();
+        let mut next = || *landings.next().expect("an accepted record landed");
+        for (i, record) in batch.iter().enumerate() {
+            if rejected.next_if_eq(&i).is_some() {
+                continue;
+            }
+            match (record, next()) {
+                (ChangeRecord::Update { table, key, row }, Landing::Insert(to)) => {
+                    let Landing::Delete(from) = next() else {
+                        unreachable!("a moved row is deleted from its old shard")
+                    };
+                    per_shard[from].push(ChangeRecord::Delete {
+                        table: table.clone(),
+                        key: key.clone(),
+                    });
+                    per_shard[to].push(ChangeRecord::Insert {
+                        table: table.clone(),
+                        row: row.clone(),
+                    });
+                }
+                (_, Landing::Insert(s) | Landing::Delete(s) | Landing::Update(s)) => {
+                    per_shard[s].push(record.clone());
                 }
             }
-        })
+        }
+        per_shard
     }
 
-    /// Run `f` with the merged-statistics derivation deferred to its end
-    /// (the sharded twin of `Database::with_stats_deferred`; nested calls
-    /// coalesce into the outermost).
-    fn with_stats_deferred<R>(&mut self, f: impl FnOnce(&mut ShardedStore) -> R) -> R {
-        /// Ends the deferral scope on exit — including an unwind — so a
-        /// panic inside the batch cannot leave refresh permanently disabled.
-        struct Scope<'a> {
-            store: &'a mut ShardedStore,
-            outermost: bool,
-        }
-        impl Drop for Scope<'_> {
-            fn drop(&mut self) {
-                if self.outermost {
-                    if let Some(dirty) = self.store.stats_dirty.take() {
-                        for fk in dirty {
-                            self.store.derive_join_stats(fk);
-                        }
-                    }
-                }
-            }
-        }
-        let outermost = self.stats_dirty.is_none();
-        if outermost {
-            self.stats_dirty = Some(BTreeSet::new());
-        }
-        let scope = Scope {
-            store: self,
-            outermost,
-        };
-        f(&mut *scope.store)
-    }
-
-    /// Post-mutation bookkeeping: drop gathered scratch databases (their
-    /// rows are stale) and refresh the merged statistics of the table.
-    fn finish_mutation(&mut self, tid: TableId) {
-        self.scratch.lock().expect("scratch lock poisoned").clear();
-        self.recompute_stats_for(tid);
-    }
-
-    /// Move the reference counts from `old` — the row that left its place
-    /// in `tid`, if any — to the row now at `new`, if any, once the shards
-    /// hold the new state. Per foreign key, the referenced side changes
+    /// Follow one row's move on the shards: drop the gathered scratch
+    /// databases (their rows are stale) and move the reference counts from
+    /// `old` — the row that left its place in `tid`, if any — to the row
+    /// now at `new`, if any. Per foreign key, the referenced side changes
     /// first (a key that left hands its count to the side map, a key that
     /// arrived adopts its dangling count), then the referencing side (the
     /// old value withdrawn, the new one counted), both resolved against the
     /// new state — the order [`JoinCounts`] documents, which keeps a row
     /// referencing itself right through a delete or a key change.
-    fn move_counts(&mut self, tid: TableId, old: Option<(Target, &Row)>, new: Option<Target>) {
+    fn row_moved(&mut self, tid: TableId, old: Option<(Target, &Row)>, new: Option<Target>) {
+        self.scratch.lock().expect("scratch lock poisoned").clear();
         let new_row = new.map(|(s, rid)| self.shards[s].table_data(tid).row(rid));
-        for (i, fk) in self.catalog.foreign_keys().iter().enumerate() {
-            let (from, to) = (
-                self.catalog.attribute(fk.from),
-                self.catalog.attribute(fk.to),
-            );
-            let counts = &mut self.join_counts[i];
+        let catalog = &self.catalog;
+        for (fk, counts) in catalog.foreign_keys().iter().zip(&mut self.join_counts) {
+            let (from, to) = (catalog.attribute(fk.from), catalog.attribute(fk.to));
             if to.table == tid {
                 let left = old.map(|(at, row)| (at, row.get(to.position)));
                 let arrived = new.zip(new_row).map(|(at, row)| (at, row.get(to.position)));
@@ -534,7 +458,8 @@ impl ShardedStore {
                 }
             }
             if from.table == tid {
-                let target = |v: &Value| locate(&self.partitioner, &self.shards, to.table, v);
+                let (partitioner, shards) = (&self.partitioner, &self.shards);
+                let target = |v: &Value| locate(partitioner, shards, to.table, slice::from_ref(v));
                 if let Some((_, row)) = old {
                     let v = row.get(from.position);
                     if !v.is_null() {
@@ -551,85 +476,10 @@ impl ShardedStore {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Global integrity checks
-    // ------------------------------------------------------------------
-
-    /// FK-target existence for every FK column of a candidate row, probing
-    /// the shard each target key hashes to. Same error string as the
-    /// unsharded check.
-    fn check_foreign_keys_global(&self, tid: TableId, row: &Row) -> Result<(), StoreError> {
-        for fk in self.catalog.foreign_keys() {
-            let from = self.catalog.attribute(fk.from);
-            if from.table != tid {
-                continue;
-            }
-            let v = row.get(from.position);
-            if v.is_null() {
-                continue;
-            }
-            let target_table = self.catalog.attribute(fk.to).table;
-            if locate(&self.partitioner, &self.shards, target_table, v).is_none() {
-                return Err(StoreError::ForeignKeyViolation(format!(
-                    "{} = {v} has no target in {}",
-                    self.catalog.qualified_name(fk.from),
-                    self.catalog.table(target_table).name
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Restrictive referential check before a delete or PK-changing update
-    /// of the row of `tid` at `victim`: no live row on any shard may
-    /// reference the victim's current primary key. The victim is skipped on
-    /// delete and judged by `replacement` on update, exactly like the
-    /// unsharded check — answered from the victim's reference count, in the
-    /// same foreign-key order and with the same error string (every counted
-    /// reference equals the key, so the message renders the key).
-    fn check_pk_unreferenced_global(
-        &self,
-        tid: TableId,
-        victim: Target,
-        replacement: Option<&Row>,
-    ) -> Result<(), StoreError> {
-        let victim_row = self.shards[victim.0].table_data(tid).row(victim.1);
-        for (fk, counts) in self.catalog.foreign_keys().iter().zip(&self.join_counts) {
-            let to = self.catalog.attribute(fk.to);
-            if to.table != tid {
-                continue;
-            }
-            let pk_val = victim_row.get(to.position);
-            let from = self.catalog.attribute(fk.from);
-            let refers = |row: &Row| {
-                from.table == tid && {
-                    let v = row.get(from.position);
-                    !v.is_null() && v == pk_val
-                }
-            };
-            let mut references = u64::from(counts.count(victim));
-            // Delete: a self-reference dies with the victim. Update: the
-            // victim's reference is replaced by the replacement's.
-            if refers(victim_row) {
-                references = references.saturating_sub(1);
-            }
-            if replacement.is_some_and(refers) {
-                references += 1;
-            }
-            if references > 0 {
-                return Err(StoreError::ForeignKeyViolation(format!(
-                    "{} = {pk_val} still references {}",
-                    self.catalog.qualified_name(fk.from),
-                    self.catalog.qualified_name(fk.to)
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Full integrity check of the shard set: every shard's structural
     /// invariants, every row's placement (its PK must hash to the shard
-    /// holding it), and global referential integrity.
+    /// holding it), and the unsharded validator's foreign-key pass
+    /// ([`rules::validate_references`]).
     pub fn validate(&self) -> Result<(), ShardError> {
         for (i, shard) in self.shards.iter().enumerate() {
             shard.validate_structure()?;
@@ -641,29 +491,14 @@ impl ShardedStore {
                         return Err(ShardError::Placement(format!(
                             "{}{} lives on shard {i} but hashes to shard {want}",
                             schema.name,
-                            fmt_key(&key)
+                            Row::new(key)
                         )));
                     }
                 }
             }
         }
-        // Global FK scan: same error string as the unsharded validator.
         for fk in self.catalog.foreign_keys() {
-            let from = self.catalog.attribute(fk.from);
-            let target_table = self.catalog.attribute(fk.to).table;
-            for shard in &self.shards {
-                for (_, row) in shard.table_data(from.table).iter() {
-                    let v = row.get(from.position);
-                    if !v.is_null()
-                        && locate(&self.partitioner, &self.shards, target_table, v).is_none()
-                    {
-                        return Err(ShardError::Store(StoreError::ForeignKeyViolation(format!(
-                            "{} = {v}",
-                            self.catalog.qualified_name(fk.from)
-                        ))));
-                    }
-                }
-            }
+            rules::validate_references(self, *fk)?;
         }
         Ok(())
     }
@@ -684,7 +519,7 @@ impl ShardedStore {
                 .flat_map(|shard| shard.table_data(from.table).iter())
                 .map(|(_, row)| row.get(from.position))
                 .filter(|v| !v.is_null())
-                .map(|v| (v, locate(&self.partitioner, &self.shards, to_table, v))),
+                .map(|v| (v, self.locate(to_table, std::slice::from_ref(v)))),
         )
     }
 
@@ -699,30 +534,6 @@ impl ShardedStore {
             self.row_count(to_table) as u64,
         );
         self.join_stats.insert(fk, stats);
-    }
-
-    /// Refresh the merged statistics a mutation of `tid` can change — each
-    /// foreign key touching the table, derived from its counts — or, inside
-    /// a deferral scope, add those foreign keys to the dirty set, so a key
-    /// whose two tables both changed is derived once per batch.
-    fn recompute_stats_for(&mut self, tid: TableId) {
-        let catalog = &self.catalog;
-        let touching: Vec<usize> = (0..catalog.foreign_keys().len())
-            .filter(|&i| {
-                let fk = catalog.foreign_keys()[i];
-                [fk.from, fk.to]
-                    .iter()
-                    .any(|a| catalog.attribute(*a).table == tid)
-            })
-            .collect();
-        match &mut self.stats_dirty {
-            Some(dirty) => dirty.extend(touching),
-            None => {
-                for i in touching {
-                    self.derive_join_stats(i);
-                }
-            }
-        }
     }
 
     /// Build every foreign key's counts from scratch — one job per foreign
@@ -741,12 +552,6 @@ impl ShardedStore {
     // ------------------------------------------------------------------
     // Scatter-gather scoring
     // ------------------------------------------------------------------
-
-    /// Normalize a keyword into a reusable probe (`None` when it
-    /// normalizes away, making every score 0).
-    pub fn prepare_probe(&self, keyword: &str) -> Option<KeywordProbe> {
-        KeywordProbe::new(keyword)
-    }
 
     /// The paper's search function over the shard set — bit-identical to
     /// `Database::search_score` on the unsharded union.
@@ -866,16 +671,7 @@ impl ShardedStore {
         {
             return Ok(db.clone());
         }
-        let mut db = Database::new(self.catalog.clone())?;
-        for tid in &key {
-            let schema = self.catalog.table(*tid);
-            for shard in &self.shards {
-                for (_, row) in shard.table_data(*tid).iter() {
-                    db.insert_unchecked(&schema.name, row.clone())?;
-                }
-            }
-        }
-        let db = Arc::new(db);
+        let db = Arc::new(self.union(&key)?);
         self.scratch
             .lock()
             .expect("scratch lock poisoned")
@@ -950,15 +746,22 @@ impl ShardedStore {
     /// finalized) — the reference the identity suite compares against, and
     /// an escape hatch back to single-store deployment.
     pub fn gather(&self) -> Result<Database, StoreError> {
+        let tables: Vec<TableId> = self.catalog.tables().iter().map(|t| t.id).collect();
+        let mut db = self.union(&tables)?;
+        db.finalize();
+        Ok(db)
+    }
+
+    /// The listed tables' rows, shard after shard, in one unfinalized
+    /// database over the full catalog.
+    fn union(&self, tables: &[TableId]) -> Result<Database, StoreError> {
         let mut db = Database::new(self.catalog.clone())?;
-        for schema in self.catalog.tables() {
-            for shard in &self.shards {
-                for (_, row) in shard.table_data(schema.id).iter() {
-                    db.insert_unchecked(&schema.name, row.clone())?;
-                }
+        for &tid in tables {
+            let name = &self.catalog.table(tid).name;
+            for (_, row) in self.shards.iter().flat_map(|s| s.table_data(tid).iter()) {
+                db.insert_unchecked(name, row.clone())?;
             }
         }
-        db.finalize();
         Ok(db)
     }
 
@@ -969,20 +772,83 @@ impl ShardedStore {
     /// every merged score and statistic bit for bit (placement depends
     /// only on key hashes, never on history).
     pub fn rebalance(&self, config: &ShardConfig) -> Result<ShardedStore, ShardError> {
-        let mut store = ShardedStore::empty(self.catalog.clone(), config)?;
-        for schema in self.catalog.tables() {
-            for shard in &self.shards {
-                for (_, row) in shard.table_data(schema.id).iter() {
-                    let key = TableData::pk_of(&self.catalog, schema, row);
-                    let s = store.partitioner.shard_of_key(&key);
-                    store.shards[s].insert_unchecked(&schema.name, row.clone())?;
-                }
-            }
-        }
-        store.finalize_shards();
-        store.rebuild_all_stats();
-        Ok(store)
+        ShardedStore::partition(self.catalog.clone(), config, &self.shards)
     }
+}
+
+/// The shard set as N partitions: a key's home is the shard it hashes to,
+/// and a slot-level mutation runs on that shard, then moves the counts.
+impl Partitions for ShardedStore {
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    fn partition_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn rows(&self, partition: usize, table: TableId) -> &TableData {
+        self.shards[partition].table_data(table)
+    }
+
+    fn locate(&self, table: TableId, key: &[Value]) -> Option<Target> {
+        locate(&self.partitioner, &self.shards, table, key)
+    }
+
+    fn home(&self, table: TableId, row: &Row) -> usize {
+        self.partitioner.shard_of_row(&self.catalog, table, row)
+    }
+
+    fn insert_at(&mut self, s: usize, table: TableId, row: Row, checked: Checked) -> Result<RowId> {
+        let rid = self.shards[s].insert_at(0, table, row, checked)?;
+        self.row_moved(table, None, Some((s, rid)));
+        self.landings.push(Landing::Insert(s));
+        Ok(rid)
+    }
+
+    fn delete_at(&mut self, table: TableId, at: Target, checked: Checked) -> Row {
+        let old = self.shards[at.0].delete_at(table, (0, at.1), checked);
+        self.row_moved(table, Some((at, &old)), None);
+        self.landings.push(Landing::Delete(at.0));
+        old
+    }
+
+    fn update_at(&mut self, table: TableId, at: Target, row: Row, checked: Checked) -> Result<Row> {
+        let old = self.shards[at.0].update_at(table, (0, at.1), row, checked)?;
+        self.row_moved(table, Some((at, &old)), Some(at));
+        self.landings.push(Landing::Update(at.0));
+        Ok(old)
+    }
+
+    /// One read of the victim's live reference count.
+    fn references(&self, fk: usize, at: Target) -> u64 {
+        u64::from(self.join_counts[fk].count(at))
+    }
+
+    /// A derivation from the counts: no table is rescanned.
+    fn refresh_stats(&mut self, fk: usize) {
+        self.derive_join_stats(fk);
+    }
+
+    fn stats_dirty(&mut self, _: Checked) -> &mut Option<BTreeSet<usize>> {
+        &mut self.stats_dirty
+    }
+}
+
+/// The shard and slot of the live row of `table` keyed `key`: the shard
+/// the key hashes to is the only one that can hold it. Free of the store,
+/// so reference counts resolve targets while they are borrowed mutably.
+fn locate(
+    partitioner: &Partitioner,
+    shards: &[Database],
+    table: TableId,
+    key: &[Value],
+) -> Option<Target> {
+    let owner = partitioner.shard_of_key(key);
+    shards[owner]
+        .table_data(table)
+        .lookup_pk(key)
+        .map(|rid| (owner, rid))
 }
 
 #[cfg(test)]
@@ -1034,6 +900,91 @@ mod tests {
     }
 
     #[test]
+    fn reopen_validation_reports_a_dangling_reference_like_the_database() {
+        let mut db = small_imdb();
+        let orphan = Row::new(vec![
+            990_001.into(),
+            "Orphaned".into(),
+            Value::Null,
+            Value::Null,
+            990_009.into(),
+        ]);
+        db.insert_unchecked("movie", orphan).unwrap();
+        let expected = db.validate().unwrap_err().to_string();
+        assert!(
+            expected.contains("movie.director_id = 990009"),
+            "{expected}"
+        );
+        for shards in [1, 3] {
+            let config = ShardConfig::new(shards);
+            let split = ShardedStore::from_database(&db, &config).unwrap();
+            let handed = split.shards().to_vec();
+            match ShardedStore::from_shards(db.catalog().clone(), handed, &config) {
+                Err(ShardError::Store(e)) => assert_eq!(e.to_string(), expected),
+                other => panic!("{shards} shards: want the FK error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn route_logs_each_accepted_record_where_the_rules_wrote_it() {
+        let mut store = ShardedStore::from_database(&small_imdb(), &ShardConfig::new(3)).unwrap();
+        let shard = |id: i64| store.partitioner.shard_of_key(&[id.into()]);
+        let (a, b) = (
+            900_001,
+            (900_002..).find(|b| shard(*b) != shard(900_001)).unwrap(),
+        );
+        let (sa, sb) = (shard(a), shard(b));
+        let person = |id: i64, name: &str| vec![id.into(), name.into(), Value::Null];
+        let table = "person".to_string();
+        let insert = ChangeRecord::Insert {
+            table: table.clone(),
+            row: person(a, "Routed"),
+        };
+        let rename = ChangeRecord::Update {
+            table: table.clone(),
+            key: vec![a.into()],
+            row: person(a, "Renamed"),
+        };
+        let moved = ChangeRecord::Update {
+            table: table.clone(),
+            key: vec![a.into()],
+            row: person(b, "Moved"),
+        };
+        let missing = ChangeRecord::Delete {
+            table: table.clone(),
+            key: vec![a.into()],
+        };
+        let delete = ChangeRecord::Delete {
+            table: table.clone(),
+            key: vec![b.into()],
+        };
+        let batch = [
+            insert.clone(),
+            rename.clone(),
+            moved,
+            missing,
+            delete.clone(),
+        ];
+        let mut report = ApplyReport::default();
+        store.apply_changes(&batch, &mut report);
+        assert_eq!(report.applied, 4);
+        assert_eq!(report.rejected.len(), 1);
+        let mut want = vec![Vec::new(); 3];
+        want[sa].extend([insert, rename]);
+        want[sa].push(ChangeRecord::Delete {
+            table: table.clone(),
+            key: vec![a.into()],
+        });
+        want[sb].push(ChangeRecord::Insert {
+            table,
+            row: person(b, "Moved"),
+        });
+        want[sb].push(delete);
+        assert_eq!(store.route(&batch, &report), want);
+    }
+
+    #[test]
     fn panic_inside_deferred_batch_still_refreshes_and_closes_the_scope() {
         let db = small_imdb();
         let mut store = ShardedStore::from_database(&db, &ShardConfig::new(3)).unwrap();
@@ -1052,7 +1003,7 @@ mod tests {
             assert_eq!(store.fk_stats(fk).unwrap().referenced_rows, before + added);
         };
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.with_stats_deferred(|store| {
+            rules::with_stats_deferred(&mut store, |store| {
                 store.insert("person", person(900_001)).unwrap();
                 panic!("batch aborted after an applied insert");
             })

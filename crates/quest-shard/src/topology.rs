@@ -13,7 +13,7 @@
 //! ```
 //!
 //! **Commit.** [`ShardedPrimary::commit`] lets the gateway apply the batch,
-//! routes each **accepted** record to the shard its partition key owns, and
+//! routes each **accepted** record to the shard the store wrote it to, and
 //! appends all the slices as one [`BatchFrame`] to the coordinator log,
 //! with each participant's LSN after the batch. The frame's fsync is the
 //! commit point and the only fsync a commit pays. Only then are the slices
@@ -50,7 +50,6 @@
 //! writes with a typed [`ShardError::ShardDown`] instead of serving
 //! silently partial results.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -61,11 +60,10 @@ use quest_serve::ApplyReport;
 use quest_wal::{
     BatchFrame, ChangeRecord, CoordinatorLog, DurableLog, ShardSlice, SyncPolicy, WalError,
 };
-use relstore::{Catalog, Database, Row, TableData};
+use relstore::{Catalog, Database};
 
 use crate::config::ShardConfig;
 use crate::error::ShardError;
-use crate::partition::Partitioner;
 use crate::scatter::ScatterGather;
 use crate::store::ShardedStore;
 
@@ -182,7 +180,6 @@ pub struct ShardReceipt {
 #[derive(Debug)]
 pub struct ShardedPrimary {
     catalog: Catalog,
-    partitioner: Partitioner,
     coordinator: CoordinatorLog,
     logs: Vec<DurableLog>,
     /// `Some` while any shard is fenced.
@@ -348,7 +345,6 @@ impl ShardedPrimary {
     ) -> Result<ShardedPrimary, ShardError> {
         Ok(ShardedPrimary {
             catalog: store.catalog().clone(),
-            partitioner: *store.partitioner(),
             coordinator,
             fence: None,
             logs,
@@ -380,8 +376,9 @@ impl ShardedPrimary {
     /// The gateway applies the whole batch first — global integrity checks,
     /// per-record accept/reject, epoch bump — producing a report identical
     /// to the unsharded serving layer's. Accepted records are then grouped
-    /// by owning shard (order preserved; a PK-moving update becomes a
-    /// delete on the old shard and an insert on the new one), and the
+    /// by the shard the store wrote each to (order preserved; an update
+    /// the store moved between shards becomes a delete on the old shard
+    /// and an insert on the new one), and the
     /// slices are appended to the coordinator log as one [`BatchFrame`] and
     /// fsynced: the commit point. A batch with no accepted record writes
     /// nothing. Faults classified transient ([`WalError::is_transient`])
@@ -404,14 +401,13 @@ impl ShardedPrimary {
     pub fn commit(&mut self, batch: &[ChangeRecord]) -> Result<ShardReceipt, ShardError> {
         self.ensure_healthy()?;
         let report = self.gateway.apply(batch)?;
-        let rejected: HashSet<usize> = report.rejected.iter().map(|(i, _)| *i).collect();
-        let mut per_shard: Vec<Vec<ChangeRecord>> = vec![Vec::new(); self.logs.len()];
-        for (i, record) in batch.iter().enumerate() {
-            if rejected.contains(&i) {
-                continue;
-            }
-            self.route_record(record, &mut per_shard)?;
-        }
+        let per_shard = self
+            .gateway
+            .engine()
+            .engine()
+            .wrapper()
+            .store()
+            .route(batch, &report);
         let frame = BatchFrame {
             slices: per_shard
                 .into_iter()
@@ -535,48 +531,6 @@ impl ShardedPrimary {
                 0
             }
         }
-    }
-
-    /// Route one accepted record to the shard(s) that must log it.
-    fn route_record(
-        &self,
-        record: &ChangeRecord,
-        per_shard: &mut [Vec<ChangeRecord>],
-    ) -> Result<(), ShardError> {
-        match record {
-            ChangeRecord::Insert { table, row } => {
-                let tid = self.catalog.table_id(table).map_err(ShardError::Store)?;
-                let schema = self.catalog.table(tid);
-                let key = TableData::pk_of(&self.catalog, schema, &Row::new(row.clone()));
-                per_shard[self.partitioner.shard_of_key(&key)].push(record.clone());
-            }
-            ChangeRecord::Delete { key, .. } => {
-                per_shard[self.partitioner.shard_of_key(key)].push(record.clone());
-            }
-            ChangeRecord::Update { table, key, row } => {
-                let tid = self.catalog.table_id(table).map_err(ShardError::Store)?;
-                let schema = self.catalog.table(tid);
-                let new_key = TableData::pk_of(&self.catalog, schema, &Row::new(row.clone()));
-                let old_shard = self.partitioner.shard_of_key(key);
-                let new_shard = self.partitioner.shard_of_key(&new_key);
-                if old_shard == new_shard {
-                    per_shard[old_shard].push(record.clone());
-                } else {
-                    // A PK move crosses shards: the old shard logs the
-                    // disappearance, the new shard logs the appearance —
-                    // exactly the store's cross-shard update semantics.
-                    per_shard[old_shard].push(ChangeRecord::Delete {
-                        table: table.clone(),
-                        key: key.clone(),
-                    });
-                    per_shard[new_shard].push(ChangeRecord::Insert {
-                        table: table.clone(),
-                        row: row.clone(),
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Run one keyword search through the gateway engine. Refuses with

@@ -54,23 +54,9 @@ impl ShardedWrapper {
         )?))
     }
 
-    /// Replace the ontology.
-    pub fn with_ontology(mut self, ontology: MiniOntology) -> ShardedWrapper {
-        self.ontology = ontology;
-        self
-    }
-
     /// The wrapped store.
     pub fn store(&self) -> &ShardedStore {
         &self.store
-    }
-
-    /// Mutable access to the wrapped store, for live-data mutation. As with
-    /// the unsharded wrapper, an engine built over this caches
-    /// instance-derived state — mutate through the serving layer's `apply`
-    /// (or call `Quest::resync` yourself) to keep it coherent.
-    pub fn store_mut(&mut self) -> &mut ShardedStore {
-        &mut self.store
     }
 }
 

@@ -1,10 +1,10 @@
 //! Serializable change records: the unit the log stores and replays.
 
-use relstore::{Database, Row, RowId, StoreError, Value};
+use relstore::{rules, Partitions, Row, RowId, StoreError, Value};
 
 use crate::codec::{decode_value, encode_value, escape_field, unescape_field};
 
-/// One logical mutation of a [`Database`], addressed by table name and
+/// One logical mutation of a [`Database`](relstore::Database), addressed by table name and
 /// primary-key values so records stay valid across process restarts (slot
 /// numbers are an in-memory artifact; keys are the durable identity).
 #[derive(Debug, Clone, PartialEq)]
@@ -112,14 +112,16 @@ impl ChangeRecord {
         }
     }
 
-    /// Apply this record to a database through its checked mutation API
-    /// (referential integrity enforced, indexes maintained incrementally).
-    pub fn apply(&self, db: &mut Database) -> Result<RowId, StoreError> {
+    /// Apply this record to a store — a database or a shard set — through
+    /// the shared write rules ([`relstore::rules`]).
+    pub fn apply<S: Partitions>(&self, store: &mut S) -> Result<RowId, StoreError> {
         match self {
-            ChangeRecord::Insert { table, row } => db.insert(table, Row::new(row.clone())),
-            ChangeRecord::Delete { table, key } => db.delete(table, key),
+            ChangeRecord::Insert { table, row } => {
+                rules::insert(store, table, Row::new(row.clone()))
+            }
+            ChangeRecord::Delete { table, key } => rules::delete(store, table, key),
             ChangeRecord::Update { table, key, row } => {
-                db.update(table, key, Row::new(row.clone()))
+                rules::update(store, table, key, Row::new(row.clone()))
             }
         }
     }
@@ -233,7 +235,7 @@ impl BatchFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relstore::{Catalog, DataType};
+    use relstore::{Catalog, DataType, Database};
 
     fn sample_records() -> Vec<ChangeRecord> {
         vec![

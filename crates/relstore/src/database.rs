@@ -6,10 +6,13 @@ use crate::error::StoreError;
 use crate::index::inverted::{AttributeIndex, KeywordProbe};
 use crate::jobs;
 use crate::row::{Row, RowId};
+use crate::rules::{self, Checked, Partitions};
 use crate::schema::{AttrId, Attribute, Catalog, ForeignKey, TableId, TableSchema};
-use crate::stats::{join_stats, JoinStats};
+use crate::stats::{join_stats, JoinStats, Target};
 use crate::table::TableData;
 use crate::value::Value;
+
+type Result<T, E = StoreError> = std::result::Result<T, E>;
 
 /// An in-memory relational database instance.
 ///
@@ -21,15 +24,20 @@ use crate::value::Value;
 /// reader is the wrapper's `join_informativeness`), so an FK-less database —
 /// a shard — keeps none.
 ///
-/// After `finalize`, the database is *live*: [`Database::insert`],
-/// [`Database::delete`] and [`Database::update`] maintain the inverted
-/// indexes incrementally and recompute the join statistics of the foreign
-/// keys touching the mutated table only, so mutations never force a full
-/// rebuild and the database stays finalized. The maintained state is
+/// [`Database::insert`], [`Database::delete`] and [`Database::update`] are
+/// the shared write rules ([`rules`]) over the database as one partition,
+/// so a sharded store checks alike. Its own [`Partitions`] hooks scan: the
+/// restrictive rule counts references over the referencing table, and a
+/// foreign key's statistics are a [`join_stats`] rescan of its two tables.
+///
+/// After `finalize`, the database is *live*: mutations maintain the
+/// inverted indexes incrementally and recompute the join statistics of the
+/// foreign keys touching the mutated table only, so mutations never force a
+/// full rebuild and the database stays finalized. The maintained state is
 /// bit-identical to what a fresh [`Database::finalize`] over the same rows
 /// would build (asserted by the relstore property suite). Batch writers
-/// wrap their loop in [`Database::with_stats_deferred`] to pay the
-/// per-table refresh once per batch instead of once per record.
+/// wrap their loop in [`Database::with_stats_deferred`] to rescan each
+/// touched foreign key once per batch instead of once per record.
 ///
 /// Before `finalize`, mutations touch rows only. A bulk path that ends
 /// in `finalize` therefore pays for its derived state once: crash
@@ -49,11 +57,11 @@ pub struct Database {
     /// Per-foreign-key join statistics (built in `finalize`).
     join_stats: HashMap<ForeignKey, JoinStats>,
     finalized: bool,
-    /// When `Some`, statistics refresh is deferred: mutated tables are
-    /// collected here and refreshed once when the batch scope closes (see
-    /// [`Database::with_stats_deferred`]). Index maintenance is never
-    /// deferred — it is cheap and per-row.
-    stats_dirty: Option<BTreeSet<TableId>>,
+    /// When `Some`, statistics refresh is deferred: the positions of the
+    /// foreign keys mutations touched are collected here and rescanned once
+    /// when the batch scope closes (see [`Database::with_stats_deferred`]).
+    /// Index maintenance is never deferred — it is cheap and per-row.
+    stats_dirty: Option<BTreeSet<usize>>,
 }
 
 impl Database {
@@ -93,162 +101,37 @@ impl Database {
         self.tables.iter().map(|t| t.len()).sum()
     }
 
-    /// Insert with full integrity checking (types, PK uniqueness, FK targets).
-    ///
-    /// FK targets must already exist, so load tables in dependency order.
-    /// On a finalized database the new row is folded into the full-text
-    /// indexes and statistics incrementally.
+    /// Insert with full integrity checking ([`rules::insert`]). FK targets
+    /// must already exist, so load tables in dependency order.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<RowId, StoreError> {
-        let tid = self.catalog.table_id(table)?;
-        let schema = self.catalog.table(tid).clone();
-        // Shape-validate before the FK check: FK columns are addressed by
-        // position, so a short row must be rejected (not panic) first.
-        TableData::check_row(&self.catalog, &schema, &row)?;
-        self.check_foreign_keys(tid, &row)?;
-        let rid = self.tables[tid.0 as usize].insert_prevalidated(&self.catalog, &schema, row)?;
-        self.finish_mutation(tid, rid);
-        Ok(rid)
+        rules::insert(self, table, row)
     }
 
     /// Insert with type/PK checking but *without* FK target checking. Use for
     /// bulk loads with cycles, then call [`Database::validate_foreign_keys`].
     pub fn insert_unchecked(&mut self, table: &str, row: Row) -> Result<RowId, StoreError> {
         let tid = self.catalog.table_id(table)?;
-        let schema = self.catalog.table(tid).clone();
-        let rid = self.tables[tid.0 as usize].insert(&self.catalog, &schema, row)?;
-        self.finish_mutation(tid, rid);
+        TableData::check_row(&self.catalog, self.catalog.table(tid), &row)?;
+        let rid = self.store_row(tid, row)?;
+        // A bulk load (a shard, a snapshot, a join's scratch copy) has no
+        // statistics to keep until `finalize` builds them.
+        if self.finalized {
+            rules::touched(self, tid);
+        }
         Ok(rid)
     }
 
-    /// Post-insert maintenance shared by both insert paths.
-    fn finish_mutation(&mut self, tid: TableId, rid: RowId) {
-        if self.finalized {
-            self.reindex_row(tid, rid, None, true);
-            self.refresh_stats_for(tid);
-        }
-    }
-
-    /// Delete the row whose primary-key tuple is `key`, returning its old
-    /// [`RowId`]. Referential integrity is *restrictive*: the delete fails
-    /// while any other live row still references the victim's primary key.
-    /// On a finalized database indexes and statistics are maintained
-    /// incrementally; the slot is tombstoned so other row ids stay stable.
+    /// Delete the row keyed `key` unless a live row references it
+    /// ([`rules::delete`]). Its slot is tombstoned, so other row ids stay
+    /// stable.
     pub fn delete(&mut self, table: &str, key: &[Value]) -> Result<RowId, StoreError> {
-        let tid = self.catalog.table_id(table)?;
-        let schema = self.catalog.table(tid).clone();
-        let rid = self.tables[tid.0 as usize]
-            .lookup_pk(key)
-            .ok_or_else(|| StoreError::RowNotFound(format!("{}{}", schema.name, fmt_key(key))))?;
-        self.check_pk_unreferenced(tid, rid, None)?;
-        let old = self.tables[tid.0 as usize].delete(&self.catalog, &schema, rid)?;
-        if self.finalized {
-            self.reindex_row(tid, rid, Some(&old), false);
-            self.refresh_stats_for(tid);
-        }
-        Ok(rid)
+        rules::delete(self, table, key)
     }
 
-    /// Replace the row whose primary-key tuple is `key` with `row`, in place
-    /// (the [`RowId`] is preserved). Checks types, NOT NULL, FK targets of
-    /// the new row, and — when the primary key changes — PK uniqueness plus
-    /// the restrictive rule that no row may still reference the old key
-    /// afterwards. On a finalized database, indexes and statistics follow
-    /// incrementally.
+    /// Replace the row keyed `key` with `row` ([`rules::update`]), in its
+    /// slot: one partition, so even a PK move keeps the [`RowId`].
     pub fn update(&mut self, table: &str, key: &[Value], row: Row) -> Result<RowId, StoreError> {
-        let tid = self.catalog.table_id(table)?;
-        let schema = self.catalog.table(tid).clone();
-        let rid = self.tables[tid.0 as usize]
-            .lookup_pk(key)
-            .ok_or_else(|| StoreError::RowNotFound(format!("{}{}", schema.name, fmt_key(key))))?;
-        TableData::check_row(&self.catalog, &schema, &row)?;
-        self.check_foreign_keys(tid, &row)?;
-        let new_key = TableData::pk_of(&self.catalog, &schema, &row);
-        if new_key.as_slice() != key {
-            // The old key disappears: nothing may keep referencing it. The
-            // updated row itself is judged by its *new* FK values.
-            self.check_pk_unreferenced(tid, rid, Some(&row))?;
-        }
-        let old =
-            self.tables[tid.0 as usize].update_prevalidated(&self.catalog, &schema, rid, row)?;
-        if self.finalized {
-            self.reindex_row(tid, rid, Some(&old), true);
-            self.refresh_stats_for(tid);
-        }
-        Ok(rid)
-    }
-
-    /// FK-target existence for every FK column of a candidate row.
-    fn check_foreign_keys(&self, tid: TableId, row: &Row) -> Result<(), StoreError> {
-        for fk in self.catalog.foreign_keys() {
-            let from = self.catalog.attribute(fk.from);
-            if from.table != tid {
-                continue;
-            }
-            let v = row.get(from.position);
-            if v.is_null() {
-                continue;
-            }
-            let target_table = self.catalog.attribute(fk.to).table;
-            if self.tables[target_table.0 as usize]
-                .lookup_pk(std::slice::from_ref(v))
-                .is_none()
-            {
-                return Err(StoreError::ForeignKeyViolation(format!(
-                    "{} = {v} has no target in {}",
-                    self.catalog.qualified_name(fk.from),
-                    self.catalog.table(target_table).name
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Restrictive RI check before a delete or PK-changing update of
-    /// `(tid, rid)`: no live row may reference the victim's current primary
-    /// key. The victim row itself is skipped on delete (its references die
-    /// with it) and judged by `replacement` on update (its references
-    /// survive with the new values).
-    ///
-    /// Cost: a linear scan of each referencing table — O(total referencing
-    /// rows) per delete. The sharded store answers the same rule from a
-    /// per-FK reverse count index ([`crate::stats::JoinCounts`], maintained
-    /// per record); adopting it here, together with incremental join
-    /// statistics, is the unsharded half of ROADMAP.md item 2. This scan
-    /// stays the reference the sharded suites compare against.
-    fn check_pk_unreferenced(
-        &self,
-        tid: TableId,
-        rid: RowId,
-        replacement: Option<&Row>,
-    ) -> Result<(), StoreError> {
-        let victim = self.tables[tid.0 as usize].row(rid);
-        for fk in self.catalog.foreign_keys() {
-            let to = self.catalog.attribute(fk.to);
-            if to.table != tid {
-                continue;
-            }
-            let pk_val = victim.get(to.position);
-            let from = self.catalog.attribute(fk.from);
-            for (r_rid, r_row) in self.tables[from.table.0 as usize].iter() {
-                let row = if from.table == tid && r_rid == rid {
-                    match replacement {
-                        Some(new_row) => new_row,
-                        None => continue, // delete: self-reference dies too
-                    }
-                } else {
-                    r_row
-                };
-                let v = row.get(from.position);
-                if !v.is_null() && v == pk_val {
-                    return Err(StoreError::ForeignKeyViolation(format!(
-                        "{} = {v} still references {}",
-                        self.catalog.qualified_name(fk.from),
-                        self.catalog.qualified_name(fk.to)
-                    )));
-                }
-            }
-        }
-        Ok(())
+        rules::update(self, table, key, row)
     }
 
     /// Scan every FK column and verify all non-null values have targets.
@@ -278,11 +161,12 @@ impl Database {
     }
 
     /// One job per table's structure check, then one per foreign key's
-    /// target check; the first error in that order wins.
+    /// target check ([`rules::validate_references`]); the first error in
+    /// that order wins.
     fn run_checks(&self, tables: &[TableSchema], fks: &[ForeignKey]) -> Result<(), StoreError> {
         jobs::run(tables.len() + fks.len(), |i| match tables.get(i) {
             Some(schema) => self.check_structure(schema),
-            None => self.check_targets(fks[i - tables.len()]),
+            None => rules::validate_references(self, fks[i - tables.len()]),
         })
         .into_iter()
         .collect()
@@ -299,7 +183,7 @@ impl Database {
                 return Err(StoreError::InvalidSchema(format!(
                     "{}: PK index does not map {} back to row {rid}",
                     schema.name,
-                    fmt_key(&key)
+                    rules::fmt_key(&key)
                 )));
             }
             live += 1;
@@ -311,22 +195,6 @@ impl Database {
                 live,
                 data.len()
             )));
-        }
-        Ok(())
-    }
-
-    /// Every non-null value of one FK column has a target.
-    fn check_targets(&self, fk: ForeignKey) -> Result<(), StoreError> {
-        let from = self.catalog.attribute(fk.from);
-        let target = &self.tables[self.catalog.attribute(fk.to).table.0 as usize];
-        for (_, row) in self.tables[from.table.0 as usize].iter() {
-            let v = row.get(from.position);
-            if !v.is_null() && target.lookup_pk(std::slice::from_ref(v)).is_none() {
-                return Err(StoreError::ForeignKeyViolation(format!(
-                    "{} = {v}",
-                    self.catalog.qualified_name(fk.from)
-                )));
-            }
         }
         Ok(())
     }
@@ -427,9 +295,22 @@ impl Database {
         join_stats(&self.catalog, fk, referencing, referenced)
     }
 
+    /// Store a shape-checked row of `tid` in a fresh slot and index it;
+    /// fails only on a duplicate key.
+    fn store_row(&mut self, tid: TableId, row: Row) -> Result<RowId, StoreError> {
+        let schema = self.catalog.table(tid);
+        let rid = self.tables[tid.0 as usize].insert_prevalidated(&self.catalog, schema, row)?;
+        self.reindex_row(tid, rid, None, true);
+        Ok(rid)
+    }
+
     /// Incremental index maintenance for one mutated row: un-index the old
     /// values (if any), index the new ones (if the slot is still live).
+    /// Before `finalize` there are no indexes to maintain.
     fn reindex_row(&mut self, tid: TableId, rid: RowId, old: Option<&Row>, live: bool) {
+        if !self.finalized {
+            return;
+        }
         let full_text: Vec<(AttrId, usize)> = self
             .catalog
             .table(tid)
@@ -460,65 +341,11 @@ impl Database {
         }
     }
 
-    /// Recompute the statistics a mutation of `tid` can change: the join
-    /// stats of every FK touching it. Uses the same pure function as
-    /// [`Database::finalize`], so maintained stats are bit-identical to a
-    /// full rebuild.
-    fn refresh_stats_for(&mut self, tid: TableId) {
-        if let Some(dirty) = &mut self.stats_dirty {
-            dirty.insert(tid);
-            return;
-        }
-        for fk in self.catalog.fks_of_table(tid) {
-            let stats = join_stats(
-                &self.catalog,
-                fk,
-                &self.tables[self.catalog.attribute(fk.from).table.0 as usize],
-                &self.tables[self.catalog.attribute(fk.to).table.0 as usize],
-            );
-            self.join_stats.insert(fk, stats);
-        }
-    }
-
     /// Run a batch of mutations with the join-statistics refresh deferred
-    /// to the end of the batch.
-    ///
-    /// Per-mutation refresh rescans both sides of every FK join touching
-    /// the mutated table, so a k-record batch would pay k rescans for a
-    /// result only the final state needs. Inside `f`, mutations maintain
-    /// the inverted indexes as usual but only *mark* their tables dirty;
-    /// when `f` returns, each dirty table is refreshed exactly once. The
-    /// final state is bit-identical to per-mutation refresh — only reads
-    /// of [`Database::fk_stats`] *inside* `f` may observe pre-batch values.
-    /// Nested calls coalesce into the outermost batch.
+    /// to its end ([`rules::with_stats_deferred`]): each foreign key the
+    /// batch touched is rescanned once. Index maintenance is never deferred.
     pub fn with_stats_deferred<R>(&mut self, f: impl FnOnce(&mut Database) -> R) -> R {
-        /// Drains the dirty set on scope exit — *including* an unwind out
-        /// of `f` — so a panicking closure cannot leave the database with
-        /// statistics refresh permanently disabled.
-        struct Scope<'a> {
-            db: &'a mut Database,
-            outermost: bool,
-        }
-        impl Drop for Scope<'_> {
-            fn drop(&mut self) {
-                if self.outermost {
-                    if let Some(dirty) = self.db.stats_dirty.take() {
-                        for tid in dirty {
-                            self.db.refresh_stats_for(tid);
-                        }
-                    }
-                }
-            }
-        }
-        let outermost = self.stats_dirty.is_none();
-        if outermost {
-            self.stats_dirty = Some(BTreeSet::new());
-        }
-        let scope = Scope {
-            db: self,
-            outermost,
-        };
-        f(&mut *scope.db)
+        rules::with_stats_deferred(self, f)
     }
 
     /// Whether `finalize` has been run (mutations on a finalized database
@@ -602,9 +429,81 @@ impl Database {
     }
 }
 
-/// Render a PK tuple for error messages.
-fn fmt_key(key: &[Value]) -> String {
-    Row::new(key.to_vec()).to_string()
+/// The database as one partition: every key's home is partition 0, so a
+/// PK move never changes partition and an update stays in its slot.
+impl Partitions for Database {
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    fn partition_count(&self) -> usize {
+        1
+    }
+
+    fn rows(&self, _: usize, table: TableId) -> &TableData {
+        &self.tables[table.0 as usize]
+    }
+
+    fn locate(&self, table: TableId, key: &[Value]) -> Option<Target> {
+        self.tables[table.0 as usize]
+            .lookup_pk(key)
+            .map(|rid| (0, rid))
+    }
+
+    fn home(&self, _: TableId, _: &Row) -> usize {
+        0
+    }
+
+    fn insert_at(&mut self, _: usize, table: TableId, row: Row, _: Checked) -> Result<RowId> {
+        self.store_row(table, row)
+    }
+
+    fn delete_at(&mut self, table: TableId, (_, rid): Target, _: Checked) -> Row {
+        let schema = self.catalog.table(table);
+        let old = self.tables[table.0 as usize]
+            .delete(&self.catalog, schema, rid)
+            .expect("the rules located a live row");
+        self.reindex_row(table, rid, Some(&old), false);
+        old
+    }
+
+    fn update_at(&mut self, table: TableId, (_, rid): Target, row: Row, _: Checked) -> Result<Row> {
+        let schema = self.catalog.table(table);
+        let old =
+            self.tables[table.0 as usize].update_prevalidated(&self.catalog, schema, rid, row)?;
+        self.reindex_row(table, rid, Some(&old), true);
+        Ok(old)
+    }
+
+    /// A scan of the referencing table, O(its rows) per delete or key
+    /// change, stopping at the second match. The sharded store reads a live
+    /// count ([`crate::stats::JoinCounts`]) instead; moving this hook and
+    /// [`Partitions::refresh_stats`] onto counts is ROADMAP item 2, after
+    /// item 1(a). The scan stays the sharded suites' reference.
+    fn references(&self, fk: usize, (_, rid): Target) -> u64 {
+        let (catalog, fk) = (&self.catalog, self.catalog.foreign_keys()[fk]);
+        let (from, to) = (catalog.attribute(fk.from), catalog.attribute(fk.to));
+        let key = self.tables[to.table.0 as usize].row(rid).get(to.position);
+        self.tables[from.table.0 as usize]
+            .iter()
+            .filter(|(_, row)| row.get(from.position) == key)
+            .take(2)
+            .count() as u64
+    }
+
+    /// A [`join_stats`] rescan of both tables — the same pure function as
+    /// [`Database::finalize`], so maintained statistics are bit-identical
+    /// to a full rebuild. Nothing to refresh before `finalize`.
+    fn refresh_stats(&mut self, fk: usize) {
+        if self.finalized {
+            let fk = self.catalog.foreign_keys()[fk];
+            self.join_stats.insert(fk, self.build_join_stats(fk));
+        }
+    }
+
+    fn stats_dirty(&mut self, _: Checked) -> &mut Option<BTreeSet<usize>> {
+        &mut self.stats_dirty
+    }
 }
 
 #[cfg(test)]

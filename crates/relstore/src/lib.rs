@@ -28,6 +28,7 @@ pub mod error;
 pub mod index;
 pub mod jobs;
 pub mod row;
+pub mod rules;
 pub mod schema;
 pub mod sql;
 pub mod stats;
@@ -38,6 +39,7 @@ pub mod value;
 pub use database::Database;
 pub use error::StoreError;
 pub use row::{Row, RowId};
+pub use rules::Partitions;
 pub use schema::{AttrId, Attribute, Catalog, ForeignKey, TableId, TableSchema};
 pub use table::{TableData, TupleRef};
 pub use types::DataType;

@@ -245,17 +245,6 @@ impl Catalog {
         }
     }
 
-    /// Foreign keys adjacent to a table (either endpoint in the table).
-    pub fn fks_of_table(&self, table: TableId) -> Vec<ForeignKey> {
-        self.foreign_keys
-            .iter()
-            .copied()
-            .filter(|fk| {
-                self.attribute(fk.from).table == table || self.attribute(fk.to).table == table
-            })
-            .collect()
-    }
-
     /// Validate catalog-level invariants: every table has a primary key and
     /// at least one attribute. Called by `Database::new`.
     pub fn validate(&self) -> Result<(), StoreError> {
@@ -461,15 +450,6 @@ mod tests {
             .unwrap()
             .finish();
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn fks_of_table_sees_both_directions() {
-        let c = two_table_catalog();
-        let person = c.table_id("person").unwrap();
-        let movie = c.table_id("movie").unwrap();
-        assert_eq!(c.fks_of_table(person).len(), 1);
-        assert_eq!(c.fks_of_table(movie).len(), 1);
     }
 
     #[test]

@@ -144,11 +144,7 @@ impl TableData {
     ) -> Result<RowId, StoreError> {
         let key = Self::pk_of(catalog, schema, &row);
         if self.pk_index.contains_key(&key) {
-            return Err(StoreError::DuplicateKey(format!(
-                "{}{}",
-                schema.name,
-                Row::new(key)
-            )));
+            return Err(duplicate(schema, key));
         }
         let id = RowId(self.rows.len() as u64);
         self.pk_index.insert(key, id);
@@ -209,11 +205,7 @@ impl TableData {
         let new_key = Self::pk_of(catalog, schema, &row);
         if new_key != old_key {
             if self.pk_index.contains_key(&new_key) {
-                return Err(StoreError::DuplicateKey(format!(
-                    "{}{}",
-                    schema.name,
-                    Row::new(new_key)
-                )));
+                return Err(duplicate(schema, new_key));
             }
             self.pk_index.remove(&old_key);
             self.pk_index.insert(new_key, id);
@@ -255,6 +247,12 @@ impl TableData {
         }
         Ok(data)
     }
+}
+
+/// The uniqueness violation of `key` in `schema`'s table — one message for
+/// every store, because equal keys share a partition.
+fn duplicate(schema: &TableSchema, key: Vec<Value>) -> StoreError {
+    StoreError::DuplicateKey(format!("{}{}", schema.name, Row::new(key)))
 }
 
 /// A `(table, row)` reference used by instance-level baselines.
